@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Configuration, Face, Parameter, reduce_configuration
+from .cones import Configuration, Face, Parameter, as_parameter, reduce_configuration
 from .errors import DimensionMismatch, InputError, InternalInconsistency, ShiftInvarianceViolation
 from .intlinalg import GaussRat, IntMatrix, lattice_member
 from .pyramids import PyramidVerdict, is_pyramid
@@ -59,7 +59,7 @@ class Classification:
         }
 
 
-def classify(A_raw: IntMatrix, beta_raw, faces_method: str = "auto") -> Classification:
+def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     """Classify the monodromy of the system attached to (A, beta).
 
     Normalizes the input, finds the resonance centers, and applies the
@@ -68,7 +68,7 @@ def classify(A_raw: IntMatrix, beta_raw, faces_method: str = "auto") -> Classifi
     verdict with a nonempty center comes with a strict volume drop.
     """
     config, beta, basis = reduce_configuration(A_raw, beta_raw)
-    report = resonance_centers(config, beta, method=faces_method)
+    report = resonance_centers(config, beta)
     verdicts = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
     volumes = tuple(
@@ -118,22 +118,19 @@ def _validated_shift(A_raw: IntMatrix, shift: Sequence[int]) -> tuple[int, ...]:
 
 
 def classify_equivalence_class(
-    A_raw: IntMatrix, beta_raw, shifts: Sequence[Sequence[int]],
-    faces_method: str = "auto",
+    A_raw: IntMatrix, beta_raw, shifts: Sequence[Sequence[int]]
 ) -> list[Classification]:
     """Classify beta + z for each lattice shift z; the verdict may not move.
 
     Shifts of length d are taken literally (and must lie in the column
     lattice); shifts of length n are applied through the matrix.
     """
-    from .cones import as_parameter
-
     beta = as_parameter(beta_raw, A_raw.rows)
     results = []
     for shift in shifts:
         z = _validated_shift(A_raw, shift)
         shifted = tuple(b + GaussRat(x) for b, x in zip(beta, z))
-        results.append(classify(A_raw, shifted, faces_method=faces_method))
+        results.append(classify(A_raw, shifted))
     if len({r.verdict for r in results}) > 1:
         raise ShiftInvarianceViolation(
             "classification changed under a lattice shift of beta"

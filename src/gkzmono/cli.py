@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import exporters, toric
 from .classify import classify
-from .cones import enumerate_faces, reduce_configuration
+from .cones import reduce_configuration
 from .errors import InputError, InternalInconsistency, ScaleLimit
 from .groebner import DEFAULT_STEP_BUDGET
 from .intlinalg import IntMatrix, kernel_lattice_basis
@@ -39,25 +39,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_beta):
+    def add(name, help_text, needs_beta, budgeted=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-A", "--matrix", help="matrix as JSON [[..]] or @file")
         p.add_argument("--input", help="JSON file with {'A': [[..]], 'beta': [..]}")
         if needs_beta:
             p.add_argument("-b", "--beta", help="comma-separated p/q entries or JSON list")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--faces-method",
-            choices=("auto", "brute", "dd"),
-            default="auto",
-            help="face enumeration strategy (brute = feasibility oracle)",
-        )
-        p.add_argument(
-            "--max-steps",
-            type=int,
-            default=DEFAULT_STEP_BUDGET,
-            help="step budget for toric-ideal saturation",
-        )
+        if budgeted:
+            p.add_argument(
+                "--max-steps",
+                type=_step_budget,
+                default=DEFAULT_STEP_BUDGET,
+                help="step budget (at least 1) for toric-ideal saturation",
+            )
         return p
 
     add("reduce", "normalize (A, beta) so the columns generate Z^d", True)
@@ -66,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", "reducible/irreducible verdict with evidence", True)
     add("volume", "normalized volume (generic rank)", False)
     add("kernel", "basis of the integer kernel lattice", False)
-    add("toric-ideal", "saturated toric ideal generators", False)
-    exp = add("export", "write the hypergeometric system for external tools", True)
+    add("toric-ideal", "saturated toric ideal generators", False, budgeted=True)
+    exp = add(
+        "export", "write the hypergeometric system for external tools", True, budgeted=True
+    )
     exp.add_argument(
         "--format",
         choices=exporters.FORMATS,
@@ -76,6 +73,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add("arrangement", "describe the resonant arrangement", False)
     return parser
+
+
+def _step_budget(text: str) -> int:
+    steps = int(text)  # argparse reports a ValueError as an invalid value
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"step budget must be at least 1, got {steps}")
+    return steps
+
+
+def _attach_beta_values(argv) -> list:
+    """Rewrite "-b -1/2,1" as "--beta=-1/2,1": argparse reads "-1/2,1" as an option."""
+    out: list = []
+    for token in argv:
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and out and out[-1] in ("-b", "--beta"):
+            out[-1] = f"--beta={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _contains_boolean(value) -> bool:
+    """JSON true/false would pass as the integers 1/0; they are rejected."""
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return any(_contains_boolean(v) for v in items)
+    return isinstance(value, bool)
 
 
 def _load_matrix_literal(text: str) -> IntMatrix:
@@ -88,6 +112,8 @@ def _load_matrix_literal(text: str) -> IntMatrix:
         raise InputError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("matrix JSON must be a list of rows")
+    if _contains_boolean(rows):
+        raise InputError("matrix entries must be integers, not booleans")
     try:
         return IntMatrix(rows)
     except TypeError as exc:
@@ -134,6 +160,8 @@ def _gather_input(args) -> tuple[IntMatrix, Optional[list]]:
 def _require_beta(beta, matrix) -> list:
     if beta is None:
         raise InputError("this command needs a parameter vector (use -b or --input)")
+    if _contains_boolean(beta):
+        raise InputError("beta entries must be rationals, not booleans")
     if len(beta) != matrix.rows:
         raise InputError(
             f"beta has {len(beta)} entries but the matrix has {matrix.rows} rows"
@@ -141,71 +169,65 @@ def _require_beta(beta, matrix) -> list:
     return beta
 
 
+def _set_text(indices) -> str:
+    return "{" + ",".join(str(j) for j in indices) + "}"
+
+
+def _tuple_text(values) -> str:
+    return "(" + ",".join(str(x) for x in values) + ")"
+
+
 def _render_faces(report: dict) -> str:
-    lines = []
-    for face in report["faces"]:
-        indices = "{" + ",".join(str(j) for j in face["indices"]) + "}"
-        witness = "(" + ",".join(str(x) for x in face["witness"]) + ")"
-        lines.append(f"{indices} witness {witness}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{_set_text(face['indices'])} witness {_tuple_text(face['witness'])}"
+        for face in report["faces"]
+    )
 
 
 def _render_classify(report: dict) -> str:
-    lines = [f"verdict: {report['verdict']}"]
-    centers = ", ".join(
-        "{" + ",".join(str(j) for j in c) + "}" for c in report["centers"]
-    )
-    lines.append(f"centers: {centers}")
-    lines.append(f"generic rank: {report['generic_rank']}")
+    lines = [
+        f"verdict: {report['verdict']}",
+        "centers: " + ", ".join(_set_text(c) for c in report["centers"]),
+        f"generic rank: {report['generic_rank']}",
+    ]
     for detail in report["center_details"]:
-        indices = "{" + ",".join(str(j) for j in detail["indices"]) + "}"
-        pyramid = detail["pyramid"]["is_pyramid"]
         vol = detail["face_volume"]
-        vol_text = "n/a" if vol is None else str(vol)
-        lines.append(f"center {indices}: pyramid={pyramid} face_volume={vol_text}")
+        lines.append(
+            f"center {_set_text(detail['indices'])}: "
+            f"pyramid={detail['pyramid']['is_pyramid']} "
+            f"face_volume={'n/a' if vol is None else vol}"
+        )
     return "\n".join(lines)
 
 
 def _render_centers(report: dict) -> str:
-    centers = ", ".join(
-        "{" + ",".join(str(j) for j in c["indices"]) + "}" for c in report["centers"]
+    def faces(key):
+        return ", ".join(_set_text(f["indices"]) for f in report[key])
+
+    return (
+        f"nonresonant: {report['is_nonresonant']}\n"
+        f"centers: {faces('centers')}\n"
+        f"member faces: {faces('member_faces')}"
     )
-    lines = [
-        f"nonresonant: {report['is_nonresonant']}",
-        f"centers: {centers}",
-        "member faces: "
-        + ", ".join(
-            "{" + ",".join(str(j) for j in f["indices"]) + "}"
-            for f in report["member_faces"]
-        ),
-    ]
-    return "\n".join(lines)
 
 
 def _render_reduce(report: dict) -> str:
-    return "\n".join(
-        [
-            f"A' = {report['A']}",
-            f"beta' = {report['beta']}",
-            f"B = {report['B']}",
-        ]
-    )
+    return f"A' = {report['A']}\nbeta' = {report['beta']}\nB = {report['B']}"
 
 
 def _render_kernel(report: dict) -> str:
     if not report["kernel"]:
         return "(trivial kernel)"
-    return "\n".join("(" + ",".join(str(x) for x in u) + ")" for u in report["kernel"])
+    return "\n".join(_tuple_text(u) for u in report["kernel"])
 
 
 def _render_arrangement(report: dict) -> str:
     if not report["components"]:
         return "(no proper faces: every parameter is nonresonant)"
-    lines = []
-    for comp in report["components"]:
-        indices = "{" + ",".join(str(j) for j in comp["face"]["indices"]) + "}"
-        lines.append(f"face {indices}: " + "; ".join(comp["congruences"]))
-    return "\n".join(lines)
+    return "\n".join(
+        f"face {_set_text(comp['face']['indices'])}: " + "; ".join(comp["congruences"])
+        for comp in report["components"]
+    )
 
 
 def _render_toric(report: dict) -> str:
@@ -227,71 +249,49 @@ def _render_toric(report: dict) -> str:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_beta_values(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         matrix, beta = _gather_input(args)
-        if args.command == "reduce":
-            config, beta_red, basis = reduce_configuration(
-                matrix, _require_beta(beta, matrix)
-            )
-            report = {
-                "A": [list(r) for r in config.A.data],
-                "beta": [b.to_json() for b in beta_red],
-                "B": [list(r) for r in basis.data],
-            }
-            text = _render_reduce(report)
-        elif args.command == "faces":
-            config, _, _ = reduce_configuration(matrix, [0] * matrix.rows)
-            lattice = enumerate_faces(config, method=args.faces_method)
-            report = {"faces": lattice.to_json()}
-            text = _render_faces(report)
-        elif args.command == "centers":
-            config, beta_red, _ = reduce_configuration(
-                matrix, _require_beta(beta, matrix)
-            )
-            result = resonance_centers(config, beta_red, method=args.faces_method)
-            report = result.to_json()
-            text = _render_centers(report)
-        elif args.command == "classify":
-            result = classify(
-                matrix, _require_beta(beta, matrix), faces_method=args.faces_method
-            )
-            report = result.to_json()
-            text = _render_classify(report)
-        elif args.command == "volume":
-            config, _, _ = reduce_configuration(matrix, [0] * matrix.rows)
-            result = normalized_volume(config)
-            report = result.to_json()
-            text = str(result.volume)
-        elif args.command == "kernel":
+        # Commands without a parameter normalize A with beta = 0.
+        beta = _require_beta(beta, matrix) if "beta" in args else [0] * matrix.rows
+        if args.command == "kernel":
             report = {"kernel": [list(u) for u in kernel_lattice_basis(matrix)]}
             text = _render_kernel(report)
-        elif args.command == "toric-ideal":
-            config, _, _ = reduce_configuration(matrix, [0] * matrix.rows)
-            generators = toric.toric_ideal_generators(config, max_steps=args.max_steps)
-            report = {
-                "binomials": [b.to_json() for b in generators],
-                "saturated": True,
-            }
-            text = _render_toric(report)
-        elif args.command == "export":
-            config, beta_red, _ = reduce_configuration(
-                matrix, _require_beta(beta, matrix)
-            )
-            system = toric.hypergeometric_system(
-                config, beta_red, max_steps=args.max_steps
-            )
-            print(exporters.export(system, args.format), end="")
-            return EXIT_OK
-        elif args.command == "arrangement":
-            config, _, _ = reduce_configuration(matrix, [0] * matrix.rows)
-            result = describe_resonant_arrangement(config, method=args.faces_method)
-            report = {"components": result.to_json()}
-            text = _render_arrangement(report)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command}")
+        elif args.command == "classify":
+            report = classify(matrix, beta).to_json()
+            text = _render_classify(report)
+        else:
+            config, beta_red, basis = reduce_configuration(matrix, beta)
+            if args.command == "reduce":
+                report = {
+                    "A": [list(r) for r in config.A.data],
+                    "beta": [b.to_json() for b in beta_red],
+                    "B": [list(r) for r in basis.data],
+                }
+                text = _render_reduce(report)
+            elif args.command == "faces":
+                report = {"faces": config.face_lattice().to_json()}
+                text = _render_faces(report)
+            elif args.command == "centers":
+                report = resonance_centers(config, beta_red).to_json()
+                text = _render_centers(report)
+            elif args.command == "volume":
+                result = normalized_volume(config)
+                report = result.to_json()
+                text = str(result.volume)
+            elif args.command == "toric-ideal":
+                generators = toric.toric_ideal_generators(config, max_steps=args.max_steps)
+                report = {"binomials": [b.to_json() for b in generators], "saturated": True}
+                text = _render_toric(report)
+            elif args.command == "export":
+                system = toric.hypergeometric_system(config, beta_red, max_steps=args.max_steps)
+                print(exporters.export(system, args.format), end="")
+                return EXIT_OK
+            else:
+                report = {"components": describe_resonant_arrangement(config).to_json()}
+                text = _render_arrangement(report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

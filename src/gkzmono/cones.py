@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -124,7 +124,8 @@ class Configuration:
 
     Columns are addressed by 1-based labels, matching the face index sets.
     Construction fails for rank-deficient or unsaturated column lattices;
-    use :func:`reduce_configuration` to normalize arbitrary input.
+    use :func:`reduce_configuration` to normalize arbitrary input.  The face
+    lattice depends on A alone and is enumerated once per instance.
     """
 
     def __init__(self, A: IntMatrix):
@@ -140,7 +141,8 @@ class Configuration:
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
-        self._lattices: dict[str, FaceLattice] = {}
+        self._lattice: Optional[FaceLattice] = None
+        self._perp: dict[tuple[int, ...], tuple[IntVec, ...]] = {}
 
     @property
     def d(self) -> int:
@@ -176,14 +178,10 @@ class Configuration:
             common &= set(facet.indices)
         return tuple(sorted(common))
 
-    def face_lattice(self, method: str = "auto") -> FaceLattice:
-        if method not in ("auto", "brute", "dd"):
-            raise ValueError(f"unknown face enumeration method {method!r}")
-        if method == "auto":
-            method = "brute" if self.n <= BRUTE_FORCE_LIMIT else "dd"
-        if method not in self._lattices:
-            self._lattices[method] = enumerate_faces(self, method=method)
-        return self._lattices[method]
+    def face_lattice(self) -> FaceLattice:
+        if self._lattice is None:
+            self._lattice = enumerate_faces(self)
+        return self._lattice
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Configuration) and self.A == other.A
@@ -285,12 +283,20 @@ def fourier_motzkin_point(
 
 
 def _perp_lattice_basis(config: Configuration, labels: Sequence[int]) -> tuple[IntVec, ...]:
-    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels}."""
+    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels}.
+
+    Computed once per label set and configuration: it serves the face test
+    and the resonance congruences of every parameter.
+    """
     labels = tuple(sorted(set(labels)))
-    if not labels:
-        return tuple(IntMatrix.identity(config.d).data)
-    pairing = config.submatrix(labels).transpose()
-    return kernel_lattice_basis(pairing)
+    basis = config._perp.get(labels)
+    if basis is None:
+        if labels:
+            basis = kernel_lattice_basis(config.submatrix(labels).transpose())
+        else:
+            basis = tuple(IntMatrix.identity(config.d).data)
+        config._perp[labels] = basis
+    return basis
 
 
 def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
@@ -423,12 +429,9 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"
     if method == "brute":
-        faces = []
-        for size in range(config.n + 1):
-            for subset in combinations(range(1, config.n + 1), size):
-                face = is_face(config, subset)
-                if face is not None:
-                    faces.append(face)
+        labels = range(1, config.n + 1)
+        found = (is_face(config, s) for k in range(config.n + 1) for s in combinations(labels, k))
+        faces = [face for face in found if face is not None]
         return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
     if method != "dd":
         raise ValueError(f"unknown face enumeration method {method!r}")
@@ -488,25 +491,17 @@ def _solve_gauss_rat(B: IntMatrix, beta: Parameter) -> Optional[Parameter]:
     return tuple(GaussRat(r, i) for r, i in zip(real, imag))
 
 
-def reduce_configuration(
-    A_raw: IntMatrix, beta_raw
-) -> tuple[Configuration, Parameter, IntMatrix]:
-    """Normalize (A, beta) so the columns generate the full lattice.
-
-    Returns (config, beta', B) with A_raw = B * config.A and
-    beta_raw = B * beta'.  When A_raw is already a valid configuration it is
-    returned unchanged with B the identity.  Otherwise B's columns are the
-    canonical (column-Hermite) basis of the column lattice of A_raw, which
-    also drops redundant rows when A_raw has dependent rows.
-    """
-    beta = as_parameter(beta_raw, A_raw.rows)
+# Equal matrices share one normalized Configuration, and with it the face
+# lattice and every cached property.  Only A enters the key: beta is solved
+# per call, so nothing that depends on it is ever cached.  Each entry holds
+# a whole face lattice, so the cache stays small.
+@lru_cache(maxsize=16)
+def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, Optional[IntMatrix]]:
+    """(config, B) with A_raw = B * config.A; B is None when A_raw is valid as is."""
     try:
-        config = Configuration(A_raw)
+        return Configuration(A_raw), None
     except (RankDeficient, LatticeNotSaturated):
         pass
-    else:
-        return config, beta, IntMatrix.identity(A_raw.rows)
-
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
     H, _ = hermite_normal_form(A_raw.transpose())
@@ -519,10 +514,28 @@ def reduce_configuration(
         x = solve_rational(B, A_raw.column(j))
         assert x is not None and all(q.denominator == 1 for q in x)
         reduced_cols.append(tuple(int(q) for q in x))
-    A_reduced = IntMatrix.from_columns(reduced_cols, len(basis_rows))
+    return Configuration(IntMatrix.from_columns(reduced_cols, len(basis_rows))), B
+
+
+def reduce_configuration(
+    A_raw: IntMatrix, beta_raw
+) -> tuple[Configuration, Parameter, IntMatrix]:
+    """Normalize (A, beta) so the columns generate the full lattice.
+
+    Returns (config, beta', B) with A_raw = B * config.A and
+    beta_raw = B * beta'.  When A_raw is already a valid configuration it is
+    returned unchanged with B the identity.  Otherwise B's columns are the
+    canonical (column-Hermite) basis of the column lattice of A_raw, which
+    also drops redundant rows when A_raw has dependent rows.  Calls with
+    equal matrices return the same config instance.
+    """
+    beta = as_parameter(beta_raw, A_raw.rows)
+    config, B = _normalize_matrix(A_raw)
+    if B is None:
+        return config, beta, IntMatrix.identity(A_raw.rows)
     beta_reduced = _solve_gauss_rat(B, beta)
     if beta_reduced is None:
         raise BetaOutsideSpan(
             "beta is not in the column span of the configuration"
         )
-    return Configuration(A_reduced), beta_reduced, B
+    return config, beta_reduced, B

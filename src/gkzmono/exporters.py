@@ -10,7 +10,6 @@ binomials.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, UnsupportedFormat
@@ -75,19 +74,15 @@ def _binomial_text(b: Binomial, name) -> str:
     return f"{_monomial_text(b.plus, name)}-{_monomial_text(b.minus, name)}"
 
 
-def _rational_text(q: Fraction) -> str:
-    return format_rational(q)
-
-
 def _shift_text(shift: GaussRat, imaginary_unit: str) -> str:
     # Renders "+ shift" with an explicit sign, parenthesizing fractions.
     if shift.is_real:
         if shift.re == 0:
             return ""
         sign = "-" if shift.re < 0 else "+"
-        return f"{sign}{_rational_text(abs(shift.re))}"
-    re_text = _rational_text(shift.re)
-    im_text = _rational_text(shift.im)
+        return f"{sign}{format_rational(abs(shift.re))}"
+    re_text = format_rational(shift.re)
+    im_text = format_rational(shift.im)
     return f"+({re_text}+({im_text})*{imaginary_unit})"
 
 
@@ -119,13 +114,12 @@ def _export_macaulay2(system: ToricSystem) -> str:
         "-- GKZ hypergeometric system: Euler operators and toric binomials",
         'needsPackage "Dmodules";',
     ]
+    unit = "ii"
     if _system_is_real(system):
         lines.append(f"W = makeWeylAlgebra(QQ[x_1..x_{n}]);")
-        unit = "ii"
     else:
         lines.append("K = toField(QQ[ii]/(ii^2+1));")
         lines.append(f"W = makeWeylAlgebra(K[x_1..x_{n}]);")
-        unit = "ii"
     names = []
     for op in system.euler:
         name = f"E_{op.index}"
@@ -148,13 +142,12 @@ def _export_singular(system: ToricSystem) -> str:
         "// GKZ hypergeometric system: Euler operators and toric binomials",
         'LIB "nctools.lib";',
     ]
+    unit = "i"
     if _system_is_real(system):
         lines.append(f"ring R = 0,(x(1..{n}),d(1..{n})),dp;")
-        unit = "i"
     else:
         lines.append(f"ring R = (0,i),(x(1..{n}),d(1..{n})),dp;")
         lines.append("minpoly = i^2+1;")
-        unit = "i"
     lines.append("def W = Weyl();")
     lines.append("setring W;")
     members = [_euler_text(op, x, dx, unit) for op in system.euler]

@@ -15,25 +15,14 @@ component of the resonant arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from .cones import Configuration, Face, Parameter, as_parameter
-from .intlinalg import IntMatrix, IntVec, hermite_normal_form, kernel_lattice_basis
 
-
-@lru_cache(maxsize=2048)
-def _face_functionals(A: IntMatrix, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
-    if not labels:
-        return tuple(IntMatrix.identity(A.rows).data)
-    pairing = IntMatrix(
-        tuple(tuple(A.data[i][j - 1] for i in range(A.rows)) for j in labels),
-        cols=A.rows,
-    )
-    return kernel_lattice_basis(pairing)
+from .cones import Configuration, Face, Parameter, _perp_lattice_basis, as_parameter
+from .intlinalg import IntMatrix, IntVec, hermite_normal_form
 
 
 def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
     """Integer functionals whose congruences cut out Z^d + C*span(face)."""
-    return _face_functionals(config.A, face.indices)
+    return _perp_lattice_basis(config, face.indices)
 
 
 def in_resonant_span(config: Configuration, face: Face, beta) -> bool:
@@ -76,12 +65,10 @@ class ResonanceReport:
         }
 
 
-def resonance_centers(
-    config: Configuration, beta, method: str = "auto"
-) -> ResonanceReport:
+def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
     beta = as_parameter(beta, config.d)
-    lattice = config.face_lattice(method)
+    lattice = config.face_lattice()
     members = [f for f in lattice if in_resonant_span(config, f, beta)]
     centers = [
         f
@@ -99,10 +86,10 @@ def resonance_centers(
     )
 
 
-def is_resonant(config: Configuration, beta, method: str = "auto") -> bool:
+def is_resonant(config: Configuration, beta) -> bool:
     """True iff some proper face's resonant span contains beta."""
     beta = as_parameter(beta, config.d)
-    lattice = config.face_lattice(method)
+    lattice = config.face_lattice()
     full = lattice.full_face
     return any(
         in_resonant_span(config, f, beta) for f in lattice if f != full
@@ -156,11 +143,9 @@ class ArrangementDescription:
         return [c.to_json() for c in self.components]
 
 
-def describe_resonant_arrangement(
-    config: Configuration, method: str = "auto"
-) -> ArrangementDescription:
+def describe_resonant_arrangement(config: Configuration) -> ArrangementDescription:
     """One component per proper face, with its congruence conditions."""
-    lattice = config.face_lattice(method)
+    lattice = config.face_lattice()
     full = lattice.full_face
     components = []
     for face in lattice:

@@ -88,7 +88,7 @@ def test_criterion_05_pyramid_equivalence_sweep():
         rng = random.Random(20240501)
         for _ in range(1000):
             config = random_configuration(rng, dmax=4, nmax=7, lo=-3, hi=3)
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 verdict = is_pyramid(config, face)  # raises on disagreement
                 assert verdict.agreement
 

@@ -12,6 +12,8 @@ from gkzmono import (
     IntMatrix,
     classify,
     classify_equivalence_class,
+    cones,
+    reduce_configuration,
 )
 from sweeps import random_beta, random_full_rank_matrix, random_unimodular
 
@@ -175,3 +177,62 @@ class TestInvariance:
             U = random_unimodular(rng, A.rows)
             beta_u = U.mat_vec([Fraction(b) for b in beta])
             assert classify(U @ A, beta_u).verdict == base
+
+
+class TestSharedConfiguration:
+    """Equal matrices share one normalized configuration across calls."""
+
+    def test_face_lattice_is_enumerated_once_per_matrix(self, monkeypatch):
+        calls = []
+        enumerate_faces = cones.enumerate_faces
+
+        def counting(config, *args, **kwargs):
+            calls.append(config.A)
+            return enumerate_faces(config, *args, **kwargs)
+
+        monkeypatch.setattr(cones, "enumerate_faces", counting)
+        first = classify(IntMatrix(QUADRIC.data), ["1/2", "1"])
+        second = classify(IntMatrix(QUADRIC.data), ["1/3", "1/5"])
+        assert calls == [QUADRIC]
+        assert first.configuration is second.configuration
+        assert [f.indices for f in second.centers] == [(1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "raw, inside, expected, outside",
+        [
+            ([[1, 2], [2, 4]], ["1", "2"], ["1"], ["0", "1"]),
+            ([[2, 2, 2], [0, 2, 4], [2, 4, 6]], ["1", "1", "2"], ["1/2", "1/2"], ["1", "1", "1"]),
+        ],
+    )
+    def test_normalization_is_solved_per_beta(self, raw, inside, expected, outside):
+        A = IntMatrix(raw)
+        config, beta, B = reduce_configuration(A, inside)
+        assert beta == tuple(GaussRat.parse(b) for b in expected)
+        for _ in range(2):
+            with pytest.raises(BetaOutsideSpan):
+                reduce_configuration(IntMatrix(raw), outside)
+            again, beta_again, B_again = reduce_configuration(IntMatrix(raw), inside)
+            assert again is config
+            assert (beta_again, B_again) == (beta, B)
+
+    def test_results_do_not_depend_on_call_order(self):
+        rng = random.Random(59)
+        # More distinct matrices than the normalization cache holds, so some
+        # configurations are evicted and rebuilt between their two betas.
+        jobs = []
+        for _ in range(24):
+            A = random_full_rank_matrix(rng, dmax=3, nmax=5)
+            jobs += [(A, random_beta(rng, A.rows)) for _ in range(2)]
+
+        def run(order):
+            return {i: classify(*jobs[i]).to_json() for i in order}
+
+        forward = run(range(len(jobs)))
+        order = list(range(len(jobs)))
+        rng.shuffle(order)
+        assert run(order) == forward
+        cold = {}
+        for i in range(len(jobs)):
+            cones._normalize_matrix.cache_clear()
+            cold.update(run([i]))
+        assert cold == forward

@@ -48,13 +48,6 @@ class TestCommands:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
-    def test_faces_methods_agree(self, capture):
-        _, brute, _ = capture(
-            ["faces", "-A", QUADRIC_ARG, "--faces-method", "brute", "--json"]
-        )
-        _, dd, _ = capture(["faces", "-A", QUADRIC_ARG, "--faces-method", "dd", "--json"])
-        assert json.loads(brute) == json.loads(dd)
-
     def test_centers(self, capture):
         code, out, _ = capture(
             ["centers", "-A", QUADRIC_ARG, "-b", "1/2,1", "--json"]
@@ -111,6 +104,22 @@ class TestCommands:
         code, out, _ = capture(["volume", "-A", f"@{path}"])
         assert out.strip() == "2"
 
+    @pytest.mark.parametrize("flag", ["-b", "--beta"])
+    def test_beta_with_a_negative_first_entry(self, capture, flag):
+        code, out, _ = capture(["classify", "-A", QUADRIC_ARG, flag, "-1/2,1", "--json"])
+        assert code == 0
+        _, attached, _ = capture(["classify", "-A", QUADRIC_ARG, "--beta=-1/2,1", "--json"])
+        assert out == attached
+        assert json.loads(out)["normalization"]["beta"] == ["-1/2", "1"]
+
+    def test_max_steps_bounds_export(self, capture):
+        code, out, _ = capture(
+            ["export", "-A", "[[1,1,1,1],[0,1,2,3]]", "-b", "0,1", "--format", "json",
+             "--max-steps", "1"]
+        )
+        assert code == 0
+        assert json.loads(out)["saturated"] is False
+
     def test_complex_beta_json_literal(self, capture):
         code, out, _ = capture(
             [
@@ -154,6 +163,59 @@ class TestExitCodes:
             ["toric-ideal", "-A", "[[1,1,1,1],[0,1,2,3]]", "--max-steps", "2"]
         )
         assert code == 2 and "scale limit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "-A", QUADRIC_ARG],
+            ["faces", "-A", QUADRIC_ARG],
+            ["kernel", "-A", QUADRIC_ARG],
+            ["arrangement", "-A", QUADRIC_ARG],
+            ["classify", "-A", QUADRIC_ARG, "-b", "1/2,1"],
+            ["centers", "-A", QUADRIC_ARG, "-b", "1/2,1"],
+            ["reduce", "-A", QUADRIC_ARG, "-b", "1/2,1"],
+        ],
+    )
+    def test_max_steps_only_on_toric_ideal_and_export(self, capture, argv):
+        assert capture(argv)[0] == 0
+        assert capture(argv + ["--max-steps", "3"])[0] == 1
+
+    @pytest.mark.parametrize("steps", ["0", "-5", "many"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toric-ideal", "-A", "[[1,1,1],[0,1,2]]"],
+            ["export", "-A", QUADRIC_ARG, "-b", "1/2,1", "--format", "json"],
+        ],
+    )
+    def test_max_steps_below_one_rejected(self, capture, argv, steps):
+        code, out, err = capture(argv + ["--max-steps", steps])
+        assert code == 1 and out == "" and "--max-steps" in err
+
+    def test_faces_method_option_removed(self, capture):
+        assert capture(["faces", "-A", QUADRIC_ARG, "--faces-method", "dd"])[0] == 1
+
+    @pytest.mark.parametrize("matrix", ["[[true,1,1],[0,1,2]]", "[[1,1,1],[0,1,false]]"])
+    def test_boolean_matrix_entries_rejected(self, capture, matrix):
+        code, out, err = capture(["classify", "-A", matrix, "-b", "1/2,1"])
+        assert code == 1 and out == "" and "boolean" in err
+        assert capture(["volume", "-A", matrix])[0] == 1
+
+    @pytest.mark.parametrize(
+        "beta", ["[true,0]", '["1/2", false]', '[{"re": "1/2", "im": true}, 0]']
+    )
+    def test_boolean_beta_entries_rejected(self, capture, beta):
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", beta])
+        assert code == 1 and out == "" and "boolean" in err
+
+    def test_boolean_entries_rejected_in_input_file(self, capture, tmp_path):
+        for payload in (
+            {"A": [[1, 1, 1], [0, True, 2]], "beta": ["1/2", "1"]},
+            {"A": [[1, 1, 1], [0, 1, 2]], "beta": [True, "1"]},
+        ):
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(payload))
+            assert capture(["classify", "--input", str(path)])[0] == 1
 
     def test_missing_input_file(self, capture):
         assert capture(["volume", "--input", "/nonexistent/job.json"])[0] == 1

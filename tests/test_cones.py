@@ -166,7 +166,7 @@ class TestEnumerate:
         rng = random.Random(23)
         for _ in range(25):
             config = random_configuration(rng, dmax=3, nmax=6)
-            lattice = config.face_lattice("dd")
+            lattice = enumerate_faces(config, "dd")
             index_sets = {f.indices for f in lattice}
             for f in lattice:
                 for g in lattice:
@@ -194,14 +194,14 @@ class TestEnumerate:
         rng = random.Random(37)
         for _ in range(30):
             config = random_configuration(rng, dmax=3, nmax=6)
-            lattice = config.face_lattice("dd")
+            lattice = enumerate_faces(config, "dd")
             assert lattice.has_empty_face == config.pointed
 
     def test_lineality_columns_in_every_face(self):
         rng = random.Random(41)
         for _ in range(30):
             config = random_configuration(rng, dmax=3, nmax=6)
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 assert set(config.lineality_columns) <= set(face.indices)
 
 

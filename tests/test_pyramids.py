@@ -8,6 +8,7 @@ from gkzmono import (
     GaussRat,
     IntMatrix,
     NotAPyramid,
+    enumerate_faces,
     is_pyramid,
     is_pyramid_kernel,
     is_pyramid_rank,
@@ -89,7 +90,7 @@ class TestAggregate:
         rng = random.Random(61)
         for _ in range(200):
             config = random_configuration(rng, dmax=4, nmax=7)
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 verdict = is_pyramid(config, face)
                 assert verdict.agreement
 
@@ -97,7 +98,7 @@ class TestAggregate:
         rng = random.Random(67)
         for _ in range(25):
             config = random_configuration(rng, dmax=3, nmax=5)
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 expected = is_pyramid(config, face).is_pyramid
                 perm = list(range(config.n))
                 rng.shuffle(perm)
@@ -162,7 +163,7 @@ class TestSplitBeta:
                          Fraction(rng.randint(-2, 2)))
                 for _ in range(config.d)
             ]
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 if not is_pyramid(config, face).is_pyramid:
                     continue
                 split = split_beta(config, face, beta)

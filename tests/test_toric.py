@@ -10,6 +10,7 @@ from gkzmono import (
     GaussRat,
     IntMatrix,
     ScaleLimit,
+    enumerate_faces,
     euler_operators,
     hypergeometric_system,
     in_ideal,
@@ -142,7 +143,7 @@ class TestToricIdeal:
         for _ in range(60):
             config = random_configuration(rng, dmax=3, nmax=5)
             gens = None
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 if not is_pyramid(config, face).is_pyramid:
                     continue
                 outside = [j for j in range(1, config.n + 1) if j not in face.indices]

@@ -5,6 +5,7 @@ import pytest
 from gkzmono import (
     Configuration,
     EmptyFace,
+    enumerate_faces,
     IntMatrix,
     face_volume,
     generic_rank,
@@ -151,7 +152,7 @@ class TestFaceVolume:
         for _ in range(40):
             config = random_configuration(rng, dmax=3, nmax=6)
             vol = normalized_volume(config).volume
-            for face in config.face_lattice("dd"):
+            for face in enumerate_faces(config, "dd"):
                 if not face.indices:
                     continue
                 if is_pyramid(config, face).is_pyramid:
