@@ -1,9 +1,12 @@
 """Test isolation for the whole repository (tests/ and perfbench/).
 
-gkzmono memoizes A-side work in module-level lru_caches, and equal matrices
-share one normalized Configuration across calls.  Clearing every such cache
-before each test keeps results, call counts and traced spans independent of
-which tests ran before, so any collection order gives the same outcome.
+gkzmono keeps every A-side result in the memo of the Configuration it
+belongs to, and equal matrices share one Configuration through the one
+module-level lru_cache, cones._normalize_matrix.  Clearing every package
+lru_cache before each test (tests/test_classify.py checks that this is that
+one cache) drops the shared configurations and their memos, so results,
+call counts and traced spans do not depend on which tests ran before, and
+any collection order gives the same outcome.
 """
 
 import sys

@@ -71,12 +71,8 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     report = resonance_centers(config, beta)
     verdicts = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
-    volumes = tuple(
-        face_volume(config, f) if f.indices else None for f in report.centers
-    )
-    pyramid_centers = [
-        f for f, v in zip(report.centers, verdicts) if v.is_pyramid
-    ]
+    volumes = tuple(face_volume(config, f) if f.indices else None for f in report.centers)
+    pyramid_centers = [f for f, v in zip(report.centers, verdicts) if v.is_pyramid]
     if pyramid_centers:
         if len(report.centers) != 1:
             raise InternalInconsistency(

@@ -142,12 +142,14 @@ def _gather_input(args) -> tuple[IntMatrix, Optional[list]]:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"input file is not valid JSON: {exc}") from exc
-        if "A" not in payload:
-            raise InputError("input file is missing the 'A' matrix")
+        if not isinstance(payload, dict) or "A" not in payload:
+            raise InputError("input file must hold a JSON object with an 'A' matrix")
         if not isinstance(payload["A"], list):
             raise InputError("input file field 'A' must be a list of rows")
         matrix = _load_matrix_literal(json.dumps(payload["A"]))
         beta = payload.get("beta")
+        if beta is not None and not isinstance(beta, list):
+            raise InputError("input file field 'beta' must be a list")
     if getattr(args, "matrix", None):
         matrix = _load_matrix_literal(args.matrix)
     if getattr(args, "beta", None):
@@ -287,6 +289,8 @@ def run(argv) -> int:
                 text = _render_toric(report)
             elif args.command == "export":
                 system = toric.hypergeometric_system(config, beta_red, max_steps=args.max_steps)
+                if not system.saturated:  # the lattice ideal is a different D-module
+                    raise ScaleLimit("Groebner step budget exceeded; toric ideal not saturated")
                 print(exporters.export(system, args.format), end="")
                 return EXIT_OK
             else:

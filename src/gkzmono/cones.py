@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -52,6 +52,23 @@ BRUTE_FORCE_LIMIT = 10
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+def per_configuration(fn):
+    """Memoize fn(config, *args) in config._memo; it lives as long as the configuration.
+
+    Only for immutable results that depend on A alone, never on beta or on a
+    step budget: equal matrices share one configuration (_normalize_matrix).
+    """
+
+    @wraps(fn)
+    def memoized(config, *args):
+        key = (fn,) + args
+        if key not in config._memo:
+            config._memo[key] = fn(config, *args)
+        return config._memo[key]
+
+    return memoized
 
 
 class Face:
@@ -124,8 +141,9 @@ class Configuration:
 
     Columns are addressed by 1-based labels, matching the face index sets.
     Construction fails for rank-deficient or unsaturated column lattices;
-    use :func:`reduce_configuration` to normalize arbitrary input.  The face
-    lattice depends on A alone and is enumerated once per instance.
+    use :func:`reduce_configuration` to normalize arbitrary input.  Results
+    that depend on A alone (face lattice, perp bases, volumes, pyramid flags)
+    are computed once per instance and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):
@@ -141,8 +159,7 @@ class Configuration:
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
-        self._lattice: Optional[FaceLattice] = None
-        self._perp: dict[tuple[int, ...], tuple[IntVec, ...]] = {}
+        self._memo: dict = {}
 
     @property
     def d(self) -> int:
@@ -165,12 +182,14 @@ class Configuration:
         cols = [self.column(j) for j in sorted(set(labels))]
         return IntMatrix.from_columns(cols, self.d)
 
-    @cached_property
+    @property
+    @per_configuration
     def pointed(self) -> bool:
         """True iff the empty set is a face (a functional is positive on all columns)."""
         return is_face(self, ()) is not None
 
-    @cached_property
+    @property
+    @per_configuration
     def lineality_columns(self) -> tuple[int, ...]:
         """Labels of columns lying in the lineality space (the minimal face)."""
         common = set(range(1, self.n + 1))
@@ -178,10 +197,9 @@ class Configuration:
             common &= set(facet.indices)
         return tuple(sorted(common))
 
+    @per_configuration
     def face_lattice(self) -> FaceLattice:
-        if self._lattice is None:
-            self._lattice = enumerate_faces(self)
-        return self._lattice
+        return enumerate_faces(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Configuration) and self.A == other.A
@@ -282,21 +300,14 @@ def fourier_motzkin_point(
 # ---------------------------------------------------------------------------
 
 
-def _perp_lattice_basis(config: Configuration, labels: Sequence[int]) -> tuple[IntVec, ...]:
-    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels}.
+@per_configuration
+def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
+    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}.
 
     Computed once per label set and configuration: it serves the face test
     and the resonance congruences of every parameter.
     """
-    labels = tuple(sorted(set(labels)))
-    basis = config._perp.get(labels)
-    if basis is None:
-        if labels:
-            basis = kernel_lattice_basis(config.submatrix(labels).transpose())
-        else:
-            basis = tuple(IntMatrix.identity(config.d).data)
-        config._perp[labels] = basis
-    return basis
+    return kernel_lattice_basis(config.submatrix(labels).transpose())
 
 
 def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
@@ -491,10 +502,11 @@ def _solve_gauss_rat(B: IntMatrix, beta: Parameter) -> Optional[Parameter]:
     return tuple(GaussRat(r, i) for r, i in zip(real, imag))
 
 
-# Equal matrices share one normalized Configuration, and with it the face
-# lattice and every cached property.  Only A enters the key: beta is solved
-# per call, so nothing that depends on it is ever cached.  Each entry holds
-# a whole face lattice, so the cache stays small.
+# The only module-level cache of the package.  Equal matrices share one
+# normalized Configuration, and with it every A-side result in its memo.
+# Only A enters the key: beta is solved per call, so nothing that depends on
+# it is ever cached.  Each entry holds a whole face lattice, so the cache
+# stays small.
 @lru_cache(maxsize=16)
 def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, Optional[IntMatrix]]:
     """(config, B) with A_raw = B * config.A; B is None when A_raw is valid as is."""

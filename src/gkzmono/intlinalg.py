@@ -12,7 +12,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -417,7 +416,6 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     )
 
 
-@lru_cache(maxsize=1024)
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     """Z-basis of the saturated integer kernel lattice {u : A*u = 0}.
 

@@ -16,10 +16,11 @@ bug, reported as InternalInconsistency, never a data error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .cones import Configuration, Face, Parameter, as_parameter
+from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
+from .cones import _solve_gauss_rat
 from .errors import InternalInconsistency, NotAPyramid
 from .intlinalg import (
     GaussRat,
@@ -28,7 +29,6 @@ from .intlinalg import (
     kernel_lattice_basis,
     rank_int,
     smith_normal_form,
-    solve_rational,
 )
 from .volume import face_volume, normalized_volume
 
@@ -47,12 +47,9 @@ class PyramidVerdict:
         }
 
 
-@lru_cache(maxsize=1024)
-def _distinct_columns(A: IntMatrix) -> tuple[IntVec, ...]:
-    seen: dict[IntVec, None] = {}
-    for j in range(A.cols):
-        seen.setdefault(A.column(j), None)
-    return tuple(seen)
+@per_configuration
+def _distinct_columns(config: Configuration) -> tuple[IntVec, ...]:
+    return tuple(dict.fromkeys(config.A.columns()))
 
 
 def _face_vectors(config: Configuration, face: Face) -> frozenset[IntVec]:
@@ -61,21 +58,18 @@ def _face_vectors(config: Configuration, face: Face) -> frozenset[IntVec]:
 
 def _outside_vectors(config: Configuration, face: Face) -> tuple[IntVec, ...]:
     inside = _face_vectors(config, face)
-    return tuple(v for v in _distinct_columns(config.A) if v not in inside)
+    return tuple(v for v in _distinct_columns(config) if v not in inside)
 
 
 def is_pyramid_rank(config: Configuration, face: Face) -> bool:
     """d = #distinct columns outside the face + rank of the face span."""
     outside = len(_outside_vectors(config, face))
-    if face.indices:
-        face_rank = rank_int(config.submatrix(face.indices).data)
-    else:
-        face_rank = 0
+    face_rank = rank_int(config.submatrix(face.indices).data) if face.indices else 0
     return config.d == outside + face_rank
 
 
-@lru_cache(maxsize=4096)
-def _vector_splits_off(A: IntMatrix, v: IntVec) -> bool:
+@per_configuration
+def _vector_splits_off(config: Configuration, v: IntVec) -> bool:
     """Does Z*v split off as a direct summand complementary to the others?
 
     Checked structurally on the matrix M of the remaining distinct columns:
@@ -83,8 +77,8 @@ def _vector_splits_off(A: IntMatrix, v: IntVec) -> bool:
     invariant factors 1), and the image of v in the rank-1 quotient must be
     a generator.
     """
-    d = A.rows
-    rest = [c for c in _distinct_columns(A) if c != v]
+    d = config.d
+    rest = [c for c in _distinct_columns(config) if c != v]
     if not rest:
         return d == 1 and abs(v[0]) == 1
     M = IntMatrix.from_columns(rest, d)
@@ -101,7 +95,7 @@ def _vector_splits_off(A: IntMatrix, v: IntVec) -> bool:
 def is_pyramid_summand(config: Configuration, face: Face) -> bool:
     """Every distinct column outside the face is a direct lattice summand."""
     return all(
-        _vector_splits_off(config.A, v) for v in _outside_vectors(config, face)
+        _vector_splits_off(config, v) for v in _outside_vectors(config, face)
     )
 
 
@@ -111,7 +105,7 @@ def is_pyramid_kernel(config: Configuration, face: Face) -> bool:
     Equivalently, no toric relation among distinct columns involves a
     variable outside the face.
     """
-    distinct = _distinct_columns(config.A)
+    distinct = _distinct_columns(config)
     inside = _face_vectors(config, face)
     D = IntMatrix.from_columns(distinct, config.d)
     for u in kernel_lattice_basis(D):
@@ -129,8 +123,12 @@ def is_pyramid_volume(config: Configuration, face: Face) -> bool:
     return face_volume(config, face) == normalized_volume(config).volume
 
 
+@per_configuration
 def is_pyramid(config: Configuration, face: Face) -> PyramidVerdict:
-    """Run all applicable pyramid checks and assert that they agree."""
+    """Run all applicable pyramid checks and assert that they agree.
+
+    The verdict is shared by every later call, so its checks are read-only.
+    """
     checks: dict[str, Optional[bool]] = {
         "rank": is_pyramid_rank(config, face),
         "summand": is_pyramid_summand(config, face),
@@ -143,7 +141,7 @@ def is_pyramid(config: Configuration, face: Face) -> PyramidVerdict:
         raise InternalInconsistency(
             f"pyramid checks disagree on face {list(face.indices)}: {checks}"
         )
-    return PyramidVerdict(values.pop(), checks, agreement)
+    return PyramidVerdict(values.pop(), MappingProxyType(checks), agreement)
 
 
 @dataclass(frozen=True)
@@ -174,14 +172,11 @@ def split_beta(config: Configuration, face: Face, beta) -> BetaSplit:
         raise NotAPyramid(
             f"configuration is not a pyramid over {list(face.indices)}"
         )
-    distinct = _distinct_columns(config.A)
+    distinct = _distinct_columns(config)
     D = IntMatrix.from_columns(distinct, config.d)
-    real = solve_rational(D, [b.re for b in beta])
-    imag = solve_rational(D, [b.im for b in beta])
-    assert real is not None and imag is not None
-    by_vector = {
-        v: GaussRat(r, i) for v, r, i in zip(distinct, real, imag)
-    }
+    solution = _solve_gauss_rat(D, beta)
+    assert solution is not None
+    by_vector = dict(zip(distinct, solution))
     inside = _face_vectors(config, face)
     coeffs: dict[int, GaussRat] = {}
     claimed: set[IntVec] = set()

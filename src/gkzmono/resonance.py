@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Configuration, Face, Parameter, _perp_lattice_basis, as_parameter
+from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
+from .cones import _perp_lattice_basis
 from .intlinalg import IntMatrix, IntVec, hermite_normal_form
 
 
@@ -70,17 +71,10 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     beta = as_parameter(beta, config.d)
     lattice = config.face_lattice()
     members = [f for f in lattice if in_resonant_span(config, f, beta)]
-    centers = [
-        f
-        for f in members
-        if not any(set(g.indices) < set(f.indices) for g in members)
-    ]
+    centers = [f for f in members if not any(set(g.indices) < set(f.indices) for g in members)]
     full = lattice.full_face
     is_nonresonant = len(centers) == 1 and centers[0] == full
-    congruences = tuple(
-        tuple(_congruence_text(w) for w in face_functionals(config, f))
-        for f in members
-    )
+    congruences = tuple(face_congruences(config, f) for f in members)
     return ResonanceReport(
         beta, tuple(members), tuple(centers), is_nonresonant, congruences
     )
@@ -94,6 +88,12 @@ def is_resonant(config: Configuration, beta) -> bool:
     return any(
         in_resonant_span(config, f, beta) for f in lattice if f != full
     )
+
+
+@per_configuration
+def face_congruences(config: Configuration, face: Face) -> tuple[str, ...]:
+    """The congruences "w . beta in Z" that cut out Z^d + C*span(face)."""
+    return tuple(_congruence_text(w) for w in face_functionals(config, face))
 
 
 def _congruence_text(w: IntVec) -> str:
@@ -158,8 +158,6 @@ def describe_resonant_arrangement(config: Configuration) -> ArrangementDescripti
         else:
             span_basis = ()
         functionals = face_functionals(config, face)
-        congruences = tuple(_congruence_text(w) for w in functionals)
-        components.append(
-            ArrangementComponent(face, span_basis, functionals, congruences)
-        )
+        congruences = face_congruences(config, face)
+        components.append(ArrangementComponent(face, span_basis, functionals, congruences))
     return ArrangementDescription(tuple(components))

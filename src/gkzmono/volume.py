@@ -12,10 +12,9 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .cones import Configuration, Face, reduce_configuration
+from .cones import Configuration, Face, _normalize_matrix, per_configuration
 from .errors import DegenerateConfiguration, EmptyFace
 from .intlinalg import IntMatrix, IntVec, det_int, rank_int
 
@@ -36,18 +35,15 @@ class VolumeResult:
         }
 
 
-def _orient(facet_points: list[IntVec], x: IntVec) -> int:
-    base = facet_points[0]
-    rows = [tuple(p - b for p, b in zip(q, base)) for q in facet_points[1:]]
-    rows.append(tuple(p - b for p, b in zip(x, base)))
-    det = det_int(rows)
-    return (det > 0) - (det < 0)
-
-
-def _simplex_det(points: list[IntVec]) -> int:
+def _edge_det(points: list[IntVec]) -> int:
+    """Determinant of the edge vectors points[i] - points[0]."""
     base = points[0]
-    rows = [tuple(p - b for p, b in zip(q, base)) for q in points[1:]]
-    return abs(det_int(rows))
+    return det_int([tuple(p - b for p, b in zip(q, base)) for q in points[1:]])
+
+
+def _orient(facet_points: list[IntVec], x: IntVec) -> int:
+    det = _edge_det(facet_points + [x])
+    return (det > 0) - (det < 0)
 
 
 def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[Simplex]:
@@ -94,32 +90,30 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[Simplex]:
     return sorted(simplices)
 
 
-@lru_cache(maxsize=1024)
 def _volume_of_matrix(A: IntMatrix) -> VolumeResult:
     d = A.rows
-    points: dict[int, IntVec] = {0: tuple(0 for _ in range(d))}
-    seen = {points[0]: 0}
-    for j in range(1, A.cols + 1):
-        col = A.column(j - 1)
-        if col not in seen:
-            seen[col] = j
-            points[j] = col
+    first_label: dict[IntVec, int] = {}  # the origin is labeled 0
+    for j, col in enumerate(((0,) * d,) + A.columns()):
+        first_label.setdefault(col, j)
+    points = {j: col for col, j in first_label.items()}
     simplices = _placing_triangulation(points, d)
     certificate = []
     total = 0
     for simplex in simplices:
-        contribution = _simplex_det([points[v] for v in simplex])
+        contribution = abs(_edge_det([points[v] for v in simplex]))
         assert contribution > 0
         certificate.append((simplex, contribution))
         total += contribution
     return VolumeResult(total, tuple(certificate))
 
 
+@per_configuration
 def normalized_volume(config: Configuration) -> VolumeResult:
     """Exact normalized volume of conv(columns + origin) with certificate."""
     return _volume_of_matrix(config.A)
 
 
+@per_configuration
 def face_volume(config: Configuration, face: Face) -> int:
     """Normalized volume of a face, computed in its own saturated lattice.
 
@@ -132,10 +126,11 @@ def face_volume(config: Configuration, face: Face) -> int:
     sub = config.submatrix(face.indices)
     if rank_int(sub.data) == 0:
         return 1
-    face_config, _, _ = reduce_configuration(sub, [0] * config.d)
+    # The uncached normalization: face matrices stay out of the user-matrix cache.
+    face_config, _ = _normalize_matrix.__wrapped__(sub)
     return _volume_of_matrix(face_config.A).volume
 
 
 def generic_rank(config: Configuration) -> int:
     """Holonomic rank at generic parameters: alias for the normalized volume."""
-    return _volume_of_matrix(config.A).volume
+    return normalized_volume(config).volume

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import gkzmono
 from gkzmono import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -13,12 +16,31 @@ from gkzmono import (
     classify,
     classify_equivalence_class,
     cones,
+    intlinalg,
     reduce_configuration,
 )
 from sweeps import random_beta, random_full_rank_matrix, random_unimodular
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 PYRAMID = IntMatrix([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
+INDEX_FOUR = IntMatrix([[2, 2, 2], [0, 2, 4]])
+
+
+def package_modules():
+    return [gkzmono] + [
+        importlib.import_module(f"gkzmono.{info.name}")
+        for info in pkgutil.iter_modules(gkzmono.__path__)
+    ]
+
+
+def random_gauss_rationals(rng, kind, d):
+    """d random entries of one kind: "integer", "rational" or "complex"."""
+    if kind == "integer":
+        return [GaussRat(rng.randint(-4, 4)) for _ in range(d)]
+    re = random_beta(rng, d)
+    if kind == "rational":
+        return [GaussRat(r) for r in re]
+    return [GaussRat(r, rng.choice((0, 1, Fraction(-1, 2), Fraction(2, 3)))) for r in re]
 
 
 class TestVerdicts:
@@ -109,6 +131,21 @@ class TestTheoremConsistency:
                 assert result.verdict == IRREDUCIBLE
                 seen += 1
         assert seen >= 5
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "complex"])
+    def test_unimodular_simplex_is_irreducible_for_every_beta(self, kind):
+        # With a basis of Z^d as columns, beta = U*c lies in Z^d + C*span(F)
+        # iff c_j is an integer for every j outside F; the configuration is
+        # a pyramid over every face, so the unique center is always a base.
+        rng = random.Random(f"unimodular-{kind}")
+        for _ in range(20):
+            U = random_unimodular(rng, rng.randint(1, 4))
+            coords = random_gauss_rationals(rng, kind, U.rows)
+            beta = [sum((u * c for u, c in zip(row, coords)), GaussRat(0)) for row in U.data]
+            result = classify(U, beta)
+            expected = tuple(j for j, c in enumerate(coords, start=1) if not c.is_integer)
+            assert result.verdict == IRREDUCIBLE
+            assert [f.indices for f in result.centers] == [expected]
 
     def test_integral_beta_with_more_distinct_columns_than_d(self):
         rng = random.Random(83)
@@ -236,3 +273,65 @@ class TestSharedConfiguration:
             cones._normalize_matrix.cache_clear()
             cold.update(run([i]))
         assert cold == forward
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "complex"])
+    def test_warm_memo_matches_cold_results(self, kind):
+        rng = random.Random(f"warm-{kind}")
+        jobs = []
+        for _ in range(8):
+            A = random_full_rank_matrix(rng, dmax=3, nmax=5)
+            jobs += [(A, random_gauss_rationals(rng, kind, A.rows)) for _ in range(3)]
+        warm = [classify(*job).to_json() for job in jobs]
+        cold = []
+        for job in jobs:
+            cones._normalize_matrix.cache_clear()
+            cold.append(classify(*job).to_json())
+        assert warm == cold
+
+    def test_shared_pyramid_checks_are_read_only(self):
+        result = classify(IntMatrix(QUADRIC.data), ["1/3", "1/5"])
+        with pytest.raises(TypeError):
+            result.pyramid_flags[0].checks["rank"] = False
+        again = classify(IntMatrix(QUADRIC.data), ["2/3", "1/5"])
+        assert again.pyramid_flags[0] is result.pyramid_flags[0]
+        assert dict(again.pyramid_flags[0].checks) == dict.fromkeys(
+            ("rank", "summand", "kernel_support", "volume"), True
+        )
+
+
+class TestCacheStructure:
+    """A-side results live on the shared configuration, not in module caches."""
+
+    def test_normalization_is_the_only_lru_cache(self):
+        found = set()
+        for module in package_modules():
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for space in [module] + classes:
+                for value in vars(space).values():
+                    if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                        found.add(f"{value.__module__}.{value.__qualname__}")
+        assert found == {"gkzmono.cones._normalize_matrix"}
+
+    @pytest.mark.parametrize("A, beta", [(QUADRIC, ["1/2", "1"]), (INDEX_FOUR, ["1", "1"])])
+    def test_one_classify_keeps_one_normalized_matrix(self, A, beta):
+        classify(IntMatrix(A.data), beta)
+        assert cones._normalize_matrix.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("A, beta", [(QUADRIC, ["1/2", "1"]), (INDEX_FOUR, ["1", "1"])])
+    def test_lattice_shift_of_beta_redoes_no_normal_form(self, monkeypatch, A, beta):
+        first = classify(IntMatrix(A.data), beta)
+        calls = []
+        for name in ("smith_normal_form", "hermite_normal_form"):
+            original = getattr(intlinalg, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in package_modules():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        shifted = [GaussRat.parse(b) + GaussRat(a) for b, a in zip(beta, A.column(0))]
+        second = classify(IntMatrix(A.data), shifted)
+        assert [f.indices for f in second.centers] == [f.indices for f in first.centers]
+        assert calls == []

@@ -113,12 +113,13 @@ class TestCommands:
         assert json.loads(out)["normalization"]["beta"] == ["-1/2", "1"]
 
     def test_max_steps_bounds_export(self, capture):
-        code, out, _ = capture(
-            ["export", "-A", "[[1,1,1,1],[0,1,2,3]]", "-b", "0,1", "--format", "json",
-             "--max-steps", "1"]
-        )
-        assert code == 0
-        assert json.loads(out)["saturated"] is False
+        # The unsaturated lattice ideal defines a different D-module: no script.
+        for fmt in ("json", "macaulay2", "singular"):
+            code, out, err = capture(
+                ["export", "-A", "[[1,1,1,1],[0,1,2,3]]", "-b", "0,1", "--format", fmt,
+                 "--max-steps", "1"]
+            )
+            assert (code, out) == (2, "") and err.startswith("scale limit: ")
 
     def test_complex_beta_json_literal(self, capture):
         code, out, _ = capture(
@@ -216,6 +217,15 @@ class TestExitCodes:
             path = tmp_path / "job.json"
             path.write_text(json.dumps(payload))
             assert capture(["classify", "--input", str(path)])[0] == 1
+
+    @pytest.mark.parametrize(
+        "payload", [5, [[1, 1, 1], [0, 1, 2]], {"A": [[1, 1, 1], [0, 1, 2]], "beta": 7}]
+    )
+    def test_malformed_input_file_rejected(self, capture, tmp_path, payload):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = capture(["classify", "--input", str(path)])
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_missing_input_file(self, capture):
         assert capture(["volume", "--input", "/nonexistent/job.json"])[0] == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -98,6 +99,22 @@ class TestNormalizedVolume:
             assert normalized_volume(permuted).volume == vol
             U = random_unimodular(rng, config.d)
             assert normalized_volume(Configuration(U @ config.A)).volume == vol
+
+    def test_placing_order_does_not_change_the_volume(self):
+        # A pyramid over a 2x2 square, with the square's center and an edge
+        # midpoint: the triangulation depends on the insertion order.
+        A = IntMatrix([[1, 1, 1, 1, 1, 1], [0, 2, 0, 2, 1, 1], [0, 0, 2, 2, 1, 0]])
+        volumes, triangulations = set(), set()
+        for perm in permutations(range(A.cols)):
+            config = Configuration(IntMatrix.from_columns([A.column(p) for p in perm], A.rows))
+            result = normalized_volume(config)
+            volumes.add(result.volume)
+            label = (0,) + tuple(p + 1 for p in perm)  # permuted label -> original label
+            triangulations.add(
+                frozenset(frozenset(label[v] for v in s) for s, _ in result.triangulation)
+            )
+        assert volumes == {8}
+        assert len(triangulations) > 1
 
     def test_certificate(self):
         rng = random.Random(15)
