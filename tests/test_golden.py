@@ -40,6 +40,27 @@ CASES = {
         "1/2,1/3,0",
         ["--max-steps", "100"],
     ),
+    # Resonance centers.  Imaginary part = column 1, which lies in two
+    # facet spans: two centers, neither of them the ray.
+    "complex_two_centers": (
+        "[[1,1,1,1,1,1],[0,1,1,1,2,3],[1,0,1,2,1,1]]",
+        '[{"im": "1"}, "1/2", {"re": "1/2", "im": "1"}]',
+        [],
+    ),
+    # b1 + b2 + b3 = 1 is an integer although no single entry is.
+    "denominators_6_10_15": (
+        "[[1,0,1,0,0],[-1,1,0,1,0],[0,-1,0,0,1]]", "1/6,1/10,11/15", []
+    ),
+    # The benchmark's 140-face A: five centers of sizes 3 and 4.
+    "negative_numerators": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1],[3,0,0,2,3,0,1,1,0,0,1,0],"
+        "[1,0,1,3,1,2,0,1,0,2,2,0],[3,1,0,2,0,2,0,3,0,1,0,0],"
+        "[2,0,0,1,3,0,0,2,1,2,2,0]]",
+        "-1/2,-3/2,-5/2,-1/3,-7/2",
+        ["--max-steps", "100"],
+    ),
+    # Integer beta, lineality space spanned by columns 1 and 2.
+    "non_pointed_integer": ("[[1,-1,0,0,1],[0,0,1,0,1],[0,0,0,1,1]]", "-2,3,0", []),
 }
 
 WITH_BETA = ("reduce", "centers", "classify")
