@@ -514,6 +514,11 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, Optional[IntMatr
         return Configuration(A_raw), None
     except (RankDeficient, LatticeNotSaturated):
         pass
+    return _hermite_reduce(A_raw)
+
+
+def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
+    """(config, B) with A_raw = B * config.A, B the column-Hermite lattice basis."""
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
     H, _ = hermite_normal_form(A_raw.transpose())

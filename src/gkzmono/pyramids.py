@@ -52,6 +52,12 @@ def _distinct_columns(config: Configuration) -> tuple[IntVec, ...]:
     return tuple(dict.fromkeys(config.A.columns()))
 
 
+@per_configuration
+def _distinct_kernel(config: Configuration) -> tuple[IntVec, ...]:
+    """Kernel lattice basis of the distinct-column matrix: its toric relations."""
+    return kernel_lattice_basis(IntMatrix.from_columns(_distinct_columns(config), config.d))
+
+
 def _face_vectors(config: Configuration, face: Face) -> frozenset[IntVec]:
     return frozenset(config.column(j) for j in face.indices)
 
@@ -107,8 +113,7 @@ def is_pyramid_kernel(config: Configuration, face: Face) -> bool:
     """
     distinct = _distinct_columns(config)
     inside = _face_vectors(config, face)
-    D = IntMatrix.from_columns(distinct, config.d)
-    for u in kernel_lattice_basis(D):
+    for u in _distinct_kernel(config):
         for vec, entry in zip(distinct, u):
             if entry != 0 and vec not in inside:
                 return False

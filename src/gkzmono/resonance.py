@@ -8,6 +8,18 @@ x -> (w_i . x) sends Z^d onto Z^k, so
     beta in Z^d + C*span(F)   iff   every w_i . Im(beta) = 0
                                     and every w_i . Re(beta) is an integer.
 
+The test runs in integers: with L the lcm of the denominators of all real
+and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
+and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call, and the
+functionals of every face are compiled once per configuration into a table
+in lattice order, (size, indices).
+
+The member faces are up-closed (span G in span F when G is a face of F).
+Walking the table in order, a face that contains an already found center
+is a member without a test, and a face that passes its test is a new
+center: every smaller member came earlier and would have put a center
+inside it.
+
 The same functionals provide the human-readable description of each
 component of the resonant arrangement.
 """
@@ -15,6 +27,8 @@ component of the resonant arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
 from .cones import _perp_lattice_basis
@@ -26,16 +40,33 @@ def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
     return _perp_lattice_basis(config, face.indices)
 
 
+@per_configuration
+def _resonance_table(config: Configuration) -> tuple[tuple[Face, int, tuple[IntVec, ...]], ...]:
+    """(face, column bitmask, functionals) for every face, in lattice order."""
+    return tuple(
+        (face, sum(1 << j for j in face.indices), face_functionals(config, face))
+        for face in config.face_lattice()
+    )
+
+
+def _scaled(beta: Parameter) -> tuple[int, IntVec, IntVec]:
+    """(L, L*Re(beta), L*Im(beta)), L the lcm of every entry's denominator."""
+    scale = lcm(*(q.denominator for b in beta for q in (b.re, b.im)))
+    return scale, tuple(int(b.re * scale) for b in beta), tuple(int(b.im * scale) for b in beta)
+
+
+def _passes(functionals: tuple[IntVec, ...], scale: int, re: IntVec, im: IntVec) -> bool:
+    """The congruences of one face, on a parameter scaled by _scaled."""
+    return all(
+        not sum(map(mul, w, im)) and not sum(map(mul, w, re)) % scale
+        for w in functionals
+    )
+
+
 def in_resonant_span(config: Configuration, face: Face, beta) -> bool:
     """Decide beta in Z^d + C*span(columns of face), exactly."""
-    beta = as_parameter(beta, config.d)
-    for w in face_functionals(config, face):
-        if sum(wk * b.im for wk, b in zip(w, beta)) != 0:
-            return False
-        value = sum(wk * b.re for wk, b in zip(w, beta))
-        if value.denominator != 1:
-            return False
-    return True
+    scaled = _scaled(as_parameter(beta, config.d))
+    return _passes(face_functionals(config, face), *scaled)
 
 
 @dataclass(frozen=True)
@@ -69,11 +100,20 @@ class ResonanceReport:
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
     beta = as_parameter(beta, config.d)
-    lattice = config.face_lattice()
-    members = [f for f in lattice if in_resonant_span(config, f, beta)]
-    centers = [f for f in members if not any(set(g.indices) < set(f.indices) for g in members)]
-    full = lattice.full_face
-    is_nonresonant = len(centers) == 1 and centers[0] == full
+    scaled = _scaled(beta)
+    table = _resonance_table(config)
+    members: list[Face] = []
+    centers: list[Face] = []
+    center_masks: list[int] = []
+    for face, mask, functionals in table:
+        if any(mask & c == c for c in center_masks):
+            members.append(face)
+        elif _passes(functionals, *scaled):
+            members.append(face)
+            centers.append(face)
+            center_masks.append(mask)
+    # The full face is always a member: the columns span Q^d.
+    is_nonresonant = centers == [table[-1][0]]
     congruences = tuple(face_congruences(config, f) for f in members)
     return ResonanceReport(
         beta, tuple(members), tuple(centers), is_nonresonant, congruences
@@ -82,12 +122,7 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
 
 def is_resonant(config: Configuration, beta) -> bool:
     """True iff some proper face's resonant span contains beta."""
-    beta = as_parameter(beta, config.d)
-    lattice = config.face_lattice()
-    full = lattice.full_face
-    return any(
-        in_resonant_span(config, f, beta) for f in lattice if f != full
-    )
+    return not resonance_centers(config, beta).is_nonresonant
 
 
 @per_configuration

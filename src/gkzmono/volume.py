@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cones import Configuration, Face, _normalize_matrix, per_configuration
+from .cones import Configuration, Face, _hermite_reduce, per_configuration
 from .errors import DegenerateConfiguration, EmptyFace
 from .intlinalg import IntMatrix, IntVec, det_int, rank_int
 
@@ -124,10 +124,12 @@ def face_volume(config: Configuration, face: Face) -> int:
     if not face.indices:
         raise EmptyFace("volume of the empty face is undefined")
     sub = config.submatrix(face.indices)
-    if rank_int(sub.data) == 0:
+    if not any(map(any, sub.data)):
         return 1
-    # The uncached normalization: face matrices stay out of the user-matrix cache.
-    face_config, _ = _normalize_matrix.__wrapped__(sub)
+    # Straight to the Hermite reduction, which validates the reduced matrix:
+    # a proper face has rank < d, so Configuration(sub) would always fail.
+    # Face matrices stay out of the user-matrix cache.
+    face_config, _ = _hermite_reduce(sub)
     return _volume_of_matrix(face_config.A).volume
 
 

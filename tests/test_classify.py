@@ -17,7 +17,9 @@ from gkzmono import (
     classify_equivalence_class,
     cones,
     intlinalg,
+    pyramids,
     reduce_configuration,
+    volume,
 )
 from sweeps import random_beta, random_full_rank_matrix, random_unimodular
 
@@ -31,6 +33,22 @@ def package_modules():
         importlib.import_module(f"gkzmono.{info.name}")
         for info in pkgutil.iter_modules(gkzmono.__path__)
     ]
+
+
+def spy_on(monkeypatch, *names):
+    """Record, in call order, each call of the named intlinalg functions."""
+    calls = []
+    for name in names:
+        original = getattr(intlinalg, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in package_modules():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def random_gauss_rationals(rng, kind, d):
@@ -320,18 +338,26 @@ class TestCacheStructure:
     @pytest.mark.parametrize("A, beta", [(QUADRIC, ["1/2", "1"]), (INDEX_FOUR, ["1", "1"])])
     def test_lattice_shift_of_beta_redoes_no_normal_form(self, monkeypatch, A, beta):
         first = classify(IntMatrix(A.data), beta)
-        calls = []
-        for name in ("smith_normal_form", "hermite_normal_form"):
-            original = getattr(intlinalg, name)
-
-            def spy(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            for module in package_modules():
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, spy)
+        calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form")
         shifted = [GaussRat.parse(b) + GaussRat(a) for b, a in zip(beta, A.column(0))]
         second = classify(IntMatrix(A.data), shifted)
         assert [f.indices for f in second.centers] == [f.indices for f in first.centers]
         assert calls == []
+
+    def test_face_volume_runs_one_smith_form(self, monkeypatch):
+        # Only the reduced face matrix is validated; the rank-deficient face
+        # matrix itself never goes through a Smith form that must fail.
+        config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+        faces = [f for f in config.face_lattice() if f.indices][:-1]
+        calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form")
+        assert [volume.face_volume(config, f) for f in faces] == [1] * len(faces)
+        assert calls.count("smith_normal_form") == len(faces)
+        assert calls.count("hermite_normal_form") == len(faces)
+
+    def test_distinct_column_kernel_is_computed_once(self, monkeypatch):
+        config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
+        lattice = config.face_lattice()
+        calls = spy_on(monkeypatch, "kernel_lattice_basis")
+        flags = [pyramids.is_pyramid_kernel(config, f) for f in lattice]
+        assert flags == [f == lattice.full_face for f in lattice]
+        assert calls == ["kernel_lattice_basis"]

@@ -2,12 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from gkzmono import (
+    IRREDUCIBLE,
     Configuration,
     GaussRat,
     IntMatrix,
+    classify,
     describe_resonant_arrangement,
     enumerate_faces,
+    face_functionals,
     in_resonant_span,
     is_resonant,
     resonance_centers,
@@ -17,6 +22,60 @@ from sweeps import random_beta, random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 BETA_HALF = ["1/2", "1"]
+# The benchmark's beta_sweep configuration: pointed, d = 5, n = 12, 140 faces.
+SWEEP = Configuration(IntMatrix([
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [3, 0, 0, 2, 3, 0, 1, 1, 0, 0, 1, 0],
+    [1, 0, 1, 3, 1, 2, 0, 1, 0, 2, 2, 0],
+    [3, 1, 0, 2, 0, 2, 0, 3, 0, 1, 0, 0],
+    [2, 0, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0],
+]))
+# Pairwise coprime denominators up to 10^6, mixed with small ones.
+DENOMINATORS = (1, 2, 3, 6, 7**7, 2**19, 3**12, 5**8, 999_983)
+
+
+def fraction_in_resonant_span(config, face, beta):
+    """The definition in Fraction arithmetic: the reference for the integer test."""
+    beta = [GaussRat.parse(b) for b in beta]
+    for w in face_functionals(config, face):
+        if sum(wk * b.im for wk, b in zip(w, beta)) != 0:
+            return False
+        if sum(wk * b.re for wk, b in zip(w, beta)).denominator != 1:
+            return False
+    return True
+
+
+def oracle_report(config, lattice, beta):
+    """(member index sets, center index sets) straight from the definition."""
+    members = [f.indices for f in lattice if fraction_in_resonant_span(config, f, beta)]
+    centers = [f for f in members if not any(set(g) < set(f) for g in members)]
+    return members, centers
+
+
+def random_rational(rng, bound=10**6):
+    return Fraction(rng.randint(-bound, bound), rng.choice(DENOMINATORS))
+
+
+def planted_beta(rng, config, face):
+    """An integer vector plus a combination of the face's columns."""
+    beta = [GaussRat(rng.randint(-9, 9)) for _ in range(config.d)]
+    for j in face.indices:
+        c = GaussRat(random_rational(rng), random_rational(rng) * rng.randint(0, 1))
+        beta = [b + c * a for b, a in zip(beta, config.column(j))]
+    return beta
+
+
+def betas_of_every_kind(rng, config, face):
+    """Integer, small and large mixed denominators, complex; last planted on face."""
+    d = config.d
+    return [
+        [GaussRat(rng.randint(-9, 9)) for _ in range(d)],
+        [GaussRat(r) for r in random_beta(rng, d)],
+        [GaussRat(random_rational(rng)) for _ in range(d)],
+        [GaussRat(random_rational(rng, 5), rng.choice((0, 1, Fraction(-7, 3))))
+         for _ in range(d)],
+        planted_beta(rng, config, face),
+    ]
 
 
 def shift_certificate_exists(config, face, beta, bound):
@@ -137,23 +196,65 @@ class TestCenters:
         rng = random.Random(43)
         for _ in range(30):
             config = random_configuration(rng, dmax=3, nmax=6)
-            beta = random_beta(rng, config.d)
+            face = rng.choice(config.face_lattice().faces)
+            for beta in betas_of_every_kind(rng, config, face):
+                report = resonance_centers(config, beta)
+                members = {f.indices for f in report.member_faces}
+                assert config.face_lattice().full_face.indices in members
+                for f in report.member_faces:
+                    assert any(set(c.indices) <= set(f.indices) for c in report.centers)
+                    for g in config.face_lattice():
+                        if set(f.indices) <= set(g.indices):
+                            assert g.indices in members
+                for f in report.centers:
+                    for g in report.centers:
+                        if f != g:
+                            assert not set(f.indices) < set(g.indices)
+                assert report.centers
+                assert report.is_nonresonant == (
+                    [f.indices for f in report.centers]
+                    == [config.face_lattice().full_face.indices]
+                )
+
+
+class TestAgainstTheDefinition:
+    """The integer, up-closed test against the Fraction definition."""
+
+    def test_members_centers_and_spans_match(self):
+        rng = random.Random(59)
+        # Nonnegative entries make pointed cones, with more faces.
+        configs = [random_configuration(rng, dmax=4, nmax=7, lo=-3 * (k % 2))
+                   for k in range(40)]
+        for config in configs + [SWEEP] * 5:
+            lattice = enumerate_faces(config, "dd")
+            face = rng.choice(lattice.faces)
+            for beta in betas_of_every_kind(rng, config, face):
+                members, centers = oracle_report(config, lattice, beta)
+                report = resonance_centers(config, beta)
+                assert [f.indices for f in report.member_faces] == members
+                assert [f.indices for f in report.centers] == centers
+                for f in lattice:
+                    assert in_resonant_span(config, f, beta) == (f.indices in members)
+                proper = [m for m in members if m != lattice.full_face.indices]
+                assert is_resonant(config, beta) == bool(proper)
+                assert is_resonant(config, beta) == (not report.is_nonresonant)
+            assert face.indices in members  # the planted beta came last
+
+    @pytest.mark.parametrize("config", [QUADRIC, SWEEP], ids=["quadric", "beta_sweep"])
+    def test_generic_imaginary_part_is_nonresonant(self, config):
+        # w . (1, t, ..., t^(d-1)) != 0 for every nonzero functional w with
+        # entries below t/2, so beta lies in no proper face's resonant span.
+        t = 10**6
+        lattice = config.face_lattice()
+        assert all(2 * abs(x) < t for f in lattice for w in face_functionals(config, f) for x in w)
+        rng = random.Random(71)
+        for real in ([0] * config.d, [rng.randint(-9, 9) for _ in range(config.d)],
+                     [random_rational(rng) for _ in range(config.d)]):
+            beta = [GaussRat(r, t**k) for k, r in enumerate(real)]
             report = resonance_centers(config, beta)
-            members = {f.indices for f in report.member_faces}
-            assert config.face_lattice().full_face.indices in members
-            for f in report.member_faces:
-                for g in config.face_lattice():
-                    if set(f.indices) <= set(g.indices):
-                        assert g.indices in members
-            for f in report.centers:
-                for g in report.centers:
-                    if f != g:
-                        assert not set(f.indices) < set(g.indices)
-            assert report.centers
-            assert report.is_nonresonant == (
-                [f.indices for f in report.centers]
-                == [config.face_lattice().full_face.indices]
-            )
+            assert report.centers == report.member_faces == (lattice.full_face,)
+            assert report.is_nonresonant and not is_resonant(config, beta)
+            assert classify(config.A, beta).verdict == IRREDUCIBLE
 
 
 class TestIsResonant:
