@@ -11,8 +11,8 @@ x -> (w_i . x) sends Z^d onto Z^k, so
 The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call, and the
-functionals of every face are compiled once per configuration into a table
-in lattice order, (size, indices).
+functionals of every face, with their congruence text, are compiled once
+per configuration into a table in lattice order, (size, indices).
 
 The member faces are up-closed (span G in span F when G is a face of F).
 Walking the table in order, a face that contains an already found center
@@ -41,10 +41,11 @@ def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
 
 
 @per_configuration
-def _resonance_table(config: Configuration) -> tuple[tuple[Face, int, tuple[IntVec, ...]], ...]:
-    """(face, column bitmask, functionals) for every face, in lattice order."""
+def _resonance_table(config: Configuration) -> tuple[tuple, ...]:
+    """(face, column bitmask, functionals, congruence text) per face, in lattice order."""
     return tuple(
-        (face, sum(1 << j for j in face.indices), face_functionals(config, face))
+        (face, sum(1 << j for j in face.indices), face_functionals(config, face),
+         face_congruences(config, face))
         for face in config.face_lattice()
     )
 
@@ -102,21 +103,25 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     beta = as_parameter(beta, config.d)
     scaled = _scaled(beta)
     table = _resonance_table(config)
-    members: list[Face] = []
+    members = []
     centers: list[Face] = []
     center_masks: list[int] = []
-    for face, mask, functionals in table:
-        if any(mask & c == c for c in center_masks):
-            members.append(face)
-        elif _passes(functionals, *scaled):
-            members.append(face)
+    for entry in table:
+        face, mask, functionals, _ = entry
+        if not any(mask & c == c for c in center_masks):
+            if not _passes(functionals, *scaled):
+                continue
             centers.append(face)
             center_masks.append(mask)
+        members.append(entry)
     # The full face is always a member: the columns span Q^d.
     is_nonresonant = centers == [table[-1][0]]
-    congruences = tuple(face_congruences(config, f) for f in members)
     return ResonanceReport(
-        beta, tuple(members), tuple(centers), is_nonresonant, congruences
+        beta,
+        tuple(entry[0] for entry in members),
+        tuple(centers),
+        is_nonresonant,
+        tuple(entry[3] for entry in members),
     )
 
 
