@@ -99,7 +99,10 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
 
 
 def _validated_shift(A_raw: IntMatrix, shift: Sequence[int]) -> tuple[int, ...]:
-    z = tuple(int(x) for x in shift)
+    try:
+        (z,) = IntMatrix([shift]).data
+    except TypeError as exc:
+        raise InputError(f"shift entries must be integers: {list(shift)!r}") from exc
     if len(z) == A_raw.rows:
         if not lattice_member(A_raw.columns(), z):
             raise InputError(

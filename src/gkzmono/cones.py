@@ -38,7 +38,6 @@ from .intlinalg import (
     kernel_lattice_basis,
     primitive_vector,
     rank_int,
-    smith_normal_form,
     solve_rational,
 )
 
@@ -140,21 +139,21 @@ class Configuration:
     """Validated configuration: integer d x n matrix with ZA = Z^d.
 
     Columns are addressed by 1-based labels, matching the face index sets.
-    Construction fails for rank-deficient or unsaturated column lattices;
-    use :func:`reduce_configuration` to normalize arbitrary input.  Results
-    that depend on A alone (face lattice, perp bases, volumes, pyramid flags)
-    are computed once per instance and kept in its memo.
+    Validation: ZA = Z^d iff the row Hermite form of A^T has d nonzero rows,
+    all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
+    raised (use :func:`reduce_configuration` to normalize arbitrary input).
+    Results that depend on A alone (face lattice, perp bases, volumes,
+    pyramid flags) are computed once per instance and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        snf = smith_normal_form(A)
-        if snf.rank() < A.rows:
-            raise RankDeficient(
-                f"columns span a rank-{snf.rank()} sublattice of Z^{A.rows}"
-            )
-        if any(f != 1 for f in snf.invariant_factors()):
+        H, _ = hermite_normal_form(A.transpose())
+        rank = sum(map(any, H.data))
+        if rank < A.rows:
+            raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
+        if any(H.data[i][i] != 1 for i in range(rank)):
             raise LatticeNotSaturated(
                 "columns generate a proper sublattice; apply reduce_configuration"
             )

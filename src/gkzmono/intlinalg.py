@@ -12,6 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -56,7 +57,7 @@ class GaussRat:
         """Coerce an int, Fraction, "p/q" string, {"re","im"} dict or GaussRat."""
         if isinstance(value, GaussRat):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return cls(Fraction(value))
         if isinstance(value, str):
             return cls(parse_rational(value))
@@ -120,7 +121,12 @@ class IntMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: Optional[int] = None):
-        data = tuple(tuple(operator.index(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        kinds = set(map(type, chain.from_iterable(data)))
+        if bool in kinds:
+            raise TypeError("matrix entries must be integers, not bool")
+        if kinds - {int}:
+            data = tuple(tuple(map(operator.index, row)) for row in data)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -219,49 +225,46 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free row echelon elimination (Bareiss 1968).
+
+    Returns (rank, sign, last_pivot): sign is the parity of the row swaps
+    and last_pivot the last nonzero pivot (1 when there is none).  A step
+    updates only the entries right of its pivot column, which are minors of
+    the input, so each division is exact; nothing reads the others again.
+    """
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        for i in range(rank, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        top = m[rank]
+        p = top[c]
+        for row in m[rank + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix: the signed last Bareiss pivot."""
+    rank, sign, last_pivot = _bareiss(rows)
+    return sign * last_pivot if rank == len(rows) else 0
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q, by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][c]
-        for i in range(rank + 1, nrows):
-            if m[i][c] != 0:
-                factor = m[i][c] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over Q, by Bareiss elimination in integers."""
+    return _bareiss(rows)[0]
 
 
 def _apply_row_pair(mat: list[list[int]], i: int, k: int, a: int, b: int, c: int, d: int):
@@ -419,24 +422,22 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     """Z-basis of the saturated integer kernel lattice {u : A*u = 0}.
 
-    Taken from the right Smith transform and put in HNF-canonical order, so
-    the result is a deterministic function of A.  Empty tuple when the
-    kernel is trivial.
+    In the row Hermite form U*A^T = H, the rows of the unimodular U whose H
+    row is zero span it (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).  They are returned in HNF-canonical order, so the result
+    is a deterministic function of A.  Empty tuple when the kernel is trivial.
     """
     n = A.cols
     if n == 0:
         return ()
     if A.rows == 0:
         return tuple(IntMatrix.identity(n).data)
-    snf = smith_normal_form(A)
-    rank = snf.rank()
-    if rank == n:
+    H, U = hermite_normal_form(A.transpose())
+    basis = [u for u, h in zip(U.data, H.data) if not any(h)]
+    if not basis:
         return ()
-    basis = [snf.V.column(j) for j in range(rank, n)]
     H, _ = hermite_normal_form(IntMatrix(basis, cols=n))
-    rows = tuple(row for row in H.data if any(row))
-    assert len(rows) == n - rank
-    return rows
+    return H.data
 
 
 def solve_rational(A: IntMatrix, b: Sequence) -> Optional[RatVec]:

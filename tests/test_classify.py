@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,15 @@ class TestEquivalenceClass:
         with pytest.raises(InputError):
             classify_equivalence_class(IntMatrix([[2, 4]]), ["1/2"], [(1,)])
 
+    def test_fractional_shift_entry_rejected(self):
+        # int() would truncate 1.5 to 1 and shift by a different vector.
+        with pytest.raises(InputError):
+            classify_equivalence_class(QUADRIC, ["1/2", "1"], [[1.5, 0]])
+
+    def test_bool_shift_entry_rejected(self):
+        with pytest.raises(InputError):
+            classify_equivalence_class(QUADRIC, ["1/2", "1"], [[True, 0]])
+
     def test_random_shift_invariance(self):
         rng = random.Random(89)
         for _ in range(40):
@@ -344,15 +354,54 @@ class TestCacheStructure:
         assert [f.indices for f in second.centers] == [f.indices for f in first.centers]
         assert calls == []
 
-    def test_face_volume_runs_one_smith_form(self, monkeypatch):
-        # Only the reduced face matrix is validated; the rank-deficient face
-        # matrix itself never goes through a Smith form that must fail.
+    def test_face_volume_runs_two_hermite_forms_and_no_smith_form(self, monkeypatch):
+        # Per face: one Hermite form reduces the face matrix, one validates the
+        # reduced matrix.  The rank-deficient face matrix itself is never
+        # validated, and validation needs no Smith form.
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
         faces = [f for f in config.face_lattice() if f.indices][:-1]
         calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form")
         assert [volume.face_volume(config, f) for f in faces] == [1] * len(faces)
-        assert calls.count("smith_normal_form") == len(faces)
-        assert calls.count("hermite_normal_form") == len(faces)
+        assert calls.count("smith_normal_form") == 0
+        assert calls.count("hermite_normal_form") == 2 * len(faces)
+
+    # The golden quadric input has two proper centers, so the summand check
+    # runs; the golden pyramid input's only center is the full face.
+    @pytest.mark.parametrize(
+        "A, beta, summand_checked",
+        [(QUADRIC, ["1/2", "1"], True), (PYRAMID, ["0", "1/2", "1/3"], False)],
+        ids=["quadric", "pyramid"],
+    )
+    def test_cold_classify_runs_smith_only_in_the_summand_check(
+        self, monkeypatch, A, beta, summand_checked
+    ):
+        callers = []
+        original = intlinalg.smith_normal_form
+
+        def spy(M):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(M)
+
+        for module in package_modules():
+            if getattr(module, "smith_normal_form", None) is original:
+                monkeypatch.setattr(module, "smith_normal_form", spy)
+        cones._normalize_matrix.cache_clear()
+        classify(IntMatrix(A.data), beta)
+        assert set(callers) == ({"_vector_splits_off"} if summand_checked else set())
+
+    @pytest.mark.parametrize(
+        "A", [QUADRIC, PYRAMID, INDEX_FOUR], ids=["quadric", "pyramid", "index_four"]
+    )
+    def test_lattice_layer_runs_no_smith_form(self, monkeypatch, A):
+        calls = spy_on(monkeypatch, "smith_normal_form")
+        cones._normalize_matrix.cache_clear()
+        config, _, _ = reduce_configuration(IntMatrix(A.data), [0] * A.rows)
+        cones.Configuration(config.A)
+        intlinalg.kernel_lattice_basis(A)
+        for face in config.face_lattice():
+            if face.indices:
+                volume.face_volume(config, face)
+        assert calls == []
 
     def test_distinct_column_kernel_is_computed_once(self, monkeypatch):
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))

@@ -18,6 +18,8 @@ from gkzmono import (
     smith_normal_form,
     solve_rational,
 )
+from gkzmono.intlinalg import det_int, rank_int
+from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -28,6 +30,45 @@ small_matrices = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+def smith_kernel(A):
+    """Kernel oracle: the last columns of the right Smith transform, then HNF."""
+    if A.rows == 0:
+        return tuple(IntMatrix.identity(A.cols).data)
+    snf = smith_normal_form(A)
+    basis = [snf.V.column(j) for j in range(snf.rank(), A.cols)]
+    if not basis:
+        return ()
+    H, _ = hermite_normal_form(IntMatrix(basis, cols=A.cols))
+    return tuple(row for row in H.data if any(row))
+
+
+def fraction_elimination(rows):
+    """(rank, det) oracle by Gaussian elimination over Q; det is None unless square."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        inv = m[rank][c]
+        det *= inv
+        for i in range(rank + 1, nrows):
+            if m[i][c] != 0:
+                factor = m[i][c] / inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    if nrows != ncols:
+        return rank, None
+    return rank, int(det) if rank == nrows else 0
 
 
 def is_hermite_canonical(H):
@@ -153,6 +194,63 @@ class TestKernel:
                     assert lattice_member(basis, cand)
 
 
+class TestAgainstTheReplacedAlgorithms:
+    """The Hermite kernel and Bareiss rank/det against the algorithms they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_kernel_matches_the_smith_kernel(self, rows):
+        M = IntMatrix(rows)
+        assert kernel_lattice_basis(M) == smith_kernel(M)
+        assert kernel_lattice_basis(M.transpose()) == smith_kernel(M.transpose())
+
+    def test_kernel_matches_the_smith_kernel_on_face_perp_lattices(self):
+        rng = random.Random(113)
+        checked = 0
+        for _ in range(100):
+            config = random_configuration(rng)
+            for face in config.face_lattice():
+                M = config.submatrix(face.indices).transpose()
+                assert kernel_lattice_basis(M) == smith_kernel(M)
+                checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0], [0, 0]],
+            [[0, 2, 1], [0, 4, 3], [0, 6, 5]],
+            [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+            [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+            [[0, 1], [1, 0]],
+            [[2, -3, 5, 7]],
+            [[1, 2, 3, 4], [2, 4, 7, 8]],
+            [[1], [2], [3]],
+            [[0, 3], [0, 6], [1, 2], [4, 4]],
+            [[]],
+            [],
+        ],
+        ids=[
+            "zero", "zero_column", "dependent_rows", "rank_one", "swap",
+            "wide_row", "wide", "tall_column", "tall", "no_columns", "no_rows",
+        ],
+    )
+    def test_rank_and_det_match_fraction_elimination(self, rows):
+        rank, det = fraction_elimination(rows)
+        assert rank_int(rows) == rank
+        if det is not None:
+            assert det_int(rows) == det
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_rank_and_det_match_fraction_elimination_at_random(self, rows):
+        for m in (rows, [list(col) for col in zip(*rows)]):
+            rank, det = fraction_elimination(m)
+            assert rank_int(m) == rank
+            if det is not None:
+                assert det_int(m) == det
+
+
 class TestSolve:
     def test_identity(self):
         x = solve_rational(IntMatrix.identity(2), [Fraction(5), Fraction(1, 3)])
@@ -226,6 +324,11 @@ class TestGaussRat:
         with pytest.raises(InputError):
             GaussRat.parse({"re": "1", "imag": "2"})
 
+    @pytest.mark.parametrize("bad", [True, False, {"re": True}, {"re": "1", "im": False}])
+    def test_rejects_bools(self, bad):
+        with pytest.raises(InputError):
+            GaussRat.parse(bad)
+
     def test_arithmetic(self):
         a = GaussRat(Fraction(1, 2), Fraction(1))
         b = GaussRat(Fraction(1, 2), Fraction(-1))
@@ -247,6 +350,11 @@ class TestIntMatrix:
     def test_requires_true_integers(self):
         with pytest.raises(TypeError):
             IntMatrix([[Fraction(1, 2)]])
+
+    @pytest.mark.parametrize("rows", [[[True, False]], [[1, 2], [0, False]]])
+    def test_rejects_bool_entries(self, rows):
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
 
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatch):
