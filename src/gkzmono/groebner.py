@@ -9,10 +9,22 @@ is again a single monomial, which keeps reduction exact and fast.
 Pair selection is the normal strategy (smallest lcm in the term order) and
 the pair set is pruned with the Gebauer-Moeller criteria.  All work is
 metered against a step budget; blowing the budget raises ScaleLimit.
+
+Each critical pair keeps the lcm of its leads from its creation and sits in
+a heap ordered by (key(lcm), i, j); a pair pruned later is skipped when
+popped.  That total order pops the live pairs in the same sequence as a
+minimum over the live set, and the same pairs are pruned, so a change to
+how pairs are stored changes neither the basis nor the steps spent (the
+one budget, and thus every ScaleLimit, depends on both).  Reduction uses
+the first basis element whose lead divides the monomial; a lead whose
+support bitmask or degree rules out division is skipped without the
+exponent-wise test, which cannot change which element is first.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from typing import Callable, Optional, Sequence
 
 from .errors import ScaleLimit
@@ -20,6 +32,7 @@ from .errors import ScaleLimit
 Monomial = tuple[int, ...]
 BinPair = tuple[Monomial, Monomial]
 OrderKey = Callable[[Monomial], tuple]
+Signature = tuple[int, int]
 
 DEFAULT_STEP_BUDGET = 500_000
 
@@ -54,22 +67,42 @@ def oriented(p: Monomial, q: Monomial, key: OrderKey) -> Optional[BinPair]:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
+
+
+def _signature(m: Monomial) -> Signature:
+    """(support bitmask, degree): necessary conditions for dividing m."""
+    return sum(1 << i for i, e in enumerate(m) if e), sum(m)
 
 
 def _monomial_nf(
-    m: Monomial, basis: Sequence[BinPair], key: OrderKey, budget: StepBudget
+    m: Monomial, basis: Sequence[BinPair], signatures: Sequence[Signature], budget: StepBudget
 ) -> Monomial:
+    """Rewrite m by the first basis lead dividing it, until none does."""
     changed = True
     while changed:
         changed = False
-        for lead, tail in basis:
-            if _divides(lead, m):
-                budget.spend()
-                m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
-                changed = True
-                break
+        mask, degree = _signature(m)
+        for (lead, tail), (lead_mask, lead_degree) in zip(basis, signatures):
+            if lead_mask & ~mask or lead_degree > degree or not _divides(lead, m):
+                continue
+            budget.spend()
+            m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
+            changed = True
+            break
     return m
+
+
+def _normal_form(
+    pair: BinPair,
+    basis: Sequence[BinPair],
+    signatures: Sequence[Signature],
+    key: OrderKey,
+    budget: StepBudget,
+) -> Optional[BinPair]:
+    p = _monomial_nf(pair[0], basis, signatures, budget)
+    q = _monomial_nf(pair[1], basis, signatures, budget)
+    return oriented(p, q, key)
 
 
 def normal_form(
@@ -81,51 +114,46 @@ def normal_form(
     """Fully reduce a pure difference; None means it reduced to zero."""
     if budget is None:
         budget = StepBudget(DEFAULT_STEP_BUDGET)
-    p = _monomial_nf(pair[0], basis, key, budget)
-    q = _monomial_nf(pair[1], basis, key, budget)
-    return oriented(p, q, key)
+    signatures = [_signature(lead) for lead, _ in basis]
+    return _normal_form(pair, basis, signatures, key, budget)
 
 
-def _spair(f: BinPair, g: BinPair, key: OrderKey) -> Optional[BinPair]:
-    lcm = tuple(max(a, b) for a, b in zip(f[0], g[0]))
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
+
+
+def _spair(f: BinPair, g: BinPair, lcm: Monomial, key: OrderKey) -> Optional[BinPair]:
     p = tuple(l - a + b for l, a, b in zip(lcm, f[0], f[1]))
     q = tuple(l - a + b for l, a, b in zip(lcm, g[0], g[1]))
     return oriented(p, q, key)
 
 
 def _update_pairs(
-    basis: list[BinPair], pairs: set[tuple[int, int]], new_index: int, key: OrderKey
-) -> set[tuple[int, int]]:
-    """Gebauer-Moeller update of the critical pair set for one new element."""
-    lm = [g[0] for g in basis]
-    f = lm[new_index]
+    basis: list[BinPair], signatures: list[Signature], pairs: dict, queue: list, key: OrderKey
+) -> None:
+    """Gebauer-Moeller update of the critical pairs for the last element.
 
-    def lcm(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    pairs = {
-        (i, j)
-        for (i, j) in pairs
-        if not _divides(f, lcm(lm[i], lm[j]))
-        or lcm(lm[i], lm[j]) == lcm(lm[i], f)
-        or lcm(lm[i], lm[j]) == lcm(lm[j], f)
-    }
+    pairs maps each live pair (i, j) to lcm(lm_i, lm_j); the heap queue
+    holds (key(lcm), i, j) and may still hold pairs deleted here.
+    """
+    new_index = len(basis) - 1
+    f = basis[new_index][0]
+    for (i, j), m in list(pairs.items()):
+        if _divides(f, m) and m not in (_lcm(basis[i][0], f), _lcm(basis[j][0], f)):
+            del pairs[i, j]
     lcms: dict[Monomial, list[int]] = {}
     for i in range(new_index):
-        lcms.setdefault(lcm(lm[i], f), []).append(i)
+        lcms.setdefault(_lcm(basis[i][0], f), []).append(i)
     kept: list[Monomial] = []
     for candidate in sorted(lcms, key=key):
         if all(not _divides(other, candidate) for other in kept):
             kept.append(candidate)
+    f_mask = signatures[new_index][0]
     for candidate in kept:
         indices = lcms[candidate]
-        disjoint = any(
-            lcm(lm[i], f) == tuple(x + y for x, y in zip(lm[i], f))
-            for i in indices
-        )
-        if not disjoint:
-            pairs.add((min(indices), new_index))
-    return pairs
+        if all(signatures[i][0] & f_mask for i in indices):
+            pairs[indices[0], new_index] = candidate
+            heapq.heappush(queue, (key(candidate), indices[0], new_index))
 
 
 def buchberger(
@@ -137,36 +165,30 @@ def buchberger(
     if budget is None:
         budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis: list[BinPair] = []
-    pairs: set[tuple[int, int]] = set()
-    seeds = []
+    signatures: list[Signature] = []
+    pairs: dict[tuple[int, int], Monomial] = {}
+    queue: list = []
+
+    def add(g: BinPair):
+        reduced = _normal_form(g, basis, signatures, key, budget)
+        if reduced is not None:
+            basis.append(reduced)
+            signatures.append(_signature(reduced[0]))
+            _update_pairs(basis, signatures, pairs, queue, key)
+
     for p, q in generators:
         o = oriented(p, q, key)
         if o is not None:
-            seeds.append(o)
-    for g in seeds:
-        reduced = normal_form(g, basis, key, budget)
-        if reduced is None:
-            continue
-        basis.append(reduced)
-        pairs = _update_pairs(basis, pairs, len(basis) - 1, key)
-
-    def pair_key(ij):
-        i, j = ij
-        lcm = tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
-        return (key(lcm), i, j)
-
+            add(o)
     while pairs:
+        _, i, j = heapq.heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue
         budget.spend()
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        s = _spair(basis[i], basis[j], key)
-        if s is None:
-            continue
-        reduced = normal_form(s, basis, key, budget)
-        if reduced is None:
-            continue
-        basis.append(reduced)
-        pairs = _update_pairs(basis, pairs, len(basis) - 1, key)
+        s = _spair(basis[i], basis[j], lcm, key)
+        if s is not None:
+            add(s)
 
     # Minimalize: drop elements whose lead is divisible by another lead.
     minimal: list[BinPair] = []

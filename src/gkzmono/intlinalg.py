@@ -67,6 +67,8 @@ class GaussRat:
                 raise InputError(f"unknown keys in complex literal: {sorted(known)}")
             re_part = value.get("re", 0)
             im_part = value.get("im", 0)
+            if isinstance(re_part, dict) or isinstance(im_part, dict):
+                raise InputError(f"nested complex literal: {value!r}")
             return cls(cls.parse(re_part).re, cls.parse(im_part).re)
         raise InputError(f"cannot interpret {value!r} as a Gaussian rational")
 

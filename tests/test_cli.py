@@ -218,6 +218,15 @@ class TestExitCodes:
             path.write_text(json.dumps(payload))
             assert capture(["classify", "--input", str(path)])[0] == 1
 
+    def test_nested_complex_beta_rejected(self, capture, tmp_path):
+        nested = {"re": "1", "im": {"im": "1"}}
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", json.dumps([nested, 0])])
+        assert code == 1 and out == "" and "nested complex" in err
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"A": [[1, 1, 1], [0, 1, 2]], "beta": [nested, "1"]}))
+        code, out, err = capture(["classify", "--input", str(path)])
+        assert code == 1 and out == "" and "nested complex" in err
+
     @pytest.mark.parametrize(
         "payload", [5, [[1, 1, 1], [0, 1, 2]], {"A": [[1, 1, 1], [0, 1, 2]], "beta": 7}]
     )

@@ -33,7 +33,8 @@ CASES = {
     "square_negative_beta": ("[[1,1,1,1],[0,1,0,1],[0,0,1,1]]", "-1,0,0", []),
     "duplicate_columns": ("[[1,1,1,1],[0,1,1,2]]", "1/2,0", []),
     # Twelve columns: face enumeration by double description.  The toric
-    # ideal is too slow for a unit test, so its step budget runs out.
+    # ideal needs more than 100 Buchberger steps, so this budget pins the
+    # exit-2 path of toric-ideal and export.
     "twelve_columns": (
         "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,1,2,3,0,1,2,3,0,1,2,0],"
         "[0,0,0,0,1,1,1,1,2,2,2,3]]",

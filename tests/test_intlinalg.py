@@ -329,6 +329,18 @@ class TestGaussRat:
         with pytest.raises(InputError):
             GaussRat.parse(bad)
 
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            {"re": {"re": "1", "im": "2"}, "im": {"re": "3", "im": "5"}},
+            {"re": "1", "im": {"im": "1"}},
+            {"re": {"re": "1"}},
+        ],
+    )
+    def test_rejects_nested_complex_literals(self, nested):
+        with pytest.raises(InputError):
+            GaussRat.parse(nested)
+
     def test_arithmetic(self):
         a = GaussRat(Fraction(1, 2), Fraction(1))
         b = GaussRat(Fraction(1, 2), Fraction(-1))

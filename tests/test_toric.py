@@ -19,10 +19,16 @@ from gkzmono import (
     toric_ideal_generators,
 )
 from gkzmono.toric import binomial_from_kernel_vector
+from groebner_reference import reference_toric_ideal
 from sweeps import random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 CUBIC = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
+TWELVE_COLUMNS = [
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 0],
+    [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 3],
+]
 
 
 def torus_substitution_vanishes(config, binomial):
@@ -157,6 +163,14 @@ class TestToricIdeal:
                         assert b.plus[j - 1] == 0 and b.minus[j - 1] == 0
                 checked += 1
         assert checked >= 10
+
+    def test_twelve_columns_complete_under_the_default_budget(self):
+        # The golden twelve_columns case runs out of a 100-step budget.
+        config = Configuration(IntMatrix(TWELVE_COLUMNS))
+        gens = toric_ideal_generators(config)
+        assert len(gens) == 53
+        assert all(torus_substitution_vanishes(config, b) for b in gens)
+        assert sorted((b.plus, b.minus) for b in gens) == reference_toric_ideal(config)
 
     def test_scale_limit(self):
         with pytest.raises(ScaleLimit):
