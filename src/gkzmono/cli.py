@@ -130,7 +130,10 @@ def _parse_beta_literal(text: str) -> list:
         if not isinstance(entries, list):
             raise InputError("beta JSON must be a list")
         return entries
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    entries = [tok.strip() for tok in text.split(",")]
+    if "" in entries:
+        raise InputError(f"empty entry in beta list: {text!r}")
+    return entries
 
 
 def _gather_input(args) -> tuple[IntMatrix, Optional[list]]:

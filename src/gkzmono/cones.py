@@ -34,6 +34,7 @@ from .intlinalg import (
     IntMatrix,
     IntVec,
     clear_denominators,
+    hermite_coordinates,
     hermite_normal_form,
     kernel_lattice_basis,
     primitive_vector,
@@ -526,10 +527,11 @@ def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
         raise RankDeficient("all columns are zero")
     B = IntMatrix.from_columns(basis_rows, A_raw.rows)
     reduced_cols = []
-    for j in range(A_raw.cols):
-        x = solve_rational(B, A_raw.column(j))
-        assert x is not None and all(q.denominator == 1 for q in x)
-        reduced_cols.append(tuple(int(q) for q in x))
+    for col in A_raw.columns():
+        x = hermite_coordinates(basis_rows, col)
+        if x is None:
+            raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
+        reduced_cols.append(x)
     return Configuration(IntMatrix.from_columns(reduced_cols, len(basis_rows))), B
 
 

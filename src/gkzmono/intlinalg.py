@@ -477,6 +477,26 @@ def solve_rational(A: IntMatrix, b: Sequence) -> Optional[RatVec]:
     return tuple(x)
 
 
+def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[IntVec]:
+    """Integers x with v = sum x_i rows[i], or None when v is not in their lattice.
+
+    rows are the nonzero rows of a row Hermite form, so each leading entry
+    lies right of the one before: forward substitution on the leading
+    entries, in integer division.  A remainder stays in the residue, since
+    later rows vanish at that entry, so v = sum x_i rows[i] exactly when the
+    residue ends at zero.
+    """
+    residue = list(v)
+    coords = []
+    for row in rows:
+        pivot = next(k for k, x in enumerate(row) if x)
+        q = residue[pivot] // row[pivot]
+        coords.append(q)
+        if q:
+            residue = [x - q * y for x, y in zip(residue, row)]
+    return None if any(residue) else tuple(coords)
+
+
 def lattice_member(L: Sequence[Sequence[int]], v: Sequence) -> bool:
     """Decide whether v is an integer combination of the vectors in L."""
     fv = [Fraction(x) for x in v]
@@ -489,16 +509,7 @@ def lattice_member(L: Sequence[Sequence[int]], v: Sequence) -> bool:
     if not L:
         return all(x == 0 for x in residue)
     H, _ = hermite_normal_form(IntMatrix(L, cols=len(fv)))
-    for row in H.data:
-        pivot_col = next((j for j, x in enumerate(row) if x != 0), None)
-        if pivot_col is None:
-            break
-        q, rem = divmod(residue[pivot_col], row[pivot_col])
-        if rem != 0:
-            return False
-        if q:
-            residue = [x - q * y for x, y in zip(residue, row)]
-    return all(x == 0 for x in residue)
+    return hermite_coordinates([row for row in H.data if any(row)], residue) is not None
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:

@@ -12,13 +12,17 @@ The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call, and the
 functionals of every face, with their congruence text, are compiled once
-per configuration into a table in lattice order, (size, indices).
+per configuration into a table in lattice order, (size, indices), together
+with the cover relation of the lattice.
 
-The member faces are up-closed (span G in span F when G is a face of F).
-Walking the table in order, a face that contains an already found center
-is a member without a test, and a face that passes its test is a new
-center: every smaller member came earlier and would have put a center
-inside it.
+The member faces are up-closed (span G in span F when G is a face of F),
+and the face lattice is graded by rank, so the walk prunes from both ends.
+The minimal face is tested first: if it is a member, so is every face, and
+it is the only center.  Otherwise the walk goes down from the full face,
+which is always a member, and tests a face only once every face covering it
+is a member; a face with a non-member above it cannot be a member.  The
+centers are the members with no member directly below them.  A generic
+parameter thus costs one test per facet, plus one for the minimal face.
 
 The same functionals provide the human-readable description of each
 component of the resonant arrangement.
@@ -40,28 +44,68 @@ def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
     return _perp_lattice_basis(config, face.indices)
 
 
+@dataclass(frozen=True)
+class _ResonanceTable:
+    """Per-face data in lattice order, plus the cover relation.
+
+    below[i] holds the positions of the faces that face i covers, and
+    cover_counts[i] the number of faces that cover face i.
+    """
+
+    faces: tuple[Face, ...]
+    functionals: tuple[tuple[IntVec, ...], ...]
+    congruences: tuple[tuple[str, ...], ...]
+    below: tuple[tuple[int, ...], ...]
+    cover_counts: tuple[int, ...]
+
+
 @per_configuration
-def _resonance_table(config: Configuration) -> tuple[tuple, ...]:
-    """(face, column bitmask, functionals, congruence text) per face, in lattice order."""
-    return tuple(
-        (face, sum(1 << j for j in face.indices), face_functionals(config, face),
-         face_congruences(config, face))
-        for face in config.face_lattice()
+def _resonance_table(config: Configuration) -> _ResonanceTable:
+    """The functionals, congruence text and covers of every face.
+
+    G covers F iff G contains F and has rank one more.  The rank of a face
+    is d minus the number of its functionals, and the face lattice of a
+    cone, pointed or not, is graded by rank.
+    """
+    faces = config.face_lattice().faces
+    functionals = tuple(face_functionals(config, f) for f in faces)
+    masks = [sum(1 << j for j in f.indices) for f in faces]
+    by_corank: dict[int, list[int]] = {}
+    for i, w in enumerate(functionals):
+        by_corank.setdefault(len(w), []).append(i)
+    below = tuple(
+        tuple(i for i in by_corank.get(len(w) + 1, ()) if masks[i] & mask == masks[i])
+        for w, mask in zip(functionals, masks)
+    )
+    cover_counts = [0] * len(faces)
+    for positions in below:
+        for i in positions:
+            cover_counts[i] += 1
+    return _ResonanceTable(
+        faces,
+        functionals,
+        tuple(face_congruences(config, f) for f in faces),
+        below,
+        tuple(cover_counts),
     )
 
 
 def _scaled(beta: Parameter) -> tuple[int, IntVec, IntVec]:
     """(L, L*Re(beta), L*Im(beta)), L the lcm of every entry's denominator."""
     scale = lcm(*(q.denominator for b in beta for q in (b.re, b.im)))
-    return scale, tuple(int(b.re * scale) for b in beta), tuple(int(b.im * scale) for b in beta)
+    return (
+        scale,
+        tuple(b.re.numerator * (scale // b.re.denominator) for b in beta),
+        tuple(b.im.numerator * (scale // b.im.denominator) for b in beta),
+    )
 
 
 def _passes(functionals: tuple[IntVec, ...], scale: int, re: IntVec, im: IntVec) -> bool:
     """The congruences of one face, on a parameter scaled by _scaled."""
-    return all(
-        not sum(map(mul, w, im)) and not sum(map(mul, w, re)) % scale
-        for w in functionals
-    )
+    for w in functionals:
+        if sum(map(mul, w, im)) or sum(map(mul, w, re)) % scale:
+            return False
+    return True
 
 
 def in_resonant_span(config: Configuration, face: Face, beta) -> bool:
@@ -103,25 +147,32 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     beta = as_parameter(beta, config.d)
     scaled = _scaled(beta)
     table = _resonance_table(config)
-    members = []
-    centers: list[Face] = []
-    center_masks: list[int] = []
-    for entry in table:
-        face, mask, functionals, _ = entry
-        if not any(mask & c == c for c in center_masks):
-            if not _passes(functionals, *scaled):
-                continue
-            centers.append(face)
-            center_masks.append(mask)
-        members.append(entry)
+    if _passes(table.functionals[0], *scaled):
+        # The minimal face is a member, hence so is every face above it.
+        return ResonanceReport(
+            beta, table.faces, table.faces[:1], len(table.faces) == 1, table.congruences
+        )
+    below = table.below
+    pending = list(table.cover_counts)
     # The full face is always a member: the columns span Q^d.
-    is_nonresonant = centers == [table[-1][0]]
+    top = len(pending) - 1
+    found = {top}
+    stack = [top]
+    while stack:
+        for i in below[stack.pop()]:
+            pending[i] -= 1
+            # Position 0, the minimal face, has already failed its test.
+            if not pending[i] and i and _passes(table.functionals[i], *scaled):
+                found.add(i)
+                stack.append(i)
+    members = sorted(found)
+    centers = [i for i in members if found.isdisjoint(below[i])]
     return ResonanceReport(
         beta,
-        tuple(entry[0] for entry in members),
-        tuple(centers),
-        is_nonresonant,
-        tuple(entry[3] for entry in members),
+        tuple(table.faces[i] for i in members),
+        tuple(table.faces[i] for i in centers),
+        centers == [top],
+        tuple(table.congruences[i] for i in members),
     )
 
 

@@ -119,10 +119,13 @@ def face_volume(config: Configuration, face: Face) -> int:
 
     The face's columns are re-expressed in a basis of the sublattice they
     generate before triangulating.  A face consisting of zero columns only
-    spans a rank-0 lattice; its volume is 1 (the volume of a point).
+    spans a rank-0 lattice; its volume is 1 (the volume of a point).  The
+    full face already lives in Z^d: its volume is the normalized volume.
     """
     if not face.indices:
         raise EmptyFace("volume of the empty face is undefined")
+    if len(face.indices) == config.n:
+        return normalized_volume(config).volume
     sub = config.submatrix(face.indices)
     if not any(map(any, sub.data)):
         return 1

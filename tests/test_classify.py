@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 import random
 import sys
@@ -22,7 +23,9 @@ from gkzmono import (
     reduce_configuration,
     volume,
 )
+from gkzmono.cli import _parse_beta_literal
 from sweeps import random_beta, random_full_rank_matrix, random_unimodular
+from test_golden import CASES as GOLDEN_CASES
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 PYRAMID = IntMatrix([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
@@ -388,6 +391,26 @@ class TestCacheStructure:
         cones._normalize_matrix.cache_clear()
         classify(IntMatrix(A.data), beta)
         assert set(callers) == ({"_vector_splits_off"} if summand_checked else set())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_cold_classify_solves_over_q_only_for_beta(self, monkeypatch, name):
+        # Face volumes and normalization take integer Hermite coordinates;
+        # only the parameter of an un-normalized input is solved over Q.
+        callers = []
+        original = intlinalg.solve_rational
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        for module in package_modules():
+            if getattr(module, "solve_rational", None) is original:
+                monkeypatch.setattr(module, "solve_rational", spy)
+        matrix, beta, _ = GOLDEN_CASES[name]
+        A = IntMatrix(json.loads(matrix))
+        classify(A, _parse_beta_literal(beta))
+        normalized = cones._normalize_matrix(A)[1] is None
+        assert callers == ([] if normalized else ["_solve_gauss_rat"] * 2)
 
     @pytest.mark.parametrize(
         "A", [QUADRIC, PYRAMID, INDEX_FOUR], ids=["quadric", "pyramid", "index_four"]

@@ -147,6 +147,13 @@ class TestExitCodes:
     def test_float_beta_rejected(self, capture):
         assert capture(["classify", "-A", QUADRIC_ARG, "-b", "0.5,1"])[0] == 1
 
+    @pytest.mark.parametrize("beta", ["1/2,,1", "1/2,1,", ",1/2,1"])
+    @pytest.mark.parametrize("option", ["-b", "--beta="])
+    def test_empty_beta_entry_rejected(self, capture, option, beta):
+        argv = [option, beta] if option == "-b" else [option + beta]
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG] + argv)
+        assert code == 1 and out == "" and "empty entry" in err
+
     def test_missing_matrix(self, capture):
         assert capture(["volume"])[0] == 1
 

@@ -10,14 +10,18 @@ from gkzmono import (
     FaceNotInLattice,
     GaussRat,
     IntMatrix,
+    InternalInconsistency,
     LatticeNotSaturated,
     RankDeficient,
+    cones,
     enumerate_faces,
+    hermite_normal_form,
     is_face,
     reduce_configuration,
+    solve_rational,
     subfaces,
 )
-from sweeps import random_configuration
+from sweeps import random_configuration, random_unimodular
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 
@@ -105,6 +109,74 @@ class TestReduce:
                 assert raw.rank() == 0
                 continue
             assert B @ config.A == raw
+
+
+def hermite_reduce_by_solving(A_raw):
+    """(reduced A, B) by solving B x = a_j over Q: the reference for _hermite_reduce."""
+    H, _ = hermite_normal_form(A_raw.transpose())
+    basis_rows = [row for row in H.data if any(row)]
+    B = IntMatrix.from_columns(basis_rows, A_raw.rows)
+    columns = []
+    for a in A_raw.columns():
+        x = solve_rational(B, a)
+        assert x is not None and all(q.denominator == 1 for q in x)
+        columns.append(tuple(int(q) for q in x))
+    return IntMatrix.from_columns(columns, len(basis_rows)), B
+
+
+class TestHermiteReduce:
+    """Integer Hermite coordinates against the rational solve."""
+
+    def assert_matches_reference(self, A_raw):
+        config, B = cones._hermite_reduce(A_raw)
+        assert (config.A, B) == hermite_reduce_by_solving(A_raw)
+        assert B @ config.A == A_raw
+
+    def test_face_submatrices(self):
+        rng = random.Random(101)
+        checked = 0
+        for _ in range(30):
+            config = random_configuration(rng, dmax=4, nmax=7)
+            for face in config.face_lattice():
+                sub = config.submatrix(face.indices)
+                if any(map(any, sub.data)):
+                    self.assert_matches_reference(sub)
+                    checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("index", [2, 3])
+    def test_sublattice_row_maps(self, index):
+        rng = random.Random(103 + index)
+        for _ in range(20):
+            config = random_configuration(rng, dmax=4, nmax=7)
+            d = config.d
+            diagonal = IntMatrix([[index if i == j == d - 1 else int(i == j)
+                                   for j in range(d)] for i in range(d)])
+            M = random_unimodular(rng, d) @ diagonal @ random_unimodular(rng, d)
+            A_raw = M @ config.A
+            self.assert_matches_reference(A_raw)
+            reduced, _ = cones._hermite_reduce(A_raw)
+            assert reduced.d == d
+
+    def test_dependent_rows(self):
+        rng = random.Random(107)
+        for _ in range(20):
+            config = random_configuration(rng, dmax=3, nmax=6)
+            rows = [list(r) for r in config.A.data]
+            c = rng.randint(-2, 2)
+            rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+            A_raw = IntMatrix(rows)
+            self.assert_matches_reference(A_raw)
+            assert cones._hermite_reduce(A_raw)[0].d == config.d
+
+    def test_a_column_outside_the_basis_lattice_is_an_inconsistency(self, monkeypatch):
+        def doubled(M):
+            H, U = hermite_normal_form(M)
+            return IntMatrix([[2 * x for x in row] for row in H.data], cols=H.cols), U
+
+        monkeypatch.setattr(cones, "hermite_normal_form", doubled)
+        with pytest.raises(InternalInconsistency):
+            cones._hermite_reduce(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 
 
 class TestIsFace:

@@ -18,7 +18,7 @@ from gkzmono import (
     smith_normal_form,
     solve_rational,
 )
-from gkzmono.intlinalg import det_int, rank_int
+from gkzmono.intlinalg import det_int, hermite_coordinates, rank_int
 from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -305,6 +305,37 @@ class TestLatticeMember:
     def test_mismatched_lengths(self):
         with pytest.raises(DimensionMismatch):
             lattice_member([(1, 0, 0)], (1, 0))
+
+    def test_outside_the_rational_span(self):
+        assert not lattice_member([(1, 2)], (1, 3))
+        assert not lattice_member([(2, 4, 0)], (1, 2, 0))
+
+    def test_hermite_coordinates_match_the_rational_solve(self):
+        rng = random.Random(7)
+        kinds = {"member": 0, "fractional": 0, "outside": 0}
+        for _ in range(80):
+            r, n = rng.randint(1, 3), rng.randint(1, 4)
+            H, _ = hermite_normal_form(
+                IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)])
+            )
+            rows = [row for row in H.data if any(row)]
+            if not rows:
+                continue
+            coeffs = [rng.randint(-5, 5) for _ in rows]
+            planted = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(n))
+            assert hermite_coordinates(rows, planted) == tuple(coeffs)
+            for v in (tuple(rng.randint(-6, 6) for _ in range(n)), planted):
+                x = solve_rational(IntMatrix(rows).transpose(), v)
+                if x is None:
+                    kinds["outside"] += 1
+                    assert hermite_coordinates(rows, v) is None
+                elif any(q.denominator != 1 for q in x):
+                    kinds["fractional"] += 1
+                    assert hermite_coordinates(rows, v) is None
+                else:
+                    kinds["member"] += 1
+                    assert hermite_coordinates(rows, v) == tuple(int(q) for q in x)
+        assert min(kinds.values()) >= 5, kinds
 
 
 class TestGaussRat:

@@ -15,6 +15,7 @@ from gkzmono import (
     face_functionals,
     in_resonant_span,
     is_resonant,
+    resonance,
     resonance_centers,
     solve_rational,
 )
@@ -255,6 +256,102 @@ class TestAgainstTheDefinition:
             assert report.centers == report.member_faces == (lattice.full_face,)
             assert report.is_nonresonant and not is_resonant(config, beta)
             assert classify(config.A, beta).verdict == IRREDUCIBLE
+
+
+def covers_by_definition(lattice):
+    """Per face, the minimal strict supersets among the faces, as index sets."""
+    faces = [set(f.indices) for f in lattice]
+    covers = []
+    for f in faces:
+        above = [g for g in faces if f < g]
+        covers.append({tuple(sorted(g)) for g in above if not any(h < g for h in above)})
+    return covers
+
+
+class TestCoverRelation:
+    """The compiled cover relation against its definition."""
+
+    def assert_matches_definition(self, config):
+        table = resonance._resonance_table(config)
+        lattice = config.face_lattice()
+        assert table.faces == lattice.faces
+        covers = covers_by_definition(lattice)
+        compiled = [set() for _ in table.faces]
+        for g, positions in enumerate(table.below):
+            for i in positions:
+                compiled[i].add(table.faces[g].indices)
+        assert compiled == covers
+        assert list(table.cover_counts) == [len(c) for c in covers]
+
+    def test_random_configurations(self):
+        rng = random.Random(83)
+        configs = [random_configuration(rng, dmax=4, nmax=7) for _ in range(40)]
+        assert any(not c.pointed for c in configs)
+        for config in configs:
+            self.assert_matches_definition(config)
+
+    def test_beta_sweep_full_face_covers_its_facets(self):
+        self.assert_matches_definition(SWEEP)
+        table = resonance._resonance_table(SWEEP)
+        proper = [set(f.indices) for f in table.faces[:-1]]
+        facets = {tuple(sorted(f)) for f in proper if not any(f < g for g in proper)}
+        assert len(facets) == 26
+        assert {table.faces[i].indices for i in table.below[-1]} == facets
+
+
+class TestFaceTestCount:
+    """The walk prunes from both ends: it runs few face tests."""
+
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        calls = []
+        original = resonance._passes
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(resonance, "_passes", counting)
+        return calls
+
+    def test_generic_beta_tests_the_facets_and_the_minimal_face(self, tests_run):
+        # Pairwise coprime denominators, numerators prime to them: w . beta is
+        # an integer only if each den_k divides w_k, so only for w = 0.
+        rng = random.Random(89)
+        for _ in range(10):
+            dens = rng.sample((7**7, 2**19, 3**12, 5**8, 999_983), SWEEP.d)
+            beta = [Fraction(1 + q * rng.randint(-9, 9), q) for q in dens]
+            tests_run.clear()
+            report = resonance_centers(SWEEP, beta)
+            assert report.is_nonresonant
+            assert len(tests_run) <= 27
+
+    def test_tests_exactly_the_faces_whose_covers_are_members(self, tests_run):
+        rng = random.Random(113)
+        configs = [random_configuration(rng, dmax=4, nmax=7, lo=-3 * (k % 2))
+                   for k in range(30)]
+        for config in configs + [SWEEP] * 3:
+            lattice = config.face_lattice()
+            covers = covers_by_definition(lattice)
+            for beta in betas_of_every_kind(rng, config, rng.choice(lattice.faces)):
+                members, _ = oracle_report(config, lattice, beta)
+                tests_run.clear()
+                resonance_centers(config, beta)
+                # The minimal face first; then, below the always-member full
+                # face, each other face whose covers are all members.
+                expected = 1 if lattice.faces[0].indices in members else 1 + sum(
+                    1 for c in covers[1:] if c and c <= set(members)
+                )
+                assert len(tests_run) == expected
+
+    def test_integer_beta_makes_one_test(self, tests_run):
+        rng = random.Random(97)
+        for _ in range(10):
+            beta = [rng.randint(-9, 9) for _ in range(SWEEP.d)]
+            tests_run.clear()
+            report = resonance_centers(SWEEP, beta)
+            assert report.centers == (SWEEP.face_lattice().faces[0],)
+            assert len(tests_run) == 1
 
 
 class TestIsResonant:

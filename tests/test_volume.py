@@ -6,12 +6,14 @@ import pytest
 from gkzmono import (
     Configuration,
     EmptyFace,
+    cones,
     enumerate_faces,
     IntMatrix,
     face_volume,
     generic_rank,
     is_pyramid,
     normalized_volume,
+    volume,
 )
 from sweeps import random_configuration, random_unimodular
 
@@ -150,6 +152,32 @@ class TestFaceVolume:
 
     def test_ray(self):
         assert face_volume(QUADRIC, QUADRIC.face_lattice().face([1])) == 1
+
+    def test_full_face_is_the_hermite_path_volume(self):
+        # The Hermite reduction that the full face skips, kept as a reference.
+        rng = random.Random(109)
+        for _ in range(30):
+            config = random_configuration(rng, dmax=4, nmax=7)
+            reduced, _ = cones._hermite_reduce(config.A)
+            reference = volume._volume_of_matrix(reduced.A).volume
+            assert face_volume(config, config.face_lattice().full_face) == reference
+
+    def test_full_face_runs_no_hermite_reduction(self, monkeypatch):
+        calls = []
+        original = volume._hermite_reduce
+
+        def spy(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(volume, "_hermite_reduce", spy)
+        for config in (QUADRIC, CUBIC, PYRAMID):
+            fresh = Configuration(IntMatrix(config.A.data))
+            assert face_volume(fresh, fresh.face_lattice().full_face) == generic_rank(fresh)
+        assert calls == []
+        fresh = Configuration(IntMatrix(PYRAMID.A.data))
+        assert face_volume(fresh, fresh.face_lattice().face([1, 2, 3])) == 2
+        assert len(calls) == 1
 
     def test_pyramid_face_reduces_to_quadric(self):
         face = PYRAMID.face_lattice().face([1, 2, 3])
