@@ -62,6 +62,29 @@ CASES = {
     ),
     # Integer beta, lineality space spanned by columns 1 and 2.
     "non_pointed_integer": ("[[1,-1,0,0,1],[0,0,1,0,1],[0,0,0,1,1]]", "-2,3,0", []),
+    # Pyramid centers.  Apex column 4 with an integer coefficient: the
+    # unique center is the base {1,2,3}, neither empty nor the full face.
+    "pyramid_proper_center": ("[[1,1,1,0],[0,1,2,0],[0,0,0,1]]", "1/3,1/5,2", []),
+    "two_apexes": (
+        "[[1,1,1,0,0],[0,1,2,0,0],[0,0,0,1,0],[0,0,0,0,1]]", "1/2,1/3,1,-2", []
+    ),
+    # The apex appears twice; pyramid tests see the distinct columns.
+    "duplicated_apex": ("[[1,1,1,0,0],[0,1,2,0,0],[0,0,0,1,1]]", "1/3,1/5,2", []),
+    # An integer-entry simplex: Irreducible with the empty face as center.
+    "simplex_integer": ("[[1,0,0],[0,1,0],[0,0,1]]", "0,1,-2", []),
+    # Complex beta on non-pointed A.  The lineality face {1,2} is the
+    # center; it is a pyramid base only when the other columns are apexes.
+    "complex_non_pointed": (
+        "[[1,-1,0,0,1],[0,0,1,0,1],[0,0,0,1,1]]",
+        '[{"re": "1/2", "im": "1"}, "3", "-1"]',
+        [],
+    ),
+    "complex_non_pointed_pyramid": ("[[1,-1,0],[0,0,1]]", '[{"re": "1/2", "im": "1"}, "2"]', []),
+    # Un-normalized pyramids: index 12, and a dependent fourth row.
+    "index_pyramid": ("[[2,2,2,0],[0,2,4,0],[0,0,0,3]]", "2/3,2/5,6", []),
+    "dependent_row_pyramid": (
+        "[[1,1,1,0],[0,1,2,0],[0,0,0,1],[1,1,1,1]]", "1/3,1/5,2,7/3", []
+    ),
 }
 
 WITH_BETA = ("reduce", "centers", "classify")
