@@ -1,0 +1,144 @@
+"""Test oracles: the pyramid characterizations and a paper-level verdict.
+
+The runtime pyramid test, gkzmono.is_pyramid, is the kernel-support test:
+no toric relation among the distinct columns involves a column outside the
+face.  The three characterizations here are computed in different ways
+and must agree with it on every face:
+
+* rank: d equals the number of distinct columns outside the face plus the
+  rank of the face span;
+* summand: every distinct column outside the face splits off Z^d as a
+  direct summand complementary to the other distinct columns (Smith form);
+* volume: the face has the normalized volume of the whole configuration
+  (nonempty faces only).
+
+verdict_by_apex_stripping decides reducibility along the proof of
+Schulze-Walther, "Resonance equals reducibility for A-hypergeometric
+systems" (arXiv:1009.3569): split off apexes one at a time, then the
+apex-free core is irreducible iff beta is not resonant.  It never looks at
+resonance centers, their uniqueness or volumes, so it checks classify from
+the outside.
+"""
+
+from fractions import Fraction
+
+from gkzmono import (
+    IRREDUCIBLE,
+    REDUCIBLE,
+    GaussRat,
+    IntMatrix,
+    face_functionals,
+    face_volume,
+    kernel_lattice_basis,
+    normalized_volume,
+    reduce_configuration,
+    smith_normal_form,
+)
+from gkzmono.cones import per_configuration
+
+
+def distinct_columns(config):
+    return tuple(dict.fromkeys(config.A.columns()))
+
+
+def outside_vectors(config, face):
+    inside = {config.column(j) for j in face.indices}
+    return tuple(v for v in distinct_columns(config) if v not in inside)
+
+
+def is_pyramid_rank(config, face):
+    """d = #distinct columns outside the face + rank of the face span."""
+    face_rank = config.submatrix(face.indices).rank() if face.indices else 0
+    return config.d == len(outside_vectors(config, face)) + face_rank
+
+
+@per_configuration
+def _vector_splits_off(config, v):
+    """Does Z*v split off as a direct summand complementary to the others?
+
+    Checked structurally on the matrix M of the remaining distinct columns:
+    M must have rank d-1, its column lattice must be saturated (all Smith
+    invariant factors 1), and the image of v in the rank-1 quotient must be
+    a generator.
+    """
+    d = config.d
+    rest = [c for c in distinct_columns(config) if c != v]
+    if not rest:
+        return d == 1 and abs(v[0]) == 1
+    snf = smith_normal_form(IntMatrix.from_columns(rest, d))
+    if snf.rank() != d - 1:
+        return False
+    if any(f != 1 for f in snf.invariant_factors()):
+        return False
+    quotient_row = snf.U.row(d - 1)
+    return abs(sum(u * a for u, a in zip(quotient_row, v))) == 1
+
+
+def is_pyramid_summand(config, face):
+    """Every distinct column outside the face is a direct lattice summand."""
+    return all(_vector_splits_off(config, v) for v in outside_vectors(config, face))
+
+
+def is_pyramid_volume(config, face):
+    """The face has the normalized volume of the whole configuration.
+
+    Only meaningful for nonempty faces; None for the empty face.
+    """
+    if not face.indices:
+        return None
+    return face_volume(config, face) == normalized_volume(config).volume
+
+
+ORACLES = {
+    "rank": is_pyramid_rank,
+    "summand": is_pyramid_summand,
+    "volume": is_pyramid_volume,
+}
+
+
+def fraction_in_resonant_span(config, face, beta):
+    """beta in Z^d + C*span(face), by the definition in Fraction arithmetic."""
+    beta = [GaussRat.parse(b) for b in beta]
+    for w in face_functionals(config, face):
+        if sum(wk * b.im for wk, b in zip(w, beta)) != 0:
+            return False
+        if sum(wk * b.re for wk, b in zip(w, beta)).denominator != 1:
+            return False
+    return True
+
+
+def _apex(config):
+    """A distinct column whose removal, with its copies, leaves rank d-1."""
+    for v in distinct_columns(config):
+        rest = [c for c in config.A.columns() if c != v]
+        if (IntMatrix.from_columns(rest, config.d).rank() if rest else 0) == config.d - 1:
+            return v
+    return None
+
+
+def verdict_by_apex_stripping(A, beta):
+    """Reducible or Irreducible, by splitting off apexes.
+
+    If v is an apex, A is a pyramid over the other columns G, the lattice
+    splits as ZG + Zv, and the system is the product of the rank-one
+    factor for v (always irreducible) with the system of (G, beta_G),
+    where beta = beta_G + c*v.  An apex-free core is irreducible iff no
+    proper face has beta in its resonant span.
+    """
+    config, beta, _ = reduce_configuration(A, beta)
+    while (v := _apex(config)) is not None:
+        if config.d == 1:
+            return IRREDUCIBLE
+        rest = [c for c in config.A.columns() if c != v]
+        # The one functional that vanishes on G reads off the coefficient of v.
+        (phi,) = kernel_lattice_basis(IntMatrix(rest))
+        c = sum((p * b for p, b in zip(phi, beta)), GaussRat(0)) * Fraction(
+            1, sum(p * a for p, a in zip(phi, v))
+        )
+        beta_G = [b - c * a for b, a in zip(beta, v)]
+        config, beta, _ = reduce_configuration(IntMatrix.from_columns(rest, config.d), beta_G)
+    lattice = config.face_lattice()
+    proper = (f for f in lattice if f != lattice.full_face)
+    if any(fraction_in_resonant_span(config, f, beta) for f in proper):
+        return REDUCIBLE
+    return IRREDUCIBLE

@@ -19,6 +19,7 @@ from gkzmono import (
     resonance_centers,
     solve_rational,
 )
+from oracles import fraction_in_resonant_span
 from sweeps import random_beta, random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -33,17 +34,6 @@ SWEEP = Configuration(IntMatrix([
 ]))
 # Pairwise coprime denominators up to 10^6, mixed with small ones.
 DENOMINATORS = (1, 2, 3, 6, 7**7, 2**19, 3**12, 5**8, 999_983)
-
-
-def fraction_in_resonant_span(config, face, beta):
-    """The definition in Fraction arithmetic: the reference for the integer test."""
-    beta = [GaussRat.parse(b) for b in beta]
-    for w in face_functionals(config, face):
-        if sum(wk * b.im for wk, b in zip(w, beta)) != 0:
-            return False
-        if sum(wk * b.re for wk, b in zip(w, beta)).denominator != 1:
-            return False
-    return True
 
 
 def oracle_report(config, lattice, beta):
