@@ -55,16 +55,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_rational,
 )
-from .pyramids import (
-    BetaSplit,
-    PyramidVerdict,
-    is_pyramid,
-    is_pyramid_kernel,
-    is_pyramid_rank,
-    is_pyramid_summand,
-    is_pyramid_volume,
-    split_beta,
-)
+from .pyramids import BetaSplit, is_pyramid, split_beta
 from .resonance import (
     ArrangementComponent,
     ArrangementDescription,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .cones import Configuration, Face, Parameter, as_parameter, reduce_configuration
 from .errors import DimensionMismatch, InputError, InternalInconsistency, ShiftInvarianceViolation
 from .intlinalg import GaussRat, IntMatrix, lattice_member
-from .pyramids import PyramidVerdict, is_pyramid
+from .pyramids import is_pyramid
 from .resonance import resonance_centers
 from .volume import face_volume, generic_rank
 
@@ -28,7 +28,7 @@ IRREDUCIBLE = "Irreducible"
 class Classification:
     verdict: str
     centers: tuple[Face, ...]
-    pyramid_flags: tuple[PyramidVerdict, ...]
+    pyramid_flags: tuple[bool, ...]
     generic_rank: int
     face_volumes: tuple[Optional[int], ...]
     configuration: Configuration
@@ -37,12 +37,12 @@ class Classification:
 
     def to_json(self) -> dict:
         details = []
-        for face, verdict, vol in zip(self.centers, self.pyramid_flags, self.face_volumes):
+        for face, pyramid, vol in zip(self.centers, self.pyramid_flags, self.face_volumes):
             details.append(
                 {
                     "indices": list(face.indices),
                     "witness": list(face.witness),
-                    "pyramid": verdict.to_json(),
+                    "pyramid": pyramid,
                     "face_volume": vol,
                 }
             )
@@ -69,11 +69,10 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     """
     config, beta, basis = reduce_configuration(A_raw, beta_raw)
     report = resonance_centers(config, beta)
-    verdicts = tuple(is_pyramid(config, f) for f in report.centers)
+    flags = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
     volumes = tuple(face_volume(config, f) if f.indices else None for f in report.centers)
-    pyramid_centers = [f for f, v in zip(report.centers, verdicts) if v.is_pyramid]
-    if pyramid_centers:
+    if any(flags):
         if len(report.centers) != 1:
             raise InternalInconsistency(
                 "a pyramid center must be the unique resonance center"
@@ -89,7 +88,7 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     return Classification(
         verdict=verdict,
         centers=report.centers,
-        pyramid_flags=verdicts,
+        pyramid_flags=flags,
         generic_rank=rank,
         face_volumes=volumes,
         configuration=config,

@@ -199,7 +199,7 @@ def _render_classify(report: dict) -> str:
         vol = detail["face_volume"]
         lines.append(
             f"center {_set_text(detail['indices'])}: "
-            f"pyramid={detail['pyramid']['is_pyramid']} "
+            f"pyramid={detail['pyramid']} "
             f"face_volume={'n/a' if vol is None else vol}"
         )
     return "\n".join(lines)

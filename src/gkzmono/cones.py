@@ -143,8 +143,9 @@ class Configuration:
     Validation: ZA = Z^d iff the row Hermite form of A^T has d nonzero rows,
     all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
     raised (use :func:`reduce_configuration` to normalize arbitrary input).
-    Results that depend on A alone (face lattice, perp bases, volumes,
-    pyramid flags) are computed once per instance and kept in its memo.
+    Results that depend on A alone (face lattice, perp bases, volumes, the
+    columns in toric relations) are computed once per instance and kept in
+    its memo.
     """
 
     def __init__(self, A: IntMatrix):

@@ -72,13 +72,13 @@ class TestVerdicts:
         assert [f.indices for f in result.centers] == [(1,), (3,)]
         assert result.generic_rank == 2
         assert result.face_volumes == (1, 1)
-        assert all(not v.is_pyramid for v in result.pyramid_flags)
+        assert result.pyramid_flags == (False, False)
 
     def test_nonresonant_irreducible(self):
         result = classify(QUADRIC, ["1/3", "1/5"])
         assert result.verdict == IRREDUCIBLE
         assert [f.indices for f in result.centers] == [(1, 2, 3)]
-        assert result.pyramid_flags[0].is_pyramid
+        assert result.pyramid_flags == (True,)
 
     def test_integral_beta_reducible_over_empty_face(self):
         result = classify(QUADRIC, ["0", "0"])
@@ -110,7 +110,7 @@ class TestVerdicts:
         assert report["verdict"] == "Reducible"
         assert report["centers"] == [[1], [3]]
         assert report["generic_rank"] == 2
-        assert report["center_details"][0]["pyramid"]["is_pyramid"] is False
+        assert report["center_details"][0]["pyramid"] is False
         assert report["normalization"]["B"] == [[1, 0], [0, 1]]
 
 
@@ -135,7 +135,7 @@ class TestTheoremConsistency:
             A = random_full_rank_matrix(rng, dmax=3, nmax=5)
             beta = random_beta(rng, A.rows)
             result = classify(A, beta)
-            if any(v.is_pyramid for v in result.pyramid_flags):
+            if any(result.pyramid_flags):
                 assert len(result.centers) == 1
                 assert result.verdict == IRREDUCIBLE
 
@@ -319,15 +319,13 @@ class TestSharedConfiguration:
             cold.append(classify(*job).to_json())
         assert warm == cold
 
-    def test_shared_pyramid_checks_are_read_only(self):
-        result = classify(IntMatrix(QUADRIC.data), ["1/3", "1/5"])
-        with pytest.raises(TypeError):
-            result.pyramid_flags[0].checks["rank"] = False
-        again = classify(IntMatrix(QUADRIC.data), ["2/3", "1/5"])
-        assert again.pyramid_flags[0] is result.pyramid_flags[0]
-        assert dict(again.pyramid_flags[0].checks) == dict.fromkeys(
-            ("rank", "summand", "kernel_support", "volume"), True
-        )
+    def test_pyramid_flags_are_booleans_from_the_shared_configuration(self, monkeypatch):
+        first = classify(IntMatrix(QUADRIC.data), ["1/3", "1/5"])
+        calls = spy_on(monkeypatch, "kernel_lattice_basis")
+        again = classify(IntMatrix(QUADRIC.data), ["1/2", "1"])
+        assert first.pyramid_flags == (True,)
+        assert again.pyramid_flags == (False, False)
+        assert calls == []
 
 
 class TestCacheStructure:
@@ -368,29 +366,13 @@ class TestCacheStructure:
         assert calls.count("smith_normal_form") == 0
         assert calls.count("hermite_normal_form") == 2 * len(faces)
 
-    # The golden quadric input has two proper centers, so the summand check
-    # runs; the golden pyramid input's only center is the full face.
-    @pytest.mark.parametrize(
-        "A, beta, summand_checked",
-        [(QUADRIC, ["1/2", "1"], True), (PYRAMID, ["0", "1/2", "1/3"], False)],
-        ids=["quadric", "pyramid"],
-    )
-    def test_cold_classify_runs_smith_only_in_the_summand_check(
-        self, monkeypatch, A, beta, summand_checked
-    ):
-        callers = []
-        original = intlinalg.smith_normal_form
-
-        def spy(M):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return original(M)
-
-        for module in package_modules():
-            if getattr(module, "smith_normal_form", None) is original:
-                monkeypatch.setattr(module, "smith_normal_form", spy)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_cold_classify_runs_no_smith_form(self, monkeypatch, name):
+        calls = spy_on(monkeypatch, "smith_normal_form")
+        matrix, beta, _ = GOLDEN_CASES[name]
         cones._normalize_matrix.cache_clear()
-        classify(IntMatrix(A.data), beta)
-        assert set(callers) == ({"_vector_splits_off"} if summand_checked else set())
+        classify(IntMatrix(json.loads(matrix)), _parse_beta_literal(beta))
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_classify_solves_over_q_only_for_beta(self, monkeypatch, name):
@@ -430,6 +412,6 @@ class TestCacheStructure:
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         lattice = config.face_lattice()
         calls = spy_on(monkeypatch, "kernel_lattice_basis")
-        flags = [pyramids.is_pyramid_kernel(config, f) for f in lattice]
+        flags = [pyramids.is_pyramid(config, f) for f in lattice]
         assert flags == [f == lattice.full_face for f in lattice]
         assert calls == ["kernel_lattice_basis"]

@@ -10,22 +10,27 @@ from gkzmono import (
     NotAPyramid,
     enumerate_faces,
     is_pyramid,
-    is_pyramid_kernel,
-    is_pyramid_rank,
-    is_pyramid_summand,
-    is_pyramid_volume,
     split_beta,
 )
+from oracles import ORACLES, is_pyramid_rank
 from sweeps import random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 PYRAMID = Configuration(IntMatrix([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]]))
 
-ALL_CHECKS = (is_pyramid_rank, is_pyramid_summand, is_pyramid_kernel, is_pyramid_volume)
+# The runtime kernel-support test and the three oracles.
+ALL_CHECKS = (is_pyramid, *ORACLES.values())
 
 
 def face_of(config, indices):
     return config.face_lattice().face(indices)
+
+
+def checks(config, face):
+    """Every characterization by name; volume is None on the empty face."""
+    found = {name: check(config, face) for name, check in ORACLES.items()}
+    found["kernel_support"] = is_pyramid(config, face)
+    return found
 
 
 class TestIndividualChecks:
@@ -45,9 +50,9 @@ class TestIndividualChecks:
             assert check(PYRAMID, face)
 
     def test_kernel_check_details(self):
-        assert not is_pyramid_kernel(QUADRIC, face_of(QUADRIC, [1]))
-        assert is_pyramid_kernel(PYRAMID, face_of(PYRAMID, [1, 2, 3]))
-        assert is_pyramid_kernel(QUADRIC, face_of(QUADRIC, [1, 2, 3]))
+        assert not is_pyramid(QUADRIC, face_of(QUADRIC, [1]))
+        assert is_pyramid(PYRAMID, face_of(PYRAMID, [1, 2, 3]))
+        assert is_pyramid(QUADRIC, face_of(QUADRIC, [1, 2, 3]))
 
     def test_empty_face_rank_rule(self):
         simplex = Configuration(IntMatrix.identity(2))
@@ -57,49 +62,46 @@ class TestIndividualChecks:
 
 class TestAggregate:
     def test_verdicts(self):
-        v = is_pyramid(PYRAMID, face_of(PYRAMID, [1, 2, 3]))
-        assert v.is_pyramid and v.agreement
-        assert v.checks == {
+        assert checks(PYRAMID, face_of(PYRAMID, [1, 2, 3])) == {
             "rank": True,
             "summand": True,
             "kernel_support": True,
             "volume": True,
         }
-        assert not is_pyramid(QUADRIC, face_of(QUADRIC, [1])).is_pyramid
+        assert not is_pyramid(QUADRIC, face_of(QUADRIC, [1]))
 
     def test_empty_face_skips_volume(self):
-        v = is_pyramid(QUADRIC, face_of(QUADRIC, []))
-        assert v.checks["volume"] is None
-        assert not v.is_pyramid
+        found = checks(QUADRIC, face_of(QUADRIC, []))
+        assert found["volume"] is None
+        assert not is_pyramid(QUADRIC, face_of(QUADRIC, []))
 
     def test_simplex_is_pyramid_over_empty_face(self):
         simplex = Configuration(IntMatrix.identity(3))
-        assert is_pyramid(simplex, face_of(simplex, [])).is_pyramid
+        assert is_pyramid(simplex, face_of(simplex, []))
 
     def test_duplicate_columns_count_once(self):
         # (1, 0, 1): the duplicated generator still makes a pyramid over the
         # zero column, because the column *set* is {1, 0}.
         config = Configuration(IntMatrix([[1, 0, 1]]))
         face = face_of(config, [2])
-        v = is_pyramid(config, face)
-        assert v.is_pyramid and v.agreement
+        assert set(checks(config, face).values()) == {True}
         doubled = Configuration(IntMatrix([[1, 1]]))
-        assert is_pyramid(doubled, face_of(doubled, [])).is_pyramid
+        assert is_pyramid(doubled, face_of(doubled, []))
 
     def test_agreement_sweep(self):
         rng = random.Random(61)
         for _ in range(200):
             config = random_configuration(rng, dmax=4, nmax=7)
             for face in enumerate_faces(config, "dd"):
-                verdict = is_pyramid(config, face)
-                assert verdict.agreement
+                values = set(checks(config, face).values()) - {None}
+                assert len(values) == 1
 
     def test_invariance_under_relabeling_and_unimodular_maps(self):
         rng = random.Random(67)
         for _ in range(25):
             config = random_configuration(rng, dmax=3, nmax=5)
             for face in enumerate_faces(config, "dd"):
-                expected = is_pyramid(config, face).is_pyramid
+                expected = is_pyramid(config, face)
                 perm = list(range(config.n))
                 rng.shuffle(perm)
                 permuted = Configuration(
@@ -111,9 +113,7 @@ class TestAggregate:
                     sorted(perm.index(j - 1) + 1 for j in face.indices)
                 )
                 assert (
-                    is_pyramid(
-                        permuted, permuted.face_lattice().face(relabeled)
-                    ).is_pyramid
+                    is_pyramid(permuted, permuted.face_lattice().face(relabeled))
                     == expected
                 )
                 U = random_unimodular(rng, config.d)
@@ -121,7 +121,7 @@ class TestAggregate:
                 assert (
                     is_pyramid(
                         transformed, transformed.face_lattice().face(face.indices)
-                    ).is_pyramid
+                    )
                     == expected
                 )
 
@@ -164,7 +164,7 @@ class TestSplitBeta:
                 for _ in range(config.d)
             ]
             for face in enumerate_faces(config, "dd"):
-                if not is_pyramid(config, face).is_pyramid:
+                if not is_pyramid(config, face):
                     continue
                 split = split_beta(config, face, beta)
                 rebuilt = list(split.beta_face)

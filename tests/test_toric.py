@@ -150,7 +150,7 @@ class TestToricIdeal:
             config = random_configuration(rng, dmax=3, nmax=5)
             gens = None
             for face in enumerate_faces(config, "dd"):
-                if not is_pyramid(config, face).is_pyramid:
+                if not is_pyramid(config, face):
                     continue
                 outside = [j for j in range(1, config.n + 1) if j not in face.indices]
                 vectors = [config.column(j) for j in outside]

@@ -200,7 +200,7 @@ class TestFaceVolume:
             for face in enumerate_faces(config, "dd"):
                 if not face.indices:
                     continue
-                if is_pyramid(config, face).is_pyramid:
+                if is_pyramid(config, face):
                     assert face_volume(config, face) == vol
                 else:
                     assert face_volume(config, face) < vol
