@@ -186,8 +186,12 @@ class Configuration:
     @property
     @per_configuration
     def pointed(self) -> bool:
-        """True iff the empty set is a face (a functional is positive on all columns)."""
-        return is_face(self, ()) is not None
+        """True iff the empty set is a face (a functional is positive on all columns).
+
+        That holds exactly when the minimal face, the lineality space, holds
+        no column.
+        """
+        return not self.lineality_columns
 
     @property
     @per_configuration
@@ -509,13 +513,16 @@ def _solve_gauss_rat(B: IntMatrix, beta: Parameter) -> Optional[Parameter]:
 # it is ever cached.  Each entry holds a whole face lattice, so the cache
 # stays small.
 @lru_cache(maxsize=16)
-def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, Optional[IntMatrix]]:
-    """(config, B) with A_raw = B * config.A; B is None when A_raw is valid as is."""
+def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]:
+    """(config, B, reduced) with A_raw = B * config.A.
+
+    When A_raw is valid as is, B is the identity and reduced is False.
+    """
     try:
-        return Configuration(A_raw), None
+        return Configuration(A_raw), IntMatrix.identity(A_raw.rows), False
     except (RankDeficient, LatticeNotSaturated):
         pass
-    return _hermite_reduce(A_raw)
+    return (*_hermite_reduce(A_raw), True)
 
 
 def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
@@ -549,9 +556,9 @@ def reduce_configuration(
     equal matrices return the same config instance.
     """
     beta = as_parameter(beta_raw, A_raw.rows)
-    config, B = _normalize_matrix(A_raw)
-    if B is None:
-        return config, beta, IntMatrix.identity(A_raw.rows)
+    config, B, reduced = _normalize_matrix(A_raw)
+    if not reduced:
+        return config, beta, B
     beta_reduced = _solve_gauss_rat(B, beta)
     if beta_reduced is None:
         raise BetaOutsideSpan(

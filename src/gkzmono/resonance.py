@@ -91,19 +91,22 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
 
 
 def _scaled(beta: Parameter) -> tuple[int, IntVec, IntVec]:
-    """(L, L*Re(beta), L*Im(beta)), L the lcm of every entry's denominator."""
+    """(L, L*Re(beta), L*Im(beta)), L the lcm of every entry's denominator.
+
+    L*Im(beta) is the empty tuple when beta is real.
+    """
     scale = lcm(*(q.denominator for b in beta for q in (b.re, b.im)))
-    return (
-        scale,
-        tuple(b.re.numerator * (scale // b.re.denominator) for b in beta),
-        tuple(b.im.numerator * (scale // b.im.denominator) for b in beta),
-    )
+    re = tuple(b.re.numerator * (scale // b.re.denominator) for b in beta)
+    if not any(b.im for b in beta):
+        return scale, re, ()
+    return scale, re, tuple(b.im.numerator * (scale // b.im.denominator) for b in beta)
 
 
 def _passes(functionals: tuple[IntVec, ...], scale: int, re: IntVec, im: IntVec) -> bool:
     """The congruences of one face, on a parameter scaled by _scaled."""
     for w in functionals:
-        if sum(map(mul, w, im)) or sum(map(mul, w, re)) % scale:
+        # An empty im (real beta) skips the imaginary products.
+        if im and sum(map(mul, w, im)) or sum(map(mul, w, re)) % scale:
             return False
     return True
 

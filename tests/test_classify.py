@@ -283,6 +283,12 @@ class TestSharedConfiguration:
             assert again is config
             assert (beta_again, B_again) == (beta, B)
 
+    def test_identity_basis_is_built_once_per_matrix(self):
+        _, _, first = reduce_configuration(IntMatrix(QUADRIC.data), ["1/2", "1"])
+        _, _, second = reduce_configuration(IntMatrix(QUADRIC.data), ["1/3", "1"])
+        assert first == IntMatrix.identity(2)
+        assert first is second
+
     def test_results_do_not_depend_on_call_order(self):
         rng = random.Random(59)
         # More distinct matrices than the normalization cache holds, so some
@@ -391,8 +397,8 @@ class TestCacheStructure:
         matrix, beta, _ = GOLDEN_CASES[name]
         A = IntMatrix(json.loads(matrix))
         classify(A, _parse_beta_literal(beta))
-        normalized = cones._normalize_matrix(A)[1] is None
-        assert callers == ([] if normalized else ["_solve_gauss_rat"] * 2)
+        reduced = cones._normalize_matrix(A)[2]
+        assert callers == (["_solve_gauss_rat"] * 2 if reduced else [])
 
     @pytest.mark.parametrize(
         "A", [QUADRIC, PYRAMID, INDEX_FOUR], ids=["quadric", "pyramid", "index_four"]
