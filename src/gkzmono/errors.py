@@ -57,7 +57,7 @@ class ScaleLimit(GkzError):
 
 
 class InternalInconsistency(GkzError):
-    """Checks that are provably equivalent disagreed (CLI exit code 3)."""
+    """A result the theory rules out was computed (CLI exit code 3)."""
 
 
 class ShiftInvarianceViolation(InternalInconsistency):

@@ -4,10 +4,9 @@ A configuration is a pyramid over the face F when, identifying the
 configuration with its set of distinct columns, d equals the number of
 distinct columns outside F plus the rank of the lattice generated by F's
 columns: every column outside F sticks out in its own independent
-direction.  Duplicate columns
-count once (they always lie on the same faces, and the theory behind the
-classification sees the column set, not the index multiset: doubling a
-column leaves the solution structure alone).
+direction.  Duplicate columns count once (they always lie on the same
+faces, and the theory behind the classification sees the column set, not
+the index multiset: doubling a column leaves the solution structure alone).
 
 The test reads the toric relations among the distinct columns: A is a
 pyramid over F exactly when no relation involves a column outside F.

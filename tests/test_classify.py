@@ -396,8 +396,8 @@ class TestCacheStructure:
                 monkeypatch.setattr(module, "solve_rational", spy)
         matrix, beta, _ = GOLDEN_CASES[name]
         A = IntMatrix(json.loads(matrix))
-        classify(A, _parse_beta_literal(beta))
-        reduced = cones._normalize_matrix(A)[2]
+        result = classify(A, _parse_beta_literal(beta))
+        reduced = result.configuration.A != A
         assert callers == (["_solve_gauss_rat"] * 2 if reduced else [])
 
     @pytest.mark.parametrize(
