@@ -59,6 +59,9 @@ def per_configuration(fn):
 
     Only for immutable results that depend on A alone, never on beta or on a
     step budget: equal matrices share one configuration (_normalize_matrix).
+    The memo also holds the saturated toric ideal with the Buchberger steps
+    it took (toric.toric_ideal_generators), which replays every budget
+    exactly: a later call raises when those steps exceed its max_steps.
     """
 
     @wraps(fn)
@@ -144,8 +147,8 @@ class Configuration:
     all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
     raised (use :func:`reduce_configuration` to normalize arbitrary input).
     Results that depend on A alone (face lattice, perp bases, volumes, the
-    columns in toric relations) are computed once per instance and kept in
-    its memo.
+    columns in toric relations, the kernel basis and the saturated toric
+    ideal) are computed once per instance and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):

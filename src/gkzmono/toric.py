@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import Configuration, as_parameter
+from .cones import Configuration, as_parameter, per_configuration
 from .errors import InternalInconsistency, ScaleLimit
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -134,9 +134,15 @@ def binomial_from_kernel_vector(u: Sequence[int]) -> Binomial:
     return _display_binomial((plus, minus))
 
 
+@per_configuration
+def _kernel_basis(config: Configuration) -> tuple[IntVec, ...]:
+    """The canonical kernel lattice basis of A, the input of every saturation."""
+    return kernel_lattice_basis(config.A)
+
+
 def lattice_binomials(config: Configuration) -> list[Binomial]:
     """The binomials of a kernel lattice basis (not saturated in general)."""
-    result = [binomial_from_kernel_vector(u) for u in kernel_lattice_basis(config.A)]
+    result = [binomial_from_kernel_vector(u) for u in _kernel_basis(config)]
     result = list(_canonical_sort(result))
     _assert_homogeneous(config, result)
     return result
@@ -152,14 +158,29 @@ def toric_ideal_generators(
     (for a block order with t on top) generates the toric ideal.  The
     result is interreduced and canonically sorted.  Raises ScaleLimit when
     the computation exceeds max_steps.
+
+    The run is a deterministic function of A, so it succeeds exactly when
+    max_steps covers the steps it spends.  The first successful run is kept
+    in the configuration's memo with that step count, and later calls
+    replay its outcome for their own budget without running Buchberger.
     """
-    kernel = kernel_lattice_basis(config.A)
-    if not kernel:
+    if not _kernel_basis(config):
         return []
+    key = (_saturate,)
+    if key not in config._memo:
+        config._memo[key] = _saturate(config, max_steps)
+    generators, steps = config._memo[key]
+    if steps > max_steps:
+        raise ScaleLimit("Groebner step budget exceeded")
+    return list(generators)
+
+
+def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ...], int]:
+    """(generators, steps spent) of one saturation run under max_steps."""
     n = config.n
     budget = StepBudget(max_steps)
     generators: list[BinPair] = []
-    for u in kernel:
+    for u in _kernel_basis(config):
         plus = tuple(max(x, 0) for x in u) + (0,)
         minus = tuple(-min(x, 0) for x in u) + (0,)
         generators.append((plus, minus))
@@ -169,9 +190,9 @@ def toric_ideal_generators(
     for lead, tail in basis:
         if lead[-1] == 0 and tail[-1] == 0:
             result.append(_display_binomial((lead[:-1], tail[:-1])))
-    result = list(_canonical_sort(result))
+    result = _canonical_sort(result)
     _assert_homogeneous(config, result)
-    return result
+    return result, max_steps - budget.remaining
 
 
 def in_ideal(binomials: Sequence[Binomial], candidate: Binomial, nvars: int) -> bool:

@@ -172,6 +172,18 @@ class TestExitCodes:
         )
         assert code == 2 and "scale limit" in err
 
+    def test_saturation_memo_does_not_outlive_a_smaller_budget(self, capture):
+        # Equal matrices share one Configuration, and with it the saturated
+        # ideal; a later call with a smaller budget must still run out.
+        matrix = "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,1,2,3,0,1,2,3,0,1,2,0],[0,0,0,0,1,1,1,1,2,2,2,3]]"
+        assert capture(["toric-ideal", "-A", matrix])[0] == 0
+        for argv in (
+            ["toric-ideal", "-A", matrix],
+            ["export", "-A", matrix, "--beta=1/2,1/3,0", "--format", "json"],
+        ):
+            code, out, err = capture(argv + ["--max-steps", "100"])
+            assert (code, out) == (2, "") and err.startswith("scale limit: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

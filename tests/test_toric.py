@@ -18,8 +18,9 @@ from gkzmono import (
     lattice_binomials,
     toric_ideal_generators,
 )
+from gkzmono.groebner import DEFAULT_STEP_BUDGET, StepBudget, buchberger, elimination_key
 from gkzmono.toric import binomial_from_kernel_vector
-from groebner_reference import reference_toric_ideal
+from groebner_reference import reference_toric_ideal, saturation_generators
 from sweeps import random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -38,6 +39,39 @@ def torus_substitution_vanishes(config, binomial):
     vanishes iff the Laurent exponents coincide.
     """
     return config.A.mat_vec(binomial.plus) == config.A.mat_vec(binomial.minus)
+
+
+def budget_outcome(config, max_steps):
+    """The generators under max_steps, or None when the budget runs out."""
+    try:
+        return toric_ideal_generators(config, max_steps)
+    except ScaleLimit:
+        return None
+
+
+def steps_needed(A):
+    """The least budget under which a cold saturation of A succeeds.
+
+    Doubling, then bisection, each probe on a fresh Configuration so that no
+    memo is read: a fresh run fails at 0 steps, since the kernel is nonzero.
+    """
+    fails, succeeds = 0, 1
+    while budget_outcome(Configuration(A), succeeds) is None:
+        fails, succeeds = succeeds, 2 * succeeds
+    while succeeds - fails > 1:
+        mid = (fails + succeeds) // 2
+        if budget_outcome(Configuration(A), mid) is None:
+            fails = mid
+        else:
+            succeeds = mid
+    return succeeds
+
+
+def engine_steps(config):
+    """The steps the Buchberger engine spends on the saturation input of config."""
+    budget = StepBudget(DEFAULT_STEP_BUDGET)
+    buchberger(saturation_generators(config), elimination_key, budget)
+    return DEFAULT_STEP_BUDGET - budget.remaining
 
 
 def bounded_kernel_binomials(config, degree_bound):
@@ -173,8 +207,36 @@ class TestToricIdeal:
         assert sorted((b.plus, b.minus) for b in gens) == reference_toric_ideal(config)
 
     def test_scale_limit(self):
+        # Saturate first, so the raise comes from the replayed step count
+        # whatever ran before.
+        toric_ideal_generators(CUBIC)
         with pytest.raises(ScaleLimit):
             toric_ideal_generators(CUBIC, max_steps=2)
+
+    def test_failed_run_stores_nothing(self):
+        config = Configuration(CUBIC.A)
+        with pytest.raises(ScaleLimit):
+            toric_ideal_generators(config, max_steps=2)
+        assert toric_ideal_generators(config) == toric_ideal_generators(Configuration(CUBIC.A))
+
+    def test_budget_replay_matches_a_cold_run(self):
+        rng = random.Random(113)
+        matrices = [IntMatrix(TWELVE_COLUMNS)]
+        while len(matrices) < 31:
+            config = random_configuration(rng, dmax=3, nmax=5)
+            if lattice_binomials(config):
+                matrices.append(config.A)
+        for A in matrices:
+            shared = Configuration(A)
+            full = toric_ideal_generators(shared)
+            s = steps_needed(A)
+            # A cold call succeeds exactly when the engine's run fits.
+            assert s == engine_steps(shared)
+            for k in (1, 2, 100, s - 1, s):
+                cold = budget_outcome(Configuration(A), k)
+                assert budget_outcome(shared, k) == cold
+                assert (cold is None) == (k < s)
+            assert cold == full
 
     def test_deterministic(self):
         assert toric_ideal_generators(CUBIC) == toric_ideal_generators(CUBIC)
@@ -194,6 +256,12 @@ class TestHypergeometricSystem:
         assert [(b.plus, b.minus) for b in system.binomials] == [
             (b.plus, b.minus) for b in lattice_binomials(CUBIC)
         ]
+
+    def test_fallback_below_budget_after_a_saturation(self):
+        assert hypergeometric_system(CUBIC, ["0", "0"]).saturated
+        system = hypergeometric_system(CUBIC, ["0", "0"], max_steps=2)
+        assert not system.saturated
+        assert system.binomials == tuple(lattice_binomials(CUBIC))
 
 
 class TestBinomialType:
