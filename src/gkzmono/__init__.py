@@ -53,7 +53,6 @@ from .intlinalg import (
     lattice_member,
     parse_rational,
     smith_normal_form,
-    solve_rational,
 )
 from .pyramids import BetaSplit, is_pyramid, split_beta
 from .resonance import (

@@ -25,6 +25,7 @@ from .errors import (
     BetaOutsideSpan,
     DimensionMismatch,
     FaceNotInLattice,
+    InputError,
     InternalInconsistency,
     LatticeNotSaturated,
     RankDeficient,
@@ -39,7 +40,6 @@ from .intlinalg import (
     kernel_lattice_basis,
     primitive_vector,
     rank_int,
-    solve_rational,
 )
 
 Parameter = tuple[GaussRat, ...]
@@ -453,7 +453,7 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
         faces = [face for face in found if face is not None]
         return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
     if method != "dd":
-        raise ValueError(f"unknown face enumeration method {method!r}")
+        raise InputError(f"unknown face enumeration method {method!r}")
 
     facets = _facets(config)
     all_columns = frozenset(range(1, config.n + 1))
@@ -501,10 +501,13 @@ def subfaces(lattice: FaceLattice, face: Face) -> list[Face]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_gauss_rat(B: IntMatrix, beta: Parameter) -> Optional[Parameter]:
-    """Solve B*y = beta over the Gaussian rationals (componentwise solves)."""
-    real = solve_rational(B, [b.re for b in beta])
-    imag = solve_rational(B, [b.im for b in beta])
+def _gauss_rat_coordinates(rows: Sequence[IntVec], beta: Parameter) -> Optional[Parameter]:
+    """Coordinates of beta on the nonzero rows of a row Hermite form, or None.
+
+    The real and imaginary parts are solved separately.
+    """
+    real = hermite_coordinates(rows, [b.re for b in beta])
+    imag = hermite_coordinates(rows, [b.im for b in beta])
     if real is None or imag is None:
         return None
     return tuple(GaussRat(r, i) for r, i in zip(real, imag))
@@ -540,7 +543,7 @@ def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
     reduced_cols = []
     for col in A_raw.columns():
         x = hermite_coordinates(basis_rows, col)
-        if x is None:
+        if x is None or any(q.denominator != 1 for q in x):
             raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
         reduced_cols.append(x)
     return Configuration(IntMatrix.from_columns(reduced_cols, len(basis_rows))), B
@@ -562,7 +565,7 @@ def reduce_configuration(
     config, B, reduced = _normalize_matrix(A_raw)
     if not reduced:
         return config, beta, B
-    beta_reduced = _solve_gauss_rat(B, beta)
+    beta_reduced = _gauss_rat_coordinates(B.columns(), beta)
     if beta_reduced is None:
         raise BetaOutsideSpan(
             "beta is not in the column span of the configuration"

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, InputError
 
 IntVec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -442,55 +441,22 @@ def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     return H.data
 
 
-def solve_rational(A: IntMatrix, b: Sequence) -> Optional[RatVec]:
-    """One exact solution of A*x = b over Q (free variables set to 0).
+def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[tuple]:
+    """The unique x over Q with v = sum x_i rows[i], or None when v is outside their span.
 
-    Returns None when the system is inconsistent.
-    """
-    if len(b) != A.rows:
-        raise DimensionMismatch("right-hand side length does not match rows")
-    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A.data, b)]
-    nrows, ncols = A.rows, A.cols
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols]
-    return tuple(x)
-
-
-def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[IntVec]:
-    """Integers x with v = sum x_i rows[i], or None when v is not in their lattice.
-
-    rows are the nonzero rows of a row Hermite form, so each leading entry
-    lies right of the one before: forward substitution on the leading
-    entries, in integer division.  A remainder stays in the residue, since
-    later rows vanish at that entry, so v = sum x_i rows[i] exactly when the
-    residue ends at zero.
+    rows are the nonzero rows of a row Hermite form: independent, and each
+    leading entry lies right of the one before.  Forward substitution on the
+    leading entries clears one entry of the residue per row, since later
+    rows vanish there, so v is in the span exactly when the residue ends at
+    zero.  An exact quotient stays an int; v lies in the lattice of the rows
+    exactly when every coordinate is integral.
     """
     residue = list(v)
     coords = []
     for row in rows:
         pivot = next(k for k, x in enumerate(row) if x)
-        q = residue[pivot] // row[pivot]
+        r, p = residue[pivot], row[pivot]
+        q = r // p if r % p == 0 else Fraction(r, p)
         coords.append(q)
         if q:
             residue = [x - q * y for x, y in zip(residue, row)]
@@ -499,17 +465,14 @@ def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Opti
 
 def lattice_member(L: Sequence[Sequence[int]], v: Sequence) -> bool:
     """Decide whether v is an integer combination of the vectors in L."""
-    fv = [Fraction(x) for x in v]
     for vec in L:
-        if len(vec) != len(fv):
+        if len(vec) != len(v):
             raise DimensionMismatch("lattice vectors and target differ in length")
-    if any(q.denominator != 1 for q in fv):
-        return False
-    residue = [int(q) for q in fv]
     if not L:
-        return all(x == 0 for x in residue)
-    H, _ = hermite_normal_form(IntMatrix(L, cols=len(fv)))
-    return hermite_coordinates([row for row in H.data if any(row)], residue) is not None
+        return not any(v)
+    H, _ = hermite_normal_form(IntMatrix(L, cols=len(v)))
+    x = hermite_coordinates([row for row in H.data if any(row)], v)
+    return x is not None and all(q.denominator == 1 for q in x)
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:

@@ -15,12 +15,13 @@ pyramid over F exactly when no relation involves a column outside F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _solve_gauss_rat
+from .cones import _gauss_rat_coordinates
 from .errors import InternalInconsistency, NotAPyramid
-from .intlinalg import GaussRat, IntMatrix, IntVec, kernel_lattice_basis
+from .intlinalg import GaussRat, IntMatrix, IntVec, hermite_normal_form, kernel_lattice_basis
 
 
 @per_configuration
@@ -73,10 +74,14 @@ def split_beta(config: Configuration, face: Face, beta) -> BetaSplit:
         raise NotAPyramid(
             f"configuration is not a pyramid over {list(face.indices)}"
         )
+    # With U*D^T = H, beta = sum y_i H_i gives D*x = beta for x = sum y_i U_i.
     distinct = _distinct_columns(config)
-    D = IntMatrix.from_columns(distinct, config.d)
-    solution = _solve_gauss_rat(D, beta)
-    assert solution is not None
+    H, U = hermite_normal_form(IntMatrix(distinct, cols=config.d))
+    rank = sum(map(any, H.data))
+    y = _gauss_rat_coordinates(H.data[:rank], beta)
+    if y is None:
+        raise InternalInconsistency("beta is not in the span of the columns")
+    solution = [sum(map(mul, y, column), GaussRat()) for column in zip(*U.data[:rank])]
     by_vector = dict(zip(distinct, solution))
     coeffs: dict[int, GaussRat] = {}
     claimed: set[IntVec] = set()

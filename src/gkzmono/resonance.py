@@ -84,7 +84,7 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
     return _ResonanceTable(
         faces,
         functionals,
-        tuple(face_congruences(config, f) for f in faces),
+        tuple(tuple(map(_congruence_text, w)) for w in functionals),
         below,
         tuple(cover_counts),
     )
@@ -184,13 +184,8 @@ def is_resonant(config: Configuration, beta) -> bool:
     return not resonance_centers(config, beta).is_nonresonant
 
 
-@per_configuration
-def face_congruences(config: Configuration, face: Face) -> tuple[str, ...]:
-    """The congruences "w . beta in Z" that cut out Z^d + C*span(face)."""
-    return tuple(_congruence_text(w) for w in face_functionals(config, face))
-
-
 def _congruence_text(w: IntVec) -> str:
+    """The congruence "w . beta in Z" as text."""
     terms = []
     for k, c in enumerate(w, start=1):
         if c == 0:
@@ -239,19 +234,16 @@ class ArrangementDescription:
 
 def describe_resonant_arrangement(config: Configuration) -> ArrangementDescription:
     """One component per proper face, with its congruence conditions."""
-    lattice = config.face_lattice()
-    full = lattice.full_face
+    table = _resonance_table(config)
     components = []
-    for face in lattice:
-        if face == full:
-            continue
+    # The full face comes last in lattice order.
+    rows = zip(table.faces[:-1], table.functionals, table.congruences)
+    for face, functionals, congruences in rows:
         if face.indices:
             span_rows = [config.column(j) for j in face.indices]
             H, _ = hermite_normal_form(IntMatrix(span_rows, cols=config.d))
             span_basis = tuple(row for row in H.data if any(row))
         else:
             span_basis = ()
-        functionals = face_functionals(config, face)
-        congruences = face_congruences(config, face)
         components.append(ArrangementComponent(face, span_basis, functionals, congruences))
     return ArrangementDescription(tuple(components))

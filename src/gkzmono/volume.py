@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cones import Configuration, Face, _hermite_reduce, per_configuration
-from .errors import DegenerateConfiguration, EmptyFace
+from .errors import DegenerateConfiguration, EmptyFace, InternalInconsistency
 from .intlinalg import IntMatrix, IntVec, det_int, rank_int
 
 Simplex = tuple[int, ...]
@@ -101,7 +101,8 @@ def _volume_of_matrix(A: IntMatrix) -> VolumeResult:
     total = 0
     for simplex in simplices:
         contribution = abs(_edge_det([points[v] for v in simplex]))
-        assert contribution > 0
+        if not contribution:
+            raise InternalInconsistency("placing triangulation has a flat simplex")
         certificate.append((simplex, contribution))
         total += contribution
     return VolumeResult(total, tuple(certificate))

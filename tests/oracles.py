@@ -18,6 +18,9 @@ systems" (arXiv:1009.3569): split off apexes one at a time, then the
 apex-free core is irreducible iff beta is not resonant.  It never looks at
 resonance centers, their uniqueness or volumes, so it checks classify from
 the outside.
+
+solve_rational is the Gauss-Jordan reference for the runtime's one exact
+solver, forward substitution on Hermite rows (intlinalg.hermite_coordinates).
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from fractions import Fraction
 from gkzmono import (
     IRREDUCIBLE,
     REDUCIBLE,
+    DimensionMismatch,
     GaussRat,
     IntMatrix,
     face_functionals,
@@ -142,3 +146,39 @@ def verdict_by_apex_stripping(A, beta):
     if any(fraction_in_resonant_span(config, f, beta) for f in proper):
         return REDUCIBLE
     return IRREDUCIBLE
+
+
+def solve_rational(A, b):
+    """One exact solution of A*x = b over Q (free variables set to 0).
+
+    Gauss-Jordan elimination in Fraction arithmetic.  Returns None when the
+    system is inconsistent.
+    """
+    if len(b) != A.rows:
+        raise DimensionMismatch("right-hand side length does not match rows")
+    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A.data, b)]
+    nrows, ncols = A.rows, A.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, col in pivots:
+        x[col] = aug[row][ncols]
+    return tuple(x)

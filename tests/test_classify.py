@@ -383,22 +383,36 @@ class TestCacheStructure:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_classify_solves_over_q_only_for_beta(self, monkeypatch, name):
         # Face volumes and normalization take integer Hermite coordinates;
-        # only the parameter of an un-normalized input is solved over Q.
-        callers = []
-        original = intlinalg.solve_rational
+        # only the parameter of an un-normalized input is solved over Q, and
+        # the Gauss-Jordan reference is bound nowhere in the package.
+        assert not any(hasattr(m, "solve_rational") for m in package_modules())
+        beta_solves, integer_solves = [], []
+        original_beta = cones._gauss_rat_coordinates
+        original = intlinalg.hermite_coordinates
+
+        def beta_spy(*args):
+            beta_solves.append(sys._getframe(1).f_code.co_name)
+            return original_beta(*args)
 
         def spy(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return original(*args)
+            x = original(*args)
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "_gauss_rat_coordinates":
+                integer_solves.append(x is not None and all(q.denominator == 1 for q in x))
+            return x
 
         for module in package_modules():
-            if getattr(module, "solve_rational", None) is original:
-                monkeypatch.setattr(module, "solve_rational", spy)
+            if getattr(module, "_gauss_rat_coordinates", None) is original_beta:
+                monkeypatch.setattr(module, "_gauss_rat_coordinates", beta_spy)
+            if getattr(module, "hermite_coordinates", None) is original:
+                monkeypatch.setattr(module, "hermite_coordinates", spy)
         matrix, beta, _ = GOLDEN_CASES[name]
         A = IntMatrix(json.loads(matrix))
+        cones._normalize_matrix.cache_clear()
         result = classify(A, _parse_beta_literal(beta))
         reduced = result.configuration.A != A
-        assert callers == (["_solve_gauss_rat"] * 2 if reduced else [])
+        assert beta_solves == (["reduce_configuration"] if reduced else [])
+        assert all(integer_solves)
 
     @pytest.mark.parametrize(
         "A", [QUADRIC, PYRAMID, INDEX_FOUR], ids=["quadric", "pyramid", "index_four"]

@@ -9,6 +9,7 @@ from gkzmono import (
     Face,
     FaceNotInLattice,
     GaussRat,
+    InputError,
     IntMatrix,
     InternalInconsistency,
     LatticeNotSaturated,
@@ -18,9 +19,9 @@ from gkzmono import (
     hermite_normal_form,
     is_face,
     reduce_configuration,
-    solve_rational,
     subfaces,
 )
+from oracles import solve_rational
 from sweeps import random_configuration, random_unimodular
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
@@ -205,6 +206,10 @@ class TestEnumerate:
     def test_quadric(self, method):
         lattice = enumerate_faces(Configuration(QUADRIC), method)
         assert [f.indices for f in lattice] == [(), (1,), (3,), (1, 2, 3)]
+
+    def test_unknown_method_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown face enumeration method"):
+            enumerate_faces(Configuration(QUADRIC), "simplex")
 
     def test_simplicial_all_subsets(self):
         c = Configuration(IntMatrix.identity(3))

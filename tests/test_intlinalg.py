@@ -16,9 +16,9 @@ from gkzmono import (
     lattice_member,
     parse_rational,
     smith_normal_form,
-    solve_rational,
 )
 from gkzmono.intlinalg import det_int, hermite_coordinates, rank_int
+from oracles import solve_rational
 from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -311,6 +311,8 @@ class TestLatticeMember:
         assert not lattice_member([(2, 4, 0)], (1, 2, 0))
 
     def test_hermite_coordinates_match_the_rational_solve(self):
+        # The rows are independent, so the Gauss-Jordan solution is the
+        # unique one: equal coordinates inside the span, None outside it.
         rng = random.Random(7)
         kinds = {"member": 0, "fractional": 0, "outside": 0}
         for _ in range(80):
@@ -324,17 +326,21 @@ class TestLatticeMember:
             coeffs = [rng.randint(-5, 5) for _ in rows]
             planted = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(n))
             assert hermite_coordinates(rows, planted) == tuple(coeffs)
-            for v in (tuple(rng.randint(-6, 6) for _ in range(n)), planted):
+            third = tuple(Fraction(x, 3) for x in planted)
+            assert hermite_coordinates(rows, third) == tuple(Fraction(c, 3) for c in coeffs)
+            for v in (tuple(rng.randint(-6, 6) for _ in range(n)), planted, third):
                 x = solve_rational(IntMatrix(rows).transpose(), v)
+                coords = hermite_coordinates(rows, v)
                 if x is None:
                     kinds["outside"] += 1
-                    assert hermite_coordinates(rows, v) is None
-                elif any(q.denominator != 1 for q in x):
-                    kinds["fractional"] += 1
-                    assert hermite_coordinates(rows, v) is None
-                else:
-                    kinds["member"] += 1
-                    assert hermite_coordinates(rows, v) == tuple(int(q) for q in x)
+                    assert coords is None
+                    continue
+                assert coords == x
+                member = all(q.denominator == 1 for q in coords)
+                kinds["member" if member else "fractional"] += 1
+                assert lattice_member(rows, v) == member
+                if v == planted:
+                    assert member
         assert min(kinds.values()) >= 5, kinds
 
 

@@ -7,12 +7,14 @@ from gkzmono import (
     Configuration,
     GaussRat,
     IntMatrix,
+    InternalInconsistency,
     NotAPyramid,
     enumerate_faces,
     is_pyramid,
+    pyramids,
     split_beta,
 )
-from oracles import ORACLES, is_pyramid_rank
+from oracles import ORACLES, is_pyramid_rank, solve_rational
 from sweeps import random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -174,8 +176,6 @@ class TestSplitBeta:
                     ]
                 assert tuple(rebuilt) == tuple(beta)
                 # the face component lies in the span of the face columns
-                from gkzmono import solve_rational
-
                 if face.indices:
                     F = config.submatrix(face.indices)
                     assert solve_rational(F, [b.re for b in split.beta_face]) is not None
@@ -183,6 +183,12 @@ class TestSplitBeta:
                 else:
                     assert all(not b for b in split.beta_face)
                 done += 1
+
+    def test_unsolvable_split_is_an_internal_inconsistency(self, monkeypatch):
+        # The columns span Q^d, so beta always has coordinates on them.
+        monkeypatch.setattr(pyramids, "_gauss_rat_coordinates", lambda rows, beta: None)
+        with pytest.raises(InternalInconsistency, match="not in the span"):
+            split_beta(PYRAMID, face_of(PYRAMID, [1, 2, 3]), ["1/2", "1", "1/3"])
 
     def test_duplicate_column_coefficient_on_first_copy(self):
         config = Configuration(IntMatrix([[1, 0, 1]]))

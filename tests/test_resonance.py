@@ -17,9 +17,8 @@ from gkzmono import (
     is_resonant,
     resonance,
     resonance_centers,
-    solve_rational,
 )
-from oracles import fraction_in_resonant_span
+from oracles import fraction_in_resonant_span, solve_rational
 from sweeps import random_beta, random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))

@@ -6,6 +6,8 @@ import pytest
 from gkzmono import (
     Configuration,
     EmptyFace,
+    InternalInconsistency,
+    cli,
     cones,
     enumerate_faces,
     IntMatrix,
@@ -138,6 +140,15 @@ class TestNormalizedVolume:
                 assert det == contribution > 0
                 total += contribution
             assert total == result.volume
+
+    def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
+        # Every simplex of a placing triangulation is full-dimensional; a
+        # zero determinant is a bug, reported as exit 3 on the CLI.
+        monkeypatch.setattr(volume, "_edge_det", lambda points: 0)
+        with pytest.raises(InternalInconsistency, match="flat simplex"):
+            normalized_volume(Configuration(IntMatrix([[1, 1, 1], [0, 3, 7]])))
+        cones._normalize_matrix.cache_clear()
+        assert cli.run(["volume", "-A", "[[1,1,1],[0,3,7]]"]) == 3
 
     def test_deterministic(self):
         a = normalized_volume(Configuration(IntMatrix([[1, 1, 1], [0, 2, 5]])))
