@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
-from gkzmono import IntMatrix, RankDeficient, reduce_configuration
+from gkzmono import (
+    Configuration,
+    IntMatrix,
+    LatticeNotSaturated,
+    RankDeficient,
+    reduce_configuration,
+)
 
 
 def random_configuration(rng, dmax=4, nmax=7, lo=-3, hi=3):
@@ -46,3 +52,15 @@ def random_unimodular(rng, d, ops=6):
         c = rng.randint(-2, 2)
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
     return IntMatrix(rows)
+
+
+def random_homogeneous_configuration(rng, d, n, hi=4):
+    """A pointed configuration of n distinct columns (1, x), x in [0, hi]^(d-1)."""
+    while True:
+        columns = set()
+        while len(columns) < n:
+            columns.add((1,) + tuple(rng.randint(0, hi) for _ in range(d - 1)))
+        try:
+            return Configuration(IntMatrix.from_columns(sorted(columns), d))
+        except LatticeNotSaturated:
+            continue

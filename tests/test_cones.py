@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,7 +23,11 @@ from gkzmono import (
     subfaces,
 )
 from oracles import solve_rational
-from sweeps import random_configuration, random_unimodular
+from sweeps import (
+    random_configuration,
+    random_homogeneous_configuration,
+    random_unimodular,
+)
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 
@@ -280,6 +285,42 @@ class TestEnumerate:
             config = random_configuration(rng, dmax=3, nmax=6)
             for face in enumerate_faces(config, "dd"):
                 assert set(config.lineality_columns) <= set(face.indices)
+
+
+class TestFaceDigest:
+    """sha256 over (indices, witness) of every face, recorded from the Fraction-based enumerators.
+
+    Faces and witnesses are canonical (witnesses are primitive sums of facet
+    normals, or what Fourier-Motzkin finds first), so any rewrite of the face
+    layer must replay both digests exactly.
+    """
+
+    SWEEP = "52c5c45d2671083f85225533df571d2539f869d9210468f376e4d663823edcde"
+    WIDE = "244e74eed875e5337c3775b23f6eee53e88f79c8293d12877ec21875ae016165"
+
+    def test_random_configurations_both_methods(self):
+        # Non-pointed cones come from the signed entries; every fourth
+        # configuration gets an extra zero column at a random position.
+        h = hashlib.sha256()
+        rng = random.Random(1301)
+        for k in range(200):
+            config = random_configuration(rng, dmax=4, nmax=7)
+            if k % 4 == 0:
+                columns = list(config.A.columns())
+                columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
+                config = Configuration(IntMatrix.from_columns(columns, config.d))
+            for method in ("brute", "dd"):
+                for face in enumerate_faces(config, method):
+                    h.update(repr((method, face.indices, face.witness)).encode())
+        assert h.hexdigest() == self.SWEEP
+
+    def test_wide_homogeneous_cones_dd(self):
+        h = hashlib.sha256()
+        rng = random.Random(1303)
+        for d, n in ((5, 12), (5, 14), (6, 14), (6, 16)):
+            for face in enumerate_faces(random_homogeneous_configuration(rng, d, n), "dd"):
+                h.update(repr((face.indices, face.witness)).encode())
+        assert h.hexdigest() == self.WIDE
 
 
 class TestSubfaces:
