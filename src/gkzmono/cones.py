@@ -7,10 +7,12 @@ complement; the whole column set is always a face (functional 0), and the
 empty set is a face exactly when the configuration is pointed.
 
 Feasibility questions ("is there a functional with these signs?") are
-answered by exact Fourier-Motzkin elimination over Q.  Full face
-enumeration either brute-forces all index subsets through that oracle or
-computes the facets with the double description method on the dual cone and
-closes them under intersection.
+answered by exact Fourier-Motzkin elimination on primitive integer rows;
+only the back-substituted point is rational.  Full face enumeration either
+brute-forces all index subsets through that oracle or computes the facets
+with the double description method on the dual cone, whose rays carry the
+bitmasks of the columns they vanish on (adjacency is a test on those
+bitmasks), and closes the facet bitmasks under intersection.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -199,11 +201,8 @@ class Configuration:
     @property
     @per_configuration
     def lineality_columns(self) -> tuple[int, ...]:
-        """Labels of columns lying in the lineality space (the minimal face)."""
-        common = set(range(1, self.n + 1))
-        for facet in _facets(self):
-            common &= set(facet.indices)
-        return tuple(sorted(common))
+        """Labels of columns in the lineality space: the minimal face, first in the lattice."""
+        return self.face_lattice().faces[0].indices
 
     @per_configuration
     def face_lattice(self) -> FaceLattice:
@@ -232,14 +231,10 @@ def as_parameter(values, d: int) -> Parameter:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_inequality(coeffs, rhs) -> Optional[tuple[IntVec, int]]:
-    """Canonical integer form of coeffs . y >= rhs; None for tautologies."""
-    vec = clear_denominators(tuple(coeffs) + (rhs,))
-    vec = primitive_vector(vec)
-    coeffs, rhs = vec[:-1], vec[-1]
-    if all(c == 0 for c in coeffs) and rhs <= 0:
-        return None
-    return coeffs, rhs
+def _primitive_rows(rows: Iterable[IntVec]) -> list[IntVec]:
+    """Distinct primitive rows (coeffs..., rhs) of coeffs . y >= rhs, tautologies dropped."""
+    rows = (primitive_vector(row) for row in rows)
+    return list(dict.fromkeys(row for row in rows if any(row[:-1]) or row[-1] > 0))
 
 
 def fourier_motzkin_point(
@@ -247,49 +242,37 @@ def fourier_motzkin_point(
 ) -> Optional[tuple[Fraction, ...]]:
     """Find y in Q^nvars with coeffs . y >= rhs for every inequality.
 
-    Eliminates variables left to right, then back-substitutes, always
-    picking the tightest lower bound (or the upper bound when unbounded
-    below, or 0 when unconstrained).  Returns None when infeasible.
+    Each row is cleared of denominators once; elimination then runs on
+    primitive integer rows (coeffs..., rhs), variables left to right.
+    Back-substitution always picks the tightest lower bound (or the upper
+    bound when unbounded below, or 0 when unconstrained).  Returns None when
+    infeasible.
     """
-    current: list[tuple[IntVec, int]] = []
-    for coeffs, rhs in inequalities:
-        norm = _normalize_inequality(coeffs, rhs)
-        if norm is not None:
-            current.append(norm)
-    current = list(dict.fromkeys(current))
-    stages: list[list[tuple[IntVec, int]]] = []
+    current = _primitive_rows(
+        clear_denominators(tuple(coeffs) + (rhs,)) for coeffs, rhs in inequalities
+    )
+    stages: list[list[IntVec]] = []
     for k in range(nvars):
         stages.append(current)
-        positive = [q for q in current if q[0][k] > 0]
-        negative = [q for q in current if q[0][k] < 0]
-        untouched = [q for q in current if q[0][k] == 0]
-        combined: list[tuple[IntVec, int]] = []
-        for pc, pr in positive:
-            for nc, nr in negative:
-                coeffs = tuple(
-                    -nc[k] * a + pc[k] * b for a, b in zip(pc, nc)
-                )
-                rhs = -nc[k] * pr + pc[k] * nr
-                norm = _normalize_inequality(
-                    [Fraction(c) for c in coeffs], Fraction(rhs)
-                )
-                if norm is not None:
-                    combined.append(norm)
-        current = list(dict.fromkeys(untouched + combined))
-        if any(all(c == 0 for c in co) and r > 0 for co, r in current):
+        positive = [row for row in current if row[k] > 0]
+        negative = [row for row in current if row[k] < 0]
+        combined = [
+            tuple(-n[k] * x + p[k] * y for x, y in zip(p, n)) for p in positive for n in negative
+        ]
+        current = _primitive_rows([row for row in current if row[k] == 0] + combined)
+        if any(not any(row[:-1]) for row in current):
             return None
-    if any(r > 0 for _, r in current):
+    if current:  # all variables eliminated: only rows 0 >= rhs > 0 remain
         return None
     y = [Fraction(0)] * nvars
     for k in reversed(range(nvars)):
         lower: Optional[Fraction] = None
         upper: Optional[Fraction] = None
-        for coeffs, rhs in stages[k]:
-            ck = coeffs[k]
+        for row in stages[k]:
+            ck = row[k]
             if ck == 0:
                 continue
-            rest = sum((coeffs[j] * y[j] for j in range(k + 1, nvars)), Fraction(0))
-            bound = (Fraction(rhs) - rest) / ck
+            bound = (row[-1] - sum(c * v for c, v in zip(row[k + 1:-1], y[k + 1:]))) / Fraction(ck)
             if ck > 0:
                 lower = bound if lower is None else max(lower, bound)
             else:
@@ -333,18 +316,14 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     complement = [j for j in range(1, config.n + 1) if j not in labels]
     inequalities = []
     for j in complement:
-        col = config.column(j)
-        coeffs = tuple(Fraction(_dot(w, col)) for w in basis)
-        if all(c == 0 for c in coeffs):
+        coeffs = tuple(_dot(w, config.column(j)) for w in basis)
+        if not any(coeffs):
             return None
-        inequalities.append((coeffs, Fraction(1)))
+        inequalities.append((coeffs, 1))
     y = fourier_motzkin_point(inequalities, len(basis))
     if y is None:
         return None
-    phi_rat = tuple(
-        sum((yi * wi for yi, wi in zip(y, (Fraction(w[k]) for w in basis))), Fraction(0))
-        for k in range(config.d)
-    )
+    phi_rat = [sum(yi * w[k] for yi, w in zip(y, basis)) for k in range(config.d)]
     witness = primitive_vector(clear_denominators(phi_rat))
     for j in range(1, config.n + 1):
         value = _dot(witness, config.column(j))
@@ -354,95 +333,75 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     return Face(labels, witness)
 
 
-def _dual_extreme_rays(config: Configuration) -> list[IntVec]:
-    """Extreme rays of {phi : phi . a_j >= 0 for all j}, via double description.
+def _facets(config: Configuration) -> list[tuple[IntVec, int]]:
+    """Facets of the cone as (primitive inner normal, column bitmask), sorted by normal.
 
-    The dual cone is pointed because the columns span Q^d, so the incremental
-    method starts from the full space (lineality basis = identity, no rays)
-    and ends with an empty lineality part.  Adjacency of rays uses the exact
-    rank test on the columns tight at both.
+    The normals are the extreme rays of the dual cone {phi : phi . a_j >= 0},
+    found by the double description method.  The dual cone is pointed because
+    the columns span Q^d, so the method starts from the full space (lineality
+    basis = identity, no rays) and ends with an empty lineality part.  Each
+    ray carries the bitmask of the columns so far that it vanishes on (bit
+    j - 1 for column j).  Two rays are adjacent iff their common zero set has
+    at least d - dim(lineality) - 2 columns and lies in no third ray's zero
+    set (the combinatorial test of Fukuda and Prodon 1996).
     """
     d = config.d
     lineality = [tuple(row) for row in IntMatrix.identity(d).data]
-    rays: list[IntVec] = []
-    processed: list[IntVec] = []
-
-    def adjacent(r1: IntVec, r2: IntVec) -> bool:
-        tight = [c for c in processed if _dot(r1, c) == 0 and _dot(r2, c) == 0]
-        target = d - len(lineality) - 2
-        if target < 0:
-            return False
-        if not tight:
-            return target == 0
-        return rank_int(tight) == target
-
-    for j in range(1, config.n + 1):
-        a = config.column(j)
-        if all(x == 0 for x in a):
-            continue
+    columns = config.A.columns()
+    rays: dict[IntVec, int] = {}
+    for j, a in enumerate(columns):
+        bit = 1 << j
         values = [_dot(l, a) for l in lineality]
         if any(values):
             idx = next(i for i, v in enumerate(values) if v != 0)
-            l0 = lineality[idx]
-            if values[idx] < 0:
-                l0 = tuple(-x for x in l0)
+            l0 = lineality[idx] if values[idx] > 0 else tuple(-x for x in lineality[idx])
             v0 = abs(values[idx])
             lineality = [
                 primitive_vector(tuple(v0 * x - v * y for x, y in zip(l, l0)))
                 for i, (l, v) in enumerate(zip(lineality, values))
                 if i != idx
             ]
-            rays = [
-                primitive_vector(tuple(v0 * x - _dot(r, a) * y for x, y in zip(r, l0)))
-                for r in rays
-            ]
-            rays = [r for r in rays if any(r)]
-            rays.append(primitive_vector(l0))
-            rays = list(dict.fromkeys(rays))
+            rays = {
+                primitive_vector(tuple(v0 * x - _dot(r, a) * y for x, y in zip(r, l0))): mask | bit
+                for r, mask in rays.items()
+            }
+            rays[l0] = bit - 1  # l0 vanished on every earlier column
         else:
-            negative = [r for r in rays if _dot(r, a) < 0]
-            if negative:
-                keep = [r for r in rays if _dot(r, a) >= 0]
-                new_rays = []
-                for p in (r for r in rays if _dot(r, a) > 0):
-                    for m in negative:
-                        if not adjacent(p, m):
-                            continue
-                        pa, ma = _dot(p, a), _dot(m, a)
-                        combo = tuple(pa * x - ma * y for x, y in zip(m, p))
-                        if any(combo):
-                            new_rays.append(primitive_vector(combo))
-                rays = list(dict.fromkeys(keep + new_rays))
-        processed.append(a)
+            target = d - len(lineality) - 2
+            value = {r: _dot(r, a) for r in rays}
+            masks = list(rays.values())
+            new_rays = {}
+            positive = [(p, pm) for p, pm in rays.items() if value[p] > 0]
+            negative = [(m, mm) for m, mm in rays.items() if value[m] < 0]
+            for (p, pm), (m, mm) in product(positive, negative):
+                meet = pm & mm
+                if meet.bit_count() < target:
+                    continue
+                if sum(meet & other == meet for other in masks) == 2:  # p and m only
+                    combo = tuple(value[p] * x - value[m] * y for x, y in zip(m, p))
+                    new_rays[primitive_vector(combo)] = meet | bit
+            rays = {
+                r: mask | (bit if value[r] == 0 else 0)
+                for r, mask in rays.items()
+                if value[r] >= 0
+            }
+            rays.update(new_rays)
     if lineality:
         raise InternalInconsistency("dual cone kept a lineality direction")
-    for r in rays:
-        tight = [c for c in processed if _dot(r, c) == 0]
-        expected = d - 1
-        got = rank_int(tight) if tight else 0
-        if got != expected:
+    for mask in rays.values():
+        tight = [a for j, a in enumerate(columns) if mask >> j & 1]
+        if rank_int(tight) != d - 1:
             raise InternalInconsistency("double description produced a non-extreme ray")
-    return sorted(set(rays))
-
-
-def _facets(config: Configuration) -> list[Face]:
-    """Facets of the cone: tight column sets of the dual extreme rays."""
-    facets = []
-    for ray in _dual_extreme_rays(config):
-        tight = tuple(
-            j for j in range(1, config.n + 1) if _dot(ray, config.column(j)) == 0
-        )
-        facets.append(Face(tight, ray))
-    return facets
+    return sorted(rays.items())
 
 
 def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
     """The complete face lattice, canonically sorted by (size, indices).
 
     method "brute" checks every index subset with the feasibility oracle;
-    "dd" computes the facets by double description and closes their index
-    sets under intersection (every proper face is such an intersection,
-    witnessed by the sum of the witnesses of the facets containing it);
+    "dd" computes the facets by double description and closes their column
+    bitmasks under intersection (every proper face is such an intersection,
+    witnessed by the sum of the normals of the facets containing it);
     "auto" picks brute force up to BRUTE_FORCE_LIMIT columns.
     """
     if method == "auto":
@@ -451,36 +410,22 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
         labels = range(1, config.n + 1)
         found = (is_face(config, s) for k in range(config.n + 1) for s in combinations(labels, k))
         faces = [face for face in found if face is not None]
-        return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
-    if method != "dd":
+    elif method == "dd":
+        facets = _facets(config)
+        masks = {(1 << config.n) - 1}
+        for _, facet in facets:
+            masks |= {mask & facet for mask in masks}
+        columns = config.A.columns()
+        zero = (0,) * config.d
+        faces = []
+        for mask in masks:
+            normals = [normal for normal, facet in facets if facet & mask == mask]
+            witness = primitive_vector(tuple(map(sum, zip(zero, *normals))))
+            if mask != sum(1 << j for j, a in enumerate(columns) if _dot(witness, a) == 0):
+                raise InternalInconsistency("facet intersection is not a face")
+            faces.append(Face((j + 1 for j in range(config.n) if mask >> j & 1), witness))
+    else:
         raise InputError(f"unknown face enumeration method {method!r}")
-
-    facets = _facets(config)
-    all_columns = frozenset(range(1, config.n + 1))
-    index_sets = {all_columns} | {frozenset(f.indices) for f in facets}
-    worklist = list(index_sets)
-    while worklist:
-        current = worklist.pop()
-        for other in list(index_sets):
-            meet = current & other
-            if meet not in index_sets:
-                index_sets.add(meet)
-                worklist.append(meet)
-    zero = tuple(0 for _ in range(config.d))
-    faces = []
-    for index_set in index_sets:
-        supporting = [f for f in facets if index_set <= frozenset(f.indices)]
-        witness = zero
-        for f in supporting:
-            witness = tuple(x + y for x, y in zip(witness, f.witness))
-        witness = primitive_vector(witness)
-        tight = tuple(
-            j for j in range(1, config.n + 1)
-            if _dot(witness, config.column(j)) == 0
-        )
-        if tight != tuple(sorted(index_set)):
-            raise InternalInconsistency("facet intersection is not a face")
-        faces.append(Face(index_set, witness))
     return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
 
 

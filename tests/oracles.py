@@ -21,9 +21,17 @@ the outside.
 
 solve_rational is the Gauss-Jordan reference for the runtime's one exact
 solver, forward substitution on Hermite rows (intlinalg.hermite_coordinates).
+
+facets_by_subset_normals lists the facets from the hyperplanes through d - 1
+independent columns, the reference for the double description
+(cones._facets).  feasible_point_by_minimal_faces decides a system of
+linear inequalities without elimination, the reference for Fourier-Motzkin
+(cones.fourier_motzkin_point).
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 from gkzmono import (
     IRREDUCIBLE,
@@ -182,3 +190,79 @@ def solve_rational(A, b):
     for row, col in pivots:
         x[col] = aug[row][ncols]
     return tuple(x)
+
+
+def _normal(rows, d):
+    """Primitive integer vector orthogonal to d - 1 rows of rank d - 1, else None.
+
+    Gauss-Jordan elimination by integer row combinations; the one free
+    variable is set to the lcm of the pivots.
+    """
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(d):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [m[r][c] * x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if len(pivots) < d - 1:
+        return None
+    free = next(c for c in range(d) if c not in pivots)
+    scale = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    x = [0] * d
+    x[free] = scale
+    for r, c in enumerate(pivots):
+        x[c] = -m[r][free] * scale // m[r][c]
+    g = gcd(*x)
+    return [a // g for a in x]
+
+
+def facets_by_subset_normals(config):
+    """Facets as sorted (primitive inner normal, column labels) pairs.
+
+    A facet is spanned by d - 1 independent columns, so its normal is
+    orthogonal to such a subset.  A normal is kept, with its sign fixed,
+    when all columns lie on one side of it.
+    """
+    d, columns = config.d, config.A.columns()
+    facets = {}
+    for subset in combinations(sorted(set(columns) - {(0,) * d}), d - 1):
+        normal = _normal(subset, d)
+        if normal is None:
+            continue
+        values = [sum(w * a for w, a in zip(normal, col)) for col in columns]
+        if all(v <= 0 for v in values):
+            normal, values = [-w for w in normal], [-v for v in values]
+        elif not all(v >= 0 for v in values):
+            continue
+        facets[tuple(normal)] = tuple(j for j, v in enumerate(values, 1) if v == 0)
+    return sorted(facets.items())
+
+
+def feasible_point_by_minimal_faces(rows, nvars):
+    """A point y in Q^nvars with coeffs . y >= rhs for all rows, or None.
+
+    A nonempty polyhedron {y : C y >= r} has a minimal face, an affine space
+    cut out by rank(C) of its rows at equality, and every solution of those
+    equalities lies in the polyhedron.  So it suffices to solve every set of
+    rank(C) rows at equality (Gauss-Jordan) and test the solution.
+    """
+    scaled = []
+    for coeffs, rhs in rows:
+        row = [Fraction(x) for x in (*coeffs, rhs)]
+        scale = lcm(*(q.denominator for q in row))
+        scaled.append([int(q * scale) for q in row])
+    rank = IntMatrix([row[:-1] for row in scaled], cols=nvars).rank()
+    for subset in combinations(scaled, rank):
+        system = IntMatrix([row[:-1] for row in subset], cols=nvars)
+        y = solve_rational(system, [row[-1] for row in subset])
+        if y is not None and all(
+            sum(c * v for c, v in zip(coeffs, y)) >= rhs for coeffs, rhs in rows
+        ):
+            return y
+    return None

@@ -1,4 +1,4 @@
-"""Shared random generators for the property sweeps."""
+"""Shared random generators for the property sweeps, and the benchmark's fixed A."""
 
 from fractions import Fraction
 
@@ -9,6 +9,16 @@ from gkzmono import (
     RankDeficient,
     reduce_configuration,
 )
+
+# The benchmark's beta_sweep configuration: pointed, d = 5, n = 12, 140 faces
+# and 26 facets.
+BETA_SWEEP_MATRIX = IntMatrix([
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [3, 0, 0, 2, 3, 0, 1, 1, 0, 0, 1, 0],
+    [1, 0, 1, 3, 1, 2, 0, 1, 0, 2, 2, 0],
+    [3, 1, 0, 2, 0, 2, 0, 3, 0, 1, 0, 0],
+    [2, 0, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0],
+])
 
 
 def random_configuration(rng, dmax=4, nmax=7, lo=-3, hi=3):

@@ -17,13 +17,19 @@ from gkzmono import (
     RankDeficient,
     cones,
     enumerate_faces,
+    fourier_motzkin_point,
     hermite_normal_form,
     is_face,
     reduce_configuration,
     subfaces,
 )
-from oracles import solve_rational
+from oracles import (
+    facets_by_subset_normals,
+    feasible_point_by_minimal_faces,
+    solve_rational,
+)
 from sweeps import (
+    BETA_SWEEP_MATRIX,
     random_configuration,
     random_homogeneous_configuration,
     random_unimodular,
@@ -66,6 +72,15 @@ class TestConfiguration:
         assert Configuration(QUADRIC).lineality_columns == ()
         assert Configuration(IntMatrix([[1, -1]])).lineality_columns == (1, 2)
         assert Configuration(IntMatrix([[1, 0]])).lineality_columns == (2,)
+
+    def test_pointedness_and_lineality_read_the_lattice(self, monkeypatch):
+        calls = []
+        facets = cones._facets
+        monkeypatch.setattr(cones, "_facets", lambda c: calls.append(c) or facets(c))
+        config = Configuration(BETA_SWEEP_MATRIX)
+        config.face_lattice()
+        assert config.pointed and config.lineality_columns == ()
+        assert calls == [config]
 
 
 class TestReduce:
@@ -206,6 +221,77 @@ class TestIsFace:
             is_face(Configuration(QUADRIC), [4])
 
 
+class TestFourierMotzkin:
+    @staticmethod
+    def random_system(rng, rational):
+        nvars = rng.randint(2, 4)
+        entry = (
+            (lambda: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
+            if rational
+            else (lambda: rng.randint(-3, 3))
+        )
+        rows = [
+            ([entry() for _ in range(nvars)], entry())
+            for _ in range(rng.randint(3, 8))
+        ]
+        kind = rng.randrange(4)
+        if kind == 1:  # a tautology 0 >= rhs, rhs <= 0
+            rows.append(([0] * nvars, -rng.randint(0, 2)))
+        elif kind == 2:  # a duplicate, scaled by a positive factor
+            coeffs, rhs = rng.choice(rows)
+            k = rng.randint(1, 3)
+            rows.append(([k * c for c in coeffs], k * rhs))
+        elif kind == 3:  # a contradiction 0 >= rhs > 0
+            rows.append(([0] * nvars, rng.randint(1, 2)))
+        rng.shuffle(rows)
+        return rows, nvars
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    def test_agrees_with_the_minimal_face_oracle(self, rational):
+        rng = random.Random(1307 + rational)
+        outcomes = set()
+        for _ in range(150):
+            rows, nvars = self.random_system(rng, rational)
+            y = fourier_motzkin_point(rows, nvars)
+            assert (y is not None) == (feasible_point_by_minimal_faces(rows, nvars) is not None)
+            if y is not None:
+                assert all(sum(c * v for c, v in zip(coeffs, y)) >= rhs for coeffs, rhs in rows)
+            outcomes.add(y is not None)
+        assert outcomes == {False, True}
+
+    def test_no_rows_and_no_variables(self):
+        assert fourier_motzkin_point([], 2) == (0, 0)
+        assert fourier_motzkin_point([((), 0)], 0) == ()
+        assert fourier_motzkin_point([((), 1)], 0) is None
+
+
+class TestFacets:
+    """Double description against the hyperplanes through d - 1 columns."""
+
+    @staticmethod
+    def facets(config):
+        return [
+            (normal, tuple(j + 1 for j in range(config.n) if mask >> j & 1))
+            for normal, mask in cones._facets(config)
+        ]
+
+    def test_beta_sweep(self):
+        config = Configuration(BETA_SWEEP_MATRIX)
+        assert len(self.facets(config)) == 26
+        assert self.facets(config) == facets_by_subset_normals(config)
+
+    @pytest.mark.parametrize("d, n", [(3, 8), (4, 12), (5, 14), (6, 16)])
+    def test_wide_homogeneous_cones(self, d, n):
+        config = random_homogeneous_configuration(random.Random(1311 + n), d, n)
+        assert self.facets(config) == facets_by_subset_normals(config)
+
+    def test_random_configurations(self):
+        rng = random.Random(1313)
+        for _ in range(200):
+            config = random_configuration(rng, dmax=5, nmax=9)
+            assert self.facets(config) == facets_by_subset_normals(config)
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("method", ["brute", "dd"])
     def test_quadric(self, method):
@@ -216,9 +302,10 @@ class TestEnumerate:
         with pytest.raises(InputError, match="unknown face enumeration method"):
             enumerate_faces(Configuration(QUADRIC), "simplex")
 
-    def test_simplicial_all_subsets(self):
+    @pytest.mark.parametrize("method", ["brute", "dd"])
+    def test_simplicial_all_subsets(self, method):
         c = Configuration(IntMatrix.identity(3))
-        lattice = enumerate_faces(c, "brute")
+        lattice = enumerate_faces(c, method)
         assert len(lattice) == 8
 
     def test_nonpointed_line(self):
@@ -227,9 +314,10 @@ class TestEnumerate:
             lattice = enumerate_faces(c, method)
             assert [f.indices for f in lattice] == [(1, 2)]
 
-    def test_zero_column_in_every_face(self):
+    @pytest.mark.parametrize("method", ["brute", "dd"])
+    def test_zero_column_in_every_face(self, method):
         c = Configuration(IntMatrix([[1, 0]]))
-        lattice = enumerate_faces(c, "brute")
+        lattice = enumerate_faces(c, method)
         assert [f.indices for f in lattice] == [(2,), (1, 2)]
 
     def test_methods_agree_on_random_configs(self):

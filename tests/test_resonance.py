@@ -19,18 +19,11 @@ from gkzmono import (
     resonance_centers,
 )
 from oracles import fraction_in_resonant_span, solve_rational
-from sweeps import random_beta, random_configuration
+from sweeps import BETA_SWEEP_MATRIX, random_beta, random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 BETA_HALF = ["1/2", "1"]
-# The benchmark's beta_sweep configuration: pointed, d = 5, n = 12, 140 faces.
-SWEEP = Configuration(IntMatrix([
-    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-    [3, 0, 0, 2, 3, 0, 1, 1, 0, 0, 1, 0],
-    [1, 0, 1, 3, 1, 2, 0, 1, 0, 2, 2, 0],
-    [3, 1, 0, 2, 0, 2, 0, 3, 0, 1, 0, 0],
-    [2, 0, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0],
-]))
+SWEEP = Configuration(BETA_SWEEP_MATRIX)
 # Pairwise coprime denominators up to 10^6, mixed with small ones.
 DENOMINATORS = (1, 2, 3, 6, 7**7, 2**19, 3**12, 5**8, 999_983)
 
