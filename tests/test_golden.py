@@ -85,6 +85,58 @@ CASES = {
     "dependent_row_pyramid": (
         "[[1,1,1,0],[0,1,2,0],[0,0,0,1],[1,1,1,1]]", "1/3,1/5,2,7/3", []
     ),
+    # Wide inputs, d = 5 and n = 12-14: face enumeration by double
+    # description and the exit-2 path of the toric commands.  The pointed
+    # matrices are tests/sweeps.py::random_homogeneous_configuration(
+    # random.Random(seed), d, n) for the seed named in the case.
+    # Seed 11, generic beta.
+    "wide_generic": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,0,0,0,1,3,3,3,4,4,4,4],"
+        "[0,3,3,4,2,3,4,4,0,0,3,4],[1,2,2,0,3,4,1,3,3,4,4,1],"
+        "[1,1,3,4,0,1,4,3,2,0,1,1]]",
+        "1/2,1/3,1/5,1/7,2/11",
+        ["--max-steps", "100"],
+    ),
+    # Seed 12, integer beta.
+    "wide_integer": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1,1],[1,1,1,1,1,2,3,3,3,3,4,4,4],"
+        "[0,0,3,3,4,1,0,0,2,2,0,1,2],[4,4,0,2,0,0,0,3,3,4,3,0,4],"
+        "[1,2,2,1,4,4,0,1,4,2,4,3,4]]",
+        "3,2,-1,4,0",
+        ["--max-steps", "100"],
+    ),
+    # Seed 13, beta = a1/2 + a2/3 + a3: resonant along the facet {1,2,4,10}.
+    "wide_facet_resonant": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1,1,1],[0,0,0,1,1,2,2,2,2,3,4,4,4,4],"
+        "[2,3,4,1,4,2,2,3,3,2,1,1,2,4],[1,1,1,1,2,1,1,2,3,0,2,3,3,3],"
+        "[0,4,2,1,2,1,3,4,1,2,1,3,4,2]]",
+        "11/6,0,6,11/6,10/3",
+        ["--max-steps", "100"],
+    ),
+    # Seed 14, complex beta.
+    "wide_complex": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1,1],[0,0,0,0,2,2,2,2,3,3,3,4,4],"
+        "[0,2,4,4,1,1,2,2,0,2,4,1,1],[4,1,2,4,0,0,2,2,2,3,3,1,2],"
+        "[4,3,0,1,0,3,0,2,1,3,4,4,3]]",
+        '[{"re": "1/2", "im": "1"}, "1/3", {"im": "2"}, "0", "1"]',
+        ["--max-steps", "100"],
+    ),
+    # Seed 16, n = 12, plus the negative of column 1: not pointed.
+    "wide_non_pointed": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,1,-1],[0,0,0,1,1,2,2,3,3,3,4,4,0],"
+        "[2,2,4,4,4,2,3,1,2,4,0,1,-2],[2,3,2,0,2,2,3,3,1,2,2,4,-2],"
+        "[2,3,1,3,0,3,2,0,1,1,0,2,-2]]",
+        "1/2,1/3,0,1,-1",
+        ["--max-steps", "100"],
+    ),
+    # Seed 15 with d = 4 and n = 11, plus a fifth row and a duplicated apex.
+    "wide_duplicated_apex": (
+        "[[1,1,1,1,1,1,1,1,1,1,1,0,0],[0,0,1,1,2,2,2,2,2,3,3,0,0],"
+        "[0,1,0,4,1,1,2,3,4,3,4,0,0],[1,1,4,3,0,1,1,2,3,0,2,0,0],"
+        "[0,0,0,0,0,0,0,0,0,0,0,1,1]]",
+        "1/3,1/5,2,1/7,2",
+        ["--max-steps", "100"],
+    ),
 }
 
 WITH_BETA = ("reduce", "centers", "classify")
