@@ -237,12 +237,7 @@ def _render_arrangement(report: dict) -> str:
 
 def _render_toric(report: dict) -> str:
     def mono(exps):
-        parts = [
-            f"d{j}" + (f"^{e}" if e > 1 else "")
-            for j, e in enumerate(exps, start=1)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
+        return exporters._monomial_text(exps, lambda j: f"d{j}")
 
     if not report["binomials"]:
         return "(zero ideal)"

@@ -38,6 +38,7 @@ from .intlinalg import (
     IntVec,
     clear_denominators,
     hermite_coordinates,
+    hermite_kernel_basis,
     hermite_normal_form,
     kernel_lattice_basis,
     primitive_vector,
@@ -46,9 +47,10 @@ from .intlinalg import (
 
 Parameter = tuple[GaussRat, ...]
 
-# Below this many columns the default enumeration strategy brute-forces all
-# index subsets against the feasibility oracle; double description takes
-# over on larger instances.
+# Up to this many columns "auto" brute-forces all index subsets against the
+# feasibility oracle, and runs double description above.  DD is faster at
+# every n measured (2 to 10); brute force stays "auto"'s choice only because
+# the benchmark pins that path (ROADMAP item 1).
 BRUTE_FORCE_LIMIT = 10
 
 
@@ -148,15 +150,17 @@ class Configuration:
     Validation: ZA = Z^d iff the row Hermite form of A^T has d nonzero rows,
     all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
     raised (use :func:`reduce_configuration` to normalize arbitrary input).
-    Results that depend on A alone (face lattice, perp bases, volumes, the
-    columns in toric relations, the kernel basis and the saturated toric
-    ideal) are computed once per instance and kept in its memo.
+    The validating form U*A^T = H is kept as self.hermite, and the kernel
+    basis, the related columns and the pyramid split all read it.  Results
+    that depend on A alone (face lattice, perp bases, volumes, the columns
+    in toric relations, the kernel basis and the saturated toric ideal) are
+    computed once per instance and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        H, _ = hermite_normal_form(A.transpose())
+        H, U = hermite_normal_form(A.transpose())
         rank = sum(map(any, H.data))
         if rank < A.rows:
             raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
@@ -165,6 +169,7 @@ class Configuration:
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
+        self.hermite = (H, U)
         self._memo: dict = {}
 
     @property
@@ -187,6 +192,11 @@ class Configuration:
     def submatrix(self, labels: Iterable[int]) -> IntMatrix:
         cols = [self.column(j) for j in sorted(set(labels))]
         return IntMatrix.from_columns(cols, self.d)
+
+    @property
+    @per_configuration
+    def kernel(self) -> tuple[IntVec, ...]:
+        return hermite_kernel_basis(*self.hermite)
 
     @property
     @per_configuration

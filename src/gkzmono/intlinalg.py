@@ -421,24 +421,27 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
 
 
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
-    """Z-basis of the saturated integer kernel lattice {u : A*u = 0}.
-
-    In the row Hermite form U*A^T = H, the rows of the unimodular U whose H
-    row is zero span it (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4).  They are returned in HNF-canonical order, so the result
-    is a deterministic function of A.  Empty tuple when the kernel is trivial.
-    """
+    """Z-basis of the saturated integer kernel lattice {u : A*u = 0}, from the HNF of A^T."""
     n = A.cols
     if n == 0:
         return ()
     if A.rows == 0:
         return tuple(IntMatrix.identity(n).data)
-    H, U = hermite_normal_form(A.transpose())
+    return hermite_kernel_basis(*hermite_normal_form(A.transpose()))
+
+
+def hermite_kernel_basis(H: IntMatrix, U: IntMatrix) -> tuple[IntVec, ...]:
+    """Canonical basis of the left kernel lattice {u : u*M = 0}, given U*M = H.
+
+    The rows of the unimodular U whose H row is zero span it (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).  They are
+    returned in HNF-canonical order, so the result is a deterministic
+    function of M.  Empty tuple when the kernel is trivial.
+    """
     basis = [u for u, h in zip(U.data, H.data) if not any(h)]
     if not basis:
         return ()
-    H, _ = hermite_normal_form(IntMatrix(basis, cols=n))
-    return H.data
+    return hermite_normal_form(IntMatrix(basis, cols=U.cols))[0].data
 
 
 def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[tuple]:

@@ -21,24 +21,26 @@ from typing import Mapping
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
 from .cones import _gauss_rat_coordinates
 from .errors import InternalInconsistency, NotAPyramid
-from .intlinalg import GaussRat, IntMatrix, IntVec, hermite_normal_form, kernel_lattice_basis
-
-
-@per_configuration
-def _distinct_columns(config: Configuration) -> tuple[IntVec, ...]:
-    return tuple(dict.fromkeys(config.A.columns()))
+from .intlinalg import GaussRat, IntVec
 
 
 @per_configuration
 def _related_columns(config: Configuration) -> frozenset[int]:
     """Labels of the columns that appear in a toric relation among the distinct columns.
 
-    Every copy of such a column is listed: copies lie on the same faces.
+    Summing over copies maps ker A onto those relations (lift one onto the
+    first copies), so a column is related iff some basis relation of A has
+    a nonzero sum over its copies.  Every copy is listed.
     """
-    distinct = _distinct_columns(config)
-    kernel = kernel_lattice_basis(IntMatrix.from_columns(distinct, config.d))
-    related = {v for k, v in enumerate(distinct) if any(u[k] for u in kernel)}
-    return frozenset(j for j in range(1, config.n + 1) if config.column(j) in related)
+    copies: dict[IntVec, list[int]] = {}
+    for j in range(1, config.n + 1):
+        copies.setdefault(config.column(j), []).append(j)
+    return frozenset(
+        j
+        for labels in copies.values()
+        if any(sum(u[k - 1] for k in labels) for u in config.kernel)
+        for j in labels
+    )
 
 
 def is_pyramid(config: Configuration, face: Face) -> bool:
@@ -65,8 +67,8 @@ def split_beta(config: Configuration, face: Face, beta) -> BetaSplit:
 
     The coefficient of each distinct column outside the face is uniquely
     determined exactly when the configuration is a pyramid over the face,
-    so anything else is rejected.  When a column outside the face is
-    duplicated, its coefficient is attached to the first occurrence and the
+    so anything else is rejected.  It is the sum over the column's copies
+    of any solution x of A*x = beta, and it is attached to the first copy;
     later copies get coefficient zero.
     """
     beta = as_parameter(beta, config.d)
@@ -74,34 +76,20 @@ def split_beta(config: Configuration, face: Face, beta) -> BetaSplit:
         raise NotAPyramid(
             f"configuration is not a pyramid over {list(face.indices)}"
         )
-    # With U*D^T = H, beta = sum y_i H_i gives D*x = beta for x = sum y_i U_i.
-    distinct = _distinct_columns(config)
-    H, U = hermite_normal_form(IntMatrix(distinct, cols=config.d))
-    rank = sum(map(any, H.data))
-    y = _gauss_rat_coordinates(H.data[:rank], beta)
+    # With U*A^T = H, beta = sum y_i H_i gives A*x = beta for x = sum y_i U_i.
+    H, U = config.hermite
+    y = _gauss_rat_coordinates(H.data[: config.d], beta)
     if y is None:
         raise InternalInconsistency("beta is not in the span of the columns")
-    solution = [sum(map(mul, y, column), GaussRat()) for column in zip(*U.data[:rank])]
-    by_vector = dict(zip(distinct, solution))
+    x = [sum(map(mul, y, column), GaussRat()) for column in zip(*U.data[: config.d])]
     coeffs: dict[int, GaussRat] = {}
-    claimed: set[IntVec] = set()
+    first: dict[IntVec, int] = {}
     for j in range(1, config.n + 1):
-        if j in face.indices:
-            continue
-        v = config.column(j)
-        if v in claimed:
-            coeffs[j] = GaussRat(0)
-        else:
-            claimed.add(v)
-            coeffs[j] = by_vector[v]
+        if j not in face.indices:
+            k = first.setdefault(config.column(j), j)
+            coeffs[j] = GaussRat()
+            coeffs[k] += x[j - 1]
     beta_face = list(beta)
     for j, c in coeffs.items():
-        col = config.column(j)
-        beta_face = [b - c * a for b, a in zip(beta_face, col)]
-    reconstructed = list(beta_face)
-    for j, c in coeffs.items():
-        col = config.column(j)
-        reconstructed = [b + c * a for b, a in zip(reconstructed, col)]
-    if tuple(reconstructed) != beta:
-        raise InternalInconsistency("beta split does not reconstruct")
+        beta_face = [b - c * a for b, a in zip(beta_face, config.column(j))]
     return BetaSplit(tuple(beta_face), coeffs)

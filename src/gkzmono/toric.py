@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import Configuration, as_parameter, per_configuration
+from .cones import Configuration, as_parameter
 from .errors import InternalInconsistency, ScaleLimit
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -25,7 +25,7 @@ from .groebner import (
     normal_form,
     oriented,
 )
-from .intlinalg import GaussRat, IntVec, kernel_lattice_basis
+from .intlinalg import GaussRat, IntVec
 
 Monomial = tuple[int, ...]
 
@@ -134,15 +134,9 @@ def binomial_from_kernel_vector(u: Sequence[int]) -> Binomial:
     return _display_binomial((plus, minus))
 
 
-@per_configuration
-def _kernel_basis(config: Configuration) -> tuple[IntVec, ...]:
-    """The canonical kernel lattice basis of A, the input of every saturation."""
-    return kernel_lattice_basis(config.A)
-
-
 def lattice_binomials(config: Configuration) -> list[Binomial]:
     """The binomials of a kernel lattice basis (not saturated in general)."""
-    result = [binomial_from_kernel_vector(u) for u in _kernel_basis(config)]
+    result = [binomial_from_kernel_vector(u) for u in config.kernel]
     result = list(_canonical_sort(result))
     _assert_homogeneous(config, result)
     return result
@@ -164,7 +158,7 @@ def toric_ideal_generators(
     in the configuration's memo with that step count, and later calls
     replay its outcome for their own budget without running Buchberger.
     """
-    if not _kernel_basis(config):
+    if not config.kernel:
         return []
     key = (_saturate,)
     if key not in config._memo:
@@ -179,11 +173,9 @@ def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ..
     """(generators, steps spent) of one saturation run under max_steps."""
     n = config.n
     budget = StepBudget(max_steps)
-    generators: list[BinPair] = []
-    for u in _kernel_basis(config):
-        plus = tuple(max(x, 0) for x in u) + (0,)
-        minus = tuple(-min(x, 0) for x in u) + (0,)
-        generators.append((plus, minus))
+    generators: list[BinPair] = [
+        (b.plus + (0,), b.minus + (0,)) for b in map(binomial_from_kernel_vector, config.kernel)
+    ]
     generators.append((tuple([1] * n) + (1,), tuple([0] * n) + (0,)))
     basis = buchberger(generators, elimination_key, budget)
     result = []

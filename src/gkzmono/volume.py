@@ -67,26 +67,23 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[Simplex]:
             break
     if len(seed) < d + 1:
         raise DegenerateConfiguration("points do not span the ambient space")
-    simplices: list[Simplex] = [tuple(sorted(seed))]
-    remaining = [l for l in labels if l not in seed]
-    for label in remaining:
+    simplices: list[Simplex] = []
+    boundary: dict[Simplex, int] = {}  # boundary facet -> the vertex opposite it
+
+    def place(simplex: Simplex):
+        simplices.append(simplex)
+        for facet in combinations(simplex, d):
+            if boundary.pop(facet, None) is None:
+                boundary[facet] = next(v for v in simplex if v not in facet)
+
+    place(tuple(sorted(seed)))
+    for label in [l for l in labels if l not in seed]:
         p = points[label]
-        facet_owner: dict[Simplex, list[int]] = {}
-        for simplex in simplices:
-            for facet in combinations(simplex, d):
-                facet_owner.setdefault(facet, []).append(
-                    next(v for v in simplex if v not in facet)
-                )
-        for facet, owners in sorted(facet_owner.items()):
-            if len(owners) != 1:
-                continue
+        for facet, inner in sorted(boundary.items()):
             facet_points = [points[v] for v in facet]
             side_new = _orient(facet_points, p)
-            if side_new == 0:
-                continue
-            side_inner = _orient(facet_points, points[owners[0]])
-            if side_new != side_inner:
-                simplices.append(tuple(sorted(facet + (label,))))
+            if side_new != 0 and side_new != _orient(facet_points, points[inner]):
+                place(tuple(sorted(facet + (label,))))
     return sorted(simplices)
 
 
@@ -116,12 +113,13 @@ def normalized_volume(config: Configuration) -> VolumeResult:
 
 @per_configuration
 def face_volume(config: Configuration, face: Face) -> int:
-    """Normalized volume of a face, computed in its own saturated lattice.
+    """Normalized volume of a face in the lattice its columns generate.
 
-    The face's columns are re-expressed in a basis of the sublattice they
-    generate before triangulating.  A face consisting of zero columns only
-    spans a rank-0 lattice; its volume is 1 (the volume of a point).  The
-    full face already lives in Z^d: its volume is the normalized volume.
+    The columns are re-expressed in a basis of that lattice, which may be a
+    proper sublattice of its saturation, before triangulating.  A face of
+    zero columns only spans a rank-0 lattice; its volume is 1 (the volume
+    of a point).  The full face already lives in Z^d: its volume is the
+    normalized volume.
     """
     if not face.indices:
         raise EmptyFace("volume of the empty face is undefined")

@@ -2,8 +2,10 @@
 
 The runtime pyramid test, gkzmono.is_pyramid, is the kernel-support test:
 no toric relation among the distinct columns involves a column outside the
-face.  The three characterizations here are computed in different ways
-and must agree with it on every face:
+face.  It reads those columns off the kernel of A itself;
+related_columns_by_distinct_kernel is their definition, on the kernel of
+the matrix of distinct columns.  The three characterizations here are
+computed in different ways and must agree with the test on every face:
 
 * rank: d equals the number of distinct columns outside the face plus the
   rank of the face span;
@@ -56,6 +58,18 @@ def distinct_columns(config):
 def outside_vectors(config, face):
     inside = {config.column(j) for j in face.indices}
     return tuple(v for v in distinct_columns(config) if v not in inside)
+
+
+def related_columns_by_distinct_kernel(config):
+    """Labels of the columns in a toric relation among the distinct columns.
+
+    The definition: the kernel lattice of the matrix of distinct columns,
+    then every copy of each column some basis relation involves.
+    """
+    distinct = distinct_columns(config)
+    kernel = kernel_lattice_basis(IntMatrix.from_columns(distinct, config.d))
+    related = {v for k, v in enumerate(distinct) if any(u[k] for u in kernel)}
+    return frozenset(j for j in range(1, config.n + 1) if config.column(j) in related)
 
 
 def is_pyramid_rank(config, face):

@@ -21,6 +21,7 @@ from gkzmono import (
     intlinalg,
     pyramids,
     reduce_configuration,
+    toric,
     volume,
 )
 from gkzmono.cli import _parse_beta_literal
@@ -53,6 +54,21 @@ def spy_on(monkeypatch, *names):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def hermite_arguments(monkeypatch):
+    """Record, in call order, the matrix of each hermite_normal_form call."""
+    factored = []
+    original = intlinalg.hermite_normal_form
+
+    def spy(M):
+        factored.append(M)
+        return original(M)
+
+    for module in package_modules():
+        if getattr(module, "hermite_normal_form", None) is original:
+            monkeypatch.setattr(module, "hermite_normal_form", spy)
+    return factored
 
 
 def random_gauss_rationals(rng, kind, d):
@@ -428,10 +444,28 @@ class TestCacheStructure:
                 volume.face_volume(config, face)
         assert calls == []
 
-    def test_distinct_column_kernel_is_computed_once(self, monkeypatch):
+    def test_the_columns_are_factored_once(self, monkeypatch):
+        # The pyramid test on every face and the toric ideal read the Hermite
+        # form that validated the configuration: A^T is never factored again,
+        # and the only Hermite form left puts the kernel in canonical order.
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         lattice = config.face_lattice()
-        calls = spy_on(monkeypatch, "kernel_lattice_basis")
+        factored = hermite_arguments(monkeypatch)
         flags = [pyramids.is_pyramid(config, f) for f in lattice]
+        toric.toric_ideal_generators(config)
         assert flags == [f == lattice.full_face for f in lattice]
-        assert calls == ["kernel_lattice_basis"]
+        assert config.A.transpose() not in factored
+        assert len(factored) == 1
+        assert intlinalg.hermite_normal_form(factored[0])[0].data == config.kernel
+
+    def test_cold_pipeline_factors_the_transpose_once(self, monkeypatch):
+        A = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 2, 3, 0], [0, 0, 0, 0, 1]])
+        cones._normalize_matrix.cache_clear()
+        factored = hermite_arguments(monkeypatch)
+        result = classify(IntMatrix(A.data), ["1/2", "1/3", "2"])
+        config = result.configuration
+        toric.toric_ideal_generators(config)
+        base = config.face_lattice().face([1, 2, 3, 4])
+        split = pyramids.split_beta(config, base, ["1/2", "1/3", "2"])
+        assert split.coefficients == {5: GaussRat(2)}
+        assert factored.count(A.transpose()) == 1

@@ -11,10 +11,11 @@ from gkzmono import (
     NotAPyramid,
     enumerate_faces,
     is_pyramid,
+    kernel_lattice_basis,
     pyramids,
     split_beta,
 )
-from oracles import ORACLES, is_pyramid_rank, solve_rational
+from oracles import ORACLES, is_pyramid_rank, related_columns_by_distinct_kernel, solve_rational
 from sweeps import random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -26,6 +27,50 @@ ALL_CHECKS = (is_pyramid, *ORACLES.values())
 
 def face_of(config, indices):
     return config.face_lattice().face(indices)
+
+
+def configurations_with_copies(seed, count):
+    """Seeded configurations with repeated columns.
+
+    Every third has a zero column, and every other one an apex (a new row
+    and a unit column on it, sometimes twice).
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        config = random_configuration(rng, dmax=4, nmax=6)
+        d, cols = config.d, list(config.A.columns())
+        for _ in range(rng.randint(1, 3)):
+            cols.insert(rng.randrange(len(cols) + 1), rng.choice(cols))
+        if len(found) % 3 == 0:
+            cols.insert(rng.randrange(len(cols) + 1), (0,) * d)
+        if len(found) % 2 == 0:
+            cols = [c + (0,) for c in cols] + [(0,) * d + (1,)] * rng.randint(1, 2)
+            d += 1
+        found.append(Configuration(IntMatrix.from_columns(cols, d)))
+    return found
+
+
+COPIES = configurations_with_copies(83, 300)
+
+
+def assert_exact_split(config, face, beta):
+    """beta = beta_face + sum c_j a_j, beta_face in the face span, 0 on later copies."""
+    split = split_beta(config, face, beta)
+    rebuilt = list(split.beta_face)
+    seen = set()
+    for j, c in split.coefficients.items():
+        rebuilt = [b + c * a for b, a in zip(rebuilt, config.column(j))]
+        assert not (c and config.column(j) in seen)
+        seen.add(config.column(j))
+    assert tuple(rebuilt) == tuple(beta)
+    # the face component lies in the span of the face columns
+    if face.indices:
+        F = config.submatrix(face.indices)
+        assert solve_rational(F, [b.re for b in split.beta_face]) is not None
+        assert solve_rational(F, [b.im for b in split.beta_face]) is not None
+    else:
+        assert all(not b for b in split.beta_face)
 
 
 def checks(config, face):
@@ -166,23 +211,21 @@ class TestSplitBeta:
                 for _ in range(config.d)
             ]
             for face in enumerate_faces(config, "dd"):
-                if not is_pyramid(config, face):
-                    continue
-                split = split_beta(config, face, beta)
-                rebuilt = list(split.beta_face)
-                for j, c in split.coefficients.items():
-                    rebuilt = [
-                        b + c * a for b, a in zip(rebuilt, config.column(j))
-                    ]
-                assert tuple(rebuilt) == tuple(beta)
-                # the face component lies in the span of the face columns
-                if face.indices:
-                    F = config.submatrix(face.indices)
-                    assert solve_rational(F, [b.re for b in split.beta_face]) is not None
-                    assert solve_rational(F, [b.im for b in split.beta_face]) is not None
-                else:
-                    assert all(not b for b in split.beta_face)
-                done += 1
+                if is_pyramid(config, face):
+                    assert_exact_split(config, face, beta)
+                    done += 1
+
+    def test_reconstruction_is_exact_on_copies(self):
+        rng = random.Random(84)
+        done = 0
+        for config in COPIES[:50]:
+            for face in enumerate_faces(config, "dd"):
+                if is_pyramid(config, face):
+                    beta = [GaussRat(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
+                            for _ in range(config.d)]
+                    assert_exact_split(config, face, beta)
+                    done += 1
+        assert done > 50
 
     def test_unsolvable_split_is_an_internal_inconsistency(self, monkeypatch):
         # The columns span Q^d, so beta always has coordinates on them.
@@ -190,8 +233,28 @@ class TestSplitBeta:
         with pytest.raises(InternalInconsistency, match="not in the span"):
             split_beta(PYRAMID, face_of(PYRAMID, [1, 2, 3]), ["1/2", "1", "1/3"])
 
-    def test_duplicate_column_coefficient_on_first_copy(self):
-        config = Configuration(IntMatrix([[1, 0, 1]]))
-        face = face_of(config, [2])
-        split = split_beta(config, face, ["5/2"])
-        assert split.coefficients == {1: GaussRat(Fraction(5, 2)), 3: GaussRat(0)}
+    @pytest.mark.parametrize("A, face, beta, coefficients", [
+        ([[1, 0, 1]], [2], ["5/2"], {1: "5/2", 3: "0"}),
+        # The Hermite solution of A*x = beta puts weight on the second copy.
+        ([[0, 0, 1], [1, 1, -1]], [], ["1/2", "1/3"], {1: "5/6", 2: "0", 3: "1/2"}),
+    ])
+    def test_duplicate_column_coefficient_on_first_copy(self, A, face, beta, coefficients):
+        config = Configuration(IntMatrix(A))
+        split = split_beta(config, face_of(config, face), beta)
+        assert split.coefficients == {j: GaussRat.parse(c) for j, c in coefficients.items()}
+
+
+class TestRelatedColumns:
+    """The pyramid test reads the kernel off the validating Hermite form."""
+
+    def test_configuration_kernel_is_the_kernel_lattice_basis(self):
+        for config in COPIES + [QUADRIC, PYRAMID]:
+            assert config.kernel == kernel_lattice_basis(config.A)
+
+    def test_related_columns_match_the_distinct_column_definition(self):
+        related = 0
+        for config in COPIES:
+            expected = related_columns_by_distinct_kernel(config)
+            assert pyramids._related_columns(config) == expected
+            related += bool(expected)
+        assert 0 < related < len(COPIES)

@@ -190,6 +190,15 @@ class TestFaceVolume:
         assert face_volume(fresh, fresh.face_lattice().face([1, 2, 3])) == 2
         assert len(calls) == 1
 
+    def test_volume_is_taken_in_the_generated_lattice(self):
+        # Face {1,2} lies in the plane x3 = 0, where its columns (1,0) and
+        # (1,2) generate an index-2 sublattice of the saturated lattice Z^2:
+        # volume 1 in the generated lattice, 2 in the saturated one.
+        config = Configuration(IntMatrix([[1, 1, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]]))
+        face = config.face_lattice().face([1, 2])
+        assert face_volume(config, face) == 1
+        assert volume._volume_of_matrix(IntMatrix([[1, 1], [0, 2]])).volume == 2
+
     def test_pyramid_face_reduces_to_quadric(self):
         face = PYRAMID.face_lattice().face([1, 2, 3])
         assert face_volume(PYRAMID, face) == 2
