@@ -196,6 +196,7 @@ class Configuration:
     @property
     @per_configuration
     def kernel(self) -> tuple[IntVec, ...]:
+        """kernel_lattice_basis(A), read off the validating form self.hermite."""
         return hermite_kernel_basis(*self.hermite)
 
     @property
