@@ -40,7 +40,6 @@ from .intlinalg import (
     hermite_coordinates,
     hermite_kernel_basis,
     hermite_normal_form,
-    kernel_lattice_basis,
     primitive_vector,
     rank_int,
 )
@@ -309,7 +308,7 @@ def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple
     Computed once per label set and configuration: it serves the face test
     and the resonance congruences of every parameter.
     """
-    return kernel_lattice_basis(config.submatrix(labels).transpose())
+    return hermite_kernel_basis(*hermite_normal_form(config.submatrix(labels)))
 
 
 def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:

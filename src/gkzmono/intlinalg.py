@@ -425,8 +425,6 @@ def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     n = A.cols
     if n == 0:
         return ()
-    if A.rows == 0:
-        return tuple(IntMatrix.identity(n).data)
     return hermite_kernel_basis(*hermite_normal_form(A.transpose()))
 
 

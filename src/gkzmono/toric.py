@@ -209,16 +209,11 @@ def in_ideal(binomials: Sequence[Binomial], candidate: Binomial, nvars: int) -> 
 def hypergeometric_system(
     config: Configuration, beta, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> ToricSystem:
-    """Bundle the Euler operators with toric-ideal generators.
+    """Bundle the Euler operators with the toric-ideal generators.
 
-    Falls back to the plain kernel-lattice binomials (flagged as
-    unsaturated) when saturation exceeds the step budget.
+    Raises ScaleLimit, as toric_ideal_generators does, when saturation
+    exceeds max_steps: the kernel-lattice binomials generate a different
+    D-module, so there is no fallback.
     """
     euler = tuple(euler_operators(config, beta))
-    try:
-        binomials = tuple(toric_ideal_generators(config, max_steps))
-        saturated = True
-    except ScaleLimit:
-        binomials = tuple(lattice_binomials(config))
-        saturated = False
-    return ToricSystem(euler, binomials, saturated, config.n)
+    return ToricSystem(euler, tuple(toric_ideal_generators(config, max_steps)), True, config.n)

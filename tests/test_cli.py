@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,8 +145,16 @@ class TestExitCodes:
         code, _, err = capture(["classify", "-A", "[[1,1", "-b", "1"])
         assert code == 1 and err
 
-    def test_beta_arity(self, capture):
-        assert capture(["classify", "-A", QUADRIC_ARG, "-b", "1/2"])[0] == 1
+    @pytest.mark.parametrize(
+        "argv", [["classify"], ["centers"], ["reduce"], ["export", "--format", "json"]]
+    )
+    def test_beta_arity(self, capture, tmp_path, argv):
+        # Raised once, by the library's parameter check.
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"A": [[1, 1, 1], [0, 1, 2]], "beta": ["1/2"]}))
+        for source in (["-A", QUADRIC_ARG, "-b", "1/2"], ["--input", str(path)]):
+            code, out, err = capture(argv + source)
+            assert (code, out) == (1, "") and "parameter has 1 entries, expected 2" in err
 
     def test_float_beta_rejected(self, capture):
         assert capture(["classify", "-A", QUADRIC_ARG, "-b", "0.5,1"])[0] == 1
@@ -247,7 +259,14 @@ class TestExitCodes:
         assert code == 1 and out == "" and "nested complex" in err
 
     @pytest.mark.parametrize(
-        "payload", [5, [[1, 1, 1], [0, 1, 2]], {"A": [[1, 1, 1], [0, 1, 2]], "beta": 7}]
+        "payload",
+        [
+            5,
+            [[1, 1, 1], [0, 1, 2]],
+            {"A": [[1, 1, 1], [0, 1, 2]], "beta": 7},
+            {"A": 5, "beta": ["1/2", "1"]},
+            {"A": [1, 1, 1], "beta": ["1/2", "1"]},
+        ],
     )
     def test_malformed_input_file_rejected(self, capture, tmp_path, payload):
         path = tmp_path / "job.json"
@@ -296,3 +315,25 @@ class TestJsonStability:
         _, human_out, _ = capture(["classify", "-A", QUADRIC_ARG, "-b", "1/2,1"])
         report = json.loads(json_out)
         assert f"generic rank: {report['generic_rank']}" in human_out
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", "gkzmono.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_volume(self):
+        result = self.module("volume", "-A", QUADRIC_ARG)
+        assert (result.returncode, result.stdout) == (0, "2\n")
+
+    def test_scale_limit_exit_code(self):
+        matrix = "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,1,2,3,0,1,2,3,0,1,2,0],[0,0,0,0,1,1,1,1,2,2,2,3]]"
+        result = self.module("toric-ideal", "-A", matrix, "--max-steps", "100")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("scale limit: ")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,7 @@ from gkzmono import (
     fourier_motzkin_point,
     hermite_normal_form,
     is_face,
+    kernel_lattice_basis,
     reduce_configuration,
     subfaces,
 )
@@ -198,6 +200,21 @@ class TestHermiteReduce:
         monkeypatch.setattr(cones, "hermite_normal_form", doubled)
         with pytest.raises(InternalInconsistency):
             cones._hermite_reduce(IntMatrix([[1, 1, 1], [0, 1, 2]]))
+
+
+class TestPerpLatticeBasis:
+    def test_factors_the_face_matrix_as_given(self):
+        # The Hermite form of the d x k face matrix gives the kernel basis of
+        # its transpose, the empty face (U = I) included.
+        rng = random.Random(61)
+        configs = [Configuration(IntMatrix([[1, 0, 1], [0, 0, 1]]))]
+        configs += [random_configuration(rng, dmax=4, nmax=6, lo=-2, hi=2) for _ in range(30)]
+        assert any(not any(col) for c in configs for col in c.A.columns())
+        for config in configs:
+            for k in range(config.n + 1):
+                for labels in combinations(range(1, config.n + 1), k):
+                    expected = kernel_lattice_basis(config.submatrix(labels).transpose())
+                    assert cones._perp_lattice_basis(config, labels) == expected
 
 
 class TestIsFace:

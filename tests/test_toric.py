@@ -250,18 +250,25 @@ class TestHypergeometricSystem:
         assert len(system.euler) == 2
         assert [(b.plus, b.minus) for b in system.binomials] == [((1, 0, 1), (0, 2, 0))]
 
-    def test_fallback_below_budget(self):
-        system = hypergeometric_system(CUBIC, ["0", "0"], max_steps=2)
-        assert not system.saturated
-        assert [(b.plus, b.minus) for b in system.binomials] == [
-            (b.plus, b.minus) for b in lattice_binomials(CUBIC)
-        ]
+    def test_scale_limit_below_budget(self):
+        # No fallback to the kernel-lattice binomials: they generate a
+        # different D-module.
+        with pytest.raises(ScaleLimit):
+            hypergeometric_system(Configuration(CUBIC.A), ["0", "0"], max_steps=2)
 
-    def test_fallback_below_budget_after_a_saturation(self):
-        assert hypergeometric_system(CUBIC, ["0", "0"]).saturated
-        system = hypergeometric_system(CUBIC, ["0", "0"], max_steps=2)
-        assert not system.saturated
-        assert system.binomials == tuple(lattice_binomials(CUBIC))
+    def test_scale_limit_below_budget_after_a_saturation(self):
+        config = Configuration(CUBIC.A)
+        assert hypergeometric_system(config, ["0", "0"]).saturated
+        with pytest.raises(ScaleLimit):
+            hypergeometric_system(config, ["0", "0"], max_steps=2)
+
+    def test_binomials_are_the_toric_ideal_generators(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            config = random_configuration(rng, dmax=3, nmax=6, lo=-2, hi=2)
+            system = hypergeometric_system(config, ["1/2"] * config.d)
+            assert system.saturated
+            assert system.binomials == tuple(toric_ideal_generators(Configuration(config.A)))
 
 
 class TestBinomialType:
