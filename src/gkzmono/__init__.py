@@ -8,13 +8,7 @@ materializes the hypergeometric system itself (Euler operators plus the
 saturated toric ideal) and exports it for Macaulay2 or Singular.
 """
 
-from .classify import (
-    IRREDUCIBLE,
-    REDUCIBLE,
-    Classification,
-    classify,
-    classify_equivalence_class,
-)
+from .classify import IRREDUCIBLE, REDUCIBLE, Classification, classify
 from .cones import (
     Configuration,
     Face,
@@ -25,22 +19,18 @@ from .cones import (
     fourier_motzkin_point,
     is_face,
     reduce_configuration,
-    subfaces,
 )
 from .errors import (
     BetaOutsideSpan,
     DegenerateConfiguration,
     DimensionMismatch,
     EmptyFace,
-    FaceNotInLattice,
     GkzError,
     InputError,
     InternalInconsistency,
     LatticeNotSaturated,
-    NotAPyramid,
     RankDeficient,
     ScaleLimit,
-    ShiftInvarianceViolation,
     UnsupportedFormat,
 )
 from .exporters import export, parse_toric_system
@@ -50,19 +40,16 @@ from .intlinalg import (
     SmithDecomposition,
     hermite_normal_form,
     kernel_lattice_basis,
-    lattice_member,
     parse_rational,
     smith_normal_form,
 )
-from .pyramids import BetaSplit, is_pyramid, split_beta
+from .pyramids import is_pyramid
 from .resonance import (
     ArrangementComponent,
     ArrangementDescription,
     ResonanceReport,
     describe_resonant_arrangement,
     face_functionals,
-    in_resonant_span,
-    is_resonant,
     resonance_centers,
 )
 from .toric import (

@@ -11,11 +11,11 @@ face_volume(center) < generic rank is recorded as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .cones import Configuration, Face, Parameter, as_parameter, reduce_configuration
-from .errors import DimensionMismatch, InputError, InternalInconsistency, ShiftInvarianceViolation
-from .intlinalg import GaussRat, IntMatrix, lattice_member
+from .cones import Configuration, Face, Parameter, reduce_configuration
+from .errors import InternalInconsistency
+from .intlinalg import IntMatrix
 from .pyramids import is_pyramid
 from .resonance import resonance_centers
 from .volume import face_volume, generic_rank
@@ -96,41 +96,3 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
         basis=basis,
     )
 
-
-def _validated_shift(A_raw: IntMatrix, shift: Sequence[int]) -> tuple[int, ...]:
-    try:
-        (z,) = IntMatrix([shift]).data
-    except TypeError as exc:
-        raise InputError(f"shift entries must be integers: {list(shift)!r}") from exc
-    if len(z) == A_raw.rows:
-        if not lattice_member(A_raw.columns(), z):
-            raise InputError(
-                f"shift {list(z)} is not in the lattice generated by the columns"
-            )
-        return z
-    if len(z) == A_raw.cols:
-        return A_raw.mat_vec(z)
-    raise DimensionMismatch(
-        f"shift length {len(z)} matches neither d={A_raw.rows} nor n={A_raw.cols}"
-    )
-
-
-def classify_equivalence_class(
-    A_raw: IntMatrix, beta_raw, shifts: Sequence[Sequence[int]]
-) -> list[Classification]:
-    """Classify beta + z for each lattice shift z; the verdict may not move.
-
-    Shifts of length d are taken literally (and must lie in the column
-    lattice); shifts of length n are applied through the matrix.
-    """
-    beta = as_parameter(beta_raw, A_raw.rows)
-    results = []
-    for shift in shifts:
-        z = _validated_shift(A_raw, shift)
-        shifted = tuple(b + GaussRat(x) for b, x in zip(beta, z))
-        results.append(classify(A_raw, shifted))
-    if len({r.verdict for r in results}) > 1:
-        raise ShiftInvarianceViolation(
-            "classification changed under a lattice shift of beta"
-        )
-    return results

@@ -26,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BetaOutsideSpan,
     DimensionMismatch,
-    FaceNotInLattice,
     InputError,
     InternalInconsistency,
     LatticeNotSaturated,
@@ -119,17 +118,6 @@ class FaceLattice:
     def __len__(self) -> int:
         return len(self.faces)
 
-    def __contains__(self, item) -> bool:
-        indices = item.indices if isinstance(item, Face) else tuple(sorted(set(item)))
-        return any(f.indices == indices for f in self.faces)
-
-    def face(self, indices: Iterable[int]) -> Face:
-        key = tuple(sorted(set(indices)))
-        for f in self.faces:
-            if f.indices == key:
-                return f
-        raise FaceNotInLattice(f"{list(key)} is not a face of this configuration")
-
     @property
     def full_face(self) -> Face:
         return self.faces[-1]
@@ -150,10 +138,10 @@ class Configuration:
     all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
     raised (use :func:`reduce_configuration` to normalize arbitrary input).
     The validating form U*A^T = H is kept as self.hermite, and the kernel
-    basis, the related columns and the pyramid split all read it.  Results
-    that depend on A alone (face lattice, perp bases, volumes, the columns
-    in toric relations, the kernel basis and the saturated toric ideal) are
-    computed once per instance and kept in its memo.
+    basis and the related columns read it.  Results that depend on A alone
+    (face lattice, perp bases, volumes, the columns in toric relations, the
+    kernel basis and the saturated toric ideal) are computed once per
+    instance and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):
@@ -178,10 +166,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return self.A.cols
-
-    @property
-    def rank(self) -> int:
-        return self.A.rows
 
     def column(self, label: int) -> IntVec:
         if not 1 <= label <= self.n:
@@ -437,18 +421,6 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
     else:
         raise InputError(f"unknown face enumeration method {method!r}")
     return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
-
-
-def subfaces(lattice: FaceLattice, face: Face) -> list[Face]:
-    """All faces strictly contained in the given one."""
-    if face not in lattice:
-        raise FaceNotInLattice(f"{list(face.indices)} is not in the lattice")
-    target = set(face.indices)
-    return [
-        g
-        for g in lattice.faces
-        if set(g.indices) < target
-    ]
 
 
 # ---------------------------------------------------------------------------

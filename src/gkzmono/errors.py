@@ -32,14 +32,6 @@ class BetaOutsideSpan(InputError):
     """The parameter vector is not in the column span of the matrix."""
 
 
-class FaceNotInLattice(InputError):
-    """The face does not belong to the supplied face lattice."""
-
-
-class NotAPyramid(InputError):
-    """Operation requires the configuration to be a pyramid over the face."""
-
-
 class EmptyFace(InputError):
     """Operation is undefined for the empty face."""
 
@@ -58,7 +50,3 @@ class ScaleLimit(GkzError):
 
 class InternalInconsistency(GkzError):
     """A result the theory rules out was computed (CLI exit code 3)."""
-
-
-class ShiftInvarianceViolation(InternalInconsistency):
-    """Classification changed under a lattice shift of the parameter."""

@@ -33,26 +33,53 @@ def _export_json(system: ToricSystem) -> str:
     return json.dumps(system.to_json(), indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer as is; floats and booleans are refused, never rounded."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, what: str, length: int) -> tuple[int, ...]:
+    if not isinstance(values, list) or len(values) != length:
+        raise InputError(f"{what} must be a list of {length} integers, got {values!r}")
+    return tuple(_integer(x, what) for x in values)
+
+
 def parse_toric_system(text: str) -> ToricSystem:
-    """Inverse of the JSON export."""
+    """Inverse of the JSON export.
+
+    Counts, indices, coefficients and exponents must be JSON integers, the
+    Euler indices run 1, 2, ... (the scripts name each operator by its
+    index), and every coefficient and exponent list has nvars entries.  The
+    system must be marked saturated: the scripts declare its binomials as
+    the toric ideal.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid system JSON: {exc}") from exc
     try:
+        if payload["saturated"] is not True:
+            raise InputError(f"\"saturated\" must be true, got {payload['saturated']!r}")
+        nvars = _integer(payload["nvars"], "nvars")
+        if nvars < 1:
+            raise InputError(f"nvars must be at least 1, got {nvars}")
         euler = tuple(
             EulerOperator(
-                int(e["index"]),
-                tuple(int(c) for c in e["coefficients"]),
+                _integer(e["index"], "index"),
+                _integers(e["coefficients"], "coefficients", nvars),
                 GaussRat.parse(e["shift"]),
             )
             for e in payload["euler"]
         )
+        if [e.index for e in euler] != list(range(1, len(euler) + 1)):
+            raise InputError("Euler operator indices must run 1, 2, ... in order")
         binomials = tuple(
-            Binomial(tuple(b["plus"]), tuple(b["minus"]))
+            Binomial(*(_integers(b[side], "exponents", nvars) for side in ("plus", "minus")))
             for b in payload["binomials"]
         )
-        return ToricSystem(euler, binomials, bool(payload["saturated"]), int(payload["nvars"]))
+        return ToricSystem(euler, binomials, nvars)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed system JSON: {exc}") from exc
 

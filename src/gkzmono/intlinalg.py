@@ -464,18 +464,6 @@ def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[
     return None if any(residue) else tuple(coords)
 
 
-def lattice_member(L: Sequence[Sequence[int]], v: Sequence) -> bool:
-    """Decide whether v is an integer combination of the vectors in L."""
-    for vec in L:
-        if len(vec) != len(v):
-            raise DimensionMismatch("lattice vectors and target differ in length")
-    if not L:
-        return not any(v)
-    H, _ = hermite_normal_form(IntMatrix(L, cols=len(v)))
-    x = hermite_coordinates([row for row in H.data if any(row)], v)
-    return x is not None and all(q.denominator == 1 for q in x)
-
-
 def primitive_vector(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = 0

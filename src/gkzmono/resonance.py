@@ -111,12 +111,6 @@ def _passes(functionals: tuple[IntVec, ...], scale: int, re: IntVec, im: IntVec)
     return True
 
 
-def in_resonant_span(config: Configuration, face: Face, beta) -> bool:
-    """Decide beta in Z^d + C*span(columns of face), exactly."""
-    scaled = _scaled(as_parameter(beta, config.d))
-    return _passes(face_functionals(config, face), *scaled)
-
-
 @dataclass(frozen=True)
 class ResonanceReport:
     """Faces whose resonant span contains beta, and the minimal ones.
@@ -177,11 +171,6 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
         centers == [top],
         tuple(table.congruences[i] for i in members),
     )
-
-
-def is_resonant(config: Configuration, beta) -> bool:
-    """True iff some proper face's resonant span contains beta."""
-    return not resonance_centers(config, beta).is_nonresonant
 
 
 def _congruence_text(w: IntVec) -> str:

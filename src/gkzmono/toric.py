@@ -11,7 +11,7 @@ and keep the t-free part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .cones import Configuration, as_parameter
 from .errors import InternalInconsistency, ScaleLimit
@@ -81,8 +81,10 @@ class EulerOperator:
 class ToricSystem:
     euler: tuple[EulerOperator, ...]
     binomials: tuple[Binomial, ...]
-    saturated: bool
     nvars: int
+    # The binomials always generate the saturated toric ideal:
+    # hypergeometric_system raises instead of falling back to a lattice ideal.
+    saturated: ClassVar[bool] = True
 
     def to_json(self) -> dict:
         return {
@@ -216,4 +218,4 @@ def hypergeometric_system(
     D-module, so there is no fallback.
     """
     euler = tuple(euler_operators(config, beta))
-    return ToricSystem(euler, tuple(toric_ideal_generators(config, max_steps)), True, config.n)
+    return ToricSystem(euler, tuple(toric_ideal_generators(config, max_steps)), config.n)

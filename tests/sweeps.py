@@ -1,4 +1,4 @@
-"""Shared random generators for the property sweeps, and the benchmark's fixed A."""
+"""Shared random generators for the property sweeps, the benchmark's fixed A, and face lookup."""
 
 from fractions import Fraction
 
@@ -74,3 +74,9 @@ def random_homogeneous_configuration(rng, d, n, hi=4):
             return Configuration(IntMatrix.from_columns(sorted(columns), d))
         except LatticeNotSaturated:
             continue
+
+
+def face_of(config, indices):
+    """The face of config's lattice with these column labels (StopIteration if none)."""
+    key = tuple(sorted(indices))
+    return next(f for f in config.face_lattice() if f.indices == key)

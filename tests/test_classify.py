@@ -13,10 +13,8 @@ from gkzmono import (
     REDUCIBLE,
     BetaOutsideSpan,
     GaussRat,
-    InputError,
     IntMatrix,
     classify,
-    classify_equivalence_class,
     cones,
     intlinalg,
     pyramids,
@@ -197,54 +195,6 @@ class TestTheoremConsistency:
             if config.pointed and len(distinct) > config.d:
                 assert result.verdict == REDUCIBLE
                 assert result.centers[0].indices == config.face_lattice().faces[0].indices
-
-
-class TestEquivalenceClass:
-    def test_explicit_shifts(self):
-        results = classify_equivalence_class(
-            QUADRIC, ["1/2", "1"], [(0, 0), (1, 0), (-2, 3)]
-        )
-        assert [r.verdict for r in results] == [REDUCIBLE] * 3
-
-    def test_singleton_zero_shift(self):
-        results = classify_equivalence_class(PYRAMID, ["1/3", "1/5", "2"], [(0, 0, 0)])
-        assert len(results) == 1
-        assert results[0].verdict == classify(PYRAMID, ["1/3", "1/5", "2"]).verdict
-
-    def test_pyramid_shift(self):
-        results = classify_equivalence_class(
-            PYRAMID, ["1/3", "1/5", "2"], [(1, 1, 1)]
-        )
-        assert [r.verdict for r in results] == [IRREDUCIBLE]
-
-    def test_length_n_shifts_go_through_the_matrix(self):
-        results = classify_equivalence_class(QUADRIC, ["1/2", "1"], [(1, -2, 4)])
-        assert results[0].verdict == REDUCIBLE
-
-    def test_shift_outside_lattice_rejected(self):
-        with pytest.raises(InputError):
-            classify_equivalence_class(IntMatrix([[2, 4]]), ["1/2"], [(1,)])
-
-    def test_fractional_shift_entry_rejected(self):
-        # int() would truncate 1.5 to 1 and shift by a different vector.
-        with pytest.raises(InputError):
-            classify_equivalence_class(QUADRIC, ["1/2", "1"], [[1.5, 0]])
-
-    def test_bool_shift_entry_rejected(self):
-        with pytest.raises(InputError):
-            classify_equivalence_class(QUADRIC, ["1/2", "1"], [[True, 0]])
-
-    def test_random_shift_invariance(self):
-        rng = random.Random(89)
-        for _ in range(40):
-            A = random_full_rank_matrix(rng, dmax=3, nmax=5)
-            beta = random_beta(rng, A.rows)
-            shifts = [
-                A.mat_vec(tuple(rng.randint(-3, 3) for _ in range(A.cols)))
-                for _ in range(3)
-            ]
-            results = classify_equivalence_class(A, beta, shifts)
-            assert len({r.verdict for r in results}) == 1
 
 
 class TestInvariance:
@@ -465,7 +415,5 @@ class TestCacheStructure:
         result = classify(IntMatrix(A.data), ["1/2", "1/3", "2"])
         config = result.configuration
         toric.toric_ideal_generators(config)
-        base = config.face_lattice().face([1, 2, 3, 4])
-        split = pyramids.split_beta(config, base, ["1/2", "1/3", "2"])
-        assert split.coefficients == {5: GaussRat(2)}
+        assert result.verdict == IRREDUCIBLE
         assert factored.count(A.transpose()) == 1

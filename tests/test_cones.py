@@ -9,7 +9,6 @@ from gkzmono import (
     BetaOutsideSpan,
     Configuration,
     Face,
-    FaceNotInLattice,
     GaussRat,
     InputError,
     IntMatrix,
@@ -23,7 +22,6 @@ from gkzmono import (
     is_face,
     kernel_lattice_basis,
     reduce_configuration,
-    subfaces,
 )
 from oracles import (
     facets_by_subset_normals,
@@ -53,7 +51,7 @@ def witness_is_valid(config, face):
 class TestConfiguration:
     def test_valid(self):
         c = Configuration(QUADRIC)
-        assert (c.d, c.n, c.rank) == (2, 3, 2)
+        assert (c.d, c.n) == (2, 3)
         assert c.column(1) == (1, 0)
 
     def test_rank_deficient(self):
@@ -426,29 +424,6 @@ class TestFaceDigest:
             for face in enumerate_faces(random_homogeneous_configuration(rng, d, n), "dd"):
                 h.update(repr((face.indices, face.witness)).encode())
         assert h.hexdigest() == self.WIDE
-
-
-class TestSubfaces:
-    def test_of_full_face(self):
-        c = Configuration(QUADRIC)
-        lattice = c.face_lattice()
-        got = subfaces(lattice, lattice.full_face)
-        assert [f.indices for f in got] == [(), (1,), (3,)]
-
-    def test_of_ray(self):
-        c = Configuration(QUADRIC)
-        lattice = c.face_lattice()
-        assert [f.indices for f in subfaces(lattice, lattice.face([1]))] == [()]
-
-    def test_of_empty(self):
-        c = Configuration(QUADRIC)
-        lattice = c.face_lattice()
-        assert subfaces(lattice, lattice.face([])) == []
-
-    def test_foreign_face_rejected(self):
-        c = Configuration(QUADRIC)
-        with pytest.raises(FaceNotInLattice):
-            subfaces(c.face_lattice(), Face([2], [0, 0]))
 
 
 class TestFaceValue:

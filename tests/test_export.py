@@ -5,6 +5,7 @@ import pytest
 
 from gkzmono import (
     Configuration,
+    InputError,
     IntMatrix,
     UnsupportedFormat,
     export,
@@ -93,9 +94,50 @@ class TestErrors:
             export(quadric_system, "maple")
 
     def test_parse_rejects_garbage(self):
-        from gkzmono import InputError
-
         with pytest.raises(InputError):
             parse_toric_system("not json")
         with pytest.raises(InputError):
             parse_toric_system('{"euler": []}')
+
+    def test_parse_rejects_an_unsaturated_system(self):
+        # The scripts would declare the binomials as the toric ideal.
+        twisted_cubic = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
+        text = export(hypergeometric_system(twisted_cubic, ["1/2", "1"]), "json")
+        payload = json.loads(text)
+        payload["saturated"] = False
+        with pytest.raises(InputError, match="saturated"):
+            parse_toric_system(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("saturated",), 1),
+            (("nvars",), 3.0),
+            (("nvars",), True),
+            (("nvars",), 0),
+            (("nvars",), -1),
+            # The coefficient and exponent lists have 3 entries.
+            (("nvars",), 2),
+            (("nvars",), 4),
+            (("euler", 0, "index"), 1.9),
+            (("euler", 0, "index"), True),
+            # Macaulay2 would bind E_1 twice and lose an operator.
+            (("euler", 1, "index"), 1),
+            (("euler", 0, "coefficients", 1), 1.5),
+            (("euler", 1, "coefficients", 0), False),
+            (("euler", 1, "coefficients"), [0, 1]),
+            (("binomials", 0, "plus", 0), 1.0),
+            (("binomials", 0, "minus", 1), True),
+            (("binomials", 0), {"plus": [1, 0, 1, 0], "minus": [0, 2, 0, 0]}),
+            (("binomials", 0, "minus"), "020"),
+        ],
+    )
+    def test_parse_coerces_nothing(self, quadric_system, path, value):
+        payload = json.loads(export(quadric_system, "json"))
+        *parents, key = path
+        node = payload
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(InputError):
+            parse_toric_system(json.dumps(payload))

@@ -1,32 +1,21 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from gkzmono import (
     Configuration,
-    GaussRat,
     IntMatrix,
-    InternalInconsistency,
-    NotAPyramid,
     enumerate_faces,
     is_pyramid,
     kernel_lattice_basis,
     pyramids,
-    split_beta,
 )
-from oracles import ORACLES, is_pyramid_rank, related_columns_by_distinct_kernel, solve_rational
-from sweeps import random_configuration, random_unimodular
+from oracles import ORACLES, is_pyramid_rank, related_columns_by_distinct_kernel
+from sweeps import face_of, random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 PYRAMID = Configuration(IntMatrix([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]]))
 
 # The runtime kernel-support test and the three oracles.
 ALL_CHECKS = (is_pyramid, *ORACLES.values())
-
-
-def face_of(config, indices):
-    return config.face_lattice().face(indices)
 
 
 def configurations_with_copies(seed, count):
@@ -52,25 +41,6 @@ def configurations_with_copies(seed, count):
 
 
 COPIES = configurations_with_copies(83, 300)
-
-
-def assert_exact_split(config, face, beta):
-    """beta = beta_face + sum c_j a_j, beta_face in the face span, 0 on later copies."""
-    split = split_beta(config, face, beta)
-    rebuilt = list(split.beta_face)
-    seen = set()
-    for j, c in split.coefficients.items():
-        rebuilt = [b + c * a for b, a in zip(rebuilt, config.column(j))]
-        assert not (c and config.column(j) in seen)
-        seen.add(config.column(j))
-    assert tuple(rebuilt) == tuple(beta)
-    # the face component lies in the span of the face columns
-    if face.indices:
-        F = config.submatrix(face.indices)
-        assert solve_rational(F, [b.re for b in split.beta_face]) is not None
-        assert solve_rational(F, [b.im for b in split.beta_face]) is not None
-    else:
-        assert all(not b for b in split.beta_face)
 
 
 def checks(config, face):
@@ -159,89 +129,10 @@ class TestAggregate:
                 relabeled = tuple(
                     sorted(perm.index(j - 1) + 1 for j in face.indices)
                 )
-                assert (
-                    is_pyramid(permuted, permuted.face_lattice().face(relabeled))
-                    == expected
-                )
+                assert is_pyramid(permuted, face_of(permuted, relabeled)) == expected
                 U = random_unimodular(rng, config.d)
                 transformed = Configuration(U @ config.A)
-                assert (
-                    is_pyramid(
-                        transformed, transformed.face_lattice().face(face.indices)
-                    )
-                    == expected
-                )
-
-
-class TestSplitBeta:
-    def test_pyramid_example(self):
-        face = face_of(PYRAMID, [1, 2, 3])
-        split = split_beta(PYRAMID, face, ["1/3", "1/5", "2"])
-        assert split.beta_face == (
-            GaussRat(Fraction(1, 3)),
-            GaussRat(Fraction(1, 5)),
-            GaussRat(0),
-        )
-        assert split.coefficients == {4: GaussRat(Fraction(2))}
-
-    def test_full_face_keeps_beta(self):
-        full = face_of(QUADRIC, [1, 2, 3])
-        split = split_beta(QUADRIC, full, ["1/2", "1"])
-        assert split.coefficients == {}
-        assert split.beta_face == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1)))
-
-    def test_zero_beta(self):
-        face = face_of(PYRAMID, [1, 2, 3])
-        split = split_beta(PYRAMID, face, ["0", "0", "0"])
-        assert split.coefficients == {4: GaussRat(0)}
-        assert all(b == GaussRat(0) for b in split.beta_face)
-
-    def test_rejects_non_pyramid(self):
-        with pytest.raises(NotAPyramid):
-            split_beta(QUADRIC, face_of(QUADRIC, [1]), ["1/2", "1"])
-
-    def test_reconstruction_is_exact(self):
-        rng = random.Random(71)
-        done = 0
-        while done < 20:
-            config = random_configuration(rng, dmax=3, nmax=5)
-            beta = [
-                GaussRat(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
-                         Fraction(rng.randint(-2, 2)))
-                for _ in range(config.d)
-            ]
-            for face in enumerate_faces(config, "dd"):
-                if is_pyramid(config, face):
-                    assert_exact_split(config, face, beta)
-                    done += 1
-
-    def test_reconstruction_is_exact_on_copies(self):
-        rng = random.Random(84)
-        done = 0
-        for config in COPIES[:50]:
-            for face in enumerate_faces(config, "dd"):
-                if is_pyramid(config, face):
-                    beta = [GaussRat(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
-                            for _ in range(config.d)]
-                    assert_exact_split(config, face, beta)
-                    done += 1
-        assert done > 50
-
-    def test_unsolvable_split_is_an_internal_inconsistency(self, monkeypatch):
-        # The columns span Q^d, so beta always has coordinates on them.
-        monkeypatch.setattr(pyramids, "_gauss_rat_coordinates", lambda rows, beta: None)
-        with pytest.raises(InternalInconsistency, match="not in the span"):
-            split_beta(PYRAMID, face_of(PYRAMID, [1, 2, 3]), ["1/2", "1", "1/3"])
-
-    @pytest.mark.parametrize("A, face, beta, coefficients", [
-        ([[1, 0, 1]], [2], ["5/2"], {1: "5/2", 3: "0"}),
-        # The Hermite solution of A*x = beta puts weight on the second copy.
-        ([[0, 0, 1], [1, 1, -1]], [], ["1/2", "1/3"], {1: "5/6", 2: "0", 3: "1/2"}),
-    ])
-    def test_duplicate_column_coefficient_on_first_copy(self, A, face, beta, coefficients):
-        config = Configuration(IntMatrix(A))
-        split = split_beta(config, face_of(config, face), beta)
-        assert split.coefficients == {j: GaussRat.parse(c) for j, c in coefficients.items()}
+                assert is_pyramid(transformed, face_of(transformed, face.indices)) == expected
 
 
 class TestRelatedColumns:

@@ -13,8 +13,6 @@ from gkzmono import (
     describe_resonant_arrangement,
     enumerate_faces,
     face_functionals,
-    in_resonant_span,
-    is_resonant,
     resonance,
     resonance_centers,
 )
@@ -86,41 +84,26 @@ def shift_certificate_exists(config, face, beta, bound):
     return False
 
 
-class TestInResonantSpan:
-    def test_quadric_first_ray(self):
-        face = QUADRIC.face_lattice().face([1])
-        assert in_resonant_span(QUADRIC, face, BETA_HALF)
+def member_faces(config, beta):
+    return resonance_centers(config, beta).member_faces
 
-    def test_quadric_second_ray(self):
-        face = QUADRIC.face_lattice().face([3])
-        assert in_resonant_span(QUADRIC, face, BETA_HALF)
 
-    def test_quadric_empty_face(self):
-        face = QUADRIC.face_lattice().face([])
-        assert not in_resonant_span(QUADRIC, face, BETA_HALF)
-
-    def test_full_face_always(self):
-        face = QUADRIC.face_lattice().full_face
-        assert in_resonant_span(QUADRIC, face, ["7/13", "-5/11"])
-
-    def test_imaginary_parts_must_lie_in_span(self):
-        face = QUADRIC.face_lattice().face([1])
-        # i*(1,0) is in C*span{(1,0)}, i*(0,1) is not
-        assert in_resonant_span(QUADRIC, face, [{"im": "1"}, "0"])
-        assert not in_resonant_span(QUADRIC, face, ["0", {"im": "1"}])
-
-    def test_monotone_in_the_face(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            config = random_configuration(rng, dmax=3, nmax=5)
-            beta = random_beta(rng, config.d)
-            lattice = enumerate_faces(config, "dd")
-            for f in lattice:
-                if not in_resonant_span(config, f, beta):
-                    continue
-                for g in lattice:
-                    if set(f.indices) <= set(g.indices):
-                        assert in_resonant_span(config, g, beta)
+class TestMembership:
+    @pytest.mark.parametrize(
+        "beta, members",
+        [
+            (BETA_HALF, [(1,), (3,), (1, 2, 3)]),
+            (["7/13", "-5/11"], [(1, 2, 3)]),
+            # i*(1,0) is in C*span{(1,0)}, i*(0,1) is in no proper span
+            ([{"im": "1"}, "0"], [(1,), (1, 2, 3)]),
+            (["0", {"im": "1"}], [(1, 2, 3)]),
+            ([{"im": "1"}, {"im": "5/7"}], [(1, 2, 3)]),
+        ],
+    )
+    def test_quadric_examples(self, beta, members):
+        report = resonance_centers(QUADRIC, beta)
+        assert [f.indices for f in report.member_faces] == members
+        assert report.is_nonresonant == (members == [(1, 2, 3)])
 
     def test_shift_invariance(self):
         rng = random.Random(13)
@@ -130,10 +113,7 @@ class TestInResonantSpan:
             z = [rng.randint(-5, 5) for _ in range(config.n)]
             shift = config.A.mat_vec(z)
             shifted = [b + GaussRat(s) for b, s in zip(beta, shift)]
-            for f in enumerate_faces(config, "dd"):
-                assert in_resonant_span(config, f, beta) == in_resonant_span(
-                    config, f, shifted
-                )
+            assert member_faces(config, beta) == member_faces(config, shifted)
 
     def test_against_shift_search_oracle(self):
         rng = random.Random(19)
@@ -145,7 +125,7 @@ class TestInResonantSpan:
             face = faces[rng.randrange(len(faces))]
             beta = [GaussRat(b) for b in random_beta(rng, config.d, numerator=3)]
             if shift_certificate_exists(config, face, beta, bound=2):
-                assert in_resonant_span(config, face, beta)
+                assert face in member_faces(config, beta)
                 checked += 1
             # planted membership: z + combination of face columns, |z| up to 10
             z = [rng.choice([-10, -3, 0, 1, 10]) for _ in range(config.d)]
@@ -156,7 +136,7 @@ class TestInResonantSpan:
                     b + GaussRat(c * a)
                     for b, a in zip(planted, config.column(j))
                 ]
-            assert in_resonant_span(config, face, planted)
+            assert face in member_faces(config, planted)
         assert checked >= 5
 
 
@@ -216,11 +196,8 @@ class TestAgainstTheDefinition:
                 report = resonance_centers(config, beta)
                 assert [f.indices for f in report.member_faces] == members
                 assert [f.indices for f in report.centers] == centers
-                for f in lattice:
-                    assert in_resonant_span(config, f, beta) == (f.indices in members)
                 proper = [m for m in members if m != lattice.full_face.indices]
-                assert is_resonant(config, beta) == bool(proper)
-                assert is_resonant(config, beta) == (not report.is_nonresonant)
+                assert (not report.is_nonresonant) == bool(proper)
             assert face.indices in members  # the planted beta came last
 
     @pytest.mark.parametrize("config", [QUADRIC, SWEEP], ids=["quadric", "beta_sweep"])
@@ -236,7 +213,7 @@ class TestAgainstTheDefinition:
             beta = [GaussRat(r, t**k) for k, r in enumerate(real)]
             report = resonance_centers(config, beta)
             assert report.centers == report.member_faces == (lattice.full_face,)
-            assert report.is_nonresonant and not is_resonant(config, beta)
+            assert report.is_nonresonant
             assert classify(config.A, beta).verdict == IRREDUCIBLE
 
 
@@ -336,25 +313,6 @@ class TestFaceTestCount:
             assert len(tests_run) == 1
 
 
-class TestIsResonant:
-    def test_examples(self):
-        assert is_resonant(QUADRIC, BETA_HALF)
-        assert not is_resonant(QUADRIC, ["1/3", "1/5"])
-
-    def test_matches_report(self):
-        rng = random.Random(47)
-        for _ in range(25):
-            config = random_configuration(rng, dmax=3, nmax=5)
-            beta = random_beta(rng, config.d)
-            assert is_resonant(config, beta) == (
-                not resonance_centers(config, beta).is_nonresonant
-            )
-
-    def test_fully_imaginary_generic_beta(self):
-        beta = [{"im": "1"}, {"im": "5/7"}]
-        assert not is_resonant(QUADRIC, beta)
-
-
 class TestArrangement:
     def test_quadric_components(self):
         desc = describe_resonant_arrangement(QUADRIC)
@@ -372,7 +330,7 @@ class TestArrangement:
     def test_line_has_no_components(self):
         config = Configuration(IntMatrix([[1, -1]]))
         assert describe_resonant_arrangement(config).components == ()
-        assert not is_resonant(config, ["22/7"])
+        assert resonance_centers(config, ["22/7"]).is_nonresonant
 
     def test_functionals_power_the_membership_test(self):
         rng = random.Random(53)
@@ -384,7 +342,7 @@ class TestArrangement:
                     sum(w * b.re for w, b in zip(func, beta)).denominator == 1
                     for func in comp.functionals
                 )
-                assert expected == in_resonant_span(config, comp.face, beta)
+                assert expected == fraction_in_resonant_span(config, comp.face, beta)
 
     def test_span_basis_spans_the_face(self):
         desc = describe_resonant_arrangement(QUADRIC)

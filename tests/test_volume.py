@@ -17,7 +17,7 @@ from gkzmono import (
     normalized_volume,
     volume,
 )
-from sweeps import random_configuration, random_unimodular
+from sweeps import face_of, random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 CUBIC = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
@@ -162,7 +162,7 @@ class TestFaceVolume:
         assert face_volume(QUADRIC, full) == 2
 
     def test_ray(self):
-        assert face_volume(QUADRIC, QUADRIC.face_lattice().face([1])) == 1
+        assert face_volume(QUADRIC, face_of(QUADRIC, [1])) == 1
 
     def test_full_face_is_the_hermite_path_volume(self):
         # The Hermite reduction that the full face skips, kept as a reference.
@@ -187,7 +187,7 @@ class TestFaceVolume:
             assert face_volume(fresh, fresh.face_lattice().full_face) == generic_rank(fresh)
         assert calls == []
         fresh = Configuration(IntMatrix(PYRAMID.A.data))
-        assert face_volume(fresh, fresh.face_lattice().face([1, 2, 3])) == 2
+        assert face_volume(fresh, face_of(fresh, [1, 2, 3])) == 2
         assert len(calls) == 1
 
     def test_volume_is_taken_in_the_generated_lattice(self):
@@ -195,21 +195,21 @@ class TestFaceVolume:
         # (1,2) generate an index-2 sublattice of the saturated lattice Z^2:
         # volume 1 in the generated lattice, 2 in the saturated one.
         config = Configuration(IntMatrix([[1, 1, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]]))
-        face = config.face_lattice().face([1, 2])
+        face = face_of(config, [1, 2])
         assert face_volume(config, face) == 1
         assert volume._volume_of_matrix(IntMatrix([[1, 1], [0, 2]])).volume == 2
 
     def test_pyramid_face_reduces_to_quadric(self):
-        face = PYRAMID.face_lattice().face([1, 2, 3])
+        face = face_of(PYRAMID, [1, 2, 3])
         assert face_volume(PYRAMID, face) == 2
 
     def test_empty_face_rejected(self):
         with pytest.raises(EmptyFace):
-            face_volume(QUADRIC, QUADRIC.face_lattice().face([]))
+            face_volume(QUADRIC, face_of(QUADRIC, []))
 
     def test_zero_column_face(self):
         config = Configuration(IntMatrix([[1, 0]]))
-        face = config.face_lattice().face([2])
+        face = face_of(config, [2])
         assert face_volume(config, face) == 1
 
     def test_pyramid_faces_have_full_volume(self):
