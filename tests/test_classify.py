@@ -213,6 +213,28 @@ class TestInvariance:
             assert classify(U @ A, beta_u).verdict == base
 
 
+class TestShiftInvariance:
+    """beta and beta + A*z have the same verdict and centers for integer z."""
+
+    @pytest.mark.parametrize(
+        "A, beta, z, verdict",
+        [
+            (QUADRIC, ["1/2", "1"], (0, 1, 0), REDUCIBLE),
+            (QUADRIC, ["1/2", "1"], (1, 0, 0), REDUCIBLE),
+            (QUADRIC, ["1/2", "1"], (1, -2, 4), REDUCIBLE),
+            (QUADRIC, ["1/3", "1/5"], (-3, 0, 2), IRREDUCIBLE),
+            (PYRAMID, ["1/3", "1/5", "2"], (0, 0, 1, 1), IRREDUCIBLE),
+            (PYRAMID, ["1/2", "1", "1/3"], (2, -1, 0, -5), REDUCIBLE),
+        ],
+    )
+    def test_lattice_shift_keeps_the_verdict(self, A, beta, z, verdict):
+        base = classify(A, beta)
+        shift = A.mat_vec(z)
+        shifted = classify(A, [GaussRat.parse(b) + GaussRat(s) for b, s in zip(beta, shift)])
+        assert base.verdict == shifted.verdict == verdict
+        assert base.centers == shifted.centers
+
+
 class TestSharedConfiguration:
     """Equal matrices share one normalized configuration across calls."""
 

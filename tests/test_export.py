@@ -130,6 +130,9 @@ class TestErrors:
             (("binomials", 0, "minus", 1), True),
             (("binomials", 0), {"plus": [1, 0, 1, 0], "minus": [0, 2, 0, 0]}),
             (("binomials", 0, "minus"), "020"),
+            # Shifts are "p/q" strings or {"re", "im"} objects, never floats.
+            (("euler", 1, "shift"), 0.5),
+            (("euler", 0, "shift"), {"re": "1/2", "im": 0.25}),
         ],
     )
     def test_parse_coerces_nothing(self, quadric_system, path, value):

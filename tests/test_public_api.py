@@ -1,8 +1,12 @@
 """The public names of gkzmono, pinned: adding or removing one edits this list."""
 
+import dataclasses
 import types
 
+import pytest
+
 import gkzmono
+from gkzmono import Configuration, FaceLattice, IntMatrix, ToricSystem
 
 PUBLIC = [
     "ArrangementComponent",
@@ -69,3 +73,34 @@ def test_public_names_are_exactly_the_pinned_list():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+def public_members(cls):
+    """Names defined on the class itself, dataclass fields included."""
+    names = {name for name in vars(cls) if not name.startswith("_")}
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return sorted(names)
+
+
+def test_configuration_members_are_pinned():
+    # d is the only name for the number of rows.
+    assert public_members(Configuration) == [
+        "column", "d", "face_lattice", "kernel", "lineality_columns", "n",
+        "pointed", "submatrix",
+    ]
+
+
+def test_face_lattice_members_are_pinned():
+    assert public_members(FaceLattice) == ["faces", "full_face", "has_empty_face", "to_json"]
+    # Membership goes through iteration, and faces compare by their indices.
+    lattice = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]])).face_lattice()
+    assert "__contains__" not in vars(FaceLattice)
+    assert lattice.full_face in lattice
+
+
+def test_toric_system_saturation_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(ToricSystem)] == ["euler", "binomials", "nvars"]
+    assert ToricSystem.saturated is True
+    with pytest.raises(TypeError):
+        ToricSystem((), (), 1, saturated=False)
