@@ -82,6 +82,10 @@ def _step_budget(text: str) -> int:
     return steps
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def _attach_beta_values(argv) -> list:
     """Rewrite "-b -1/2,1" as "--beta=-1/2,1": argparse reads "-1/2,1" as an option."""
     out: list = []
@@ -242,9 +246,8 @@ def _render_toric(report: dict) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_beta_values(argv))
+        args = _PARSER.parse_args(_attach_beta_values(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:

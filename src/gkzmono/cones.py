@@ -6,13 +6,15 @@ functional that vanishes on the subset and is strictly positive on its
 complement; the whole column set is always a face (functional 0), and the
 empty set is a face exactly when the configuration is pointed.
 
-Feasibility questions ("is there a functional with these signs?") are
-answered by exact Fourier-Motzkin elimination on primitive integer rows;
-only the back-substituted point is rational.  Full face enumeration either
-brute-forces all index subsets through that oracle or computes the facets
-with the double description method on the dual cone, whose rays carry the
-bitmasks of the columns they vanish on (adjacency is a test on those
-bitmasks), and closes the facet bitmasks under intersection.
+Face enumeration computes the facets with the double description method
+on the dual cone, whose rays carry the bitmasks of the columns they vanish
+on (adjacency is a test on those bitmasks), and closes the facet bitmasks
+under intersection; each face is witnessed by the primitive sum of the
+normals of the facets that contain it.  Feasibility questions ("is there a
+functional with these signs?") are answered by exact Fourier-Motzkin
+elimination on primitive integer rows; only the back-substituted point is
+rational.  That oracle still enumerates the faces of configurations with at
+most BRUTE_FORCE_LIMIT columns, for the reason given at the constant.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .intlinalg import (
     hermite_coordinates,
     hermite_kernel_basis,
     hermite_normal_form,
+    integer_entries,
     primitive_vector,
     rank_int,
 )
@@ -47,9 +50,11 @@ Parameter = tuple[GaussRat, ...]
 
 # Up to this many columns "auto" brute-forces all index subsets against the
 # feasibility oracle, and runs double description above.  DD is faster at
-# every n measured (2 to 10); brute force stays "auto"'s choice only because
-# the benchmark pins that path (ROADMAP item 1).
-BRUTE_FORCE_LIMIT = 10
+# every n measured (2 to 10).  The only reason brute force remains is the
+# benchmark, which asserts that a cold classify of a 2x3 matrix reaches
+# is_face; the benchmark change of ROADMAP item 1 lifts that pin and deletes
+# this constant together with the brute path.
+BRUTE_FORCE_LIMIT = 3
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -88,7 +93,7 @@ class Face:
 
     def __init__(self, indices: Iterable[int], witness: Iterable[int]):
         object.__setattr__(self, "indices", tuple(sorted(set(indices))))
-        object.__setattr__(self, "witness", tuple(int(x) for x in witness))
+        object.__setattr__(self, "witness", integer_entries(witness))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Face is immutable")
@@ -392,11 +397,13 @@ def _facets(config: Configuration) -> list[tuple[IntVec, int]]:
 def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
     """The complete face lattice, canonically sorted by (size, indices).
 
-    method "brute" checks every index subset with the feasibility oracle;
-    "dd" computes the facets by double description and closes their column
-    bitmasks under intersection (every proper face is such an intersection,
-    witnessed by the sum of the normals of the facets containing it);
-    "auto" picks brute force up to BRUTE_FORCE_LIMIT columns.
+    method "dd" computes the facets by double description and closes their
+    column bitmasks under intersection (every proper face is such an
+    intersection, witnessed by the primitive sum of the normals of the
+    facets containing it, so the witness is canonical); "brute" checks every
+    index subset with the feasibility oracle.  "auto" runs DD, except up to
+    BRUTE_FORCE_LIMIT columns, where it keeps brute force only because the
+    benchmark pins that path; ROADMAP item 1's benchmark change deletes it.
     """
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"

@@ -116,6 +116,14 @@ class GaussRat:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
 
+def integer_entries(values: Iterable[int]) -> IntVec:
+    """The values as a tuple of ints: bool is rejected, and nothing is truncated."""
+    entries = tuple(values)
+    if any(isinstance(x, bool) for x in entries):
+        raise TypeError("entries must be integers, not bool")
+    return tuple(map(operator.index, entries))
+
+
 class IntMatrix:
     """Immutable integer matrix stored as row-major tuples."""
 
@@ -286,7 +294,7 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     if M.rows == 0:
         raise DimensionMismatch("hermite_normal_form of an empty matrix")
     h = [list(row) for row in M.data]
-    u = [list(row) for row in IntMatrix.identity(M.rows).data]
+    u = [[int(i == j) for j in range(M.rows)] for i in range(M.rows)]
     nrows = M.rows
     pivot_row = 0
     for c in range(M.cols):

@@ -25,7 +25,7 @@ from .groebner import (
     normal_form,
     oriented,
 )
-from .intlinalg import GaussRat, IntVec
+from .intlinalg import GaussRat, IntVec, integer_entries
 
 Monomial = tuple[int, ...]
 
@@ -38,8 +38,8 @@ class Binomial:
     minus: Monomial
 
     def __post_init__(self):
-        object.__setattr__(self, "plus", tuple(int(e) for e in self.plus))
-        object.__setattr__(self, "minus", tuple(int(e) for e in self.minus))
+        object.__setattr__(self, "plus", integer_entries(self.plus))
+        object.__setattr__(self, "minus", integer_entries(self.minus))
         if len(self.plus) != len(self.minus):
             raise ValueError("binomial monomials must have equal length")
         if self.plus == self.minus:
@@ -67,7 +67,7 @@ class EulerOperator:
     shift: GaussRat
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", integer_entries(self.coefficients))
 
     def to_json(self) -> dict:
         return {

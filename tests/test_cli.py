@@ -317,15 +317,19 @@ class TestJsonStability:
         assert f"generic rank: {report['generic_rank']}" in human_out
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports gkzmono from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+
 class TestModuleEntryPoint:
     @staticmethod
     def module(*argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         return subprocess.run(
             [sys.executable, "-m", "gkzmono.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
 
     def test_volume(self):
@@ -337,3 +341,64 @@ class TestModuleEntryPoint:
         result = self.module("toric-ideal", "-A", matrix, "--max-steps", "100")
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("scale limit: ")
+
+    def test_the_shared_parser_keeps_no_state_between_calls(self, capture, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+        bad = ["classify", "-A", QUADRIC_ARG, "--bogus"]
+        good = ["classify", "-A", QUADRIC_ARG, "-b", "1/2,1", "--json"]
+        in_process = [capture(bad), capture(good)]
+        fresh = [self.module(*argv) for argv in (bad, good)]
+        assert [code for code, _, _ in in_process] == [1, 0]
+        assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+
+
+class TestDenseFiveByEight:
+    """A valid 5x8 configuration whose cone is all of R^5, so its only face is {1..8}.
+
+    Brute-force face enumeration ran out of memory on it, so it runs in a
+    child process with bounded memory and time; inside, classify and the
+    faces command must each finish well within a second.
+    """
+
+    A = [
+        [-3, 2, 0, 3, -1, 2, -1, 2],
+        [2, -1, -2, 2, 0, -1, -2, 3],
+        [-2, -2, 1, -3, 1, -1, 0, 2],
+        [0, 2, -1, -1, -2, -1, 2, 2],
+        [1, 2, -1, -1, 2, 1, 1, -3],
+    ]
+    CHILD = """
+import contextlib, io, json, sys, time
+from gkzmono import IntMatrix, classify
+from gkzmono.cli import run
+A = json.loads(sys.argv[1])
+start = time.perf_counter()
+result = classify(IntMatrix(A), ["1/2", "1/3", "0", "1", "-1"]).to_json()
+classify_s = time.perf_counter() - start
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run(["faces", "-A", sys.argv[1], "--json"])
+faces_s = time.perf_counter() - start
+print(json.dumps([result["verdict"], result["centers"], classify_s,
+                  code, json.loads(out.getvalue())["faces"], faces_s]))
+"""
+
+    @staticmethod
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def test_classify_and_faces_list_the_single_face(self):
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(self.A)],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+            preexec_fn=self.limit_memory,
+        )
+        assert result.returncode == 0, result.stderr
+        verdict, centers, classify_s, code, faces, faces_s = json.loads(result.stdout)
+        full = list(range(1, 9))
+        assert (verdict, centers) == ("Irreducible", [full])
+        assert (code, [face["indices"] for face in faces]) == (0, [full])
+        assert classify_s < 1 and faces_s < 1

@@ -335,6 +335,31 @@ class TestEnumerate:
         lattice = enumerate_faces(c, method)
         assert [f.indices for f in lattice] == [(2,), (1, 2)]
 
+    @staticmethod
+    def with_witnesses(lattice):
+        return [(f.indices, f.witness) for f in lattice]
+
+    def test_auto_runs_dd_above_the_brute_force_limit(self):
+        rng = random.Random(4301)
+        seen = set()
+        while len(seen) < 40:
+            config = random_configuration(rng, dmax=5, nmax=10)
+            if not 4 <= config.n <= 10:
+                continue
+            seen.add(config)
+            assert self.with_witnesses(enumerate_faces(config)) == self.with_witnesses(
+                enumerate_faces(config, "dd")
+            )
+        assert {config.n for config in seen} == set(range(4, 11))
+
+    def test_auto_runs_brute_force_up_to_the_limit(self):
+        rng = random.Random(4303)
+        for _ in range(40):
+            config = random_configuration(rng, dmax=3, nmax=3)
+            assert self.with_witnesses(enumerate_faces(config)) == self.with_witnesses(
+                enumerate_faces(config, "brute")
+            )
+
     def test_methods_agree_on_random_configs(self):
         rng = random.Random(17)
         for _ in range(50):
@@ -430,6 +455,11 @@ class TestFaceValue:
     def test_equality_is_by_indices(self):
         assert Face([1, 3], [0, 1]) == Face([3, 1], [5, 5])
         assert hash(Face([1], [0])) == hash(Face([1], [9]))
+
+    @pytest.mark.parametrize("witness", [[2.9], [True]])
+    def test_witness_is_not_truncated_or_coerced(self, witness):
+        with pytest.raises(TypeError):
+            Face([1], witness)
 
     def test_json(self):
         assert Face([2, 1], [1, -1]).to_json() == {

@@ -19,7 +19,7 @@ from gkzmono import (
     toric_ideal_generators,
 )
 from gkzmono.groebner import DEFAULT_STEP_BUDGET, StepBudget, buchberger, elimination_key
-from gkzmono.toric import binomial_from_kernel_vector
+from gkzmono.toric import EulerOperator, binomial_from_kernel_vector
 from groebner_reference import reference_toric_ideal, saturation_generators
 from sweeps import random_configuration
 
@@ -105,6 +105,11 @@ class TestEulerOperators:
     def test_zero_beta_zero_shifts(self):
         ops = euler_operators(QUADRIC, ["0", "0"])
         assert all(op.shift == GaussRat(0) for op in ops)
+
+    @pytest.mark.parametrize("coefficients", [(1.9, 2), (1, True)])
+    def test_coefficients_are_not_truncated_or_coerced(self, coefficients):
+        with pytest.raises(TypeError):
+            EulerOperator(1, coefficients, GaussRat(0))
 
 
 class TestLatticeBinomials:
@@ -286,3 +291,8 @@ class TestBinomialType:
 
     def test_exponent_vector(self):
         assert Binomial((1, 0, 1), (0, 2, 0)).exponent == (1, -2, 1)
+
+    @pytest.mark.parametrize("plus, minus", [((1.7, 0), (0, 2.2)), ((True, 0), (0, 1))])
+    def test_exponents_are_not_truncated_or_coerced(self, plus, minus):
+        with pytest.raises(TypeError):
+            Binomial(plus, minus)
