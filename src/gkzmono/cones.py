@@ -332,7 +332,8 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     return Face(labels, witness)
 
 
-def _facets(config: Configuration) -> list[tuple[IntVec, int]]:
+@per_configuration
+def _facets(config: Configuration) -> tuple[tuple[IntVec, int], ...]:
     """Facets of the cone as (primitive inner normal, column bitmask), sorted by normal.
 
     The normals are the extreme rays of the dual cone {phi : phi . a_j >= 0},
@@ -342,7 +343,8 @@ def _facets(config: Configuration) -> list[tuple[IntVec, int]]:
     ray carries the bitmask of the columns so far that it vanishes on (bit
     j - 1 for column j).  Two rays are adjacent iff their common zero set has
     at least d - dim(lineality) - 2 columns and lies in no third ray's zero
-    set (the combinatorial test of Fukuda and Prodon 1996).
+    set (the combinatorial test of Fukuda and Prodon 1996).  Face enumeration
+    and the resonance walk share the result.
     """
     d = config.d
     lineality = [tuple(row) for row in IntMatrix.identity(d).data]
@@ -391,7 +393,7 @@ def _facets(config: Configuration) -> list[tuple[IntVec, int]]:
         tight = [a for j, a in enumerate(columns) if mask >> j & 1]
         if rank_int(tight) != d - 1:
             raise InternalInconsistency("double description produced a non-extreme ray")
-    return sorted(rays.items())
+    return tuple(sorted(rays.items()))
 
 
 def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
@@ -416,13 +418,18 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
         masks = {(1 << config.n) - 1}
         for _, facet in facets:
             masks |= {mask & facet for mask in masks}
+        # Each facet's values on the columns, so that a face's witness values
+        # are a sum of rows: nonnegative, and zero exactly on the face.
         columns = config.A.columns()
-        zero = (0,) * config.d
+        rows = [tuple(_dot(normal, a) for a in columns) for normal, _ in facets]
+        zero_d, zero_n = (0,) * config.d, (0,) * config.n
         faces = []
         for mask in masks:
-            normals = [normal for normal, facet in facets if facet & mask == mask]
-            witness = primitive_vector(tuple(map(sum, zip(zero, *normals))))
-            if mask != sum(1 << j for j, a in enumerate(columns) if _dot(witness, a) == 0):
+            inside = [k for k, (_, facet) in enumerate(facets) if facet & mask == mask]
+            normals = (facets[k][0] for k in inside)
+            witness = primitive_vector(tuple(map(sum, zip(zero_d, *normals))))
+            values = tuple(map(sum, zip(zero_n, *(rows[k] for k in inside))))
+            if min(values) < 0 or mask != sum(1 << j for j, v in enumerate(values) if v == 0):
                 raise InternalInconsistency("facet intersection is not a face")
             faces.append(Face((j + 1 for j in range(config.n) if mask >> j & 1), witness))
     else:

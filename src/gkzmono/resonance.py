@@ -10,19 +10,24 @@ x -> (w_i . x) sends Z^d onto Z^k, so
 
 The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
-and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call, and the
-functionals of every face, with their congruence text, are compiled once
-per configuration into a table in lattice order, (size, indices), together
-with the cover relation of the lattice.
+and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  A
+facet's saturated orthogonal lattice is Z*v, v its primitive normal from
+double description, so a facet needs no Hermite form.  The functionals of
+every face, with their congruence text, are compiled once per configuration
+into a table in lattice order, (size, indices), together with the cover
+relation of the lattice; the walk reads it only below a member facet.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
 The minimal face is tested first: if it is a member, so is every face, and
-it is the only center.  Otherwise the walk goes down from the full face,
-which is always a member, and tests a face only once every face covering it
-is a member; a face with a non-member above it cannot be a member.  The
+it is the only center.  Otherwise each facet is tested on its normal, and
+when no facet is a member, the full face is the only member and the
+parameter is nonresonant.  Otherwise the table is built and the walk goes
+down from the member facets, testing a face only once every face covering
+it is a member; a face with a non-member above it cannot be a member.  The
 centers are the members with no member directly below them.  A generic
-parameter thus costs one test per facet, plus one for the minimal face.
+parameter thus costs one test per facet, plus one for the minimal face, and
+neither an integer nor a generic parameter builds the table.
 
 The same functionals provide the human-readable description of each
 component of the resonant arrangement.
@@ -35,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _perp_lattice_basis
+from .cones import _facets, _perp_lattice_basis
 from .intlinalg import IntMatrix, IntVec, hermite_normal_form
 
 
@@ -48,8 +53,9 @@ def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
 class _ResonanceTable:
     """Per-face data in lattice order, plus the cover relation.
 
-    below[i] holds the positions of the faces that face i covers, and
-    cover_counts[i] the number of faces that cover face i.
+    below[i] holds the positions of the faces that face i covers,
+    cover_counts[i] the number of faces that cover face i, and facets[k]
+    the position of the k-th entry of cones._facets.
     """
 
     faces: tuple[Face, ...]
@@ -57,19 +63,29 @@ class _ResonanceTable:
     congruences: tuple[tuple[str, ...], ...]
     below: tuple[tuple[int, ...], ...]
     cover_counts: tuple[int, ...]
+    facets: tuple[int, ...]
 
 
 @per_configuration
 def _resonance_table(config: Configuration) -> _ResonanceTable:
     """The functionals, congruence text and covers of every face.
 
-    G covers F iff G contains F and has rank one more.  The rank of a face
-    is d minus the number of its functionals, and the face lattice of a
-    cone, pointed or not, is graded by rank.
+    A facet's functional is its normal with the sign of the Hermite form,
+    first nonzero entry positive, so it equals face_functionals.  G covers
+    F iff G contains F and has rank one more.  The rank of a face is d minus
+    the number of its functionals, and the face lattice of a cone, pointed
+    or not, is graded by rank.
     """
     faces = config.face_lattice().faces
-    functionals = tuple(face_functionals(config, f) for f in faces)
-    masks = [sum(1 << j for j in f.indices) for f in faces]
+    masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
+    normals = {}
+    for normal, mask in _facets(config):
+        sign = 1 if next(x for x in normal if x) > 0 else -1
+        normals[mask] = (tuple(sign * x for x in normal),)
+    functionals = tuple(
+        normals.get(mask) or face_functionals(config, f) for f, mask in zip(faces, masks)
+    )
+    position = {mask: i for i, mask in enumerate(masks)}
     by_corank: dict[int, list[int]] = {}
     for i, w in enumerate(functionals):
         by_corank.setdefault(len(w), []).append(i)
@@ -87,6 +103,7 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
         tuple(tuple(map(_congruence_text, w)) for w in functionals),
         below,
         tuple(cover_counts),
+        tuple(position[mask] for _, mask in _facets(config)),
     )
 
 
@@ -113,17 +130,23 @@ def _passes(functionals: tuple[IntVec, ...], scale: int, re: IntVec, im: IntVec)
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Faces whose resonant span contains beta, and the minimal ones.
+    """Faces whose resonant span contains beta, and the minimal ones."""
 
-    member_congruences holds, per member face, the integer congruences that
-    certify membership (one string per quotient functional).
-    """
-
+    config: Configuration
     beta: Parameter
     member_faces: tuple[Face, ...]
     centers: tuple[Face, ...]
     is_nonresonant: bool
-    member_congruences: tuple[tuple[str, ...], ...] = ()
+
+    @property
+    def member_congruences(self) -> tuple[tuple[str, ...], ...]:
+        """Per member face, the integer congruences that certify membership.
+
+        One string per functional, read from the configuration's table.
+        """
+        table = _resonance_table(self.config)
+        text = dict(zip(table.faces, table.congruences))
+        return tuple(text[face] for face in self.member_faces)
 
     def to_json(self) -> dict:
         members = []
@@ -143,18 +166,21 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
     beta = as_parameter(beta, config.d)
     scaled = _scaled(beta)
-    table = _resonance_table(config)
-    if _passes(table.functionals[0], *scaled):
+    faces = config.face_lattice().faces
+    if _passes(face_functionals(config, faces[0]), *scaled):
         # The minimal face is a member, hence so is every face above it.
-        return ResonanceReport(
-            beta, table.faces, table.faces[:1], len(table.faces) == 1, table.congruences
-        )
+        return ResonanceReport(config, beta, faces, faces[:1], len(faces) == 1)
+    # With two faces the minimal face is the only facet, and it has failed.
+    facets = _facets(config) if len(faces) > 2 else ()
+    member_facets = [k for k, (normal, _) in enumerate(facets) if _passes((normal,), *scaled)]
+    if not member_facets:
+        # The full face is always a member: the columns span Q^d.
+        return ResonanceReport(config, beta, faces[-1:], faces[-1:], True)
+    table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)
-    # The full face is always a member: the columns span Q^d.
-    top = len(pending) - 1
-    found = {top}
-    stack = [top]
+    stack = [table.facets[k] for k in member_facets]
+    found = {len(pending) - 1, *stack}
     while stack:
         for i in below[stack.pop()]:
             pending[i] -= 1
@@ -165,11 +191,11 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     members = sorted(found)
     centers = [i for i in members if found.isdisjoint(below[i])]
     return ResonanceReport(
+        config,
         beta,
         tuple(table.faces[i] for i in members),
         tuple(table.faces[i] for i in centers),
-        centers == [top],
-        tuple(table.congruences[i] for i in members),
+        False,
     )
 
 

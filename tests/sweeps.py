@@ -20,6 +20,16 @@ BETA_SWEEP_MATRIX = IntMatrix([
     [2, 0, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0],
 ])
 
+# A valid 5x8 configuration whose cone is all of R^5, so its only face is
+# {1..8} and it has no facet.
+DENSE_FIVE_BY_EIGHT = [
+    [-3, 2, 0, 3, -1, 2, -1, 2],
+    [2, -1, -2, 2, 0, -1, -2, 3],
+    [-2, -2, 1, -3, 1, -1, 0, 2],
+    [0, 2, -1, -1, -2, -1, 2, 2],
+    [1, 2, -1, -1, 2, 1, 1, -3],
+]
+
 
 def random_configuration(rng, dmax=4, nmax=7, lo=-3, hi=3):
     """A random normalized configuration (redraws until the rank works out)."""

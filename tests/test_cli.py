@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gkzmono.cli import run
+from sweeps import DENSE_FIVE_BY_EIGHT
 
 
 @pytest.fixture
@@ -360,13 +361,7 @@ class TestDenseFiveByEight:
     faces command must each finish well within a second.
     """
 
-    A = [
-        [-3, 2, 0, 3, -1, 2, -1, 2],
-        [2, -1, -2, 2, 0, -1, -2, 3],
-        [-2, -2, 1, -3, 1, -1, 0, 2],
-        [0, 2, -1, -1, -2, -1, 2, 2],
-        [1, 2, -1, -1, 2, 1, 1, -3],
-    ]
+    A = DENSE_FIVE_BY_EIGHT
     CHILD = """
 import contextlib, io, json, sys, time
 from gkzmono import IntMatrix, classify

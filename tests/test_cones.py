@@ -400,6 +400,16 @@ class TestEnumerate:
             }
             assert relabeled == {f.indices for f in enumerate_faces(permuted, "dd")}
 
+    def test_a_sign_flipped_facet_normal_is_an_inconsistency(self, monkeypatch):
+        # -e3 vanishes on the same columns as e3, so only the sign check sees it.
+        config = Configuration(IntMatrix.identity(3))
+        (normal, mask), *rest = cones._facets(config)
+        assert normal == (0, 0, 1)
+        flipped = ((tuple(-x for x in normal), mask), *rest)
+        monkeypatch.setattr(cones, "_facets", lambda c: flipped)
+        with pytest.raises(InternalInconsistency, match="facet intersection is not a face"):
+            enumerate_faces(config, "dd")
+
     def test_pointed_iff_empty_face(self):
         rng = random.Random(37)
         for _ in range(30):

@@ -10,16 +10,19 @@ from gkzmono import (
     GaussRat,
     IntMatrix,
     classify,
+    cones,
     describe_resonant_arrangement,
     enumerate_faces,
     face_functionals,
     resonance,
     resonance_centers,
 )
+from gkzmono.cones import per_configuration
 from oracles import fraction_in_resonant_span, solve_rational
-from sweeps import BETA_SWEEP_MATRIX, random_beta, random_configuration
+from sweeps import BETA_SWEEP_MATRIX, DENSE_FIVE_BY_EIGHT, random_beta, random_configuration
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
+HALF_SPACE = IntMatrix([[1, -1, 0], [0, 0, 1]])
 BETA_HALF = ["1/2", "1"]
 SWEEP = Configuration(BETA_SWEEP_MATRIX)
 # Pairwise coprime denominators up to 10^6, mixed with small ones.
@@ -311,6 +314,90 @@ class TestFaceTestCount:
             report = resonance_centers(SWEEP, beta)
             assert report.centers == (SWEEP.face_lattice().faces[0],)
             assert len(tests_run) == 1
+
+
+class TestFacetFunctionals:
+    """The table's facet functionals, read off the DD normals, against the Hermite form."""
+
+    @staticmethod
+    def assert_match_the_hermite_form(config):
+        table = resonance._resonance_table(config)
+        assert len(table.facets) == len(cones._facets(config))
+        assert sorted(table.facets) == sorted(table.below[-1])
+        for i in table.facets:
+            face = table.faces[i]
+            assert table.functionals[i] == cones._perp_lattice_basis(config, face.indices)
+
+    def test_random_configurations(self):
+        rng = random.Random(137)
+        configs = [random_configuration(rng, dmax=5, nmax=8, lo=-3 * (k % 2))
+                   for k in range(200)]
+        assert any(c.pointed for c in configs) and any(not c.pointed for c in configs)
+        for config in configs:
+            self.assert_match_the_hermite_form(config)
+
+    def test_half_space_and_full_space(self):
+        half = Configuration(HALF_SPACE)
+        # The minimal face {1, 2} is the only facet.
+        assert [mask for _, mask in cones._facets(half)] == [0b011]
+        self.assert_match_the_hermite_form(half)
+        full = Configuration(IntMatrix(DENSE_FIVE_BY_EIGHT))
+        assert cones._facets(full) == ()
+        self.assert_match_the_hermite_form(full)
+
+
+def memo_entries(config, fn):
+    """How many results of the per_configuration function fn the memo of config holds."""
+    return sum(key[0] is fn.__wrapped__ for key in config._memo)
+
+
+class TestColdClassify:
+    """A cold classify builds the resonance table only below a member facet."""
+
+    @pytest.mark.parametrize(
+        "beta",
+        [[3, -1, 0, 2, 5], ["1/128", "-1/243", "2/625", "1/2401", "-5/999983"]],
+        ids=["integer", "generic"],
+    )
+    def test_no_member_facet_builds_no_table(self, beta):
+        config = classify(BETA_SWEEP_MATRIX, beta).configuration
+        assert memo_entries(config, resonance._resonance_table) == 0
+        # The minimal face's Hermite form only: the facets are tested on their normals.
+        assert memo_entries(config, cones._perp_lattice_basis) <= 1
+
+    def test_a_member_facet_builds_the_table_once(self, monkeypatch):
+        builds, dd_runs = [], []
+        build, dd = resonance._resonance_table.__wrapped__, cones._facets.__wrapped__
+        monkeypatch.setattr(
+            resonance, "_resonance_table", per_configuration(lambda c: builds.append(c) or build(c))
+        )
+        counted_dd = per_configuration(lambda c: dd_runs.append(c) or dd(c))
+        monkeypatch.setattr(cones, "_facets", counted_dd)
+        monkeypatch.setattr(resonance, "_facets", counted_dd)
+        rng = random.Random(139)
+        facets = [f for f in SWEEP.face_lattice() if len(face_functionals(SWEEP, f)) == 1]
+        for face in rng.sample(facets, 3):
+            beta = planted_beta(rng, SWEEP, face)
+            result = classify(BETA_SWEEP_MATRIX, beta)
+            assert face in resonance_centers(result.configuration, beta).member_faces
+        assert builds == dd_runs == [result.configuration]
+
+    @pytest.mark.parametrize(
+        "beta, members",
+        [(["0", "1/2"], [(1, 2, 3)]), (["1/2", "0"], [(1, 2), (1, 2, 3)])],
+        ids=["nonresonant", "resonant"],
+    )
+    def test_half_space_tests_its_minimal_face_once(self, monkeypatch, beta, members):
+        config = Configuration(HALF_SPACE)
+        tests_run = []
+        original = resonance._passes
+        monkeypatch.setattr(
+            resonance, "_passes", lambda *args: tests_run.append(args) or original(*args)
+        )
+        report = resonance_centers(config, beta)
+        assert [f.indices for f in report.member_faces] == members
+        assert len(tests_run) == 1
+        assert memo_entries(config, resonance._resonance_table) == 0
 
 
 class TestArrangement:
