@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -17,7 +18,12 @@ from gkzmono import (
     normalized_volume,
     volume,
 )
-from sweeps import face_of, random_configuration, random_unimodular
+from sweeps import (
+    face_of,
+    random_configuration,
+    random_homogeneous_configuration,
+    random_unimodular,
+)
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 CUBIC = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
@@ -224,3 +230,93 @@ class TestFaceVolume:
                     assert face_volume(config, face) == vol
                 else:
                     assert face_volume(config, face) < vol
+
+
+def lifted_grids():
+    """Point sets with many coplanar points: lifted grids, boxes and their subsets."""
+    rng = random.Random(1907)
+    shapes = [(k,) for k in range(1, 7)] + [(2, 2), (3, 3), (4, 4), (2, 5), (1, 3), (3, 1)]
+    shapes += [(1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 1, 1)]
+    grids = []
+    for shape in shapes:
+        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
+        grids.append(points)
+        # Unlifted and centred: the origin sits inside the box.
+        grids.append([tuple(c - k // 2 for c, k in zip(x[1:], shape)) for x in points])
+    for _ in range(8):
+        shape = (rng.randint(2, 4), rng.randint(2, 4))
+        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
+        keep = [x for x in points if rng.random() < 0.6]
+        grids.append(keep + points[:1] + points[-1:] + [(1, shape[0], 0), (1, 0, shape[1])])
+    return [IntMatrix.from_columns(points, len(points[0])) for points in grids]
+
+
+class TestTriangulationDigest:
+    """sha256 over (volume, triangulation) of every placing triangulation.
+
+    Recorded from the placing triangulation that kept each boundary facet's
+    inner vertex and took a second determinant per visibility test.
+    The triangulation depends only on the insertion order and exact
+    orientation signs, so any rewrite of the placing triangulation must
+    replay these digests exactly.
+    """
+
+    RANDOM = "e05cbf5a77588f145f3ae21a9e124f493419bd8a86f10ee5ecf9794eb7ddcd82"
+    GRIDS = "6ab4240b9e96139375e80614cb5cc3b52e3e53b38ce2ae823e25799c584a44e9"
+    CONES = "9eb3c2873e8abc26d72b2ac1725bfb9e4341712b553ffe0bd25969086febbe63"
+    FACES = "0cc227cd7a3beb4fa48f248a40b845e44d92e747d6a3e4d799ca2b99fa3a8200"
+
+    @staticmethod
+    def update(h, result):
+        h.update(repr((result.volume, result.triangulation)).encode())
+
+    def test_random_configurations(self):
+        # Signed entries give non-pointed cones; columns are duplicated or
+        # zero columns inserted in two of every three inputs.
+        h = hashlib.sha256()
+        rng = random.Random(1901)
+        pointed = 0
+        for k in range(200):
+            config = random_configuration(rng, dmax=5, nmax=8, lo=-3 if k % 2 else 0)
+            pointed += config.pointed
+            columns = list(config.A.columns())
+            if k % 3 == 1:
+                columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+            elif k % 3 == 2:
+                columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
+            self.update(h, volume._volume_of_matrix(IntMatrix.from_columns(columns, config.d)))
+        assert 50 < pointed < 150
+        assert h.hexdigest() == self.RANDOM
+
+    def test_lifted_grids(self):
+        h = hashlib.sha256()
+        for A in lifted_grids():
+            self.update(h, volume._volume_of_matrix(A))
+        assert h.hexdigest() == self.GRIDS
+
+    def test_homogeneous_cones(self):
+        h = hashlib.sha256()
+        rng = random.Random(1903)
+        for d, n in ((6, 10), (6, 12), (6, 14), (7, 12), (7, 14), (7, 16)):
+            config = random_homogeneous_configuration(rng, d, n)
+            self.update(h, volume._volume_of_matrix(config.A))
+        assert h.hexdigest() == self.CONES
+
+    def test_face_volumes(self, monkeypatch):
+        # Records every triangulation that face_volume runs, in call order.
+        h = hashlib.sha256()
+        original = volume._volume_of_matrix
+
+        def record(A):
+            result = original(A)
+            self.update(h, result)
+            return result
+
+        monkeypatch.setattr(volume, "_volume_of_matrix", record)
+        rng = random.Random(1905)
+        for _ in range(50):
+            config = random_configuration(rng, dmax=4, nmax=7)
+            for face in config.face_lattice():
+                if face.indices:
+                    h.update(repr((face.indices, face_volume(config, face))).encode())
+        assert h.hexdigest() == self.FACES
