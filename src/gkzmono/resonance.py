@@ -13,9 +13,9 @@ and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  A
 facet's saturated orthogonal lattice is Z*v, v its primitive normal from
 double description, so a facet needs no Hermite form.  The functionals of
-every face, with their congruence text, are compiled once per configuration
-into a table in lattice order, (size, indices), together with the cover
-relation of the lattice; the walk reads it only below a member facet.
+every face are compiled once per configuration into a table in lattice
+order, (size, indices), together with the cover relation of the lattice;
+the walk reads it only below a member facet.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -30,7 +30,8 @@ parameter thus costs one test per facet, plus one for the minimal face, and
 neither an integer nor a generic parameter builds the table.
 
 The same functionals provide the human-readable description of each
-component of the resonant arrangement.
+component of the resonant arrangement; their text is formatted only when
+it is read.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class _ResonanceTable:
 
     faces: tuple[Face, ...]
     functionals: tuple[tuple[IntVec, ...], ...]
-    congruences: tuple[tuple[str, ...], ...]
     below: tuple[tuple[int, ...], ...]
     cover_counts: tuple[int, ...]
     facets: tuple[int, ...]
@@ -68,7 +68,7 @@ class _ResonanceTable:
 
 @per_configuration
 def _resonance_table(config: Configuration) -> _ResonanceTable:
-    """The functionals, congruence text and covers of every face.
+    """The functionals and covers of every face.
 
     A facet's functional is its normal with the sign of the Hermite form,
     first nonzero entry positive, so it equals face_functionals.  G covers
@@ -100,7 +100,6 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
     return _ResonanceTable(
         faces,
         functionals,
-        tuple(tuple(map(_congruence_text, w)) for w in functionals),
         below,
         tuple(cover_counts),
         tuple(position[mask] for _, mask in _facets(config)),
@@ -142,11 +141,12 @@ class ResonanceReport:
     def member_congruences(self) -> tuple[tuple[str, ...], ...]:
         """Per member face, the integer congruences that certify membership.
 
-        One string per functional, read from the configuration's table.
+        One string per functional of the configuration's table, formatted
+        when read.
         """
         table = _resonance_table(self.config)
-        text = dict(zip(table.faces, table.congruences))
-        return tuple(text[face] for face in self.member_faces)
+        functionals = dict(zip(table.faces, table.functionals))
+        return tuple(tuple(map(_congruence_text, functionals[f])) for f in self.member_faces)
 
     def to_json(self) -> dict:
         members = []
@@ -252,13 +252,13 @@ def describe_resonant_arrangement(config: Configuration) -> ArrangementDescripti
     table = _resonance_table(config)
     components = []
     # The full face comes last in lattice order.
-    rows = zip(table.faces[:-1], table.functionals, table.congruences)
-    for face, functionals, congruences in rows:
+    for face, functionals in zip(table.faces[:-1], table.functionals):
         if face.indices:
             span_rows = [config.column(j) for j in face.indices]
             H, _ = hermite_normal_form(IntMatrix(span_rows, cols=config.d))
             span_basis = tuple(row for row in H.data if any(row))
         else:
             span_basis = ()
+        congruences = tuple(map(_congruence_text, functionals))
         components.append(ArrangementComponent(face, span_basis, functionals, congruences))
     return ArrangementDescription(tuple(components))

@@ -1,16 +1,19 @@
 """Normalized volume: d! times the Euclidean volume of conv(columns + 0).
 
 Computed from an incremental placing triangulation with exact integer
-orientation tests.  The simplices (with the origin labeled 0 and columns by
-their 1-based labels) are returned as a certificate: the volume is the sum
-of the |det| contributions, and each simplex can be re-checked
-independently.  For a configuration the normalized volume equals the
-holonomic rank of the associated hypergeometric system at generic
-parameters.
+orientation tests.  Each boundary facet keeps the side its simplex lies on,
+read off the parity of that simplex's determinant, so a visibility test
+takes one determinant, which is also the new simplex's certificate entry.
+The simplices (with the origin labeled 0 and columns by their 1-based
+labels) are returned as that certificate: the volume is the sum of the |det|
+contributions, and each simplex can be re-checked independently.  For a
+configuration the normalized volume equals the holonomic rank of the
+associated hypergeometric system at generic parameters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,17 +44,12 @@ def _edge_det(points: list[IntVec]) -> int:
     return det_int([tuple(p - b for p, b in zip(q, base)) for q in points[1:]])
 
 
-def _orient(facet_points: list[IntVec], x: IntVec) -> int:
-    det = _edge_det(facet_points + [x])
-    return (det > 0) - (det < 0)
-
-
-def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[Simplex]:
+def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[tuple[Simplex, int]]:
     """Triangulate conv(points) by inserting in ascending label order.
 
     Each new point is joined to the boundary facets it strictly sees; points
     inside (or on) the current hull contribute nothing.  Duplicate points
-    must have been removed by the caller.
+    must have been removed by the caller.  Returns each simplex with its |det|.
     """
     labels = sorted(points)
     seed: list[int] = []
@@ -67,23 +65,30 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[Simplex]:
             break
     if len(seed) < d + 1:
         raise DegenerateConfiguration("points do not span the ambient space")
-    simplices: list[Simplex] = []
-    boundary: dict[Simplex, int] = {}  # boundary facet -> the vertex opposite it
+    simplices: list[tuple[Simplex, int]] = []
+    boundary: dict[Simplex, bool] = {}  # facet -> _edge_det(facet + [inner vertex]) > 0
 
-    def place(simplex: Simplex):
-        simplices.append(simplex)
+    def place(simplex: Simplex, det: int):
+        # det is the edge determinant of the sorted simplex.
+        if not det:
+            raise InternalInconsistency("placing triangulation has a flat simplex")
+        simplices.append((simplex, abs(det)))
+        # The facet without simplex[i] sees it with sign (-1)^(d-i) * det;
+        # combinations drops simplex[d], simplex[d-1], ... in turn.
+        positive = det > 0
         for facet in combinations(simplex, d):
             if boundary.pop(facet, None) is None:
-                boundary[facet] = next(v for v in simplex if v not in facet)
+                boundary[facet] = positive
+            positive = not positive
 
-    place(tuple(sorted(seed)))
+    place(tuple(seed), _edge_det([points[v] for v in seed]))
     for label in [l for l in labels if l not in seed]:
         p = points[label]
-        for facet, inner in sorted(boundary.items()):
-            facet_points = [points[v] for v in facet]
-            side_new = _orient(facet_points, p)
-            if side_new != 0 and side_new != _orient(facet_points, points[inner]):
-                place(tuple(sorted(facet + (label,))))
+        for facet, positive in sorted(boundary.items()):
+            det = _edge_det([points[v] for v in facet] + [p])
+            if det and (det > 0) != positive:
+                k = bisect(facet, label)  # moving the label to position k: a (d-k+1)-cycle
+                place(facet[:k] + (label,) + facet[k:], -det if (d - k) % 2 else det)
     return sorted(simplices)
 
 
@@ -93,16 +98,8 @@ def _volume_of_matrix(A: IntMatrix) -> VolumeResult:
     for j, col in enumerate(((0,) * d,) + A.columns()):
         first_label.setdefault(col, j)
     points = {j: col for col, j in first_label.items()}
-    simplices = _placing_triangulation(points, d)
-    certificate = []
-    total = 0
-    for simplex in simplices:
-        contribution = abs(_edge_det([points[v] for v in simplex]))
-        if not contribution:
-            raise InternalInconsistency("placing triangulation has a flat simplex")
-        certificate.append((simplex, contribution))
-        total += contribution
-    return VolumeResult(total, tuple(certificate))
+    triangulation = tuple(_placing_triangulation(points, d))
+    return VolumeResult(sum(c for _, c in triangulation), triangulation)
 
 
 @per_configuration

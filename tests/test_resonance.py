@@ -382,6 +382,22 @@ class TestColdClassify:
             assert face in resonance_centers(result.configuration, beta).member_faces
         assert builds == dd_runs == [result.configuration]
 
+    def test_a_member_facet_formats_no_congruence_text(self, monkeypatch):
+        texts = []
+        original = resonance._congruence_text
+        monkeypatch.setattr(
+            resonance, "_congruence_text", lambda w: texts.append(w) or original(w)
+        )
+        cones._normalize_matrix.cache_clear()
+        facet = next(f for f in SWEEP.face_lattice() if len(face_functionals(SWEEP, f)) == 1)
+        beta = planted_beta(random.Random(141), SWEEP, facet)
+        result = classify(BETA_SWEEP_MATRIX, beta)
+        assert memo_entries(result.configuration, resonance._resonance_table) == 1
+        assert texts == []
+        report = resonance_centers(result.configuration, beta)
+        assert len(report.member_congruences) == len(report.member_faces) > 1
+        assert len(texts) == sum(map(len, report.member_congruences))
+
     @pytest.mark.parametrize(
         "beta, members",
         [(["0", "1/2"], [(1, 2, 3)]), (["1/2", "0"], [(1, 2), (1, 2, 3)])],

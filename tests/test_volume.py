@@ -19,6 +19,7 @@ from gkzmono import (
     volume,
 )
 from sweeps import (
+    BETA_SWEEP_MATRIX,
     face_of,
     random_configuration,
     random_homogeneous_configuration,
@@ -53,6 +54,25 @@ def shoelace_times_two(points):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
         twice_area += x1 * y2 - x2 * y1
     return abs(twice_area)
+
+
+def lifted_grids():
+    """Point sets with many coplanar points: lifted grids, boxes and their subsets."""
+    rng = random.Random(1907)
+    shapes = [(k,) for k in range(1, 7)] + [(2, 2), (3, 3), (4, 4), (2, 5), (1, 3), (3, 1)]
+    shapes += [(1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 1, 1)]
+    grids = []
+    for shape in shapes:
+        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
+        grids.append(points)
+        # Unlifted and centred: the origin lies in the box.
+        grids.append([tuple(c - k // 2 for c, k in zip(x[1:], shape)) for x in points])
+    for _ in range(8):
+        shape = (rng.randint(2, 4), rng.randint(2, 4))
+        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
+        keep = [x for x in points if rng.random() < 0.6]
+        grids.append(keep + points[:1] + points[-1:] + [(1, shape[0], 0), (1, 0, shape[1])])
+    return [IntMatrix.from_columns(points, len(points[0])) for points in grids]
 
 
 class TestNormalizedVolume:
@@ -126,26 +146,64 @@ class TestNormalizedVolume:
         assert volumes == {8}
         assert len(triangulations) > 1
 
-    def test_certificate(self):
-        rng = random.Random(15)
-        for _ in range(25):
-            config = random_configuration(rng, dmax=3, nmax=6)
-            result = normalized_volume(config)
-            points = {0: tuple(0 for _ in range(config.d))}
-            for j in range(1, config.n + 1):
-                points[j] = config.column(j)
-            total = 0
-            for simplex, contribution in result.triangulation:
-                assert len(simplex) == config.d + 1
-                base = points[simplex[0]]
-                rows = [
-                    tuple(p - b for p, b in zip(points[v], base))
-                    for v in simplex[1:]
-                ]
-                det = abs(IntMatrix(rows).det())
-                assert det == contribution > 0
-                total += contribution
-            assert total == result.volume
+    @staticmethod
+    def assert_certificate(A, result):
+        # The oracle: |det| of each simplex's edge vectors, recomputed with
+        # IntMatrix.det.
+        points = {0: (0,) * A.rows, **{j + 1: col for j, col in enumerate(A.columns())}}
+        total = 0
+        for simplex, contribution in result.triangulation:
+            assert len(simplex) == A.rows + 1
+            base = points[simplex[0]]
+            rows = [tuple(p - b for p, b in zip(points[v], base)) for v in simplex[1:]]
+            assert abs(IntMatrix(rows).det()) == contribution > 0
+            total += contribution
+        assert total == result.volume
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_certificate(self, d):
+        rng = random.Random(15 + d)
+        for _ in range(12):
+            while True:
+                n = rng.randint(d, d + 4)
+                A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+                if A.rank() == d:
+                    break
+            self.assert_certificate(A, volume._volume_of_matrix(A))
+        if d >= 3:
+            config = random_homogeneous_configuration(rng, d, d + 6)
+            self.assert_certificate(config.A, normalized_volume(config))
+
+    def test_certificate_on_grids(self):
+        for A in lifted_grids():
+            self.assert_certificate(A, volume._volume_of_matrix(A))
+
+    @pytest.mark.parametrize(
+        "A, calls",
+        [
+            (BETA_SWEEP_MATRIX, 209),
+            (random_homogeneous_configuration(random.Random(5), 7, 18).A, 2039),
+        ],
+    )
+    def test_one_determinant_per_visibility_test(self, monkeypatch, A, calls):
+        # One determinant for the seed simplex and one per (point, boundary
+        # facet) test; none after the triangulation is placed.
+        events = []
+        edge_det, placing = volume._edge_det, volume._placing_triangulation
+
+        def counted(points):
+            events.append("det")
+            return edge_det(points)
+
+        def placed(points, d):
+            result = placing(points, d)
+            events.append("placed")
+            return result
+
+        monkeypatch.setattr(volume, "_edge_det", counted)
+        monkeypatch.setattr(volume, "_placing_triangulation", placed)
+        volume._volume_of_matrix(A)
+        assert events == ["det"] * calls + ["placed"]
 
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
         # Every simplex of a placing triangulation is full-dimensional; a
@@ -230,25 +288,6 @@ class TestFaceVolume:
                     assert face_volume(config, face) == vol
                 else:
                     assert face_volume(config, face) < vol
-
-
-def lifted_grids():
-    """Point sets with many coplanar points: lifted grids, boxes and their subsets."""
-    rng = random.Random(1907)
-    shapes = [(k,) for k in range(1, 7)] + [(2, 2), (3, 3), (4, 4), (2, 5), (1, 3), (3, 1)]
-    shapes += [(1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 1, 1)]
-    grids = []
-    for shape in shapes:
-        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
-        grids.append(points)
-        # Unlifted and centred: the origin sits inside the box.
-        grids.append([tuple(c - k // 2 for c, k in zip(x[1:], shape)) for x in points])
-    for _ in range(8):
-        shape = (rng.randint(2, 4), rng.randint(2, 4))
-        points = [(1,) + x for x in product(*(range(k + 1) for k in shape))]
-        keep = [x for x in points if rng.random() < 0.6]
-        grids.append(keep + points[:1] + points[-1:] + [(1, shape[0], 0), (1, 0, shape[1])])
-    return [IntMatrix.from_columns(points, len(points[0])) for points in grids]
 
 
 class TestTriangulationDigest:
