@@ -218,7 +218,12 @@ class Configuration:
 
 
 def as_parameter(values, d: int) -> Parameter:
-    """Coerce a sequence of parameter entries to GaussRat, checking arity."""
+    """Coerce a sequence of parameter entries to GaussRat, checking arity.
+
+    A string is not a sequence of entries: "12" would read as (1, 2).
+    """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise InputError(f"parameter must be a sequence of entries, not {values!r}")
     beta = tuple(GaussRat.parse(v) for v in values)
     if len(beta) != d:
         raise DimensionMismatch(f"parameter has {len(beta)} entries, expected {d}")

@@ -19,6 +19,14 @@ one budget, and thus every ScaleLimit, depends on both).  Reduction uses
 the first basis element whose lead divides the monomial; a lead whose
 support bitmask or degree rules out division is skipped without the
 exponent-wise test, which cannot change which element is first.
+
+The reduced basis is built in one pass.  The minimal basis keeps, in
+ascending order of leads, each element whose lead no kept lead divides;
+then each tail is reduced against the whole minimal basis.  No other lead
+divides an element's lead, and tail reduction only reaches monomials below
+that lead, which its own lead cannot divide.  So the leads, their order
+and every reduction step are those of reducing each element against the
+others, and no element reduces to zero.
 """
 
 from __future__ import annotations
@@ -106,14 +114,9 @@ def _normal_form(
 
 
 def normal_form(
-    pair: BinPair,
-    basis: Sequence[BinPair],
-    key: OrderKey,
-    budget: Optional[StepBudget] = None,
+    pair: BinPair, basis: Sequence[BinPair], key: OrderKey, budget: StepBudget
 ) -> Optional[BinPair]:
     """Fully reduce a pure difference; None means it reduced to zero."""
-    if budget is None:
-        budget = StepBudget(DEFAULT_STEP_BUDGET)
     signatures = [_signature(lead) for lead, _ in basis]
     return _normal_form(pair, basis, signatures, key, budget)
 
@@ -156,14 +159,8 @@ def _update_pairs(
             heapq.heappush(queue, (key(candidate), indices[0], new_index))
 
 
-def buchberger(
-    generators: Sequence[BinPair],
-    key: OrderKey,
-    budget: Optional[StepBudget] = None,
-) -> list[BinPair]:
+def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget) -> list[BinPair]:
     """Reduced Groebner basis of a pure-difference binomial ideal."""
-    if budget is None:
-        budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis: list[BinPair] = []
     signatures: list[Signature] = []
     pairs: dict[tuple[int, int], Monomial] = {}
@@ -195,11 +192,6 @@ def buchberger(
     for g in sorted(basis, key=lambda b: key(b[0])):
         if all(not _divides(h[0], g[0]) for h in minimal):
             minimal.append(g)
-    # Interreduce tails against the minimal basis.
-    reduced_basis: list[BinPair] = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        nf = normal_form(g, others, key, budget)
-        if nf is not None:
-            reduced_basis.append(nf)
-    return sorted(reduced_basis, key=lambda b: key(b[0]))
+    # Reduce each tail against the minimal basis; see the module docstring.
+    signatures = [_signature(lead) for lead, _ in minimal]
+    return [(lead, _monomial_nf(tail, minimal, signatures, budget)) for lead, tail in minimal]

@@ -42,14 +42,22 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class GaussRat:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational re + im*i with exact Fraction components.
+
+    The constructor takes int (not bool) or Fraction components and raises
+    TypeError on anything else, a float included; parse reads literals.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        for name in ("re", "im"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                    raise TypeError(f"components must be int or Fraction, not {value!r}")
+                object.__setattr__(self, name, Fraction(value))
 
     @classmethod
     def parse(cls, value) -> "GaussRat":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .cones import Configuration, as_parameter
-from .errors import InternalInconsistency, ScaleLimit
+from .errors import DimensionMismatch, InternalInconsistency, ScaleLimit
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     BinPair,
@@ -23,7 +23,6 @@ from .groebner import (
     elimination_key,
     grevlex_key,
     normal_form,
-    oriented,
 )
 from .intlinalg import GaussRat, IntVec, integer_entries
 
@@ -193,19 +192,14 @@ def in_ideal(binomials: Sequence[Binomial], candidate: Binomial, nvars: int) -> 
     """Groebner normal-form membership test against a generating set.
 
     Recomputes a grevlex basis of the given binomials first, so the test is
-    sound for any generating set, not only for Groebner bases.
+    sound for any generating set, not only for Groebner bases.  Raises
+    DimensionMismatch unless every binomial has nvars exponents.
     """
+    if any(len(b.plus) != nvars for b in (*binomials, candidate)):
+        raise DimensionMismatch(f"binomials must have {nvars} exponents")
     budget = StepBudget(DEFAULT_STEP_BUDGET)
-    pairs = []
-    for b in binomials:
-        o = oriented(b.plus, b.minus, grevlex_key)
-        if o is not None:
-            pairs.append(o)
-    basis = buchberger(pairs, grevlex_key, budget)
-    cand = oriented(candidate.plus, candidate.minus, grevlex_key)
-    if cand is None:
-        return True
-    return normal_form(cand, basis, grevlex_key, budget) is None
+    basis = buchberger([(b.plus, b.minus) for b in binomials], grevlex_key, budget)
+    return normal_form((candidate.plus, candidate.minus), basis, grevlex_key, budget) is None
 
 
 def hypergeometric_system(

@@ -12,13 +12,17 @@ from gkzmono import (
     IRREDUCIBLE,
     REDUCIBLE,
     BetaOutsideSpan,
+    Configuration,
     GaussRat,
+    InputError,
     IntMatrix,
     classify,
     cones,
+    hypergeometric_system,
     intlinalg,
     pyramids,
     reduce_configuration,
+    resonance_centers,
     toric,
     volume,
 )
@@ -211,6 +215,22 @@ class TestInvariance:
             U = random_unimodular(rng, A.rows)
             beta_u = U.mat_vec([Fraction(b) for b in beta])
             assert classify(U @ A, beta_u).verdict == base
+
+
+class TestParameterType:
+    """A string is one literal, not a parameter: "12" must not read as (1, 2)."""
+
+    ENTRY_POINTS = {
+        "classify": lambda beta: classify(QUADRIC, beta),
+        "resonance_centers": lambda beta: resonance_centers(Configuration(QUADRIC), beta),
+        "hypergeometric_system": lambda beta: hypergeometric_system(Configuration(QUADRIC), beta),
+    }
+
+    @pytest.mark.parametrize("beta", ["12", b"12", bytearray(b"12")], ids=["str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_string_parameter_rejected(self, entry, beta):
+        with pytest.raises(InputError):
+            entry(beta)
 
 
 class TestShiftInvariance:

@@ -357,6 +357,27 @@ class TestGaussRat:
         assert str(GaussRat(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3*i"
 
 
+    @pytest.mark.parametrize(
+        "re, im",
+        [(0.1, 0), (0, 0.5), (True, 0), (0, False), ("1/2", 0), (1, "1")],
+        ids=["float-re", "float-im", "bool-re", "bool-im", "str-re", "str-im"],
+    )
+    def test_constructor_takes_only_int_and_fraction(self, re, im):
+        with pytest.raises(TypeError):
+            GaussRat(re, im)
+
+    def test_constructor_normalizes_int_and_fraction(self):
+        z = GaussRat(3, Fraction(2, 4))
+        assert (z.re, z.im) == (Fraction(3), Fraction(1, 2))
+        assert type(z.re) is type(z.im) is Fraction
+
+    def test_float_factor_rejected(self):
+        with pytest.raises(TypeError):
+            GaussRat(Fraction(1, 2)) * 0.5
+        with pytest.raises(TypeError):
+            0.5 * GaussRat(Fraction(1, 2))
+
+
 class TestIntMatrix:
     def test_requires_true_integers(self):
         with pytest.raises(TypeError):

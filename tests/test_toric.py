@@ -7,6 +7,7 @@ import pytest
 from gkzmono import (
     Binomial,
     Configuration,
+    DimensionMismatch,
     GaussRat,
     IntMatrix,
     ScaleLimit,
@@ -245,6 +246,30 @@ class TestToricIdeal:
 
     def test_deterministic(self):
         assert toric_ideal_generators(CUBIC) == toric_ideal_generators(CUBIC)
+
+
+class TestInIdeal:
+    QUADRIC_BINOMIAL = Binomial((2, 0, 0), (0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "generators, candidate",
+        [
+            ([QUADRIC_BINOMIAL], Binomial((2, 0), (0, 1))),
+            ([Binomial((2, 0), (0, 1))], QUADRIC_BINOMIAL),
+            ([QUADRIC_BINOMIAL, Binomial((1, 0, 0, 0), (0, 0, 0, 1))], QUADRIC_BINOMIAL),
+        ],
+    )
+    def test_every_binomial_has_nvars_exponents(self, generators, candidate):
+        with pytest.raises(DimensionMismatch):
+            in_ideal(generators, candidate, 3)
+
+    def test_orientation_of_generators_and_candidate_is_free(self):
+        member = Binomial((4, 0, 0), (0, 2, 2))
+        outsider = Binomial((1, 0, 0), (0, 1, 0))
+        for generators in ([self.QUADRIC_BINOMIAL], [Binomial((0, 1, 1), (2, 0, 0))]):
+            for candidate in (member, Binomial(member.minus, member.plus)):
+                assert in_ideal(generators, candidate, 3)
+            assert not in_ideal(generators, outsider, 3)
 
 
 class TestHypergeometricSystem:
