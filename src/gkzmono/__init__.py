@@ -12,7 +12,6 @@ from .classify import IRREDUCIBLE, REDUCIBLE, Classification, classify
 from .cones import (
     Configuration,
     Face,
-    FaceLattice,
     Parameter,
     as_parameter,
     enumerate_faces,

@@ -270,7 +270,7 @@ def run(argv) -> int:
                 }
                 text = _render_reduce(report)
             elif args.command == "faces":
-                report = {"faces": config.face_lattice().to_json()}
+                report = {"faces": [f.to_json() for f in config.face_lattice()]}
                 text = _render_faces(report)
             elif args.command == "centers":
                 report = resonance_centers(config, beta_red).to_json()

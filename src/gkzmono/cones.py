@@ -3,8 +3,9 @@
 A configuration is an integer d x n matrix whose columns generate the full
 lattice Z^d.  A face is a subset of column indices cut out by an integer
 functional that vanishes on the subset and is strictly positive on its
-complement; the whole column set is always a face (functional 0), and the
-empty set is a face exactly when the configuration is pointed.
+complement; the whole column set is always a face (functional 0).  The
+minimal face is the set of columns on every facet, read off the facets
+alone; the configuration is pointed when it is empty.
 
 Face enumeration computes the facets with the double description method
 on the dual cone, whose rays carry the bitmasks of the columns they vanish
@@ -19,7 +20,6 @@ most BRUTE_FORCE_LIMIT columns, for the reason given at the constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, product
@@ -111,30 +111,6 @@ class Face:
         return {"indices": list(self.indices), "witness": list(self.witness)}
 
 
-@dataclass(frozen=True)
-class FaceLattice:
-    """All faces of a configuration, canonically sorted."""
-
-    faces: tuple[Face, ...]
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    @property
-    def full_face(self) -> Face:
-        return self.faces[-1]
-
-    @property
-    def has_empty_face(self) -> bool:
-        return bool(self.faces) and self.faces[0].indices == ()
-
-    def to_json(self) -> list:
-        return [f.to_json() for f in self.faces]
-
-
 class Configuration:
     """Validated configuration: integer d x n matrix with ZA = Z^d.
 
@@ -189,22 +165,20 @@ class Configuration:
 
     @property
     @per_configuration
-    def pointed(self) -> bool:
-        """True iff the empty set is a face (a functional is positive on all columns).
-
-        That holds exactly when the minimal face, the lineality space, holds
-        no column.
-        """
-        return not self.lineality_columns
-
-    @property
-    @per_configuration
     def lineality_columns(self) -> tuple[int, ...]:
-        """Labels of columns in the lineality space: the minimal face, first in the lattice."""
-        return self.face_lattice().faces[0].indices
+        """Labels of the columns in the minimal face, the lineality space.
+
+        They are the columns on every facet, and every column when the cone
+        has no facet (it is all of Q^d).  The configuration is pointed iff
+        this is ().
+        """
+        common = (1 << self.n) - 1
+        for _, mask in _facets(self):
+            common &= mask
+        return tuple(j + 1 for j in range(self.n) if common >> j & 1)
 
     @per_configuration
-    def face_lattice(self) -> FaceLattice:
+    def face_lattice(self) -> tuple[Face, ...]:
         return enumerate_faces(self)
 
     def __eq__(self, other) -> bool:
@@ -401,8 +375,8 @@ def _facets(config: Configuration) -> tuple[tuple[IntVec, int], ...]:
     return tuple(sorted(rays.items()))
 
 
-def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
-    """The complete face lattice, canonically sorted by (size, indices).
+def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, ...]:
+    """Every face, sorted by (size, indices): the minimal face first, the full face last.
 
     method "dd" computes the facets by double description and closes their
     column bitmasks under intersection (every proper face is such an
@@ -439,7 +413,7 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> FaceLattice:
             faces.append(Face((j + 1 for j in range(config.n) if mask >> j & 1), witness))
     else:
         raise InputError(f"unknown face enumeration method {method!r}")
-    return FaceLattice(tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices))))
+    return tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +436,7 @@ def _gauss_rat_coordinates(rows: Sequence[IntVec], beta: Parameter) -> Optional[
 # The only module-level cache of the package.  Equal matrices share one
 # normalized Configuration, and with it every A-side result in its memo.
 # Only A enters the key: beta is solved per call, so nothing that depends on
-# it is ever cached.  Each entry holds a whole face lattice, so the cache
+# it is ever cached.  An entry can hold a whole face lattice, so the cache
 # stays small.
 @lru_cache(maxsize=16)
 def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]:

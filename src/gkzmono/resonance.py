@@ -19,15 +19,16 @@ the walk reads it only below a member facet.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
-The minimal face is tested first: if it is a member, so is every face, and
-it is the only center.  Otherwise each facet is tested on its normal, and
-when no facet is a member, the full face is the only member and the
-parameter is nonresonant.  Otherwise the table is built and the walk goes
-down from the member facets, testing a face only once every face covering
-it is a member; a face with a non-member above it cannot be a member.  The
-centers are the members with no member directly below them.  A generic
-parameter thus costs one test per facet, plus one for the minimal face, and
-neither an integer nor a generic parameter builds the table.
+The minimal face, the columns on every facet, is tested first: if it is a
+member, so is every face, and it is the only center.  Otherwise each facet
+is tested on its normal, and when no facet is a member, the full face is
+the only member and the parameter is nonresonant.  Otherwise the table is
+built and the walk goes down from the member facets, testing a face only
+once every face covering it is a member; a face with a non-member above it
+cannot be a member.  The centers are the members with no member directly
+below them.  A generic parameter thus costs one test per facet, plus one
+for the minimal face, and closes no face lattice; only a member minimal
+face or facet reads the lattice, and only a member facet builds the table.
 
 The same functionals provide the human-readable description of each
 component of the resonant arrangement; their text is formatted only when
@@ -76,7 +77,7 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
     the number of its functionals, and the face lattice of a cone, pointed
     or not, is graded by rank.
     """
-    faces = config.face_lattice().faces
+    faces = config.face_lattice()
     masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
     normals = {}
     for normal, mask in _facets(config):
@@ -141,12 +142,12 @@ class ResonanceReport:
     def member_congruences(self) -> tuple[tuple[str, ...], ...]:
         """Per member face, the integer congruences that certify membership.
 
-        One string per functional of the configuration's table, formatted
-        when read.
+        One string per functional of the face, formatted when read.
         """
-        table = _resonance_table(self.config)
-        functionals = dict(zip(table.faces, table.functionals))
-        return tuple(tuple(map(_congruence_text, functionals[f])) for f in self.member_faces)
+        return tuple(
+            tuple(map(_congruence_text, face_functionals(self.config, f)))
+            for f in self.member_faces
+        )
 
     def to_json(self) -> dict:
         members = []
@@ -162,20 +163,28 @@ class ResonanceReport:
         }
 
 
+@per_configuration
+def _full_face(config: Configuration) -> tuple[Face, ...]:
+    """The members and centers of a nonresonant report: the full face, witness 0."""
+    return (Face(range(1, config.n + 1), (0,) * config.d),)
+
+
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
     beta = as_parameter(beta, config.d)
     scaled = _scaled(beta)
-    faces = config.face_lattice().faces
-    if _passes(face_functionals(config, faces[0]), *scaled):
+    if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
         # The minimal face is a member, hence so is every face above it.
+        faces = config.face_lattice()
         return ResonanceReport(config, beta, faces, faces[:1], len(faces) == 1)
-    # With two faces the minimal face is the only facet, and it has failed.
-    facets = _facets(config) if len(faces) > 2 else ()
+    facets = _facets(config)
+    if len(facets) == 1:  # a lone facet is the minimal face, which has failed
+        facets = ()
     member_facets = [k for k, (normal, _) in enumerate(facets) if _passes((normal,), *scaled)]
     if not member_facets:
         # The full face is always a member: the columns span Q^d.
-        return ResonanceReport(config, beta, faces[-1:], faces[-1:], True)
+        full = _full_face(config)
+        return ResonanceReport(config, beta, full, full, True)
     table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)

@@ -164,7 +164,7 @@ def verdict_by_apex_stripping(A, beta):
         beta_G = [b - c * a for b, a in zip(beta, v)]
         config, beta, _ = reduce_configuration(IntMatrix.from_columns(rest, config.d), beta_G)
     lattice = config.face_lattice()
-    proper = (f for f in lattice if f != lattice.full_face)
+    proper = lattice[:-1]
     if any(fraction_in_resonant_span(config, f, beta) for f in proper):
         return REDUCIBLE
     return IRREDUCIBLE

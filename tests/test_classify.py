@@ -196,9 +196,9 @@ class TestTheoremConsistency:
             distinct = {
                 config.column(j) for j in range(1, config.n + 1)
             }
-            if config.pointed and len(distinct) > config.d:
+            if config.lineality_columns == () and len(distinct) > config.d:
                 assert result.verdict == REDUCIBLE
-                assert result.centers[0].indices == config.face_lattice().faces[0].indices
+                assert result.centers[0].indices == config.face_lattice()[0].indices
 
 
 class TestInvariance:
@@ -445,7 +445,7 @@ class TestCacheStructure:
         factored = hermite_arguments(monkeypatch)
         flags = [pyramids.is_pyramid(config, f) for f in lattice]
         toric.toric_ideal_generators(config)
-        assert flags == [f == lattice.full_face for f in lattice]
+        assert flags == [f == lattice[-1] for f in lattice]
         assert config.A.transpose() not in factored
         assert len(factored) == 1
         assert intlinalg.hermite_normal_form(factored[0])[0].data == config.kernel

@@ -23,6 +23,7 @@ from gkzmono import (
     kernel_lattice_basis,
     reduce_configuration,
 )
+from gkzmono.cones import per_configuration
 from oracles import (
     facets_by_subset_normals,
     feasible_point_by_minimal_faces,
@@ -30,6 +31,7 @@ from oracles import (
 )
 from sweeps import (
     BETA_SWEEP_MATRIX,
+    DENSE_FIVE_BY_EIGHT,
     random_configuration,
     random_homogeneous_configuration,
     random_unimodular,
@@ -63,24 +65,45 @@ class TestConfiguration:
             Configuration(IntMatrix([[2, 0], [0, 1]]))
 
     def test_pointedness(self):
-        assert Configuration(QUADRIC).pointed
-        assert not Configuration(IntMatrix([[1, -1]])).pointed
-        # zero columns block strict positivity, hence "not pointed" here
-        assert not Configuration(IntMatrix([[1, 0]])).pointed
+        # Pointed iff the empty set is a face iff no column is in the lineality space.
+        for A, pointed in (
+            (QUADRIC, True),
+            (IntMatrix([[1, -1]]), False),
+            # zero columns block strict positivity, hence "not pointed" here
+            (IntMatrix([[1, 0]]), False),
+        ):
+            config = Configuration(A)
+            assert (config.face_lattice()[0].indices == ()) == pointed
+            assert (config.lineality_columns == ()) == pointed
 
     def test_lineality_columns(self):
         assert Configuration(QUADRIC).lineality_columns == ()
         assert Configuration(IntMatrix([[1, -1]])).lineality_columns == (1, 2)
         assert Configuration(IntMatrix([[1, 0]])).lineality_columns == (2,)
 
-    def test_pointedness_and_lineality_read_the_lattice(self, monkeypatch):
-        calls = []
-        facets = cones._facets
-        monkeypatch.setattr(cones, "_facets", lambda c: calls.append(c) or facets(c))
-        config = Configuration(BETA_SWEEP_MATRIX)
-        config.face_lattice()
-        assert config.pointed and config.lineality_columns == ()
-        assert calls == [config]
+    def test_lineality_columns_read_only_the_facets(self, monkeypatch):
+        dd_runs, enumerations = [], []
+        dd, enumerate_ = cones._facets.__wrapped__, cones.enumerate_faces
+        monkeypatch.setattr(
+            cones, "_facets", per_configuration(lambda c: dd_runs.append(c) or dd(c))
+        )
+        monkeypatch.setattr(
+            cones, "enumerate_faces", lambda *args: enumerations.append(args) or enumerate_(*args)
+        )
+        for A, columns in (
+            (BETA_SWEEP_MATRIX, ()),
+            (QUADRIC, ()),
+            (IntMatrix([[1, -1]]), (1, 2)),
+            (IntMatrix([[1, 0]]), (2,)),
+            (IntMatrix([[1, -1, 0], [0, 0, 1]]), (1, 2)),  # one facet
+            (IntMatrix(DENSE_FIVE_BY_EIGHT), tuple(range(1, 9))),  # no facet
+        ):
+            config = Configuration(A)
+            assert config.lineality_columns == columns
+            assert config.lineality_columns == columns
+            assert dd_runs == [config]
+            dd_runs.clear()
+        assert enumerations == []
 
 
 class TestReduce:
@@ -415,7 +438,7 @@ class TestEnumerate:
         for _ in range(30):
             config = random_configuration(rng, dmax=3, nmax=6)
             lattice = enumerate_faces(config, "dd")
-            assert lattice.has_empty_face == config.pointed
+            assert (lattice[0].indices == ()) == (config.lineality_columns == ())
 
     def test_lineality_columns_in_every_face(self):
         rng = random.Random(41)

@@ -137,6 +137,12 @@ CASES = {
         "1/3,1/5,2,1/7,2",
         ["--max-steps", "100"],
     ),
+    # The curve (1, 1, 1, 1; 0, 1, 3, 4): its toric ring is not Cohen-Macaulay
+    # (Sturmfels and Takayama 1998), which the classification does not need.
+    # A nonresonant beta, which takes no face lattice through classify and
+    # centers, and the integral beta where the holonomic rank jumps.
+    "non_cohen_macaulay": ("[[1,1,1,1],[0,1,3,4]]", "1/2,1/3", []),
+    "non_cohen_macaulay_rank_jump": ("[[1,1,1,1],[0,1,3,4]]", "1,2", []),
 }
 
 WITH_BETA = ("reduce", "centers", "classify")

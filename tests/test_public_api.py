@@ -6,7 +6,7 @@ import types
 import pytest
 
 import gkzmono
-from gkzmono import Configuration, FaceLattice, IntMatrix, ToricSystem
+from gkzmono import Configuration, Face, IntMatrix, ToricSystem
 
 PUBLIC = [
     "ArrangementComponent",
@@ -20,7 +20,6 @@ PUBLIC = [
     "EmptyFace",
     "EulerOperator",
     "Face",
-    "FaceLattice",
     "GaussRat",
     "GkzError",
     "IRREDUCIBLE",
@@ -86,17 +85,17 @@ def public_members(cls):
 def test_configuration_members_are_pinned():
     # d is the only name for the number of rows.
     assert public_members(Configuration) == [
-        "column", "d", "face_lattice", "kernel", "lineality_columns", "n",
-        "pointed", "submatrix",
+        "column", "d", "face_lattice", "kernel", "lineality_columns", "n", "submatrix",
     ]
 
 
-def test_face_lattice_members_are_pinned():
-    assert public_members(FaceLattice) == ["faces", "full_face", "has_empty_face", "to_json"]
-    # Membership goes through iteration, and faces compare by their indices.
+def test_the_face_lattice_is_a_plain_tuple():
+    # Minimal face first, full face last; membership is tuple membership,
+    # and faces compare by their indices.
     lattice = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]])).face_lattice()
-    assert "__contains__" not in vars(FaceLattice)
-    assert lattice.full_face in lattice
+    assert type(lattice) is tuple
+    assert [f.indices for f in lattice] == [(), (1,), (3,), (1, 2, 3)]
+    assert Face([3, 2, 1], [0, 0]) in lattice
 
 
 def test_toric_system_saturation_is_not_a_field():

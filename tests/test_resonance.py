@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,9 +20,17 @@ from gkzmono import (
     resonance,
     resonance_centers,
 )
+from gkzmono.cli import run
 from gkzmono.cones import per_configuration
 from oracles import fraction_in_resonant_span, solve_rational
-from sweeps import BETA_SWEEP_MATRIX, DENSE_FIVE_BY_EIGHT, random_beta, random_configuration
+from sweeps import (
+    BETA_SWEEP_MATRIX,
+    DENSE_FIVE_BY_EIGHT,
+    random_beta,
+    random_configuration,
+    random_homogeneous_configuration,
+)
+from test_golden import CASES
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 HALF_SPACE = IntMatrix([[1, -1, 0], [0, 0, 1]])
@@ -162,11 +173,11 @@ class TestCenters:
         rng = random.Random(43)
         for _ in range(30):
             config = random_configuration(rng, dmax=3, nmax=6)
-            face = rng.choice(config.face_lattice().faces)
+            face = rng.choice(config.face_lattice())
             for beta in betas_of_every_kind(rng, config, face):
                 report = resonance_centers(config, beta)
                 members = {f.indices for f in report.member_faces}
-                assert config.face_lattice().full_face.indices in members
+                assert config.face_lattice()[-1].indices in members
                 for f in report.member_faces:
                     assert any(set(c.indices) <= set(f.indices) for c in report.centers)
                     for g in config.face_lattice():
@@ -179,7 +190,7 @@ class TestCenters:
                 assert report.centers
                 assert report.is_nonresonant == (
                     [f.indices for f in report.centers]
-                    == [config.face_lattice().full_face.indices]
+                    == [config.face_lattice()[-1].indices]
                 )
 
 
@@ -193,13 +204,13 @@ class TestAgainstTheDefinition:
                    for k in range(40)]
         for config in configs + [SWEEP] * 5:
             lattice = enumerate_faces(config, "dd")
-            face = rng.choice(lattice.faces)
+            face = rng.choice(lattice)
             for beta in betas_of_every_kind(rng, config, face):
                 members, centers = oracle_report(config, lattice, beta)
                 report = resonance_centers(config, beta)
                 assert [f.indices for f in report.member_faces] == members
                 assert [f.indices for f in report.centers] == centers
-                proper = [m for m in members if m != lattice.full_face.indices]
+                proper = [m for m in members if m != lattice[-1].indices]
                 assert (not report.is_nonresonant) == bool(proper)
             assert face.indices in members  # the planted beta came last
 
@@ -215,7 +226,7 @@ class TestAgainstTheDefinition:
                      [random_rational(rng) for _ in range(config.d)]):
             beta = [GaussRat(r, t**k) for k, r in enumerate(real)]
             report = resonance_centers(config, beta)
-            assert report.centers == report.member_faces == (lattice.full_face,)
+            assert report.centers == report.member_faces == lattice[-1:]
             assert report.is_nonresonant
             assert classify(config.A, beta).verdict == IRREDUCIBLE
 
@@ -236,7 +247,7 @@ class TestCoverRelation:
     def assert_matches_definition(self, config):
         table = resonance._resonance_table(config)
         lattice = config.face_lattice()
-        assert table.faces == lattice.faces
+        assert table.faces == lattice
         covers = covers_by_definition(lattice)
         compiled = [set() for _ in table.faces]
         for g, positions in enumerate(table.below):
@@ -248,7 +259,7 @@ class TestCoverRelation:
     def test_random_configurations(self):
         rng = random.Random(83)
         configs = [random_configuration(rng, dmax=4, nmax=7) for _ in range(40)]
-        assert any(not c.pointed for c in configs)
+        assert any(c.lineality_columns != () for c in configs)
         for config in configs:
             self.assert_matches_definition(config)
 
@@ -295,13 +306,13 @@ class TestFaceTestCount:
         for config in configs + [SWEEP] * 3:
             lattice = config.face_lattice()
             covers = covers_by_definition(lattice)
-            for beta in betas_of_every_kind(rng, config, rng.choice(lattice.faces)):
+            for beta in betas_of_every_kind(rng, config, rng.choice(lattice)):
                 members, _ = oracle_report(config, lattice, beta)
                 tests_run.clear()
                 resonance_centers(config, beta)
                 # The minimal face first; then, below the always-member full
                 # face, each other face whose covers are all members.
-                expected = 1 if lattice.faces[0].indices in members else 1 + sum(
+                expected = 1 if lattice[0].indices in members else 1 + sum(
                     1 for c in covers[1:] if c and c <= set(members)
                 )
                 assert len(tests_run) == expected
@@ -312,7 +323,7 @@ class TestFaceTestCount:
             beta = [rng.randint(-9, 9) for _ in range(SWEEP.d)]
             tests_run.clear()
             report = resonance_centers(SWEEP, beta)
-            assert report.centers == (SWEEP.face_lattice().faces[0],)
+            assert report.centers == SWEEP.face_lattice()[:1]
             assert len(tests_run) == 1
 
 
@@ -332,7 +343,8 @@ class TestFacetFunctionals:
         rng = random.Random(137)
         configs = [random_configuration(rng, dmax=5, nmax=8, lo=-3 * (k % 2))
                    for k in range(200)]
-        assert any(c.pointed for c in configs) and any(not c.pointed for c in configs)
+        pointed = [c.lineality_columns == () for c in configs]
+        assert any(pointed) and not all(pointed)
         for config in configs:
             self.assert_match_the_hermite_form(config)
 
@@ -414,6 +426,65 @@ class TestColdClassify:
         assert [f.indices for f in report.member_faces] == members
         assert len(tests_run) == 1
         assert memo_entries(config, resonance._resonance_table) == 0
+
+
+# Nonresonant inputs: a d=8, n=20 cone with 688 facets and 9996 faces, the
+# golden wide_generic case, and the half-space, whose one facet is its
+# minimal face.
+NONRESONANT = {
+    "cone_8_20": (
+        random_homogeneous_configuration(random.Random(5), 8, 20).A.data,
+        ",".join(f"1/{p}" for p in (101, 103, 107, 109, 113, 127, 131, 137)),
+    ),
+    "wide_generic": (json.loads(CASES["wide_generic"][0]), CASES["wide_generic"][1]),
+    "half_space": (HALF_SPACE.data, "0,1/2"),
+}
+
+
+class TestLatticeFreePath:
+    """A cold nonresonant parameter closes no face lattice and builds no table."""
+
+    @pytest.fixture
+    def lattice_builds(self, monkeypatch):
+        calls = []
+        enumerate_, build = cones.enumerate_faces, resonance._resonance_table
+        monkeypatch.setattr(
+            cones, "enumerate_faces", lambda *args: calls.append(args) or enumerate_(*args)
+        )
+        monkeypatch.setattr(
+            resonance, "_resonance_table", lambda c: calls.append(c) or build(c)
+        )
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(NONRESONANT))
+    def test_classify(self, lattice_builds, name):
+        matrix, beta = NONRESONANT[name]
+        result = classify(IntMatrix(matrix), beta.split(","))
+        assert result.verdict == IRREDUCIBLE
+        assert [f.indices for f in result.centers] == [tuple(range(1, len(matrix[0]) + 1))]
+        assert lattice_builds == []
+
+    @pytest.mark.parametrize("name", sorted(NONRESONANT))
+    def test_centers_json(self, lattice_builds, name):
+        matrix, beta = NONRESONANT[name]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["centers", "-A", json.dumps(matrix), f"--beta={beta}", "--json"]) == 0
+        report = json.loads(out.getvalue())
+        full = list(range(1, len(matrix[0]) + 1))
+        assert report["is_nonresonant"]
+        assert report["member_faces"] == [
+            {"indices": full, "witness": [0] * len(matrix), "congruences": []}
+        ]
+        assert lattice_builds == []
+
+    def test_full_space_has_its_single_face(self):
+        # No facet: the minimal face is every column, and any parameter is a member.
+        config = Configuration(IntMatrix(DENSE_FIVE_BY_EIGHT))
+        report = resonance_centers(config, ["1/2", "1/3", "0", "1", "-1"])
+        assert report.member_faces == report.centers == config.face_lattice()
+        assert [f.indices for f in report.centers] == [tuple(range(1, 9))]
+        assert report.is_nonresonant
 
 
 class TestArrangement:

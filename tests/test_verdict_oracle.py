@@ -98,7 +98,7 @@ def test_agrees_with_classify_on_a_seeded_sweep():
             assert verdict_by_apex_stripping(raw, beta) == result.verdict, (raw, beta)
             config = result.configuration
             seen["complex"] += kind == "complex"
-            seen["non_pointed"] += not config.pointed
+            seen["non_pointed"] += config.lineality_columns != ()
             seen["unnormalized"] += config.A != raw
             seen["proper_pyramid_center"] += result.verdict == IRREDUCIBLE and all(
                 0 < len(f.indices) < config.n for f in result.centers
