@@ -45,7 +45,6 @@ from .intlinalg import (
 from .pyramids import is_pyramid
 from .resonance import (
     ArrangementComponent,
-    ArrangementDescription,
     ResonanceReport,
     describe_resonant_arrangement,
     face_functionals,

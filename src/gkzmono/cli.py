@@ -288,12 +288,10 @@ def run(argv) -> int:
                 print(exporters.export(system, args.format), end="")
                 return EXIT_OK
             else:
-                report = {"components": describe_resonant_arrangement(config).to_json()}
+                components = describe_resonant_arrangement(config)
+                report = {"components": [c.to_json() for c in components]}
                 text = _render_arrangement(report)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScaleLimit as exc:

@@ -12,10 +12,10 @@ The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  A
 facet's saturated orthogonal lattice is Z*v, v its primitive normal from
-double description, so a facet needs no Hermite form.  The functionals of
-every face are compiled once per configuration into a table in lattice
-order, (size, indices), together with the cover relation of the lattice;
-the walk reads it only below a member facet.
+double description, so face_functionals reads a facet's normal and takes
+a Hermite form only for the other faces.  The walk reads the functionals
+of every face from a table in lattice order, (size, indices), built once
+per configuration with the cover relation, and only below a member facet.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -30,7 +30,7 @@ below them.  A generic parameter thus costs one test per facet, plus one
 for the minimal face, and closes no face lattice; only a member minimal
 face or facet reads the lattice, and only a member facet builds the table.
 
-The same functionals provide the human-readable description of each
+The same functionals, read face by face without the table, describe each
 component of the resonant arrangement; their text is formatted only when
 it is read.
 """
@@ -46,9 +46,21 @@ from .cones import _facets, _perp_lattice_basis
 from .intlinalg import IntMatrix, IntVec, hermite_normal_form
 
 
+@per_configuration
+def _facet_functionals(config: Configuration) -> dict[tuple[int, ...], tuple[IntVec]]:
+    """Facet labels -> DD normal, signed like the Hermite form: first nonzero entry positive."""
+    functionals = {}
+    for normal, mask in _facets(config):
+        sign = 1 if next(x for x in normal if x) > 0 else -1
+        labels = tuple(j + 1 for j in range(config.n) if mask >> j & 1)
+        functionals[labels] = (tuple(sign * x for x in normal),)
+    return functionals
+
+
 def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
     """Integer functionals whose congruences cut out Z^d + C*span(face)."""
-    return _perp_lattice_basis(config, face.indices)
+    facet = _facet_functionals(config).get(face.indices)
+    return facet or _perp_lattice_basis(config, face.indices)
 
 
 @dataclass(frozen=True)
@@ -71,21 +83,13 @@ class _ResonanceTable:
 def _resonance_table(config: Configuration) -> _ResonanceTable:
     """The functionals and covers of every face.
 
-    A facet's functional is its normal with the sign of the Hermite form,
-    first nonzero entry positive, so it equals face_functionals.  G covers
-    F iff G contains F and has rank one more.  The rank of a face is d minus
-    the number of its functionals, and the face lattice of a cone, pointed
-    or not, is graded by rank.
+    G covers F iff G contains F and has rank one more.  The rank of a face
+    is d minus the number of its functionals, and the face lattice of a
+    cone, pointed or not, is graded by rank.
     """
     faces = config.face_lattice()
     masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
-    normals = {}
-    for normal, mask in _facets(config):
-        sign = 1 if next(x for x in normal if x) > 0 else -1
-        normals[mask] = (tuple(sign * x for x in normal),)
-    functionals = tuple(
-        normals.get(mask) or face_functionals(config, f) for f, mask in zip(faces, masks)
-    )
+    functionals = tuple(face_functionals(config, f) for f in faces)
     position = {mask: i for i, mask in enumerate(masks)}
     by_corank: dict[int, list[int]] = {}
     for i, w in enumerate(functionals):
@@ -136,7 +140,11 @@ class ResonanceReport:
     beta: Parameter
     member_faces: tuple[Face, ...]
     centers: tuple[Face, ...]
-    is_nonresonant: bool
+
+    @property
+    def is_nonresonant(self) -> bool:
+        """The full face is always a member; beta is nonresonant iff it is the only one."""
+        return len(self.member_faces) == 1
 
     @property
     def member_congruences(self) -> tuple[tuple[str, ...], ...]:
@@ -176,7 +184,7 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
         # The minimal face is a member, hence so is every face above it.
         faces = config.face_lattice()
-        return ResonanceReport(config, beta, faces, faces[:1], len(faces) == 1)
+        return ResonanceReport(config, beta, faces, faces[:1])
     facets = _facets(config)
     if len(facets) == 1:  # a lone facet is the minimal face, which has failed
         facets = ()
@@ -184,7 +192,7 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     if not member_facets:
         # The full face is always a member: the columns span Q^d.
         full = _full_face(config)
-        return ResonanceReport(config, beta, full, full, True)
+        return ResonanceReport(config, beta, full, full)
     table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)
@@ -204,7 +212,6 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
         beta,
         tuple(table.faces[i] for i in members),
         tuple(table.faces[i] for i in centers),
-        False,
     )
 
 
@@ -248,26 +255,18 @@ class ArrangementComponent:
         }
 
 
-@dataclass(frozen=True)
-class ArrangementDescription:
-    components: tuple[ArrangementComponent, ...]
-
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.components]
-
-
-def describe_resonant_arrangement(config: Configuration) -> ArrangementDescription:
+def describe_resonant_arrangement(config: Configuration) -> tuple[ArrangementComponent, ...]:
     """One component per proper face, with its congruence conditions."""
-    table = _resonance_table(config)
     components = []
     # The full face comes last in lattice order.
-    for face, functionals in zip(table.faces[:-1], table.functionals):
+    for face in config.face_lattice()[:-1]:
         if face.indices:
             span_rows = [config.column(j) for j in face.indices]
             H, _ = hermite_normal_form(IntMatrix(span_rows, cols=config.d))
             span_basis = tuple(row for row in H.data if any(row))
         else:
             span_basis = ()
+        functionals = face_functionals(config, face)
         congruences = tuple(map(_congruence_text, functionals))
         components.append(ArrangementComponent(face, span_basis, functionals, congruences))
-    return ArrangementDescription(tuple(components))
+    return tuple(components)

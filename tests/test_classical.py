@@ -17,8 +17,8 @@ gamma_j = 0 for one j with u_j = 1 starts the series at k = 0, and the
 ratio of consecutive coefficients identifies the classical function and
 its parameters.  The Gauss criterion is the case n = 2, alpha = (a, b),
 beta = (1, c) of Beukers and Heckman, "Monodromy for the hypergeometric
-function nFn-1" (Invent. Math. 1989); the Kummer criterion is the
-classical one for z f'' + (c - z) f' - a f = 0.
+function nFn-1" (Invent. Math. 1989), which is also checked for n = 3, 4;
+the Kummer criterion is the classical one for z f'' + (c - z) f' - a f = 0.
 """
 
 import random
@@ -81,6 +81,70 @@ def kummer_beta(a, c):
     beta = (-a, c - 1 - a).
     """
     return [-a, c - GaussRat(1) - a]
+
+
+def circuit(n):
+    """A_n = [I_(2n-1) | v] with v = (1^n, -1^(n-1)), the configuration of nFn-1.
+
+    Its kernel is spanned by u = (1^n, -1^n), the entries of every column
+    sum to 1 (so A_n is homogeneous), and its normalized volume is n.  The
+    product of simplices Delta_(n-1) x Delta_1 is not it for n >= 3: its
+    kernel has rank n - 1 (Appell F1 for n = 3).
+    """
+    v = [1] * n + [-1] * (n - 1)
+    return IntMatrix([[int(i == j) for j in range(2 * n - 1)] + [v[i]] for i in range(2 * n - 1)])
+
+
+def nfn1_beta(alpha, b):
+    """beta for nFn-1(alpha_1, ..., alpha_n; b_1, ..., b_(n-1); z) on circuit(n).
+
+    With u = (1^n, -1^n) and gamma_n = 0, A gamma = beta gives
+    gamma_2n = beta_n, gamma_j = beta_j - beta_n for j < n and
+    gamma_(n+i) = beta_(n+i) + beta_n for i < n.  The columns with u_j = 1
+    contribute 1 / ((gamma_j + 1)_k) (k! for j = n), those with u_j = -1
+    contribute (-1)^k (-gamma_j)_k, so
+
+        Phi = x^gamma nFn-1(-gamma_(n+1), ..., -gamma_2n;
+                             gamma_1 + 1, ..., gamma_(n-1) + 1; (-1)^n z)
+
+    with z = x^u.  Hence alpha_i = -gamma_(n+i), b_j = gamma_j + 1 and
+    b_n = 1, that is beta = (b_1 - 1 - alpha_n, ..., b_(n-1) - 1 - alpha_n,
+    -alpha_n, alpha_n - alpha_1, ..., alpha_n - alpha_(n-1)).
+    """
+    *head, last = alpha
+    return [bj - GaussRat(1) - last for bj in b] + [-last] + [last - ai for ai in head]
+
+
+def nfn1_cases(n, seed, count):
+    """(alpha, b) with each kind of integer boundary, plus generic parameters.
+
+    An integral alpha_i (alpha_i - b_n) or alpha_i - b_j makes the monodromy
+    reducible; integral b_j, b_j - b_k or alpha_i - alpha_k do not.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        alpha = [parameter(rng) for _ in range(n)]
+        b = [parameter(rng) for _ in range(n - 1)]
+        i, i2 = rng.sample(range(n), 2)
+        j, j2 = rng.choice(range(n - 1)), rng.choice(range(n - 1))
+        kind = k % 8
+        if kind == 1:
+            alpha[i] = integer(rng)
+        elif kind == 2:
+            b[j] = alpha[i] + integer(rng)
+        elif kind == 3:
+            b[j] = integer(rng)
+        elif kind == 4:
+            b[j] = b[j2] + integer(rng)
+        elif kind == 5:
+            alpha[i] = alpha[i2] + integer(rng)
+        elif kind == 6:
+            alpha[i], b[j] = integer(rng), alpha[i2] + integer(rng)
+        elif kind == 7:
+            b = [integer(rng) for _ in range(n - 1)]
+        cases.append((alpha, b))
+    return cases
 
 
 def gauss_cases(seed, count):
@@ -160,3 +224,17 @@ def test_kummer_1f1(seed):
         assert classify(KUMMER, kummer_beta(a, c)).verdict == want, (a, c)
         verdicts.append(want)
     assert verdicts.count(IRREDUCIBLE) > 30 and verdicts.count(REDUCIBLE) > 30
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nfn1(n):
+    """Irreducible iff no alpha_i - b_j is an integer, with b_n = 1."""
+    A = circuit(n)
+    verdicts = []
+    for alpha, b in nfn1_cases(n, n, 200):
+        want = expected(*(ai - bj for ai in alpha for bj in [*b, GaussRat(1)]))
+        result = classify(A, nfn1_beta(alpha, b))
+        assert result.verdict == want, (alpha, b)
+        assert result.generic_rank == n
+        verdicts.append(want)
+    assert verdicts.count(IRREDUCIBLE) > 50 and verdicts.count(REDUCIBLE) > 50

@@ -278,6 +278,14 @@ class TestExitCodes:
     def test_missing_input_file(self, capture):
         assert capture(["volume", "--input", "/nonexistent/job.json"])[0] == 1
 
+    @pytest.mark.parametrize("flag", ["-A", "--input"])
+    def test_non_utf8_file_rejected(self, capture, tmp_path, flag):
+        path = tmp_path / "job.json"
+        path.write_bytes(b"\xff[[1, 1, 1], [0, 1, 2]]")
+        argv = ["volume", "-A", f"@{path}"] if flag == "-A" else ["volume", "--input", str(path)]
+        code, out, err = capture(argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_non_integer_matrix(self, capture):
         assert capture(["volume", "-A", "[[1.5, 2]]"])[0] == 1
 

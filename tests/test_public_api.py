@@ -6,11 +6,10 @@ import types
 import pytest
 
 import gkzmono
-from gkzmono import Configuration, Face, IntMatrix, ToricSystem
+from gkzmono import Configuration, Face, IntMatrix, ResonanceReport, ToricSystem
 
 PUBLIC = [
     "ArrangementComponent",
-    "ArrangementDescription",
     "BetaOutsideSpan",
     "Binomial",
     "Classification",
@@ -103,3 +102,11 @@ def test_toric_system_saturation_is_not_a_field():
     assert ToricSystem.saturated is True
     with pytest.raises(TypeError):
         ToricSystem((), (), 1, saturated=False)
+
+
+def test_resonance_report_derives_nonresonance():
+    # is_nonresonant is read off the members: the full face is the only one.
+    assert [f.name for f in dataclasses.fields(ResonanceReport)] == [
+        "config", "beta", "member_faces", "centers",
+    ]
+    assert isinstance(ResonanceReport.is_nonresonant, property)

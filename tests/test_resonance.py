@@ -30,7 +30,7 @@ from sweeps import (
     random_configuration,
     random_homogeneous_configuration,
 )
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 HALF_SPACE = IntMatrix([[1, -1, 0], [0, 0, 1]])
@@ -328,10 +328,13 @@ class TestFaceTestCount:
 
 
 class TestFacetFunctionals:
-    """The table's facet functionals, read off the DD normals, against the Hermite form."""
+    """face_functionals, which reads a facet's DD normal, against the Hermite form."""
 
     @staticmethod
     def assert_match_the_hermite_form(config):
+        for face in config.face_lattice():
+            hermite = cones._perp_lattice_basis(config, face.indices)
+            assert face_functionals(config, face) == hermite
         table = resonance._resonance_table(config)
         assert len(table.facets) == len(cones._facets(config))
         assert sorted(table.facets) == sorted(table.below[-1])
@@ -356,6 +359,61 @@ class TestFacetFunctionals:
         full = Configuration(IntMatrix(DENSE_FIVE_BY_EIGHT))
         assert cones._facets(full) == ()
         self.assert_match_the_hermite_form(full)
+
+
+def golden_stdout(name, argv):
+    """The stdout that the golden corpus records for argv on case name."""
+    text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    header = f"==> exit 0: {json.dumps(argv)}\n"
+    start = text.index(header) + len(header)
+    end = text.find("==> exit ", start)
+    return text[start:end if end >= 0 else None]
+
+
+class TestOneReader:
+    """Facets read their DD normal everywhere, and the arrangement reads no table."""
+
+    MATRIX, BETA, _ = CASES["wide_facet_resonant"]
+
+    def cli(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        return out.getvalue()
+
+    def test_warm_centers_takes_no_hermite_form(self, monkeypatch):
+        self.cli(["classify", "-A", self.MATRIX, f"--beta={self.BETA}"])
+        calls = []
+        original = cones.hermite_normal_form
+        monkeypatch.setattr(
+            cones, "hermite_normal_form", lambda *args: calls.append(args) or original(*args)
+        )
+        argv = ["centers", "-A", self.MATRIX, f"--beta={self.BETA}", "--json"]
+        out = self.cli(argv)
+        assert out == golden_stdout("wide_facet_resonant", argv)
+        assert len(json.loads(out)["member_faces"]) == 35
+        assert calls == []
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        builds = []
+        build = resonance._resonance_table
+        monkeypatch.setattr(resonance, "_resonance_table", lambda c: builds.append(c) or build(c))
+        cones._normalize_matrix.cache_clear()
+        return builds
+
+    def test_cold_arrangement_builds_no_table(self, table_builds):
+        config = cones.reduce_configuration(IntMatrix(json.loads(self.MATRIX)), [0] * 5)[0]
+        components = describe_resonant_arrangement(config)
+        assert [c.face for c in components] == list(config.face_lattice()[:-1])
+        assert table_builds == []
+
+    def test_cold_arrangement_command_builds_no_table(self, table_builds):
+        text = ["arrangement", "-A", self.MATRIX]
+        for argv in (text, text + ["--json"]):
+            assert self.cli(argv) == golden_stdout("wide_facet_resonant", argv)
+            cones._normalize_matrix.cache_clear()
+        assert table_builds == []
 
 
 def memo_entries(config, fn):
@@ -489,8 +547,9 @@ class TestLatticeFreePath:
 
 class TestArrangement:
     def test_quadric_components(self):
-        desc = describe_resonant_arrangement(QUADRIC)
-        by_face = {c.face.indices: c for c in desc.components}
+        components = describe_resonant_arrangement(QUADRIC)
+        assert type(components) is tuple
+        by_face = {c.face.indices: c for c in components}
         assert set(by_face) == {(), (1,), (3,)}
         assert by_face[(1,)].functionals == ((0, 1),)
         assert by_face[(3,)].functionals == ((2, -1),)
@@ -498,12 +557,12 @@ class TestArrangement:
         assert by_face[(3,)].congruences == ("2*b1 - b2 in Z",)
 
     def test_simplicial(self):
-        desc = describe_resonant_arrangement(Configuration(IntMatrix.identity(2)))
-        assert {c.face.indices for c in desc.components} == {(), (1,), (2,)}
+        components = describe_resonant_arrangement(Configuration(IntMatrix.identity(2)))
+        assert {c.face.indices for c in components} == {(), (1,), (2,)}
 
     def test_line_has_no_components(self):
         config = Configuration(IntMatrix([[1, -1]]))
-        assert describe_resonant_arrangement(config).components == ()
+        assert describe_resonant_arrangement(config) == ()
         assert resonance_centers(config, ["22/7"]).is_nonresonant
 
     def test_functionals_power_the_membership_test(self):
@@ -511,7 +570,7 @@ class TestArrangement:
         for _ in range(20):
             config = random_configuration(rng, dmax=3, nmax=5)
             beta = [GaussRat(b) for b in random_beta(rng, config.d)]
-            for comp in describe_resonant_arrangement(config).components:
+            for comp in describe_resonant_arrangement(config):
                 expected = all(
                     sum(w * b.re for w, b in zip(func, beta)).denominator == 1
                     for func in comp.functionals
@@ -519,7 +578,6 @@ class TestArrangement:
                 assert expected == fraction_in_resonant_span(config, comp.face, beta)
 
     def test_span_basis_spans_the_face(self):
-        desc = describe_resonant_arrangement(QUADRIC)
-        by_face = {c.face.indices: c for c in desc.components}
+        by_face = {c.face.indices: c for c in describe_resonant_arrangement(QUADRIC)}
         assert by_face[(3,)].span_basis == ((1, 2),)
         assert by_face[()].span_basis == ()
