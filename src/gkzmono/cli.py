@@ -115,9 +115,16 @@ def _json(text: str, what: str):
 
 def _load_matrix_literal(text: str) -> IntMatrix:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(text[1:])
     return _matrix_from_rows(_json(text, "matrix"))
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _matrix_from_rows(rows) -> IntMatrix:
@@ -148,8 +155,7 @@ def _gather_input(args) -> tuple[IntMatrix, Optional[list]]:
     matrix = None
     beta = None
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            payload = _json(fh.read(), "input file")
+        payload = _json(_read_text(args.input), "input file")
         if not isinstance(payload, dict) or "A" not in payload:
             raise InputError("input file must hold a JSON object with an 'A' matrix")
         matrix = _matrix_from_rows(payload["A"])
@@ -291,7 +297,7 @@ def run(argv) -> int:
                 components = describe_resonant_arrangement(config)
                 report = {"components": [c.to_json() for c in components]}
                 text = _render_arrangement(report)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScaleLimit as exc:

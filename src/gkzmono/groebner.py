@@ -15,10 +15,19 @@ a heap ordered by (key(lcm), i, j); a pair pruned later is skipped when
 popped.  That total order pops the live pairs in the same sequence as a
 minimum over the live set, and the same pairs are pruned, so a change to
 how pairs are stored changes neither the basis nor the steps spent (the
-one budget, and thus every ScaleLimit, depends on both).  Reduction uses
-the first basis element whose lead divides the monomial; a lead whose
-support bitmask or degree rules out division is skipped without the
-exponent-wise test, which cannot change which element is first.
+one budget, and thus every ScaleLimit, depends on both).
+
+Reduction uses the first basis element whose lead divides the monomial.
+An append-only index of the leads keeps, per variable and exponent e, the
+bitset of leads whose exponent there is at most e, so the leads dividing m
+are the AND of m's sets; bit i is element i, and the lowest set bit is the
+element a scan in basis order finds first.  The index maps only exponents
+it has met, so its size follows the leads, not the exponents' magnitude.
+The pair update reads it too: lead_i divides lcm(lead_j, f) iff
+lcm(lead_i, f) does, so a group of equal lcms is minimal under division,
+and kept, exactly when the leads dividing its lcm are that group.  Those
+are the lcms a chain test in ascending order keeps, and a pair still
+takes the lowest index of its group, so the same pairs are made.
 
 The reduced basis is built in one pass.  The minimal basis keeps, in
 ascending order of leads, each element whose lead no kept lead divides;
@@ -33,14 +42,14 @@ from __future__ import annotations
 
 import heapq
 import operator
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ScaleLimit
 
 Monomial = tuple[int, ...]
 BinPair = tuple[Monomial, Monomial]
 OrderKey = Callable[[Monomial], tuple]
-Signature = tuple[int, int]
 
 DEFAULT_STEP_BUDGET = 500_000
 
@@ -78,38 +87,69 @@ def _divides(a: Monomial, b: Monomial) -> bool:
     return all(map(operator.le, a, b))
 
 
-def _signature(m: Monomial) -> Signature:
-    """(support bitmask, degree): necessary conditions for dividing m."""
-    return sum(1 << i for i, e in enumerate(m) if e), sum(m)
+class _AtMost(dict):
+    """One variable's exponent e -> bitset of the leads whose exponent is at most e."""
+
+    __slots__ = ("column",)
+
+    def __init__(self):
+        self.column: list[int] = []
+
+    def __missing__(self, e: int) -> int:
+        bits = self[e] = sum(1 << i for i, x in enumerate(self.column) if x <= e)
+        return bits
+
+    def add(self, x: int, bit: int) -> None:
+        self.column.append(x)
+        for e in self:
+            if e >= x:
+                self[e] |= bit
+
+
+class _Leads:
+    """Append-only index of basis leads: bit i stands for the i-th lead."""
+
+    __slots__ = ("tables", "everything")
+
+    def __init__(self, leads: Iterable[Monomial] = ()):
+        self.tables: list[_AtMost] = []
+        self.everything = 0
+        for lead in leads:
+            self.add(lead)
+
+    def add(self, lead: Monomial) -> None:
+        if not self.tables:
+            self.tables = [_AtMost() for _ in lead]
+        bit = self.everything + 1
+        self.everything |= bit
+        for x, table in zip(lead, self.tables):
+            table.add(x, bit)
+
+    def divisors(self, m: Monomial) -> int:
+        """Bitset of the leads dividing m."""
+        return reduce(operator.and_, map(operator.getitem, self.tables, m), self.everything)
+
+
+def _first(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def _monomial_nf(
-    m: Monomial, basis: Sequence[BinPair], signatures: Sequence[Signature], budget: StepBudget
+    m: Monomial, basis: Sequence[BinPair], leads: _Leads, budget: StepBudget
 ) -> Monomial:
     """Rewrite m by the first basis lead dividing it, until none does."""
-    changed = True
-    while changed:
-        changed = False
-        mask, degree = _signature(m)
-        for (lead, tail), (lead_mask, lead_degree) in zip(basis, signatures):
-            if lead_mask & ~mask or lead_degree > degree or not _divides(lead, m):
-                continue
-            budget.spend()
-            m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
-            changed = True
-            break
+    while bits := leads.divisors(m):
+        lead, tail = basis[_first(bits)]
+        budget.spend()
+        m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
     return m
 
 
 def _normal_form(
-    pair: BinPair,
-    basis: Sequence[BinPair],
-    signatures: Sequence[Signature],
-    key: OrderKey,
-    budget: StepBudget,
+    pair: BinPair, basis: Sequence[BinPair], leads: _Leads, key: OrderKey, budget: StepBudget
 ) -> Optional[BinPair]:
-    p = _monomial_nf(pair[0], basis, signatures, budget)
-    q = _monomial_nf(pair[1], basis, signatures, budget)
+    p = _monomial_nf(pair[0], basis, leads, budget)
+    q = _monomial_nf(pair[1], basis, leads, budget)
     return oriented(p, q, key)
 
 
@@ -117,12 +157,7 @@ def normal_form(
     pair: BinPair, basis: Sequence[BinPair], key: OrderKey, budget: StepBudget
 ) -> Optional[BinPair]:
     """Fully reduce a pure difference; None means it reduced to zero."""
-    signatures = [_signature(lead) for lead, _ in basis]
-    return _normal_form(pair, basis, signatures, key, budget)
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
+    return _normal_form(pair, basis, _Leads(lead for lead, _ in basis), key, budget)
 
 
 def _spair(f: BinPair, g: BinPair, lcm: Monomial, key: OrderKey) -> Optional[BinPair]:
@@ -132,46 +167,47 @@ def _spair(f: BinPair, g: BinPair, lcm: Monomial, key: OrderKey) -> Optional[Bin
 
 
 def _update_pairs(
-    basis: list[BinPair], signatures: list[Signature], pairs: dict, queue: list, key: OrderKey
+    basis: list[BinPair], leads: _Leads, pairs: dict, queue: list, key: OrderKey
 ) -> None:
     """Gebauer-Moeller update of the critical pairs for the last element.
 
     pairs maps each live pair (i, j) to lcm(lm_i, lm_j); the heap queue
-    holds (key(lcm), i, j) and may still hold pairs deleted here.
+    holds (key(lcm), i, j) and may still hold pairs deleted here.  leads
+    already holds the new lead.
     """
     new_index = len(basis) - 1
     f = basis[new_index][0]
+    with_f = [tuple(map(max, lead, f)) for lead, _ in basis[:new_index]]
     for (i, j), m in list(pairs.items()):
-        if _divides(f, m) and m not in (_lcm(basis[i][0], f), _lcm(basis[j][0], f)):
+        if _divides(f, m) and m != with_f[i] and m != with_f[j]:
             del pairs[i, j]
-    lcms: dict[Monomial, list[int]] = {}
-    for i in range(new_index):
-        lcms.setdefault(_lcm(basis[i][0], f), []).append(i)
-    kept: list[Monomial] = []
-    for candidate in sorted(lcms, key=key):
-        if all(not _divides(other, candidate) for other in kept):
-            kept.append(candidate)
-    f_mask = signatures[new_index][0]
-    for candidate in kept:
-        indices = lcms[candidate]
-        if all(signatures[i][0] & f_mask for i in indices):
-            pairs[indices[0], new_index] = candidate
-            heapq.heappush(queue, (key(candidate), indices[0], new_index))
+    groups: dict[Monomial, int] = {}
+    for i, m in enumerate(with_f):
+        groups[m] = groups.get(m, 0) | 1 << i
+    older = leads.everything >> 1
+    # Leads with no variable of f: their exponents there are at most 0.
+    coprime = reduce(operator.and_, (t[0] for t, e in zip(leads.tables, f) if e), older)
+    for m, group in groups.items():
+        # Minimal under division iff only its own leads divide m (see above).
+        if not group & coprime and leads.divisors(m) & older == group:
+            i = _first(group)
+            pairs[i, new_index] = m
+            heapq.heappush(queue, (key(m), i, new_index))
 
 
 def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget) -> list[BinPair]:
     """Reduced Groebner basis of a pure-difference binomial ideal."""
     basis: list[BinPair] = []
-    signatures: list[Signature] = []
+    leads = _Leads()
     pairs: dict[tuple[int, int], Monomial] = {}
     queue: list = []
 
     def add(g: BinPair):
-        reduced = _normal_form(g, basis, signatures, key, budget)
+        reduced = _normal_form(g, basis, leads, key, budget)
         if reduced is not None:
             basis.append(reduced)
-            signatures.append(_signature(reduced[0]))
-            _update_pairs(basis, signatures, pairs, queue, key)
+            leads.add(reduced[0])
+            _update_pairs(basis, leads, pairs, queue, key)
 
     for p, q in generators:
         o = oriented(p, q, key)
@@ -189,9 +225,10 @@ def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget)
 
     # Minimalize: drop elements whose lead is divisible by another lead.
     minimal: list[BinPair] = []
+    leads = _Leads()
     for g in sorted(basis, key=lambda b: key(b[0])):
-        if all(not _divides(h[0], g[0]) for h in minimal):
+        if not leads.divisors(g[0]):
             minimal.append(g)
+            leads.add(g[0])
     # Reduce each tail against the minimal basis; see the module docstring.
-    signatures = [_signature(lead) for lead, _ in minimal]
-    return [(lead, _monomial_nf(tail, minimal, signatures, budget)) for lead, tail in minimal]
+    return [(lead, _monomial_nf(tail, minimal, leads, budget)) for lead, tail in minimal]

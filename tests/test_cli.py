@@ -285,6 +285,7 @@ class TestExitCodes:
         argv = ["volume", "-A", f"@{path}"] if flag == "-A" else ["volume", "--input", str(path)]
         code, out, err = capture(argv)
         assert code == 1 and out == "" and err.startswith("error: ")
+        assert str(path) in err
 
     def test_non_integer_matrix(self, capture):
         assert capture(["volume", "-A", "[[1.5, 2]]"])[0] == 1

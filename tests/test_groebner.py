@@ -1,12 +1,14 @@
 """The Buchberger engine against a step-exact reference and against sympy.
 
-groebner_reference.py keeps the engine with set-based pair selection and no
-divisibility pre-filters.  The engine must return the same basis and spend
+groebner_reference.py keeps the engine with set-based pair selection and a
+linear scan for divisors.  The engine must return the same basis and spend
 exactly the same steps on every input and budget, so every --max-steps
-outcome of the CLI is unchanged.  The sympy oracle checks the toric ideal
+outcome of the CLI is unchanged.  The engine's index of leads is checked
+against that scan on its own.  The sympy oracle checks the toric ideal
 itself with an independent Groebner implementation.
 """
 
+import operator
 import random
 
 import pytest
@@ -18,11 +20,14 @@ from gkzmono import (
     IntMatrix,
     ScaleLimit,
     kernel_lattice_basis,
+    lattice_binomials,
     toric_ideal_generators,
 )
 from gkzmono.groebner import (
     DEFAULT_STEP_BUDGET,
     StepBudget,
+    _first,
+    _Leads,
     buchberger,
     elimination_key,
     grevlex_key,
@@ -71,12 +76,29 @@ def saturation_inputs():
     return [reference.saturation_generators(c) for c in configs]
 
 
+def kernel_degree(config):
+    """Total degree of the kernel-basis binomials, the saturation input's size."""
+    return sum(sum(b.plus) + sum(b.minus) for b in lattice_binomials(config))
+
+
+def heavy_saturation_inputs():
+    """Curves of degree 9 and 10, and n = 7 configurations of kernel degree 22-28."""
+    rng = random.Random(2033)
+    configs = [rational_normal_curve(9), rational_normal_curve(10)]
+    while len(configs) < 6:
+        config = pointed_configuration(rng, 7)
+        if 22 <= kernel_degree(config) <= 28:
+            configs.append(config)
+    return [reference.saturation_generators(c) for c in configs]
+
+
 def binomial_inputs():
     rng = random.Random(2029)
     return [random_binomials(rng, rng.randint(3, 5), rng.randint(2, 5)) for _ in range(25)]
 
 
 SATURATION = saturation_inputs()
+HEAVY_SATURATION = heavy_saturation_inputs()
 BINOMIALS = binomial_inputs()
 
 
@@ -111,15 +133,80 @@ class TestAgainstTheReferenceEngine:
         for generators in BINOMIALS:
             assert_same_run(generators, key, DEFAULT_STEP_BUDGET)
 
-    @pytest.mark.parametrize("limit", [1, 2, 100])
+    @pytest.mark.parametrize("index", range(len(HEAVY_SATURATION)))
+    def test_heavy_saturation_by_elimination(self, index):
+        basis, _ = assert_same_run(HEAVY_SATURATION[index], elimination_key, DEFAULT_STEP_BUDGET)
+        assert basis is not None
+
+    @pytest.mark.parametrize("limit", [1, 2, 100, "steps - 1", "steps"])
     @pytest.mark.parametrize("key", KEYS.values(), ids=KEYS.keys())
     def test_scale_limit_at_the_same_step(self, key, limit):
+        if isinstance(limit, str):
+            # The budget a run needs exactly, and one step less.
+            short = limit == "steps - 1"
+            for generators in SATURATION:
+                _, remaining = outcome(buchberger, generators, key, DEFAULT_STEP_BUDGET)
+                steps = DEFAULT_STEP_BUDGET - remaining
+                basis, remaining = assert_same_run(generators, key, steps - short)
+                assert (basis is None) == short and remaining == -short
+            return
         raised = 0
         for generators in SATURATION + BINOMIALS:
             basis, remaining = assert_same_run(generators, key, limit)
             raised += basis is None
             assert remaining == -1 if basis is None else remaining >= 0
         assert raised > 0
+
+
+def divisors_by_scan(leads, m):
+    """Indices of the leads dividing m, in basis order."""
+    return [i for i, lead in enumerate(leads) if all(map(operator.le, lead, m))]
+
+
+def bitset(indices):
+    return sum(1 << i for i in indices)
+
+
+class TestLeadIndex:
+    """_Leads.divisors against a scan over the leads in basis order."""
+
+    @staticmethod
+    def exponent(rng):
+        return 10**12 if rng.random() < 0.05 else rng.randint(0, 5)
+
+    def monomial(self, rng, nvars):
+        return tuple(self.exponent(rng) for _ in range(nvars))
+
+    @pytest.mark.parametrize("nvars", range(1, 10))
+    def test_queries_interleaved_with_adds(self, nvars):
+        rng = random.Random(2039 + nvars)
+        index, leads = _Leads(), []
+        for _ in range(60):
+            for _ in range(rng.randint(0, 4)):
+                m = self.monomial(rng, nvars)
+                if rng.random() < 0.3 and leads:
+                    # a multiple of a lead, so that some query has divisors
+                    m = tuple(a + b for a, b in zip(rng.choice(leads), m))
+                bits, expected = index.divisors(m), divisors_by_scan(leads, m)
+                assert bits == bitset(expected)
+                if expected:
+                    assert _first(bits) == expected[0]
+            lead = self.monomial(rng, nvars)
+            index.add(lead)
+            leads.append(lead)
+
+    def test_built_from_leads(self):
+        rng = random.Random(2053)
+        leads = [self.monomial(rng, 4) for _ in range(30)]
+        index = _Leads(leads)
+        for _ in range(200):
+            m = self.monomial(rng, 4)
+            assert index.divisors(m) == bitset(divisors_by_scan(leads, m))
+
+    @pytest.mark.parametrize("nvars", [1, 3, 9])
+    def test_empty_index(self, nvars):
+        assert _Leads().divisors((0,) * nvars) == 0
+        assert _Leads().divisors((10**12,) * nvars) == 0
 
 
 def sympy_cases():

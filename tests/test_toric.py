@@ -212,6 +212,14 @@ class TestToricIdeal:
         assert all(torus_substitution_vanishes(config, b) for b in gens)
         assert sorted((b.plus, b.minus) for b in gens) == reference_toric_ideal(config)
 
+    def test_huge_exponents(self):
+        # The engine's lead index must be sized by the leads it holds, not by
+        # their exponents: one exponent here is 10**12.
+        config = Configuration(IntMatrix([[1, 1, 1], [0, 1, 10**12]]))
+        assert [(b.plus, b.minus) for b in toric_ideal_generators(config)] == [
+            ((10**12 - 1, 0, 1), (0, 10**12, 0))
+        ]
+
     def test_scale_limit(self):
         # Saturate first, so the raise comes from the replayed step count
         # whatever ran before.
