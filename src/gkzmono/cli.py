@@ -99,17 +99,21 @@ def _attach_beta_values(argv) -> list:
 
 
 def _contains_boolean(value) -> bool:
-    """JSON true/false would pass as the integers 1/0; they are rejected."""
-    if isinstance(value, (list, dict)):
-        items = value.values() if isinstance(value, dict) else value
-        return any(_contains_boolean(v) for v in items)
-    return isinstance(value, bool)
+    """JSON true/false would pass as the integers 1/0; they are rejected at any depth."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            return True
+        if isinstance(value, (list, dict)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return False
 
 
 def _json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -448,17 +448,23 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]
         return Configuration(A_raw), IntMatrix.identity(A_raw.rows), False
     except (RankDeficient, LatticeNotSaturated):
         pass
-    return (*_hermite_reduce(A_raw), True)
-
-
-def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
-    """(config, B) with A_raw = B * config.A, B the column-Hermite lattice basis."""
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
+    A, B = _hermite_reduce(A_raw)
+    if not A.rows:
+        raise RankDeficient("all columns are zero")
+    return Configuration(A), B, True
+
+
+def _hermite_reduce(A_raw: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(A, B) with A_raw = B * A: the one Hermite reduction of a column lattice.
+
+    B's columns are the nonzero rows of the Hermite form of A_raw^T (none for
+    zero columns), A the columns' integer coordinates on them.  It normalizes
+    user matrices and gives a face its volume lattice and arrangement span.
+    """
     H, _ = hermite_normal_form(A_raw.transpose())
     basis_rows = [row for row in H.data if any(row)]
-    if not basis_rows:
-        raise RankDeficient("all columns are zero")
     B = IntMatrix.from_columns(basis_rows, A_raw.rows)
     reduced_cols = []
     for col in A_raw.columns():
@@ -466,7 +472,7 @@ def _hermite_reduce(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix]:
         if x is None or any(q.denominator != 1 for q in x):
             raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
         reduced_cols.append(x)
-    return Configuration(IntMatrix.from_columns(reduced_cols, len(basis_rows))), B
+    return IntMatrix.from_columns(reduced_cols, len(basis_rows)), B
 
 
 def reduce_configuration(

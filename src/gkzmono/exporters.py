@@ -16,17 +16,11 @@ from .errors import InputError, UnsupportedFormat
 from .intlinalg import GaussRat, format_rational
 from .toric import Binomial, EulerOperator, ToricSystem
 
-FORMATS = ("json", "macaulay2", "singular")
-
 
 def export(system: ToricSystem, format: str) -> str:
-    if format == "json":
-        return _export_json(system)
-    if format == "macaulay2":
-        return _export_macaulay2(system)
-    if format == "singular":
-        return _export_singular(system)
-    raise UnsupportedFormat(f"unknown export format {format!r} (use one of {FORMATS})")
+    if format not in FORMATS:
+        raise UnsupportedFormat(f"unknown export format {format!r} (use one of {FORMATS})")
+    return _WRITERS[format](system)
 
 
 def _export_json(system: ToricSystem) -> str:
@@ -182,3 +176,8 @@ def _export_singular(system: ToricSystem) -> str:
     lines.append(f"ideal H = {','.join(members)};")
     lines.append("H;")
     return "\n".join(lines) + "\n"
+
+
+# The one list of formats: name -> writer.  FORMATS, the CLI choices, keeps this order.
+_WRITERS = {"json": _export_json, "macaulay2": _export_macaulay2, "singular": _export_singular}
+FORMATS = tuple(_WRITERS)

@@ -30,9 +30,9 @@ below them.  A generic parameter thus costs one test per facet, plus one
 for the minimal face, and closes no face lattice; only a member minimal
 face or facet reads the lattice, and only a member facet builds the table.
 
-The same functionals, read face by face without the table, describe each
-component of the resonant arrangement; their text is formatted only when
-it is read.
+The same functionals, read face by face without the table, and the Hermite
+basis of the face's columns (cones._hermite_reduce) describe each component
+of the resonant arrangement; their text is formatted only when it is read.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from math import lcm
 from operator import mul
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _facets, _perp_lattice_basis
-from .intlinalg import IntMatrix, IntVec, hermite_normal_form
+from .cones import _facets, _hermite_reduce, _perp_lattice_basis
+from .intlinalg import IntVec
 
 
 @per_configuration
@@ -260,12 +260,7 @@ def describe_resonant_arrangement(config: Configuration) -> tuple[ArrangementCom
     components = []
     # The full face comes last in lattice order.
     for face in config.face_lattice()[:-1]:
-        if face.indices:
-            span_rows = [config.column(j) for j in face.indices]
-            H, _ = hermite_normal_form(IntMatrix(span_rows, cols=config.d))
-            span_basis = tuple(row for row in H.data if any(row))
-        else:
-            span_basis = ()
+        span_basis = face.indices and _hermite_reduce(config.submatrix(face.indices))[1].columns()
         functionals = face_functionals(config, face)
         congruences = tuple(map(_congruence_text, functionals))
         components.append(ArrangementComponent(face, span_basis, functionals, congruences))

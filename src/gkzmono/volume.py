@@ -112,24 +112,18 @@ def normalized_volume(config: Configuration) -> VolumeResult:
 def face_volume(config: Configuration, face: Face) -> int:
     """Normalized volume of a face in the lattice its columns generate.
 
-    The columns are re-expressed in a basis of that lattice, which may be a
-    proper sublattice of its saturation, before triangulating.  A face of
-    zero columns only spans a rank-0 lattice; its volume is 1 (the volume
-    of a point).  The full face already lives in Z^d: its volume is the
-    normalized volume.
+    The face's columns are triangulated in their coordinates on the Hermite
+    basis of that lattice (cones._hermite_reduce), which may be a proper
+    sublattice of its saturation.  A face of zero columns only spans a
+    rank-0 lattice; its volume is 1 (the volume of a point).  The full face
+    already lives in Z^d: its volume is the normalized volume.
     """
     if not face.indices:
         raise EmptyFace("volume of the empty face is undefined")
     if len(face.indices) == config.n:
         return normalized_volume(config).volume
-    sub = config.submatrix(face.indices)
-    if not any(map(any, sub.data)):
-        return 1
-    # Straight to the Hermite reduction, which validates the reduced matrix:
-    # a proper face has rank < d, so Configuration(sub) would always fail.
-    # Face matrices stay out of the user-matrix cache.
-    face_config, _ = _hermite_reduce(sub)
-    return _volume_of_matrix(face_config.A).volume
+    reduced, _ = _hermite_reduce(config.submatrix(face.indices))
+    return _volume_of_matrix(reduced).volume if reduced.rows else 1
 
 
 def generic_rank(config: Configuration) -> int:

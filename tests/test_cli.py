@@ -287,6 +287,25 @@ class TestExitCodes:
         assert code == 1 and out == "" and err.startswith("error: ")
         assert str(path) in err
 
+    def test_deeply_nested_matrix_rejected(self, capture):
+        depth = 5 * sys.getrecursionlimit()
+        code, out, err = capture(["classify", "-A", "[" * depth + "]" * depth, "-b", "1/2,1"])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_deeply_nested_beta_rejected(self, capture):
+        # Shallow enough to decode, deeper than a recursive walk can go.
+        depth = 3 * sys.getrecursionlimit() // 4
+        beta = "[" * depth + "true" + "]" * depth
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", beta])
+        assert code == 1 and out == "" and err.startswith("error: ") and "boolean" in err
+
+    def test_deeply_nested_input_file_rejected(self, capture, tmp_path):
+        depth = 3 * sys.getrecursionlimit()
+        path = tmp_path / "job.json"
+        path.write_text('{"A": ' + "[" * depth + "]" * depth + ', "beta": ["1/2", "1"]}')
+        code, out, err = capture(["classify", "--input", str(path)])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_non_integer_matrix(self, capture):
         assert capture(["volume", "-A", "[[1.5, 2]]"])[0] == 1
 

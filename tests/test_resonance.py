@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gkzmono import (
     describe_resonant_arrangement,
     enumerate_faces,
     face_functionals,
+    intlinalg,
     resonance,
     resonance_centers,
 )
@@ -414,6 +416,31 @@ class TestOneReader:
             assert self.cli(argv) == golden_stdout("wide_facet_resonant", argv)
             cones._normalize_matrix.cache_clear()
         assert table_builds == []
+
+    # Hermite forms of a cold arrangement command before the span bases came
+    # from cones._hermite_reduce: resonance then took one of its own per
+    # nonempty proper face (2 of 15 on quadric, 10 of 23 on twelve_columns).
+    HERMITE_FORMS = {"quadric": 15, "twelve_columns": 23}
+
+    @pytest.mark.parametrize("name", sorted(HERMITE_FORMS))
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_cold_arrangement_takes_no_hermite_form_of_its_own(self, monkeypatch, name, extra):
+        callers = []
+        original = intlinalg.hermite_normal_form
+
+        def spy(M):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return original(M)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gkzmono") and module is not None:
+                if getattr(module, "hermite_normal_form", None) is original:
+                    monkeypatch.setattr(module, "hermite_normal_form", spy)
+        cones._normalize_matrix.cache_clear()
+        argv = ["arrangement", "-A", CASES[name][0], *extra]
+        assert self.cli(argv) == golden_stdout(name, argv)
+        assert "gkzmono.resonance" not in callers
+        assert 0 < len(callers) <= self.HERMITE_FORMS[name]
 
 
 def memo_entries(config, fn):

@@ -234,7 +234,7 @@ class TestFaceVolume:
         for _ in range(30):
             config = random_configuration(rng, dmax=4, nmax=7)
             reduced, _ = cones._hermite_reduce(config.A)
-            reference = volume._volume_of_matrix(reduced.A).volume
+            reference = volume._volume_of_matrix(reduced).volume
             assert face_volume(config, config.face_lattice()[-1]) == reference
 
     def test_full_face_runs_no_hermite_reduction(self, monkeypatch):
