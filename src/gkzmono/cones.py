@@ -128,7 +128,11 @@ class Configuration:
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        H, U = hermite_normal_form(A.transpose())
+        self._adopt(A, hermite_normal_form(A.transpose()))
+
+    def _adopt(self, A: IntMatrix, hermite: tuple[IntMatrix, IntMatrix]) -> None:
+        """Validate A by the row Hermite form U*A^T = H of hermite, and keep both."""
+        H, _ = hermite
         rank = sum(map(any, H.data))
         if rank < A.rows:
             raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
@@ -137,7 +141,7 @@ class Configuration:
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
-        self.hermite = (H, U)
+        self.hermite = hermite
         self._memo: dict = {}
 
     @property
@@ -443,27 +447,35 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]
     """(config, B, reduced) with A_raw = B * config.A.
 
     When A_raw is valid as is, B is the identity and reduced is False.
+    Otherwise the Hermite form that failed the validation is reduced.
     """
-    try:
-        return Configuration(A_raw), IntMatrix.identity(A_raw.rows), False
-    except (RankDeficient, LatticeNotSaturated):
-        pass
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
-    A, B = _hermite_reduce(A_raw)
+    hermite = hermite_normal_form(A_raw.transpose())
+    config = Configuration.__new__(Configuration)
+    try:
+        config._adopt(A_raw, hermite)
+        return config, IntMatrix.identity(A_raw.rows), False
+    except (RankDeficient, LatticeNotSaturated):
+        pass
+    A, B = _hermite_reduce(A_raw, hermite[0])
     if not A.rows:
         raise RankDeficient("all columns are zero")
     return Configuration(A), B, True
 
 
-def _hermite_reduce(A_raw: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def _hermite_reduce(
+    A_raw: IntMatrix, H: Optional[IntMatrix] = None
+) -> tuple[IntMatrix, IntMatrix]:
     """(A, B) with A_raw = B * A: the one Hermite reduction of a column lattice.
 
-    B's columns are the nonzero rows of the Hermite form of A_raw^T (none for
-    zero columns), A the columns' integer coordinates on them.  It normalizes
-    user matrices and gives a face its volume lattice and arrangement span.
+    B's columns are the nonzero rows of the Hermite form H of A_raw^T (none
+    for zero columns), A the columns' integer coordinates on them; H is
+    computed unless the caller has it.  It normalizes user matrices and
+    gives a face its volume lattice and arrangement span.
     """
-    H, _ = hermite_normal_form(A_raw.transpose())
+    if H is None:
+        H, _ = hermite_normal_form(A_raw.transpose())
     basis_rows = [row for row in H.data if any(row)]
     B = IntMatrix.from_columns(basis_rows, A_raw.rows)
     reduced_cols = []

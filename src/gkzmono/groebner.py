@@ -55,13 +55,17 @@ DEFAULT_STEP_BUDGET = 500_000
 
 
 def grevlex_key(m: Monomial) -> tuple:
-    """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    """Sort key realizing graded reverse lexicographic order (ascending).
+
+    The flat tuple (degree, -m_n, ..., -m_1): keys of one ring all have the
+    same length, so it orders as (degree, (-m_n, ..., -m_1)) does.
+    """
+    return (sum(m), *map(operator.neg, m[::-1]))
 
 
 def elimination_key(m: Monomial) -> tuple:
     """Block order eliminating the last variable, grevlex inside the block."""
-    return (m[-1], grevlex_key(m[:-1]))
+    return (m[-1], sum(m) - m[-1], *map(operator.neg, m[-2::-1]))
 
 
 class StepBudget:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -75,9 +76,9 @@ class GaussRat:
             re_part = value.get("re", 0)
             im_part = value.get("im", 0)
             if isinstance(re_part, dict) or isinstance(im_part, dict):
-                raise InputError(f"nested complex literal: {value!r}")
+                raise InputError(f"nested complex literal: {reprlib.repr(value)}")
             return cls(cls.parse(re_part).re, cls.parse(im_part).re)
-        raise InputError(f"cannot interpret {value!r} as a Gaussian rational")
+        raise InputError(f"cannot interpret {reprlib.repr(value)} as a Gaussian rational")
 
     @property
     def is_real(self) -> bool:

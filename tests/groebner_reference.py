@@ -4,8 +4,13 @@ This is the engine as it was before pair selection moved to a heap: pairs
 live in a set, the next one is the minimum of (key(lcm), i, j) over that set
 with every lcm recomputed, and a monomial is reduced by testing each lead
 exponent-wise.  It must return the same basis and spend the same steps.
+
+The module also keeps the order keys as nested tuples, the oracle for the
+engine's flat keys, and its own copy of the kernel-basis shortening that
+precedes a saturation.
 """
 
+from itertools import permutations
 from typing import Optional, Sequence
 
 from gkzmono import kernel_lattice_basis
@@ -18,6 +23,14 @@ from gkzmono.groebner import (
     elimination_key,
     oriented,
 )
+
+
+def nested_grevlex_key(m: Monomial) -> tuple:
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def nested_elimination_key(m: Monomial) -> tuple:
+    return (m[-1], nested_grevlex_key(m[:-1]))
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -144,20 +157,64 @@ def buchberger(
     return sorted(reduced_basis, key=lambda b: key(b[0]))
 
 
-def saturation_generators(config) -> list[BinPair]:
-    """The t-elimination input that toric_ideal_generators hands to buchberger."""
+def shortened_kernel(kernel) -> tuple[list[tuple[int, ...]], int]:
+    """(basis, replacements) of the L1 shortening that precedes a saturation.
+
+    For each ordered pair (u, v) of basis vectors, in basis order, u becomes
+    u - q*v for the q minimizing |u - q*v|_1 (least |q|, then q > 0) when
+    q != 0; passes repeat until one replaces nothing.  q is the best of 0
+    and the floor and ceiling of each ratio u_k/v_k: the norm is convex and
+    linear between those ratios, so an integer minimizer of least |q| is
+    among them.
+    """
+    basis, replacements, replaced = [tuple(u) for u in kernel], 0, True
+    while replaced:
+        replaced = False
+        for i, j in permutations(range(len(basis)), 2):
+            u, v = basis[i], basis[j]
+            candidates = {0}
+            for x, y in zip(u, v):
+                if y:
+                    candidates |= {x // y, -(-x // y)}
+            q = min(
+                candidates,
+                key=lambda q: (sum(abs(x - q * y) for x, y in zip(u, v)), abs(q), q < 0),
+            )
+            if q:
+                basis[i] = tuple(x - q * y for x, y in zip(u, v))
+                replacements += 1
+                replaced = True
+    return basis, replacements
+
+
+def saturation_generators(config, shorten: bool = True) -> list[BinPair]:
+    """The t-elimination input that toric_ideal_generators hands to buchberger.
+
+    With shorten=False it is built from the Hermite kernel basis as it is.
+    """
     n = config.n
+    kernel = kernel_lattice_basis(config.A)
+    if shorten:
+        kernel, _ = shortened_kernel(kernel)
     generators = [
         (tuple(max(x, 0) for x in u) + (0,), tuple(-min(x, 0) for x in u) + (0,))
-        for u in kernel_lattice_basis(config.A)
+        for u in kernel
     ]
     generators.append((tuple([1] * n) + (1,), tuple([0] * n) + (0,)))
     return generators
 
 
 def reference_toric_ideal(config) -> list[tuple[Monomial, Monomial]]:
-    """The t-free part of the reference elimination basis, as display pairs."""
-    basis = buchberger(saturation_generators(config), elimination_key)
+    """The t-free part of the reference elimination basis, as display pairs.
+
+    The input is the unshortened Hermite kernel basis, so this oracle does
+    not depend on the shortening.
+    """
+    return t_free_part(buchberger(saturation_generators(config, shorten=False), elimination_key))
+
+
+def t_free_part(basis: Sequence[BinPair]) -> list[tuple[Monomial, Monomial]]:
+    """The elements of an elimination basis free of t, as sorted display pairs."""
     return sorted(
         max((lead[:-1], tail[:-1]), (tail[:-1], lead[:-1]))
         for lead, tail in basis

@@ -86,6 +86,11 @@ def random_homogeneous_configuration(rng, d, n, hi=4):
             continue
 
 
+def rational_normal_curve(k):
+    """The degree-k curve: columns (1, j) for j = 0..k."""
+    return Configuration(IntMatrix([[1] * (k + 1), list(range(k + 1))]))
+
+
 def face_of(config, indices):
     """The face of config's lattice with these column labels (StopIteration if none)."""
     key = tuple(sorted(indices))

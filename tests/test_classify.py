@@ -464,3 +464,13 @@ class TestCacheStructure:
         toric.toric_ideal_generators(config)
         assert result.verdict == IRREDUCIBLE
         assert factored.count(A.transpose()) == 1
+
+    def test_normalization_reduces_the_form_that_failed_validation(self, monkeypatch):
+        # One Hermite form of A_raw^T fails the validation and is reduced;
+        # the second validates the reduced matrix.
+        cones._normalize_matrix.cache_clear()
+        factored = hermite_arguments(monkeypatch)
+        config, beta, B = cones.reduce_configuration(INDEX_FOUR, [1, 1])
+        assert factored == [INDEX_FOUR.transpose(), config.A.transpose()]
+        assert config.A == QUADRIC and B @ config.A == INDEX_FOUR
+        assert beta == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))

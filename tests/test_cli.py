@@ -299,6 +299,14 @@ class TestExitCodes:
         code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", beta])
         assert code == 1 and out == "" and err.startswith("error: ") and "boolean" in err
 
+    def test_deeply_nested_beta_entry_is_echoed_in_short(self, capture):
+        # The entry decodes and passes the boolean check, and GaussRat.parse
+        # cannot read it: its error line shows a bounded repr of the entry.
+        depth = 750
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", "[" * depth + "]" * depth])
+        assert code == 1 and out == "" and err.startswith("error: cannot interpret")
+        assert all(len(line) < 200 for line in err.splitlines())
+
     def test_deeply_nested_input_file_rejected(self, capture, tmp_path):
         depth = 3 * sys.getrecursionlimit()
         path = tmp_path / "job.json"

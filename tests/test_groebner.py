@@ -32,17 +32,13 @@ from gkzmono.groebner import (
     elimination_key,
     grevlex_key,
 )
-from sweeps import random_configuration
+from sweeps import random_configuration, rational_normal_curve
 
 KEYS = {"elimination": elimination_key, "grevlex": grevlex_key}
 NON_POINTED = (
     [[1, -1, 0], [0, 0, 1]],
     [[1, -1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]],
 )
-
-
-def rational_normal_curve(k):
-    return Configuration(IntMatrix([[1] * (k + 1), list(range(k + 1))]))
 
 
 def pointed_configuration(rng, n, hi=3):
@@ -67,13 +63,13 @@ def random_binomials(rng, nvars, count, top=2):
     return [(monomial(), monomial()) for _ in range(count)]
 
 
-def saturation_inputs():
+def saturation_configurations():
     rng = random.Random(2027)
     configs = [pointed_configuration(rng, 6) for _ in range(8)]
     configs.append(pointed_configuration(rng, 7))
     configs += [rational_normal_curve(k) for k in range(2, 9)]
     configs += [Configuration(IntMatrix(A)) for A in NON_POINTED]
-    return [reference.saturation_generators(c) for c in configs]
+    return configs
 
 
 def kernel_degree(config):
@@ -81,15 +77,18 @@ def kernel_degree(config):
     return sum(sum(b.plus) + sum(b.minus) for b in lattice_binomials(config))
 
 
-def heavy_saturation_inputs():
-    """Curves of degree 9 and 10, and n = 7 configurations of kernel degree 22-28."""
+def heavy_saturation_configurations():
+    """Curves of degree 9 and 10, and n = 7 configurations of kernel degree 22-28.
+
+    The degree is that of the Hermite kernel basis, before shortening.
+    """
     rng = random.Random(2033)
     configs = [rational_normal_curve(9), rational_normal_curve(10)]
     while len(configs) < 6:
         config = pointed_configuration(rng, 7)
         if 22 <= kernel_degree(config) <= 28:
             configs.append(config)
-    return [reference.saturation_generators(c) for c in configs]
+    return configs
 
 
 def binomial_inputs():
@@ -97,8 +96,12 @@ def binomial_inputs():
     return [random_binomials(rng, rng.randint(3, 5), rng.randint(2, 5)) for _ in range(25)]
 
 
-SATURATION = saturation_inputs()
-HEAVY_SATURATION = heavy_saturation_inputs()
+# The saturation inputs are built from the shortened kernel basis, as
+# toric_ideal_generators builds them.
+SATURATION_CONFIGURATIONS = saturation_configurations()
+HEAVY_CONFIGURATIONS = heavy_saturation_configurations()
+SATURATION = [reference.saturation_generators(c) for c in SATURATION_CONFIGURATIONS]
+HEAVY_SATURATION = [reference.saturation_generators(c) for c in HEAVY_CONFIGURATIONS]
 BINOMIALS = binomial_inputs()
 
 
@@ -156,6 +159,49 @@ class TestAgainstTheReferenceEngine:
             raised += basis is None
             assert remaining == -1 if basis is None else remaining >= 0
         assert raised > 0
+
+
+class TestShortenedInput:
+    """The shortened kernel basis changes the cost of a saturation, not its result."""
+
+    @pytest.mark.parametrize(
+        "index", range(len(SATURATION_CONFIGURATIONS) + len(HEAVY_CONFIGURATIONS))
+    )
+    def test_same_basis_as_the_hermite_input(self, index):
+        # I_B + (t*x_1*...*x_n - 1) is the same ideal for every Z-basis B of
+        # the kernel lattice, so the reduced elimination bases are equal.  The
+        # inputs include the curves of degree 2 to 10.
+        config = (SATURATION_CONFIGURATIONS + HEAVY_CONFIGURATIONS)[index]
+        bases = [
+            buchberger(
+                reference.saturation_generators(config, shorten),
+                elimination_key,
+                StepBudget(DEFAULT_STEP_BUDGET),
+            )
+            for shorten in (True, False)
+        ]
+        assert bases[0] == bases[1]
+        generators = toric_ideal_generators(Configuration(config.A))
+        assert sorted((b.plus, b.minus) for b in generators) == reference.t_free_part(bases[1])
+
+
+class TestOrderKeys:
+    """The flat keys sort as the nested tuples of groebner_reference."""
+
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_same_order_as_the_nested_keys(self, nvars):
+        rng = random.Random(2063 + nvars)
+        monomials = [
+            tuple(rng.choice((0, 0, 1, 2, 3, 10**12)) for _ in range(nvars)) for _ in range(300)
+        ]
+        for key, nested in (
+            (grevlex_key, reference.nested_grevlex_key),
+            (elimination_key, reference.nested_elimination_key),
+        ):
+            assert sorted(monomials, key=key) == sorted(monomials, key=nested)
+            for p, q in zip(monomials, monomials[1:]):
+                assert (key(p) < key(q)) == (nested(p) < nested(q))
+                assert (key(p) == key(q)) == (p == q)
 
 
 def divisors_by_scan(leads, m):

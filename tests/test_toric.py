@@ -20,9 +20,10 @@ from gkzmono import (
     toric_ideal_generators,
 )
 from gkzmono.groebner import DEFAULT_STEP_BUDGET, StepBudget, buchberger, elimination_key
-from gkzmono.toric import EulerOperator, binomial_from_kernel_vector
-from groebner_reference import reference_toric_ideal, saturation_generators
-from sweeps import random_configuration
+from gkzmono.intlinalg import hermite_normal_form
+from gkzmono.toric import EulerOperator, _shortened, binomial_from_kernel_vector
+from groebner_reference import reference_toric_ideal, saturation_generators, shortened_kernel
+from sweeps import random_configuration, rational_normal_curve
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 CUBIC = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
@@ -69,10 +70,11 @@ def steps_needed(A):
 
 
 def engine_steps(config):
-    """The steps the Buchberger engine spends on the saturation input of config."""
+    """The steps of a saturation of config: shortening replacements, then the engine's."""
     budget = StepBudget(DEFAULT_STEP_BUDGET)
     buchberger(saturation_generators(config), elimination_key, budget)
-    return DEFAULT_STEP_BUDGET - budget.remaining
+    _, replacements = shortened_kernel(config.kernel)
+    return replacements + DEFAULT_STEP_BUDGET - budget.remaining
 
 
 def bounded_kernel_binomials(config, degree_bound):
@@ -133,6 +135,62 @@ class TestLatticeBinomials:
             config = random_configuration(rng, dmax=3, nmax=6)
             for b in lattice_binomials(config):
                 assert torus_substitution_vanishes(config, b)
+
+
+def shortening_cases():
+    """Curves, twelve columns and seeded configurations with a nonzero kernel."""
+    rng = random.Random(127)
+    configs = [rational_normal_curve(k) for k in (2, 5, 9, 16)]
+    configs.append(Configuration(IntMatrix(TWELVE_COLUMNS)))
+    while len(configs) < 60:
+        config = random_configuration(rng, dmax=4, nmax=8)
+        if config.kernel:
+            configs.append(config)
+    return configs
+
+
+SHORTENING_CASES = shortening_cases()
+
+
+def l1(u):
+    return sum(map(abs, u))
+
+
+class TestShortenedKernel:
+    """_shortened against its copy in groebner_reference and the lattice it spans."""
+
+    @pytest.mark.parametrize("index", range(len(SHORTENING_CASES)))
+    def test_same_lattice_no_longer_vectors(self, index):
+        config = SHORTENING_CASES[index]
+        budget = StepBudget(DEFAULT_STEP_BUDGET)
+        basis = _shortened(config.kernel, budget)
+        assert (basis, DEFAULT_STEP_BUDGET - budget.remaining) == shortened_kernel(config.kernel)
+        # Same Hermite form: the same lattice, and a basis of it.
+        assert hermite_normal_form(IntMatrix(basis))[0] == IntMatrix(config.kernel)
+        assert all(l1(u) <= l1(h) for u, h in zip(basis, config.kernel))
+
+    def test_shortens_curves_and_replaces_on_most_cases(self):
+        replaced = [shortened_kernel(c.kernel)[1] for c in SHORTENING_CASES]
+        assert replaced[:4] == [0, 3, 7, 14]
+        assert sum(map(bool, replaced)) > len(replaced) // 2
+
+    def test_huge_ratio_takes_one_replacement(self):
+        # u - v is (1, -1, -1, 1): a rule that subtracts v once per step
+        # would need about 10**12 steps to get there.
+        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 10**12, 10**12 + 1]]))
+        budget = StepBudget(DEFAULT_STEP_BUDGET)
+        assert _shortened(config.kernel, budget) == [
+            (1, -1, -1, 1),
+            (0, 1, -(10**12), 10**12 - 1),
+        ]
+        assert budget.remaining == DEFAULT_STEP_BUDGET - 1
+
+    def test_each_replacement_spends_a_step(self):
+        config = rational_normal_curve(16)
+        _shortened(config.kernel, StepBudget(14))
+        with pytest.raises(ScaleLimit):
+            _shortened(config.kernel, StepBudget(13))
+        assert budget_outcome(Configuration(config.A), 14) is None
 
 
 class TestToricIdeal:
