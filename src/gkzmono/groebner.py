@@ -23,11 +23,20 @@ bitset of leads whose exponent there is at most e, so the leads dividing m
 are the AND of m's sets; bit i is element i, and the lowest set bit is the
 element a scan in basis order finds first.  The index maps only exponents
 it has met, so its size follows the leads, not the exponents' magnitude.
-The pair update reads it too: lead_i divides lcm(lead_j, f) iff
-lcm(lead_i, f) does, so a group of equal lcms is minimal under division,
-and kept, exactly when the leads dividing its lcm are that group.  Those
-are the lcms a chain test in ascending order keeps, and a pair still
-takes the lowest index of its group, so the same pairs are made.
+
+The pair update for a new lead f reads the index too.  A variable's column
+of lead exponents, clamped at f's exponent, is the column of the lcms
+lcm(lead_i, f), and zipping the columns gives every lcm.  The update visits
+the lcms by ascending degree, equal degrees by index, and drops from the
+visit the multiples of each lcm m it reaches: lcm(lead_k, f) is a multiple
+of m unless lead_k is at most m - 1 (an index entry) in a variable where m
+exceeds f.  A proper divisor has a smaller degree, so every lcm reached is
+minimal under division and is reached at the lowest index of its group of
+equal lcms.  lead_j divides m iff lcm(lead_j, f) does, so the leads
+dividing a minimal m are its group, and the pair is made unless one of
+them shares no variable with f (the product criterion).  Those are the
+lcms a chain test in ascending order keeps, with the same indices, so the
+same pairs are made.
 
 The reduced basis is built in one pass.  The minimal basis keeps, in
 ascending order of leads, each element whose lead no kept lead divides;
@@ -87,10 +96,6 @@ def oriented(p: Monomial, q: Monomial, key: OrderKey) -> Optional[BinPair]:
     return (p, q) if key(p) > key(q) else (q, p)
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(operator.le, a, b))
-
-
 class _AtMost(dict):
     """One variable's exponent e -> bitset of the leads whose exponent is at most e."""
 
@@ -145,7 +150,7 @@ def _monomial_nf(
     while bits := leads.divisors(m):
         lead, tail = basis[_first(bits)]
         budget.spend()
-        m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
+        m = tuple(map(operator.add, map(operator.sub, m, lead), tail))
     return m
 
 
@@ -164,10 +169,12 @@ def normal_form(
     return _normal_form(pair, basis, _Leads(lead for lead, _ in basis), key, budget)
 
 
-def _spair(f: BinPair, g: BinPair, lcm: Monomial, key: OrderKey) -> Optional[BinPair]:
-    p = tuple(l - a + b for l, a, b in zip(lcm, f[0], f[1]))
-    q = tuple(l - a + b for l, a, b in zip(lcm, g[0], g[1]))
-    return oriented(p, q, key)
+def _spair(f: BinPair, g: BinPair, lcm: Monomial) -> Optional[BinPair]:
+    """The S-pair's two monomials, unordered: _normal_form orients them after
+    reducing each, which takes the same steps in either order."""
+    p = tuple(map(operator.add, map(operator.sub, lcm, f[0]), f[1]))
+    q = tuple(map(operator.add, map(operator.sub, lcm, g[0]), g[1]))
+    return (p, q) if p != q else None
 
 
 def _update_pairs(
@@ -181,22 +188,25 @@ def _update_pairs(
     """
     new_index = len(basis) - 1
     f = basis[new_index][0]
-    with_f = [tuple(map(max, lead, f)) for lead, _ in basis[:new_index]]
-    for (i, j), m in list(pairs.items()):
-        if _divides(f, m) and m != with_f[i] and m != with_f[j]:
-            del pairs[i, j]
-    groups: dict[Monomial, int] = {}
-    for i, m in enumerate(with_f):
-        groups[m] = groups.get(m, 0) | 1 << i
+    tables = leads.tables
+    # lcm(lead_i, f) for every lead i, read off the index's columns.
+    with_f = list(zip(*(t.column if not e else [x if x > e else e for x in t.column]
+                        for t, e in zip(tables, f))))
+    for ij, m in [item for item in pairs.items() if all(map(operator.le, f, item[1]))]:
+        if m != with_f[ij[0]] and m != with_f[ij[1]]:
+            del pairs[ij]
     older = leads.everything >> 1
     # Leads with no variable of f: their exponents there are at most 0.
-    coprime = reduce(operator.and_, (t[0] for t, e in zip(leads.tables, f) if e), older)
-    for m, group in groups.items():
-        # Minimal under division iff only its own leads divide m (see above).
-        if not group & coprime and leads.divisors(m) & older == group:
-            i = _first(group)
-            pairs[i, new_index] = m
-            heapq.heappush(queue, (key(m), i, new_index))
+    coprime = reduce(operator.and_, (t[0] for t, e in zip(tables, f) if e), older)
+    # Visit the minimal lcms, each at the lowest index of its group (see above).
+    alive, degree = older, list(map(sum, with_f))
+    for i in sorted(range(new_index), key=degree.__getitem__):
+        if alive >> i & 1:
+            m = with_f[i]
+            alive &= reduce(operator.or_, (t[x - 1] for t, x, e in zip(tables, m, f) if x > e), 0)
+            if not reduce(operator.and_, map(operator.getitem, tables, m), coprime):
+                pairs[i, new_index] = m
+                heapq.heappush(queue, (key(m), i, new_index))
 
 
 def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget) -> list[BinPair]:
@@ -213,17 +223,16 @@ def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget)
             leads.add(reduced[0])
             _update_pairs(basis, leads, pairs, queue, key)
 
-    for p, q in generators:
-        o = oriented(p, q, key)
-        if o is not None:
-            add(o)
+    for g in generators:
+        if g[0] != g[1]:
+            add(g)
     while pairs:
         _, i, j = heapq.heappop(queue)
         lcm = pairs.pop((i, j), None)
         if lcm is None:
             continue
         budget.spend()
-        s = _spair(basis[i], basis[j], lcm, key)
+        s = _spair(basis[i], basis[j], lcm)
         if s is not None:
             add(s)
 

@@ -28,11 +28,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse a "p" or "p/q" literal.  Floats and exponents are rejected."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise InputError(f"not a rational literal (use p or p/q): {text!r}")
+        raise InputError(f"not a rational literal (use p or p/q): {reprlib.repr(text)}")
     if "/" in s:
         num, den = s.split("/")
         if int(den) == 0:
-            raise InputError(f"zero denominator in rational literal: {text!r}")
+            raise InputError(f"zero denominator in rational literal: {reprlib.repr(text)}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

@@ -307,6 +307,13 @@ class TestExitCodes:
         assert code == 1 and out == "" and err.startswith("error: cannot interpret")
         assert all(len(line) < 200 for line in err.splitlines())
 
+    @pytest.mark.parametrize("entry", ["1" * 3000 + "x", "1/" + "0" * 3000])
+    def test_long_rational_literal_is_echoed_in_short(self, capture, entry):
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", f"1/2,{entry}"])
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert "rational literal" in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
     def test_deeply_nested_input_file_rejected(self, capture, tmp_path):
         depth = 3 * sys.getrecursionlimit()
         path = tmp_path / "job.json"

@@ -23,6 +23,7 @@ from gkzmono import (
     lattice_binomials,
     toric_ideal_generators,
 )
+from gkzmono import groebner
 from gkzmono.groebner import (
     DEFAULT_STEP_BUDGET,
     StepBudget,
@@ -240,6 +241,8 @@ class TestLeadIndex:
             lead = self.monomial(rng, nvars)
             index.add(lead)
             leads.append(lead)
+            # The pair update reads these columns as the leads' exponents.
+            assert [t.column for t in index.tables] == [list(c) for c in zip(*leads)]
 
     def test_built_from_leads(self):
         rng = random.Random(2053)
@@ -253,6 +256,86 @@ class TestLeadIndex:
     def test_empty_index(self, nvars):
         assert _Leads().divisors((0,) * nvars) == 0
         assert _Leads().divisors((10**12,) * nvars) == 0
+
+
+def lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+class TestPairUpdate:
+    """After every update the engine's live pairs are the reference's pair set.
+
+    The reference rebuilds the set from the pairs alive before the update,
+    with every lcm recomputed and the minimal lcms found by a chain test.
+    """
+
+    @staticmethod
+    def checked_run(monkeypatch, generators, key, limit):
+        """Run the engine; return, per update, the sizes of its new pairs' lcm groups."""
+        engine_update, groups = groebner._update_pairs, []
+
+        def update(basis, leads, pairs, queue, key):
+            before, queued, f = set(pairs), len(queue), basis[-1][0]
+            engine_update(basis, leads, pairs, queue, key)
+            new_index = len(basis) - 1
+            assert set(pairs) == reference._update_pairs(basis, before, new_index, key)
+            with_f = [lcm(lead, f) for lead, _ in basis[:new_index]]
+            made = sorted(i for i, j in pairs if j == new_index)
+            for i in made:
+                assert pairs[i, new_index] == with_f[i]
+            assert len(queue) == queued + len(made)
+            groups.append([with_f.count(with_f[i]) for i in made])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_update_pairs", update)
+            outcome(buchberger, generators, key, limit)
+        return groups
+
+    def test_saturation_and_binomial_runs(self, monkeypatch):
+        groups = []
+        for generators in SATURATION:
+            groups += self.checked_run(monkeypatch, generators, elimination_key, DEFAULT_STEP_BUDGET)
+        for generators in BINOMIALS:
+            for key in KEYS.values():
+                groups += self.checked_run(monkeypatch, generators, key, DEFAULT_STEP_BUDGET)
+        # Some pairs were kept for a group of two or more equal lcms, which
+        # the test of a lead's own bit alone cannot keep.
+        assert any(size > 1 for sizes in groups for size in sizes)
+
+    def test_budgeted_run_with_huge_exponents(self, monkeypatch):
+        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 10**12, 10**12 + 1]]))
+        generators = reference.saturation_generators(config)
+        assert self.checked_run(monkeypatch, generators, elimination_key, 300)
+
+    @staticmethod
+    def update(leads, key=grevlex_key):
+        """The engine's new pairs for the last lead, checked against the reference.
+
+        Both updates start from every pair of the older leads.
+        """
+        basis = [(lead, (0,) * len(lead)) for lead in leads]
+        older = range(len(leads) - 1)
+        pairs = {(i, j): lcm(leads[i], leads[j]) for i in older for j in older if i < j}
+        expected = reference._update_pairs(basis, set(pairs), len(leads) - 1, key)
+        queue = []
+        groebner._update_pairs(basis, _Leads(leads), pairs, queue, key)
+        assert set(pairs) == expected
+        made = {ij for ij in pairs if ij[1] == len(leads) - 1}
+        assert sorted(queue) == sorted((key(pairs[ij]), *ij) for ij in made)
+        return made
+
+    def test_group_with_a_coprime_lead_makes_no_pair(self):
+        # f = x1*x2.  Lead 1 (x3) shares no variable with f, lead 0 (x1*x3)
+        # does, and both have lcm x1*x2*x3 with f.  Lead 2 (x1^2) makes a
+        # pair of its own.
+        leads = [(1, 0, 1, 0), (0, 0, 1, 0), (2, 0, 0, 0), (1, 1, 0, 0)]
+        assert self.update(leads) == {(2, 3)}
+
+    def test_group_pair_takes_the_lowest_index(self):
+        # f = x1*x2.  Leads 1 and 3 both have lcm x1*x2*x3 with f and share a
+        # variable with it; lead 2 is coprime to f.
+        leads = [(2, 0, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
+        assert self.update(leads) == {(0, 4), (1, 4)}
 
 
 def sympy_cases():
