@@ -37,6 +37,7 @@ from .intlinalg import (
     GaussRat,
     IntMatrix,
     IntVec,
+    _hermite_rows,
     clear_denominators,
     hermite_coordinates,
     hermite_kernel_basis,
@@ -277,10 +278,17 @@ def fourier_motzkin_point(
 def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
     """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}.
 
-    Computed once per label set and configuration: it serves the face test
-    and the resonance congruences of every parameter.
+    The face matrix M, cut from config.A on plain rows, carries the identity
+    along its Hermite form U*M = H; the rows of U whose H row is zero span
+    the lattice (as in hermite_kernel_basis) and a transform-free Hermite
+    pass puts them in canonical order.  Computed once per label set and
+    configuration: it serves the face test and the resonance congruences.
     """
-    return hermite_kernel_basis(*hermite_normal_form(config.submatrix(labels)))
+    rows = [[row[j - 1] for j in labels] + [int(i == j) for j in range(config.d)]
+            for i, row in enumerate(config.A.data)]
+    basis = [row[len(labels):] for row in rows[_hermite_rows(rows, len(labels)):]]
+    _hermite_rows(basis, config.d)
+    return tuple(map(tuple, basis))
 
 
 def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:

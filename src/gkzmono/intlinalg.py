@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, InternalInconsistency
 
 IntVec = tuple[int, ...]
 
@@ -243,18 +243,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Fraction-free row echelon elimination (Bareiss 1968).
+def _bareiss(rows: Sequence[Sequence[int]], width: Optional[int] = None,
+             jordan: bool = False) -> tuple[int, int, int, list[list[int]]]:
+    """Fraction-free elimination (Bareiss 1968) on the first width columns.
 
-    Returns (rank, sign, last_pivot): sign is the parity of the row swaps
-    and last_pivot the last nonzero pivot (1 when there is none).  A step
-    updates only the entries right of its pivot column, which are minors of
-    the input, so each division is exact; nothing reads the others again.
+    Returns (rank, sign, last_pivot, rows): the parity of the row swaps, the
+    last nonzero pivot (1 if none) and rows current right of each pivot
+    column.  A step updates them below and, with jordan, above the pivot:
+    minors of the input, so each division is exact (Nakos et al. 1997).
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
-    for c in range(ncols):
+    for c in range(ncols if width is None else width):
         for i in range(rank, nrows):
             if m[i][c]:
                 break
@@ -265,18 +266,19 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             sign = -sign
         top = m[rank]
         p = top[c]
-        for row in m[rank + 1:]:
-            x = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * p - x * top[j]) // prev
+        for row in m if jordan else m[rank + 1:]:
+            if row is not top:
+                x = row[c]
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - x * top[j]) // prev
         prev = p
         rank += 1
-    return rank, sign, prev
+    return rank, sign, prev, m
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square matrix: the signed last Bareiss pivot."""
-    rank, sign, last_pivot = _bareiss(rows)
+    rank, sign, last_pivot, _ = _bareiss(rows)
     return sign * last_pivot if rank == len(rows) else 0
 
 
@@ -285,11 +287,61 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss(rows)[0]
 
 
+def adjugate_int(rows: Sequence[Sequence[int]], det: int) -> list[list[int]]:
+    """adj(M) of a square M with det(M) = det, by fraction-free Gauss-Jordan.
+
+    The Bareiss-Jordan steps on [M | I] leave last_pivot * M^-1 on the
+    right, and the last pivot is det up to the parity of the row swaps; any
+    other value, a singular M included, raises InternalInconsistency.
+    """
+    n = len(rows)
+    rank, sign, last_pivot, m = _bareiss(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n, True
+    )
+    if rank < n or sign * last_pivot != det:
+        raise InternalInconsistency("adjugate pivot disagrees with the determinant")
+    return [[sign * x for x in row[n:]] for row in m]
+
+
 def _apply_row_pair(mat: list[list[int]], i: int, k: int, a: int, b: int, c: int, d: int):
     """rows (i, k) <- (a*row_i + b*row_k, c*row_i + d*row_k)."""
     ri, rk = mat[i], mat[k]
     mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
     mat[k] = [c * x + d * y for x, y in zip(ri, rk)]
+
+
+def _hermite_rows(h: list[list[int]], width: int) -> int:
+    """Bring the first width columns of the rows h to row Hermite form in place.
+
+    Returns the rank.  The nonzero rows come first, each pivot positive and
+    the entries above it reduced into [0, pivot).  Later columns ride along:
+    when they start as the identity they end as the transform U, U*M = H.
+    """
+    nrows, pivot_row = len(h), 0
+    for c in range(width):
+        if pivot_row == nrows:
+            break
+        for i in range(pivot_row + 1, nrows):
+            if h[i][c] == 0:
+                continue
+            a, b = h[pivot_row][c], h[i][c]
+            if a != 0 and b % a == 0:
+                q = b // a
+                h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
+                continue
+            g, s, t = xgcd(a, b)
+            _apply_row_pair(h, pivot_row, i, s, t, -(b // g), a // g)
+        piv = h[pivot_row][c]
+        if piv != 0:
+            if piv < 0:
+                piv = -piv
+                h[pivot_row] = [-x for x in h[pivot_row]]
+            for i in range(pivot_row):
+                q = h[i][c] // piv
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
+            pivot_row += 1
+    return pivot_row
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -302,38 +354,10 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     if M.rows == 0:
         raise DimensionMismatch("hermite_normal_form of an empty matrix")
-    h = [list(row) for row in M.data]
-    u = [[int(i == j) for j in range(M.rows)] for i in range(M.rows)]
-    nrows = M.rows
-    pivot_row = 0
-    for c in range(M.cols):
-        for i in range(pivot_row + 1, nrows):
-            if h[i][c] == 0:
-                continue
-            a, b = h[pivot_row][c], h[i][c]
-            if a != 0 and b % a == 0:
-                q = b // a
-                h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
-                continue
-            g, s, t = xgcd(a, b)
-            p, q = a // g, b // g
-            _apply_row_pair(h, pivot_row, i, s, t, -q, p)
-            _apply_row_pair(u, pivot_row, i, s, t, -q, p)
-        if h[pivot_row][c] != 0:
-            if h[pivot_row][c] < 0:
-                h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            piv = h[pivot_row][c]
-            for i in range(pivot_row):
-                q = h[i][c] // piv
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
-            pivot_row += 1
-            if pivot_row == nrows:
-                break
-    return IntMatrix(h, cols=M.cols), IntMatrix(u, cols=nrows)
+    rows = [list(row) + [int(i == j) for j in range(M.rows)] for i, row in enumerate(M.data)]
+    _hermite_rows(rows, M.cols)
+    H, U = zip(*((row[:M.cols], row[M.cols:]) for row in rows))
+    return IntMatrix(H, cols=M.cols), IntMatrix(U, cols=M.rows)
 
 
 @dataclass(frozen=True)
@@ -439,8 +463,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
 
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     """Z-basis of the saturated integer kernel lattice {u : A*u = 0}, from the HNF of A^T."""
-    n = A.cols
-    if n == 0:
+    if A.cols == 0:
         return ()
     return hermite_kernel_basis(*hermite_normal_form(A.transpose()))
 
@@ -449,9 +472,9 @@ def hermite_kernel_basis(H: IntMatrix, U: IntMatrix) -> tuple[IntVec, ...]:
     """Canonical basis of the left kernel lattice {u : u*M = 0}, given U*M = H.
 
     The rows of the unimodular U whose H row is zero span it (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4).  They are
-    returned in HNF-canonical order, so the result is a deterministic
-    function of M.  Empty tuple when the kernel is trivial.
+    Course in Computational Algebraic Number Theory, 2.4), returned in
+    HNF-canonical order: a deterministic function of M, () when trivial.
+    cones._perp_lattice_basis reads each face's lattice so on plain rows.
     """
     basis = [u for u, h in zip(U.data, H.data) if not any(h)]
     if not basis:

@@ -1,14 +1,15 @@
 """Normalized volume: d! times the Euclidean volume of conv(columns + 0).
 
 Computed from an incremental placing triangulation with exact integer
-orientation tests.  Each boundary facet keeps the side its simplex lies on,
-read off the parity of that simplex's determinant, so a visibility test
-takes one determinant, which is also the new simplex's certificate entry.
-The simplices (with the origin labeled 0 and columns by their 1-based
-labels) are returned as that certificate: the volume is the sum of the |det|
-contributions, and each simplex can be re-checked independently.  For a
-configuration the normalized volume equals the holonomic rank of the
-associated hypergeometric system at generic parameters.
+orientation tests.  The determinant of a facet's points followed by x is
+affine in x, and one integer adjugate of a simplex's edge matrix, taken when
+one of its facets is first tested, gives that form for all of them.  So a
+visibility test is one dot product, whose value is also the new simplex's
+certificate entry.  The simplices (with the origin labeled 0 and columns by
+their 1-based labels) are returned as that certificate: the volume is the
+sum of the |det| contributions, and each simplex can be re-checked
+independently.  For a configuration the normalized volume equals the
+holonomic rank of the associated hypergeometric system at generic parameters.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .cones import Configuration, Face, _hermite_reduce, per_configuration
 from .errors import DegenerateConfiguration, EmptyFace, InternalInconsistency
-from .intlinalg import IntMatrix, IntVec, det_int, rank_int
+from .intlinalg import IntMatrix, IntVec, adjugate_int, det_int, rank_int
 
 Simplex = tuple[int, ...]
 
@@ -44,6 +46,25 @@ def _edge_det(points: list[IntVec]) -> int:
     return det_int([tuple(p - b for p, b in zip(q, base)) for q in points[1:]])
 
 
+def _facet_forms(vertices: list[IntVec], det: int) -> list[tuple[int, IntVec, bool]]:
+    """(c0, c, positive) per k: c0 + c . x = _edge_det(facet + [x]), sign at vertices[k].
+
+    The facet is vertices without vertices[k].  With x in its place the
+    determinant is det * lambda_k(x) for barycentric lambda (Cramer), and
+    moving x last signs it by (-1)^(d-k).  Row k - 1 of the adjugate of the
+    edge matrix's transpose is det * lambda_k on x - vertices[0], and
+    lambda_0 = 1 - sum lambda_k.
+    """
+    base, d = vertices[0], len(vertices) - 1
+    rows = adjugate_int([[v[i] - b for v in vertices[1:]] for i, b in enumerate(base)], det)
+    forms = []
+    for k, row in enumerate([[-sum(col) for col in zip(*rows)]] + rows):
+        sign = (-1) ** (d - k)
+        c = tuple(sign * x for x in row)
+        forms.append((sign * det * (k == 0) - sum(map(mul, c, base)), c, sign * det > 0))
+    return forms
+
+
 def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[tuple[Simplex, int]]:
     """Triangulate conv(points) by inserting in ascending label order.
 
@@ -56,9 +77,7 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[tuple[Simp
     for label in labels:
         trial = seed + [label]
         base = points[trial[0]]
-        diffs = [
-            tuple(p - b for p, b in zip(points[l], base)) for l in trial[1:]
-        ]
+        diffs = [tuple(p - b for p, b in zip(points[l], base)) for l in trial[1:]]
         if not diffs or rank_int(diffs) == len(diffs):
             seed = trial
         if len(seed) == d + 1:
@@ -66,26 +85,26 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[tuple[Simp
     if len(seed) < d + 1:
         raise DegenerateConfiguration("points do not span the ambient space")
     simplices: list[tuple[Simplex, int]] = []
-    boundary: dict[Simplex, bool] = {}  # facet -> _edge_det(facet + [inner vertex]) > 0
+    boundary: dict[Simplex, tuple[Simplex, int, int]] = {}  # facet -> (simplex, det, k)
+    forms: dict[Simplex, list] = {}  # _facet_forms of each simplex tested so far
 
     def place(simplex: Simplex, det: int):
-        # det is the edge determinant of the sorted simplex.
+        # det is the edge determinant of the sorted simplex; combinations
+        # drops simplex[d], simplex[d-1], ... in turn.
         if not det:
             raise InternalInconsistency("placing triangulation has a flat simplex")
         simplices.append((simplex, abs(det)))
-        # The facet without simplex[i] sees it with sign (-1)^(d-i) * det;
-        # combinations drops simplex[d], simplex[d-1], ... in turn.
-        positive = det > 0
-        for facet in combinations(simplex, d):
+        for k, facet in zip(range(d, -1, -1), combinations(simplex, d)):
             if boundary.pop(facet, None) is None:
-                boundary[facet] = positive
-            positive = not positive
+                boundary[facet] = (simplex, det, k)
 
     place(tuple(seed), _edge_det([points[v] for v in seed]))
-    for label in [l for l in labels if l not in seed]:
-        p = points[label]
-        for facet, positive in sorted(boundary.items()):
-            det = _edge_det([points[v] for v in facet] + [p])
+    for label, p in [(l, points[l]) for l in labels if l not in seed]:
+        for facet, (simplex, simplex_det, dropped) in sorted(boundary.items()):
+            if simplex not in forms:
+                forms[simplex] = _facet_forms([points[v] for v in simplex], simplex_det)
+            c0, c, positive = forms[simplex][dropped]
+            det = sum(map(mul, c, p), c0)
             if det and (det > 0) != positive:
                 k = bisect(facet, label)  # moving the label to position k: a (d-k+1)-cycle
                 place(facet[:k] + (label,) + facet[k:], -det if (d - k) % 2 else det)

@@ -29,6 +29,10 @@ independent columns, the reference for the double description
 (cones._facets).  feasible_point_by_minimal_faces decides a system of
 linear inequalities without elimination, the reference for Fourier-Motzkin
 (cones.fourier_motzkin_point).
+
+perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
+through validated IntMatrix Hermite forms, the reference for the plain-row
+reduction in cones._perp_lattice_basis.
 """
 
 from fractions import Fraction
@@ -43,12 +47,14 @@ from gkzmono import (
     IntMatrix,
     face_functionals,
     face_volume,
+    hermite_normal_form,
     kernel_lattice_basis,
     normalized_volume,
     reduce_configuration,
     smith_normal_form,
 )
 from gkzmono.cones import per_configuration
+from gkzmono.intlinalg import hermite_kernel_basis
 
 
 def distinct_columns(config):
@@ -280,3 +286,12 @@ def feasible_point_by_minimal_faces(rows, nvars):
         ):
             return y
     return None
+
+
+def perp_lattice_by_hermite_forms(config, labels):
+    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels}.
+
+    The kernel rows of the transform of the face matrix's Hermite form, put
+    in canonical order by a second Hermite form, each on IntMatrix.
+    """
+    return hermite_kernel_basis(*hermite_normal_form(config.submatrix(labels)))

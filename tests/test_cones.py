@@ -27,6 +27,7 @@ from gkzmono.cones import per_configuration
 from oracles import (
     facets_by_subset_normals,
     feasible_point_by_minimal_faces,
+    perp_lattice_by_hermite_forms,
     solve_rational,
 )
 from sweeps import (
@@ -241,6 +242,18 @@ class TestPerpLatticeBasis:
                 for labels in combinations(range(1, config.n + 1), k):
                     expected = kernel_lattice_basis(config.submatrix(labels).transpose())
                     assert cones._perp_lattice_basis(config, labels) == expected
+
+    def test_matches_the_hermite_form_oracle_on_every_face(self):
+        rng = random.Random(137)
+        configs = [random_configuration(rng, dmax=5, nmax=8, lo=-3 * (k % 2)) for k in range(200)]
+        configs.append(random_homogeneous_configuration(random.Random(5), 7, 18))
+        faces = 0
+        for config in configs:
+            for face in config.face_lattice():
+                expected = perp_lattice_by_hermite_forms(config, face.indices)
+                assert cones._perp_lattice_basis(config, face.indices) == expected
+                faces += 1
+        assert faces > 2334 + 1000
 
 
 class TestIsFace:

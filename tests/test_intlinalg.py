@@ -11,12 +11,13 @@ from gkzmono import (
     GaussRat,
     IntMatrix,
     InputError,
+    InternalInconsistency,
     hermite_normal_form,
     kernel_lattice_basis,
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import det_int, hermite_coordinates, rank_int
+from gkzmono.intlinalg import adjugate_int, det_int, hermite_coordinates, rank_int
 from oracles import solve_rational
 from sweeps import random_configuration
 
@@ -251,6 +252,59 @@ class TestAgainstTheReplacedAlgorithms:
             assert rank_int(m) == rank
             if det is not None:
                 assert det_int(m) == det
+
+
+def cofactor_adjugate(rows):
+    """adj(M) oracle: entry (i, j) is the signed minor of M without row j and column i."""
+    n = len(rows)
+    minor = lambda i, j: [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+    return [[(-1) ** (i + j) * fraction_elimination(minor(i, j))[1] for j in range(n)]
+            for i in range(n)]
+
+
+class TestAdjugate:
+    """adjugate_int, the fraction-free Gauss-Jordan behind the placing triangulation."""
+
+    @staticmethod
+    def seeded_matrices():
+        # Nonsingular d x d matrices, d = 1..8; above d = 1 every other one
+        # has a zero top-left entry, which forces a row swap at the first pivot.
+        rng = random.Random(131)
+        for d in range(1, 9):
+            for k in range(6):
+                while True:
+                    rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+                    if d > 1 and k % 2:
+                        rows[0][0] = 0
+                    det = fraction_elimination(rows)[1]
+                    if det:
+                        break
+                yield rows, det
+
+    def test_matches_the_cofactor_oracle(self):
+        signs, swaps = set(), 0
+        for rows, det in self.seeded_matrices():
+            adj = adjugate_int(rows, det)
+            assert adj == cofactor_adjugate(rows)
+            M, scaled = IntMatrix(rows), IntMatrix(adj)
+            assert scaled @ M == M @ scaled == IntMatrix(
+                [[det * (i == j) for j in range(len(rows))] for i in range(len(rows))]
+            )
+            signs.add(det > 0)
+            swaps += rows[0][0] == 0
+        assert signs == {True, False}
+        assert swaps >= 21
+
+    def test_pivot_disagreeing_with_the_determinant_is_inconsistent(self):
+        for rows, det in self.seeded_matrices():
+            for wrong in (-det, det + 1, 0):
+                with pytest.raises(InternalInconsistency, match="disagrees"):
+                    adjugate_int(rows, wrong)
+
+    def test_singular_matrix_is_inconsistent(self):
+        for rows in ([[0]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]]):
+            with pytest.raises(InternalInconsistency, match="disagrees"):
+                adjugate_int(rows, 1)
 
 
 class TestSolve:

@@ -24,7 +24,7 @@ from gkzmono import (
 )
 from gkzmono.cli import run
 from gkzmono.cones import per_configuration
-from oracles import fraction_in_resonant_span, solve_rational
+from oracles import fraction_in_resonant_span, perp_lattice_by_hermite_forms, solve_rational
 from sweeps import (
     BETA_SWEEP_MATRIX,
     DENSE_FIVE_BY_EIGHT,
@@ -330,19 +330,23 @@ class TestFaceTestCount:
 
 
 class TestFacetFunctionals:
-    """face_functionals, which reads a facet's DD normal, against the Hermite form."""
+    """face_functionals, which reads a facet's DD normal, against the Hermite form.
+
+    The reference is the IntMatrix Hermite path of the oracles, not
+    cones._perp_lattice_basis, which face_functionals reads off every other face.
+    """
 
     @staticmethod
     def assert_match_the_hermite_form(config):
         for face in config.face_lattice():
-            hermite = cones._perp_lattice_basis(config, face.indices)
+            hermite = perp_lattice_by_hermite_forms(config, face.indices)
             assert face_functionals(config, face) == hermite
         table = resonance._resonance_table(config)
         assert len(table.facets) == len(cones._facets(config))
         assert sorted(table.facets) == sorted(table.below[-1])
         for i in table.facets:
             face = table.faces[i]
-            assert table.functionals[i] == cones._perp_lattice_basis(config, face.indices)
+            assert table.functionals[i] == perp_lattice_by_hermite_forms(config, face.indices)
 
     def test_random_configurations(self):
         rng = random.Random(137)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 
@@ -178,22 +179,45 @@ class TestNormalizedVolume:
         for A in lifted_grids():
             self.assert_certificate(A, volume._volume_of_matrix(A))
 
-    @pytest.mark.parametrize(
-        "A, calls",
-        [
-            (BETA_SWEEP_MATRIX, 209),
-            (random_homogeneous_configuration(random.Random(5), 7, 18).A, 2039),
-        ],
-    )
-    def test_one_determinant_per_visibility_test(self, monkeypatch, A, calls):
-        # One determinant for the seed simplex and one per (point, boundary
-        # facet) test; none after the triangulation is placed.
-        events = []
-        edge_det, placing = volume._edge_det, volume._placing_triangulation
+    @staticmethod
+    def spy_on_the_placing(monkeypatch, A, every_point=False):
+        """Record the seed determinant, each adjugate and the end of the placing.
 
-        def counted(points):
+        Each simplex's facet forms are checked against the edge determinant
+        of the facet's points followed by a point p, the value a visibility
+        test (and a new simplex's certificate) reads.  Both sides are affine
+        in p, so the simplex's own vertices pin them: the determinant is 0
+        at the facet's vertices and (-1)^(d-k) det at the dropped one.  With
+        every_point, each form is also evaluated at every point.
+        """
+        events, built = [], []
+        edge_det, forms_of = volume._edge_det, volume._facet_forms
+        adjugate, placing = volume.adjugate_int, volume._placing_triangulation
+        points = [(0,) * A.rows] + list(A.columns())
+
+        def counted(vertices):
             events.append("det")
-            return edge_det(points)
+            return edge_det(vertices)
+
+        def counted_adjugate(rows, det):
+            events.append("adjugate")
+            return adjugate(rows, det)
+
+        def checked_forms(vertices, det):
+            assert det == edge_det(vertices)
+            forms = forms_of(vertices, det)
+            built.append(tuple(vertices))
+            d = len(vertices) - 1
+            for k, (c0, c, positive) in enumerate(forms):
+                value = (-1) ** (d - k) * det
+                assert [c0 + sum(map(mul, c, v)) for v in vertices] == [
+                    value * (j == k) for j in range(d + 1)
+                ]
+                assert positive == (value > 0)
+                facet = vertices[:k] + vertices[k + 1:]
+                for p in points if every_point else ():
+                    assert c0 + sum(map(mul, c, p)) == edge_det(facet + [p])
+            return forms
 
         def placed(points, d):
             result = placing(points, d)
@@ -201,9 +225,42 @@ class TestNormalizedVolume:
             return result
 
         monkeypatch.setattr(volume, "_edge_det", counted)
+        monkeypatch.setattr(volume, "adjugate_int", counted_adjugate)
+        monkeypatch.setattr(volume, "_facet_forms", checked_forms)
         monkeypatch.setattr(volume, "_placing_triangulation", placed)
-        volume._volume_of_matrix(A)
-        assert events == ["det"] * calls + ["placed"]
+        return events, built, points
+
+    @pytest.mark.parametrize(
+        "A, every_point",
+        [
+            (BETA_SWEEP_MATRIX, True),
+            (random_homogeneous_configuration(random.Random(5), 7, 18).A, False),
+        ],
+        ids=["beta_sweep", "wide_cone"],
+    )
+    def test_visibility_tests_read_one_adjugate_per_simplex(self, monkeypatch, A, every_point):
+        # One determinant for the seed simplex; every later value comes from
+        # the facet forms of at most one adjugate per placed simplex, and
+        # nothing runs after the placing.
+        events, built, points = self.spy_on_the_placing(monkeypatch, A, every_point)
+        result = volume._volume_of_matrix(A)
+        placed = {tuple(points[v] for v in s) for s, _ in result.triangulation}
+        assert events[0] == "det" and events[-1] == "placed"
+        assert set(events[1:-1]) == {"adjugate"}
+        assert len(built) == events.count("adjugate") == len(set(built))
+        assert set(built) <= placed
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_a_lone_simplex_makes_no_adjugate(self, monkeypatch, d):
+        # d columns and the origin: the seed is the whole triangulation.
+        rng = random.Random(40 + d)
+        while True:
+            A = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+            if A.det():
+                break
+        events, built, _ = self.spy_on_the_placing(monkeypatch, A)
+        assert volume._volume_of_matrix(A).volume == abs(A.det())
+        assert events == ["det", "placed"] and built == []
 
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
         # Every simplex of a placing triangulation is full-dimensional; a
