@@ -312,7 +312,7 @@ def run(argv) -> int:
         return EXIT_INTERNAL
 
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(exporters.json_text(report))
     else:
         print(text)
     return EXIT_OK

@@ -466,33 +466,30 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]
         return config, IntMatrix.identity(A_raw.rows), False
     except (RankDeficient, LatticeNotSaturated):
         pass
-    A, B = _hermite_reduce(A_raw, hermite[0])
-    if not A.rows:
+    coordinates, basis = _hermite_reduce(A_raw.columns(), hermite[0].data)
+    if not basis:
         raise RankDeficient("all columns are zero")
-    return Configuration(A), B, True
+    B = IntMatrix.from_columns(basis, A_raw.rows)
+    return Configuration(IntMatrix.from_columns(coordinates, len(basis))), B, True
 
 
 def _hermite_reduce(
-    A_raw: IntMatrix, H: Optional[IntMatrix] = None
-) -> tuple[IntMatrix, IntMatrix]:
-    """(A, B) with A_raw = B * A: the one Hermite reduction of a column lattice.
+    columns: Sequence[IntVec], H: Optional[Sequence[IntVec]] = None
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """(coordinates, basis): the one Hermite reduction of a column lattice, on plain rows.
 
-    B's columns are the nonzero rows of the Hermite form H of A_raw^T (none
-    for zero columns), A the columns' integer coordinates on them; H is
-    computed unless the caller has it.  It normalizes user matrices and
-    gives a face its volume lattice and arrangement span.
+    basis is the nonzero rows of the row Hermite form H of the columns as rows (from one
+    transform-free pass unless the caller has H), and column j = sum_i coordinates[j][i]
+    basis[i], integral.  It normalizes user matrices, and gives faces volumes and spans.
     """
     if H is None:
-        H, _ = hermite_normal_form(A_raw.transpose())
-    basis_rows = [row for row in H.data if any(row)]
-    B = IntMatrix.from_columns(basis_rows, A_raw.rows)
-    reduced_cols = []
-    for col in A_raw.columns():
-        x = hermite_coordinates(basis_rows, col)
-        if x is None or any(q.denominator != 1 for q in x):
-            raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
-        reduced_cols.append(x)
-    return IntMatrix.from_columns(reduced_cols, len(basis_rows)), B
+        H = [list(col) for col in columns]
+        _hermite_rows(H, len(H[0]))
+    basis = tuple(tuple(row) for row in H if any(row))
+    coordinates = tuple(hermite_coordinates(basis, col) for col in columns)
+    if any(x is None or any(q.denominator != 1 for q in x) for x in coordinates):
+        raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
+    return coordinates, basis
 
 
 def reduce_configuration(

@@ -10,6 +10,7 @@ binomials.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import InputError, UnsupportedFormat
@@ -23,8 +24,25 @@ def export(system: ToricSystem, format: str) -> str:
     return _WRITERS[format](system)
 
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}  # the rest via json.dumps
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for str keys, without its Python encoder."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {json_text(value[k], inner)}"
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):  # scalar items inline: most are exponents
+        items = [_SCALARS[type(x)](x) if type(x) in _SCALARS else json_text(x, inner)
+                 for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
 def _export_json(system: ToricSystem) -> str:
-    return json.dumps(system.to_json(), indent=2, sort_keys=True) + "\n"
+    return json_text(system.to_json()) + "\n"
 
 
 def _integer(value, what: str) -> int:

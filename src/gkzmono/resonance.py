@@ -260,7 +260,7 @@ def describe_resonant_arrangement(config: Configuration) -> tuple[ArrangementCom
     components = []
     # The full face comes last in lattice order.
     for face in config.face_lattice()[:-1]:
-        span_basis = face.indices and _hermite_reduce(config.submatrix(face.indices))[1].columns()
+        span_basis = face.indices and _hermite_reduce([config.column(j) for j in face.indices])[1]
         functionals = face_functionals(config, face)
         congruences = tuple(map(_congruence_text, functionals))
         components.append(ArrangementComponent(face, span_basis, functionals, congruences))

@@ -149,7 +149,7 @@ def test_criterion_08_volume_values():
             d = rng.randint(1, 4)
             M = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
             if M.det() != 0:
-                assert _volume_of_matrix(M).volume == abs(M.det())
+                assert _volume_of_matrix(M.columns()).volume == abs(M.det())
 
 
 def test_criterion_09_rank_evidence_inequality():

@@ -370,19 +370,19 @@ class TestCacheStructure:
         assert calls == []
 
     def test_face_volume_runs_one_hermite_form_and_no_smith_form(self, monkeypatch):
-        # Per face: one Hermite form reduces the face matrix, and the reduced
-        # matrix is triangulated as it is: no Configuration validates it.
+        # Per face: one transform-free Hermite pass on the face's plain
+        # columns reduces it, and the coordinates are triangulated as they
+        # are: no IntMatrix Hermite form, and no Configuration validates them.
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
         faces = [f for f in config.face_lattice() if f.indices][:-1]
-        calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form")
+        calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form", "_hermite_rows")
         built = []
         init = cones.Configuration.__init__
         monkeypatch.setattr(
             cones.Configuration, "__init__", lambda self, A: built.append(A) or init(self, A)
         )
         assert [volume.face_volume(config, f) for f in faces] == [1] * len(faces)
-        assert calls.count("smith_normal_form") == 0
-        assert calls.count("hermite_normal_form") == len(faces)
+        assert calls == ["_hermite_rows"] * len(faces)
         assert built == []
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

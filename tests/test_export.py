@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,12 +12,16 @@ from gkzmono import (
     InputError,
     IntMatrix,
     UnsupportedFormat,
+    cli,
     export,
+    exporters,
     hypergeometric_system,
     parse_toric_system,
 )
+from test_golden import CASES, case_argvs
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
 
@@ -44,6 +52,75 @@ class TestJson:
 
     def test_golden(self, quadric_system):
         assert export(quadric_system, "json") == (DATA / "quadric.json").read_text()
+
+
+def indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def random_string(rng) -> str:
+    alphabet = 'ab "\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+
+
+def random_json_value(rng, depth=0):
+    """Nested dicts, lists and tuples of every scalar kind the writer meets, and floats."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, -1, 1.5, -0.0, float("inf")])
+    if kind == 1:
+        return rng.choice([1, -1]) * rng.randrange(10 ** rng.randrange(1, 60))
+    if kind == 2:
+        return rng.choice([[], {}, (), ""])
+    if kind < 5:
+        return random_string(rng)
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return items
+    return tuple(items) if kind == 6 else {random_string(rng): item for item in items}
+
+
+class TestJsonText:
+    """exporters.json_text against json.dumps(value, indent=2, sort_keys=True)."""
+
+    def test_every_golden_json_report(self, monkeypatch):
+        original, checked = exporters.json_text, []
+
+        def spy(value, *inner):
+            text = original(value, *inner)
+            if not inner:
+                assert text == indented(value)
+                checked.append(value)
+            return text
+
+        monkeypatch.setattr(exporters, "json_text", spy)
+        for case in CASES.values():
+            for argv in case_argvs(*case):
+                if "--json" in argv or "json" in argv:  # --json, or --format json
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        cli.run(argv)
+        # Seven --json commands and one export per case, less the exit-2 runs.
+        assert len(checked) > 6 * len(CASES)
+
+    def test_the_benchmark_toric_systems(self):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        wl = workloads.ToricExport(1, 24)
+        for config, beta in wl.ops:
+            payload = hypergeometric_system(config, beta).to_json()
+            assert exporters.json_text(payload) == indented(payload)
+
+    def test_seeded_nested_values(self):
+        rng = random.Random(2718)
+        for _ in range(400):
+            value = random_json_value(rng)
+            assert exporters.json_text(value) == indented(value)
+        edge = {"": [{}, [], ()], "\u00e9\\\"": [-(10 ** 80), True, None, False]}
+        assert exporters.json_text(edge) == indented(edge)
 
 
 class TestScripts:

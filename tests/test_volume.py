@@ -99,7 +99,7 @@ class TestNormalizedVolume:
                 M = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
                 if M.det() != 0:
                     break
-            assert _volume_of_matrix(M).volume == abs(M.det())
+            assert _volume_of_matrix(M.columns()).volume == abs(M.det())
             if abs(M.det()) == 1:
                 assert normalized_volume(Configuration(M)).volume == 1
 
@@ -170,28 +170,29 @@ class TestNormalizedVolume:
                 A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
                 if A.rank() == d:
                     break
-            self.assert_certificate(A, volume._volume_of_matrix(A))
+            self.assert_certificate(A, volume._volume_of_matrix(A.columns()))
         if d >= 3:
             config = random_homogeneous_configuration(rng, d, d + 6)
             self.assert_certificate(config.A, normalized_volume(config))
 
     def test_certificate_on_grids(self):
         for A in lifted_grids():
-            self.assert_certificate(A, volume._volume_of_matrix(A))
+            self.assert_certificate(A, volume._volume_of_matrix(A.columns()))
 
     @staticmethod
     def spy_on_the_placing(monkeypatch, A, every_point=False):
-        """Record the seed determinant, each adjugate and the end of the placing.
+        """Record the seed determinant, the adjugate, each derivation and the end of the placing.
 
-        Each simplex's facet forms are checked against the edge determinant
-        of the facet's points followed by a point p, the value a visibility
-        test (and a new simplex's certificate) reads.  Both sides are affine
-        in p, so the simplex's own vertices pin them: the determinant is 0
-        at the facet's vertices and (-1)^(d-k) det at the dropped one.  With
-        every_point, each form is also evaluated at every point.
+        Each simplex's facet forms, from the adjugate or derived from its
+        parent's, are checked against the edge determinant of the facet's
+        points followed by a point p, the value a visibility test (and a new
+        simplex's certificate) reads.  Both sides are affine in p, so the
+        simplex's own vertices pin them: the determinant is 0 at the facet's
+        vertices and (-1)^(d-k) det at the dropped one.  With every_point,
+        each form is also evaluated at every point.
         """
         events, built = [], []
-        edge_det, forms_of = volume._edge_det, volume._facet_forms
+        edge_det, forms_of, derive = volume._edge_det, volume._facet_forms, volume._derived_forms
         adjugate, placing = volume.adjugate_int, volume._placing_triangulation
         points = [(0,) * A.rows] + list(A.columns())
 
@@ -203,9 +204,8 @@ class TestNormalizedVolume:
             events.append("adjugate")
             return adjugate(rows, det)
 
-        def checked_forms(vertices, det):
+        def checked(vertices, det, forms):
             assert det == edge_det(vertices)
-            forms = forms_of(vertices, det)
             built.append(tuple(vertices))
             d = len(vertices) - 1
             for k, (c0, c, positive) in enumerate(forms):
@@ -219,6 +219,13 @@ class TestNormalizedVolume:
                     assert c0 + sum(map(mul, c, p)) == edge_det(facet + [p])
             return forms
 
+        def checked_forms(vertices, det):
+            return checked(vertices, det, forms_of(vertices, det))
+
+        def checked_derived(vertices, det, *parent):
+            events.append("derived")
+            return checked(vertices, det, derive(vertices, det, *parent))
+
         def placed(points, d):
             result = placing(points, d)
             events.append("placed")
@@ -227,6 +234,7 @@ class TestNormalizedVolume:
         monkeypatch.setattr(volume, "_edge_det", counted)
         monkeypatch.setattr(volume, "adjugate_int", counted_adjugate)
         monkeypatch.setattr(volume, "_facet_forms", checked_forms)
+        monkeypatch.setattr(volume, "_derived_forms", checked_derived)
         monkeypatch.setattr(volume, "_placing_triangulation", placed)
         return events, built, points
 
@@ -239,16 +247,70 @@ class TestNormalizedVolume:
         ids=["beta_sweep", "wide_cone"],
     )
     def test_visibility_tests_read_one_adjugate_per_simplex(self, monkeypatch, A, every_point):
-        # One determinant for the seed simplex; every later value comes from
-        # the facet forms of at most one adjugate per placed simplex, and
-        # nothing runs after the placing.
+        # One determinant and one adjugate for the seed simplex; every later
+        # simplex derives its facet forms from its parent's, at most once,
+        # and nothing runs after the placing.
         events, built, points = self.spy_on_the_placing(monkeypatch, A, every_point)
-        result = volume._volume_of_matrix(A)
+        result = volume._volume_of_matrix(A.columns())
         placed = {tuple(points[v] for v in s) for s, _ in result.triangulation}
-        assert events[0] == "det" and events[-1] == "placed"
-        assert set(events[1:-1]) == {"adjugate"}
-        assert len(built) == events.count("adjugate") == len(set(built))
-        assert set(built) <= placed
+        assert events[:2] == ["det", "adjugate"] and events[-1] == "placed"
+        assert set(events[2:-1]) == {"derived"}
+        assert len(built) == 1 + events.count("derived") == len(set(built))
+        # Forms are derived when a simplex is first tested, and the ones the
+        # last point places never are.
+        assert set(built) < placed
+
+    @pytest.mark.parametrize("shift", ["one", "det"])
+    @pytest.mark.parametrize("corrupt", ["seed", "derived"])
+    def test_a_corrupted_parent_form_is_an_internal_inconsistency(
+        self, monkeypatch, corrupt, shift
+    ):
+        # Shift c0 of one form of one parent, in turn for each of its d+1
+        # facets: the derivations that read it must fail, never a volume.
+        # A shift by the parent's det leaves every division exact, so only
+        # the value at the opposite vertex can catch it.
+        columns = BETA_SWEEP_MATRIX.columns()
+        name = "_facet_forms" if corrupt == "seed" else "_derived_forms"
+        original = getattr(volume, name)
+        for k in range(BETA_SWEEP_MATRIX.rows + 1):
+            calls = []
+
+            def corrupted(vertices, det, *parent, k=k):
+                forms = original(vertices, det, *parent)
+                calls.append(1)
+                if len(calls) == 1:
+                    c0, c, positive = forms[k]
+                    forms[k] = (c0 + (det if shift == "det" else 1), c, positive)
+                return forms
+
+            monkeypatch.setattr(volume, name, corrupted)
+            with pytest.raises(InternalInconsistency, match="derived facet form"):
+                volume._volume_of_matrix(columns)
+
+    def test_an_inexact_derivation_is_an_internal_inconsistency(self, monkeypatch):
+        # Adding x_m - q_m to the parent form opposite q keeps the derived
+        # form's value at q.  Whenever that leaves the division inexact, the
+        # derivation must raise.
+        calls, derive = [], volume._derived_forms
+        monkeypatch.setattr(
+            volume, "_derived_forms", lambda *args: calls.append(args) or derive(*args)
+        )
+        volume._volume_of_matrix(BETA_SWEEP_MATRIX.columns())
+        inexact = 0
+        for vertices, det, parent, parent_det, parent_forms, k in calls:
+            p = (1,) + next(x for x in vertices if x not in parent)
+            for j, q in enumerate(parent):
+                for m in range(1, len(q)) if j != k else ():
+                    forms = list(parent_forms)
+                    c0, c, positive = forms[j]
+                    forms[j] = (c0 - q[m], tuple(x + (i == m) for i, x in enumerate(c)), positive)
+                    f_j, f_k = [(f[0],) + f[1] for f in (forms[j], forms[k])]
+                    v, w = (sum(map(mul, f, p)) for f in (f_k, f_j))
+                    if any((v * x - w * y) % parent_det for x, y in zip(f_j, f_k)):
+                        inexact += 1
+                        with pytest.raises(InternalInconsistency, match="derived facet form"):
+                            derive(vertices, det, parent, parent_det, forms, k)
+        assert inexact > 100
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_a_lone_simplex_makes_no_adjugate(self, monkeypatch, d):
@@ -259,7 +321,7 @@ class TestNormalizedVolume:
             if A.det():
                 break
         events, built, _ = self.spy_on_the_placing(monkeypatch, A)
-        assert volume._volume_of_matrix(A).volume == abs(A.det())
+        assert volume._volume_of_matrix(A.columns()).volume == abs(A.det())
         assert events == ["det", "placed"] and built == []
 
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
@@ -290,7 +352,7 @@ class TestFaceVolume:
         rng = random.Random(109)
         for _ in range(30):
             config = random_configuration(rng, dmax=4, nmax=7)
-            reduced, _ = cones._hermite_reduce(config.A)
+            reduced, _ = cones._hermite_reduce(config.A.columns())
             reference = volume._volume_of_matrix(reduced).volume
             assert face_volume(config, config.face_lattice()[-1]) == reference
 
@@ -318,7 +380,7 @@ class TestFaceVolume:
         config = Configuration(IntMatrix([[1, 1, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]]))
         face = face_of(config, [1, 2])
         assert face_volume(config, face) == 1
-        assert volume._volume_of_matrix(IntMatrix([[1, 1], [0, 2]])).volume == 2
+        assert volume._volume_of_matrix([(1, 0), (1, 2)]).volume == 2
 
     def test_pyramid_face_reduces_to_quadric(self):
         face = face_of(PYRAMID, [1, 2, 3])
@@ -380,14 +442,14 @@ class TestTriangulationDigest:
                 columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
             elif k % 3 == 2:
                 columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
-            self.update(h, volume._volume_of_matrix(IntMatrix.from_columns(columns, config.d)))
+            self.update(h, volume._volume_of_matrix(columns))
         assert 50 < pointed < 150
         assert h.hexdigest() == self.RANDOM
 
     def test_lifted_grids(self):
         h = hashlib.sha256()
         for A in lifted_grids():
-            self.update(h, volume._volume_of_matrix(A))
+            self.update(h, volume._volume_of_matrix(A.columns()))
         assert h.hexdigest() == self.GRIDS
 
     def test_homogeneous_cones(self):
@@ -395,7 +457,7 @@ class TestTriangulationDigest:
         rng = random.Random(1903)
         for d, n in ((6, 10), (6, 12), (6, 14), (7, 12), (7, 14), (7, 16)):
             config = random_homogeneous_configuration(rng, d, n)
-            self.update(h, volume._volume_of_matrix(config.A))
+            self.update(h, volume._volume_of_matrix(config.A.columns()))
         assert h.hexdigest() == self.CONES
 
     def test_face_volumes(self, monkeypatch):
