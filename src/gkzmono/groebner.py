@@ -83,8 +83,8 @@ class StepBudget:
     def __init__(self, limit: int):
         self.remaining = limit
 
-    def spend(self, amount: int = 1):
-        self.remaining -= amount
+    def spend(self):
+        self.remaining -= 1
         if self.remaining < 0:
             raise ScaleLimit("Groebner step budget exceeded")
 

@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, InputError, InternalInconsistency
+from .errors import DimensionMismatch, InputError
 
 IntVec = tuple[int, ...]
 
@@ -243,19 +243,17 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _bareiss(rows: Sequence[Sequence[int]], width: Optional[int] = None,
-             jordan: bool = False) -> tuple[int, int, int, list[list[int]]]:
-    """Fraction-free elimination (Bareiss 1968) on the first width columns.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination (Bareiss 1968).
 
-    Returns (rank, sign, last_pivot, rows): the parity of the row swaps, the
-    last nonzero pivot (1 if none) and rows current right of each pivot
-    column.  A step updates them below and, with jordan, above the pivot:
-    minors of the input, so each division is exact (Nakos et al. 1997).
+    Returns (rank, sign, last_pivot): the parity of the row swaps and the
+    last nonzero pivot (1 if none).  Each step updates the rows below the
+    pivot to minors of the input, so each division is exact.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
-    for c in range(ncols if width is None else width):
+    for c in range(ncols):
         for i in range(rank, nrows):
             if m[i][c]:
                 break
@@ -266,41 +264,24 @@ def _bareiss(rows: Sequence[Sequence[int]], width: Optional[int] = None,
             sign = -sign
         top = m[rank]
         p = top[c]
-        for row in m if jordan else m[rank + 1:]:
-            if row is not top:
-                x = row[c]
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * p - x * top[j]) // prev
+        for row in m[rank + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - x * top[j]) // prev
         prev = p
         rank += 1
-    return rank, sign, prev, m
+    return rank, sign, prev
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square matrix: the signed last Bareiss pivot."""
-    rank, sign, last_pivot, _ = _bareiss(rows)
+    rank, sign, last_pivot = _bareiss(rows)
     return sign * last_pivot if rank == len(rows) else 0
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q, by Bareiss elimination in integers."""
     return _bareiss(rows)[0]
-
-
-def adjugate_int(rows: Sequence[Sequence[int]], det: int) -> list[list[int]]:
-    """adj(M) of a square M with det(M) = det, by fraction-free Gauss-Jordan.
-
-    The Bareiss-Jordan steps on [M | I] leave last_pivot * M^-1 on the
-    right, and the last pivot is det up to the parity of the row swaps; any
-    other value, a singular M included, raises InternalInconsistency.
-    """
-    n = len(rows)
-    rank, sign, last_pivot, m = _bareiss(
-        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n, True
-    )
-    if rank < n or sign * last_pivot != det:
-        raise InternalInconsistency("adjugate pivot disagrees with the determinant")
-    return [[sign * x for x in row[n:]] for row in m]
 
 
 def _apply_row_pair(mat: list[list[int]], i: int, k: int, a: int, b: int, c: int, d: int):

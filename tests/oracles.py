@@ -23,6 +23,10 @@ the outside.
 
 solve_rational is the Gauss-Jordan reference for the runtime's one exact
 solver, forward substitution on Hermite rows (intlinalg.hermite_coordinates).
+fraction_elimination is the rank and determinant by elimination over Q, the
+reference for the Bareiss elimination (intlinalg.det_int, rank_int), and
+cofactor_adjugate the adjugate from signed minors, the reference for the
+seed simplex's facet forms (volume._seed_simplex).
 
 facets_by_subset_normals lists the facets from the hyperplanes through d - 1
 independent columns, the reference for the double description
@@ -210,6 +214,41 @@ def solve_rational(A, b):
     for row, col in pivots:
         x[col] = aug[row][ncols]
     return tuple(x)
+
+
+def fraction_elimination(rows):
+    """(rank, det) oracle by Gaussian elimination over Q; det is None unless square."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        inv = m[rank][c]
+        det *= inv
+        for i in range(rank + 1, nrows):
+            if m[i][c] != 0:
+                factor = m[i][c] / inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    if nrows != ncols:
+        return rank, None
+    return rank, int(det) if rank == nrows else 0
+
+
+def cofactor_adjugate(rows):
+    """adj(M) oracle: entry (i, j) is the signed minor of M without row j and column i."""
+    n = len(rows)
+    minor = lambda i, j: [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+    return [[(-1) ** (i + j) * fraction_elimination(minor(i, j))[1] for j in range(n)]
+            for i in range(n)]
 
 
 def _normal(rows, d):

@@ -11,14 +11,13 @@ from gkzmono import (
     GaussRat,
     IntMatrix,
     InputError,
-    InternalInconsistency,
     hermite_normal_form,
     kernel_lattice_basis,
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import adjugate_int, det_int, hermite_coordinates, rank_int
-from oracles import solve_rational
+from gkzmono.intlinalg import det_int, hermite_coordinates, rank_int
+from oracles import fraction_elimination, solve_rational
 from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -42,33 +41,6 @@ def smith_kernel(A):
         return ()
     H, _ = hermite_normal_form(IntMatrix(basis, cols=A.cols))
     return tuple(row for row in H.data if any(row))
-
-
-def fraction_elimination(rows):
-    """(rank, det) oracle by Gaussian elimination over Q; det is None unless square."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank, det = 0, Fraction(1)
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        inv = m[rank][c]
-        det *= inv
-        for i in range(rank + 1, nrows):
-            if m[i][c] != 0:
-                factor = m[i][c] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    if nrows != ncols:
-        return rank, None
-    return rank, int(det) if rank == nrows else 0
 
 
 def is_hermite_canonical(H):
@@ -252,59 +224,6 @@ class TestAgainstTheReplacedAlgorithms:
             assert rank_int(m) == rank
             if det is not None:
                 assert det_int(m) == det
-
-
-def cofactor_adjugate(rows):
-    """adj(M) oracle: entry (i, j) is the signed minor of M without row j and column i."""
-    n = len(rows)
-    minor = lambda i, j: [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-    return [[(-1) ** (i + j) * fraction_elimination(minor(i, j))[1] for j in range(n)]
-            for i in range(n)]
-
-
-class TestAdjugate:
-    """adjugate_int, the fraction-free Gauss-Jordan behind the placing triangulation."""
-
-    @staticmethod
-    def seeded_matrices():
-        # Nonsingular d x d matrices, d = 1..8; above d = 1 every other one
-        # has a zero top-left entry, which forces a row swap at the first pivot.
-        rng = random.Random(131)
-        for d in range(1, 9):
-            for k in range(6):
-                while True:
-                    rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-                    if d > 1 and k % 2:
-                        rows[0][0] = 0
-                    det = fraction_elimination(rows)[1]
-                    if det:
-                        break
-                yield rows, det
-
-    def test_matches_the_cofactor_oracle(self):
-        signs, swaps = set(), 0
-        for rows, det in self.seeded_matrices():
-            adj = adjugate_int(rows, det)
-            assert adj == cofactor_adjugate(rows)
-            M, scaled = IntMatrix(rows), IntMatrix(adj)
-            assert scaled @ M == M @ scaled == IntMatrix(
-                [[det * (i == j) for j in range(len(rows))] for i in range(len(rows))]
-            )
-            signs.add(det > 0)
-            swaps += rows[0][0] == 0
-        assert signs == {True, False}
-        assert swaps >= 21
-
-    def test_pivot_disagreeing_with_the_determinant_is_inconsistent(self):
-        for rows, det in self.seeded_matrices():
-            for wrong in (-det, det + 1, 0):
-                with pytest.raises(InternalInconsistency, match="disagrees"):
-                    adjugate_int(rows, wrong)
-
-    def test_singular_matrix_is_inconsistent(self):
-        for rows in ([[0]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]]):
-            with pytest.raises(InternalInconsistency, match="disagrees"):
-                adjugate_int(rows, 1)
 
 
 class TestSolve:

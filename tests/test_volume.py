@@ -19,6 +19,8 @@ from gkzmono import (
     normalized_volume,
     volume,
 )
+from gkzmono.intlinalg import det_int
+from oracles import cofactor_adjugate, fraction_elimination
 from sweeps import (
     BETA_SWEEP_MATRIX,
     face_of,
@@ -180,63 +182,54 @@ class TestNormalizedVolume:
             self.assert_certificate(A, volume._volume_of_matrix(A.columns()))
 
     @staticmethod
-    def spy_on_the_placing(monkeypatch, A, every_point=False):
-        """Record the seed determinant, the adjugate, each derivation and the end of the placing.
+    def spy_on_the_placing(monkeypatch, every_point=()):
+        """Record each exchange, the end of the seed and the end of the placing.
 
-        Each simplex's facet forms, from the adjugate or derived from its
-        parent's, are checked against the edge determinant of the facet's
-        points followed by a point p, the value a visibility test (and a new
-        simplex's certificate) reads.  Both sides are affine in p, so the
-        simplex's own vertices pin them: the determinant is 0 at the facet's
-        vertices and (-1)^(d-k) det at the dropped one.  With every_point,
-        each form is also evaluated at every point.
+        Each exchange's facet forms are checked against the determinant of
+        the facet's lifted points (1, x) followed by a point p, the value a
+        visibility test (and a new simplex's certificate) reads.  Both sides
+        are affine in p, so the simplex's own vertices pin them: the
+        determinant is 0 at the facet's vertices and (-1)^(d-m) det at the
+        vertex in position m.  Each form is also evaluated at every point of
+        every_point.  Returns the events and each exchange's (vertices, forms).
         """
         events, built = [], []
-        edge_det, forms_of, derive = volume._edge_det, volume._facet_forms, volume._derived_forms
-        adjugate, placing = volume.adjugate_int, volume._placing_triangulation
-        points = [(0,) * A.rows] + list(A.columns())
+        derive, seed_simplex = volume._derived_forms, volume._seed_simplex
+        placing = volume._placing_triangulation
 
-        def counted(vertices):
-            events.append("det")
-            return edge_det(vertices)
-
-        def counted_adjugate(rows, det):
-            events.append("adjugate")
-            return adjugate(rows, det)
-
-        def checked(vertices, det, forms):
-            assert det == edge_det(vertices)
-            built.append(tuple(vertices))
+        def checked_derived(parent, parent_det, parent_forms, k, p, i, det):
+            events.append("exchange")
+            forms = derive(parent, parent_det, parent_forms, k, p, i, det)
+            facet = parent[:k] + parent[k + 1:]
+            vertices = facet[:i] + [p] + facet[i:]
+            assert det == det_int(vertices)
             d = len(vertices) - 1
-            for k, (c0, c, positive) in enumerate(forms):
-                value = (-1) ** (d - k) * det
-                assert [c0 + sum(map(mul, c, v)) for v in vertices] == [
-                    value * (j == k) for j in range(d + 1)
+            for m, g in enumerate(forms):
+                value = (-1) ** (d - m) * det
+                assert [sum(map(mul, g, v)) for v in vertices] == [
+                    value * (j == m) for j in range(d + 1)
                 ]
-                assert positive == (value > 0)
-                facet = vertices[:k] + vertices[k + 1:]
-                for p in points if every_point else ():
-                    assert c0 + sum(map(mul, c, p)) == edge_det(facet + [p])
+                for x in every_point:
+                    lifted = (1,) + x
+                    row = vertices[:m] + vertices[m + 1:] + [lifted]
+                    assert sum(map(mul, g, lifted)) == det_int(row)
+            built.append((tuple(vertices), forms))
             return forms
 
-        def checked_forms(vertices, det):
-            return checked(vertices, det, forms_of(vertices, det))
+        def seeded(*args):
+            result = seed_simplex(*args)
+            events.append("seed")
+            return result
 
-        def checked_derived(vertices, det, *parent):
-            events.append("derived")
-            return checked(vertices, det, derive(vertices, det, *parent))
-
-        def placed(points, d):
-            result = placing(points, d)
+        def placed(*args):
+            result = placing(*args)
             events.append("placed")
             return result
 
-        monkeypatch.setattr(volume, "_edge_det", counted)
-        monkeypatch.setattr(volume, "adjugate_int", counted_adjugate)
-        monkeypatch.setattr(volume, "_facet_forms", checked_forms)
         monkeypatch.setattr(volume, "_derived_forms", checked_derived)
+        monkeypatch.setattr(volume, "_seed_simplex", seeded)
         monkeypatch.setattr(volume, "_placing_triangulation", placed)
-        return events, built, points
+        return events, built
 
     @pytest.mark.parametrize(
         "A, every_point",
@@ -246,88 +239,115 @@ class TestNormalizedVolume:
         ],
         ids=["beta_sweep", "wide_cone"],
     )
-    def test_visibility_tests_read_one_adjugate_per_simplex(self, monkeypatch, A, every_point):
-        # One determinant and one adjugate for the seed simplex; every later
+    def test_every_simplex_takes_its_forms_from_one_exchange(self, monkeypatch, A, every_point):
+        # The seed takes d exchanges from the unit simplex; every later
         # simplex derives its facet forms from its parent's, at most once,
         # and nothing runs after the placing.
-        events, built, points = self.spy_on_the_placing(monkeypatch, A, every_point)
+        points = [(0,) * A.rows] + list(A.columns())
+        events, built = self.spy_on_the_placing(monkeypatch, points if every_point else ())
         result = volume._volume_of_matrix(A.columns())
-        placed = {tuple(points[v] for v in s) for s, _ in result.triangulation}
-        assert events[:2] == ["det", "adjugate"] and events[-1] == "placed"
-        assert set(events[2:-1]) == {"derived"}
-        assert len(built) == 1 + events.count("derived") == len(set(built))
+        d = A.rows
+        assert events[:d + 1] == ["exchange"] * d + ["seed"] and events[-1] == "placed"
+        assert set(events[d + 1:-1]) == {"exchange"}
+        lifted = {tuple((1,) + points[v] for v in s) for s, _ in result.triangulation}
+        # The seed is the lexicographically first simplex: a smaller label it
+        # skips is dependent on the seed labels before it.
+        seed, *later = [vertices for vertices, _ in built[d - 1:]]
+        assert seed == tuple((1,) + points[v] for v in result.triangulation[0][0])
+        assert len(later) == len(set(later)) and seed not in later
         # Forms are derived when a simplex is first tested, and the ones the
         # last point places never are.
-        assert set(built) < placed
+        assert set(later) < lifted - {seed}
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_a_lone_seed_matches_the_cofactor_adjugate(self, monkeypatch, d):
+        # d + 1 points in general position: the seed is the whole
+        # triangulation, after d exchanges.  Its forms are the rows of the
+        # adjugate of its edge matrix, signed by (-1)^(d-k), with
+        # lambda_0 = 1 - sum lambda_k.
+        rng = random.Random(40 + d)
+        signs = set()
+        for _ in range(4):
+            while True:
+                vertices = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 1)]
+                edges = [[v[m] - vertices[0][m] for v in vertices[1:]] for m in range(d)]
+                det = fraction_elimination(edges)[1]
+                if det:
+                    break
+            events, built = self.spy_on_the_placing(monkeypatch)
+            triangulation = volume._placing_triangulation(dict(enumerate(vertices)), d)
+            assert triangulation == [(tuple(range(d + 1)), abs(det))]
+            assert events == ["exchange"] * d + ["seed", "placed"]
+            adj = cofactor_adjugate(edges)
+            rows = [[-sum(col) for col in zip(*adj)]] + adj
+            expected = []
+            for k, row in enumerate(rows):
+                c = [(-1) ** (d - k) * x for x in row]
+                c0 = (-1) ** (d - k) * det * (k == 0) - sum(map(mul, c, vertices[0]))
+                expected.append((c0, *c))
+            assert built[-1][1] == expected
+            signs.add(det > 0)
+            monkeypatch.undo()
+        assert signs == {True, False}
 
     @pytest.mark.parametrize("shift", ["one", "det"])
-    @pytest.mark.parametrize("corrupt", ["seed", "derived"])
-    def test_a_corrupted_parent_form_is_an_internal_inconsistency(
-        self, monkeypatch, corrupt, shift
-    ):
-        # Shift c0 of one form of one parent, in turn for each of its d+1
-        # facets: the derivations that read it must fail, never a volume.
-        # A shift by the parent's det leaves every division exact, so only
-        # the value at the opposite vertex can catch it.
-        columns = BETA_SWEEP_MATRIX.columns()
-        name = "_facet_forms" if corrupt == "seed" else "_derived_forms"
-        original = getattr(volume, name)
-        for k in range(BETA_SWEEP_MATRIX.rows + 1):
+    @pytest.mark.parametrize("corrupt", ["unit", "seed", "derived"])
+    def test_a_corrupted_form_is_an_internal_inconsistency(self, monkeypatch, corrupt, shift):
+        # Shift the constant term of one form, in turn for each of the d+1
+        # facets: of the unit simplex (the first exchange's parent), of the
+        # seed or of the first later simplex.  The exchanges that read it must
+        # fail, never a volume.  A shift by the simplex's det leaves every
+        # division exact, so only the value at the opposite vertex can catch it.
+        columns, d = BETA_SWEEP_MATRIX.columns(), BETA_SWEEP_MATRIX.rows
+        derive = volume._derived_forms
+        at_call = {"unit": 1, "seed": d, "derived": d + 1}[corrupt]
+        for k in range(d + 1):
             calls = []
 
-            def corrupted(vertices, det, *parent, k=k):
-                forms = original(vertices, det, *parent)
+            def corrupted(parent, parent_det, parent_forms, *rest, k=k):
                 calls.append(1)
-                if len(calls) == 1:
-                    c0, c, positive = forms[k]
-                    forms[k] = (c0 + (det if shift == "det" else 1), c, positive)
+                if corrupt == "unit" and len(calls) == at_call:
+                    parent_forms = list(parent_forms)
+                    g = parent_forms[k]
+                    parent_forms[k] = (g[0] + (parent_det if shift == "det" else 1),) + g[1:]
+                forms = derive(parent, parent_det, parent_forms, *rest)
+                if corrupt != "unit" and len(calls) == at_call:
+                    g = forms[k]
+                    forms[k] = (g[0] + (rest[-1] if shift == "det" else 1),) + g[1:]
                 return forms
 
-            monkeypatch.setattr(volume, name, corrupted)
+            monkeypatch.setattr(volume, "_derived_forms", corrupted)
             with pytest.raises(InternalInconsistency, match="derived facet form"):
                 volume._volume_of_matrix(columns)
+            assert len(calls) > at_call or corrupt == "unit"
 
     def test_an_inexact_derivation_is_an_internal_inconsistency(self, monkeypatch):
         # Adding x_m - q_m to the parent form opposite q keeps the derived
         # form's value at q.  Whenever that leaves the division inexact, the
-        # derivation must raise.
+        # exchange must raise: the seed's exchanges and the later ones.
         calls, derive = [], volume._derived_forms
         monkeypatch.setattr(
             volume, "_derived_forms", lambda *args: calls.append(args) or derive(*args)
         )
         volume._volume_of_matrix(BETA_SWEEP_MATRIX.columns())
-        inexact = 0
-        for vertices, det, parent, parent_det, parent_forms, k in calls:
-            p = (1,) + next(x for x in vertices if x not in parent)
+        inexact = [0, 0]
+        for call, (parent, parent_det, parent_forms, k, p, i, det) in enumerate(calls):
             for j, q in enumerate(parent):
                 for m in range(1, len(q)) if j != k else ():
                     forms = list(parent_forms)
-                    c0, c, positive = forms[j]
-                    forms[j] = (c0 - q[m], tuple(x + (i == m) for i, x in enumerate(c)), positive)
-                    f_j, f_k = [(f[0],) + f[1] for f in (forms[j], forms[k])]
-                    v, w = (sum(map(mul, f, p)) for f in (f_k, f_j))
-                    if any((v * x - w * y) % parent_det for x, y in zip(f_j, f_k)):
-                        inexact += 1
+                    forms[j] = tuple(x + (n == m) - (n == 0) * q[m] for n, x in enumerate(forms[j]))
+                    v, w = (sum(map(mul, f, p)) for f in (forms[k], forms[j]))
+                    if any((v * x - w * y) % parent_det for x, y in zip(forms[j], forms[k])):
+                        inexact[call >= BETA_SWEEP_MATRIX.rows] += 1
                         with pytest.raises(InternalInconsistency, match="derived facet form"):
-                            derive(vertices, det, parent, parent_det, forms, k)
-        assert inexact > 100
-
-    @pytest.mark.parametrize("d", range(1, 7))
-    def test_a_lone_simplex_makes_no_adjugate(self, monkeypatch, d):
-        # d columns and the origin: the seed is the whole triangulation.
-        rng = random.Random(40 + d)
-        while True:
-            A = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
-            if A.det():
-                break
-        events, built, _ = self.spy_on_the_placing(monkeypatch, A)
-        assert volume._volume_of_matrix(A.columns()).volume == abs(A.det())
-        assert events == ["det", "placed"] and built == []
+                            derive(parent, parent_det, forms, k, p, i, det)
+        assert inexact[0] > 0 and inexact[1] > 100
 
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
         # Every simplex of a placing triangulation is full-dimensional; a
         # zero determinant is a bug, reported as exit 3 on the CLI.
-        monkeypatch.setattr(volume, "_edge_det", lambda points: 0)
+        derive = volume._derived_forms
+        monkeypatch.setattr(volume, "_derived_forms", lambda *args: derive(*args[:-1], 0))
         with pytest.raises(InternalInconsistency, match="flat simplex"):
             normalized_volume(Configuration(IntMatrix([[1, 1, 1], [0, 3, 7]])))
         cones._normalize_matrix.cache_clear()
@@ -373,6 +393,39 @@ class TestFaceVolume:
         assert face_volume(fresh, face_of(fresh, [1, 2, 3])) == 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("source", ["random", "beta_sweep"])
+    def test_independent_distinct_columns_make_a_unimodular_face(self, monkeypatch, source):
+        # Independent distinct nonzero columns are a basis of the lattice they
+        # generate: face_volume reads 1 without a triangulation, and the
+        # triangulation agrees.  Every other proper face is triangulated.
+        if source == "random":
+            rng = random.Random(1913)
+            configs = [random_configuration(rng, dmax=5, nmax=8) for _ in range(60)]
+        else:
+            configs = [Configuration(BETA_SWEEP_MATRIX)]
+        calls, original = [], volume._volume_of_matrix
+        monkeypatch.setattr(
+            volume, "_volume_of_matrix", lambda columns: calls.append(columns) or original(columns)
+        )
+        unimodular = triangulated = 0
+        for config in configs:
+            for face in config.face_lattice()[:-1]:
+                if not face.indices:
+                    continue
+                columns = {config.column(j) for j in face.indices} - {(0,) * config.d}
+                independent = not columns or IntMatrix(list(columns)).rank() == len(columns)
+                before = len(calls)
+                result = face_volume(config, face)
+                if independent:
+                    coordinates, _ = cones._hermite_reduce([config.column(j) for j in face.indices])
+                    assert result == 1 == original(coordinates).volume
+                    assert len(calls) == before
+                    unimodular += 1
+                else:
+                    assert len(calls) == before + 1
+                    triangulated += 1
+        assert unimodular > 100 and triangulated > 5
+
     def test_volume_is_taken_in_the_generated_lattice(self):
         # Face {1,2} lies in the plane x3 = 0, where its columns (1,0) and
         # (1,2) generate an index-2 sublattice of the saturated lattice Z^2:
@@ -416,13 +469,15 @@ class TestTriangulationDigest:
     inner vertex and took a second determinant per visibility test.
     The triangulation depends only on the insertion order and exact
     orientation signs, so any rewrite of the placing triangulation must
-    replay these digests exactly.
+    replay these digests exactly.  FACES has no triangulation of a face whose
+    distinct nonzero columns are independent: face_volume answers 1 for it
+    without one.
     """
 
     RANDOM = "e05cbf5a77588f145f3ae21a9e124f493419bd8a86f10ee5ecf9794eb7ddcd82"
     GRIDS = "6ab4240b9e96139375e80614cb5cc3b52e3e53b38ce2ae823e25799c584a44e9"
     CONES = "9eb3c2873e8abc26d72b2ac1725bfb9e4341712b553ffe0bd25969086febbe63"
-    FACES = "0cc227cd7a3beb4fa48f248a40b845e44d92e747d6a3e4d799ca2b99fa3a8200"
+    FACES = "7eac647a6e7a29afdca05d2f89e46c537e2f39b570fe8c58a15ffd8c06465a90"
 
     @staticmethod
     def update(h, result):
