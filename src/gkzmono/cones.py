@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -59,7 +60,7 @@ BRUTE_FORCE_LIMIT = 3
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def per_configuration(fn):
@@ -274,19 +275,23 @@ def fourier_motzkin_point(
 # ---------------------------------------------------------------------------
 
 
-@per_configuration
-def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
-    """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}.
+def _perp_kernel(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
+    """A basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}, from one Hermite pass.
 
     The face matrix M, cut from config.A on plain rows, carries the identity
     along its Hermite form U*M = H; the rows of U whose H row is zero span
-    the lattice (as in hermite_kernel_basis) and a transform-free Hermite
-    pass puts them in canonical order.  Computed once per label set and
-    configuration: it serves the face test and the resonance congruences.
+    the saturated lattice (as in hermite_kernel_basis).  Not memoized.
     """
-    rows = [[row[j - 1] for j in labels] + [int(i == j) for j in range(config.d)]
+    d, width = config.d, len(labels)
+    rows = [[row[j - 1] for j in labels] + [0] * i + [1] + [0] * (d - 1 - i)
             for i, row in enumerate(config.A.data)]
-    basis = [row[len(labels):] for row in rows[_hermite_rows(rows, len(labels)):]]
+    return tuple(tuple(row[width:]) for row in rows[_hermite_rows(rows, width):])
+
+
+@per_configuration
+def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
+    """The canonical basis of that lattice (memoized): _perp_kernel's rows in Hermite form."""
+    basis = list(_perp_kernel(config, labels))
     _hermite_rows(basis, config.d)
     return tuple(map(tuple, basis))
 
@@ -391,12 +396,15 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, 
     """Every face, sorted by (size, indices): the minimal face first, the full face last.
 
     method "dd" computes the facets by double description and closes their
-    column bitmasks under intersection (every proper face is such an
+    column bitmasks under intersection: every proper face is such an
     intersection, witnessed by the primitive sum of the normals of the
-    facets containing it, so the witness is canonical); "brute" checks every
-    index subset with the feasibility oracle.  "auto" runs DD, except up to
-    BRUTE_FORCE_LIMIT columns, where it keeps brute force only because the
-    benchmark pins that path; ROADMAP item 1's benchmark change deletes it.
+    facets containing it (canonical).  Each normal is checked once to be
+    nonnegative on the columns and zero exactly on its bitmask, so a witness
+    vanishes exactly on the meet of its facets, which must be the face.
+    "brute" checks every index subset with the feasibility oracle.  "auto"
+    runs DD, except up to BRUTE_FORCE_LIMIT columns, where it keeps brute
+    force only because the benchmark pins that path; ROADMAP item 1's
+    benchmark change deletes it.
     """
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"
@@ -406,22 +414,26 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, 
         faces = [face for face in found if face is not None]
     elif method == "dd":
         facets = _facets(config)
-        masks = {(1 << config.n) - 1}
+        columns = config.A.columns()
+        for normal, facet in facets:
+            values = [_dot(normal, a) for a in columns]
+            if min(values) < 0 or facet != sum(1 << j for j, v in enumerate(values) if v == 0):
+                raise InternalInconsistency("facet intersection is not a face")
+        full = (1 << config.n) - 1
+        masks = {full}
         for _, facet in facets:
             masks |= {mask & facet for mask in masks}
-        # Each facet's values on the columns, so that a face's witness values
-        # are a sum of rows: nonnegative, and zero exactly on the face.
-        columns = config.A.columns()
-        rows = [tuple(_dot(normal, a) for a in columns) for normal, _ in facets]
-        zero_d, zero_n = (0,) * config.d, (0,) * config.n
+        zero = (0,) * config.d
         faces = []
         for mask in masks:
-            inside = [k for k, (_, facet) in enumerate(facets) if facet & mask == mask]
-            normals = (facets[k][0] for k in inside)
-            witness = primitive_vector(tuple(map(sum, zip(zero_d, *normals))))
-            values = tuple(map(sum, zip(zero_n, *(rows[k] for k in inside))))
-            if min(values) < 0 or mask != sum(1 << j for j, v in enumerate(values) if v == 0):
+            meet, normals = full, [zero]
+            for normal, facet in facets:
+                if facet & mask == mask:
+                    meet &= facet
+                    normals.append(normal)
+            if meet != mask:
                 raise InternalInconsistency("facet intersection is not a face")
+            witness = primitive_vector(tuple(map(sum, zip(*normals))))
             faces.append(Face((j + 1 for j in range(config.n) if mask >> j & 1), witness))
     else:
         raise InputError(f"unknown face enumeration method {method!r}")

@@ -455,7 +455,7 @@ def hermite_kernel_basis(H: IntMatrix, U: IntMatrix) -> tuple[IntVec, ...]:
     The rows of the unimodular U whose H row is zero span it (Cohen, A
     Course in Computational Algebraic Number Theory, 2.4), returned in
     HNF-canonical order: a deterministic function of M, () when trivial.
-    cones._perp_lattice_basis reads each face's lattice so on plain rows.
+    cones._perp_kernel reads each face's lattice so on plain rows.
     """
     basis = [u for u, h in zip(U.data, H.data) if not any(h)]
     if not basis:
@@ -487,9 +487,7 @@ def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[
 
 def primitive_vector(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -10,12 +10,14 @@ x -> (w_i . x) sends Z^d onto Z^k, so
 
 The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
-and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  A
-facet's saturated orthogonal lattice is Z*v, v its primitive normal from
-double description, so face_functionals reads a facet's normal and takes
-a Hermite form only for the other faces.  The walk reads the functionals
-of every face from a table in lattice order, (size, indices), built once
-per configuration with the cover relation, and only below a member facet.
+and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  Any
+basis of the lattice gives the same test; face_functionals returns the
+canonical one, which the printed congruences read.  A facet's lattice is
+Z*v, v its primitive normal from double description.  The walk reads the
+functionals of every face from a table in lattice order, (size, indices),
+built once per configuration with the cover relation, and only below a
+member facet.  The table keeps any basis: a facet's normal, and for every
+other face the kernel rows of one Hermite pass (cones._perp_kernel).
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -42,7 +44,7 @@ from math import lcm
 from operator import mul
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _facets, _hermite_reduce, _perp_lattice_basis
+from .cones import _facets, _hermite_reduce, _perp_kernel, _perp_lattice_basis
 from .intlinalg import IntVec
 
 
@@ -83,13 +85,17 @@ class _ResonanceTable:
 def _resonance_table(config: Configuration) -> _ResonanceTable:
     """The functionals and covers of every face.
 
-    G covers F iff G contains F and has rank one more.  The rank of a face
-    is d minus the number of its functionals, and the face lattice of a
-    cone, pointed or not, is graded by rank.
+    A facet keeps its DD normal and every other face the kernel rows of one
+    Hermite pass, not the canonical basis of face_functionals: any basis has
+    the same congruences and corank.  G covers F iff G contains F and has
+    rank one more.  The rank of a face is d minus the number of its
+    functionals, and the face lattice of a cone, pointed or not, is graded
+    by rank.
     """
     faces = config.face_lattice()
     masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
-    functionals = tuple(face_functionals(config, f) for f in faces)
+    normals = _facet_functionals(config)
+    functionals = tuple(normals.get(f.indices) or _perp_kernel(config, f.indices) for f in faces)
     position = {mask: i for i, mask in enumerate(masks)}
     by_corank: dict[int, list[int]] = {}
     for i, w in enumerate(functionals):

@@ -36,7 +36,8 @@ linear inequalities without elimination, the reference for Fourier-Motzkin
 
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through validated IntMatrix Hermite forms, the reference for the plain-row
-reduction in cones._perp_lattice_basis.
+reduction in cones._perp_lattice_basis and, up to a Hermite form, for the
+kernel rows that the resonance table keeps (cones._perp_kernel).
 """
 
 from fractions import Fraction

@@ -454,6 +454,22 @@ class TestEnumerate:
         with pytest.raises(InternalInconsistency, match="facet intersection is not a face"):
             enumerate_faces(config, "dd")
 
+    def test_a_stray_bit_in_a_facet_mask_is_an_inconsistency(self, monkeypatch):
+        # Each facet's normal must vanish exactly on its mask.
+        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+        facets = cones._facets(config)
+        cases = 0
+        for k, (normal, mask) in enumerate(facets):
+            for j in range(config.n):
+                if mask >> j & 1:
+                    continue
+                stray = facets[:k] + ((normal, mask | 1 << j),) + facets[k + 1:]
+                monkeypatch.setattr(cones, "_facets", lambda c: stray)
+                with pytest.raises(InternalInconsistency, match="intersection is not a face"):
+                    enumerate_faces(config, "dd")
+                cases += 1
+        assert cases == 8
+
     def test_pointed_iff_empty_face(self):
         rng = random.Random(37)
         for _ in range(30):

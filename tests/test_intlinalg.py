@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,12 @@ from gkzmono import (
     IntMatrix,
     InputError,
     hermite_normal_form,
+    cones,
     kernel_lattice_basis,
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import det_int, hermite_coordinates, rank_int
+from gkzmono.intlinalg import det_int, hermite_coordinates, primitive_vector, rank_int
 from oracles import fraction_elimination, solve_rational
 from sweeps import random_configuration
 
@@ -224,6 +226,44 @@ class TestAgainstTheReplacedAlgorithms:
             assert rank_int(m) == rank
             if det is not None:
                 assert det_int(m) == det
+
+
+def seeded_vectors(rng):
+    """Integer vectors: the empty tuple, zero vectors, negative entries, entries near 10**30."""
+    vectors = [(), (0,), (0, 0, 0), (-4,), (1,), (-6, 0, 9), (10**30, -(10**30) - 10)]
+    for _ in range(400):
+        scale = rng.choice((1, 2, 6, -15, 10**30, 10**30 + 1, 3 * 10**29))
+        noise = rng.choice((0, 0, 1))
+        vectors.append(tuple(scale * rng.randint(-5, 5) + noise * rng.randint(-3, 3)
+                             for _ in range(rng.randint(0, 6))))
+    return vectors
+
+
+class TestKernels:
+    """primitive_vector and cones._dot against plain loops."""
+
+    def test_primitive_vector(self):
+        vectors = seeded_vectors(random.Random(151))
+        # Some vectors near 10**30 share a factor that divides out.
+        assert any(max(map(abs, v), default=0) > 10**29 and primitive_vector(v) != v
+                   for v in vectors)
+        for v in vectors:
+            g = 0
+            for x in v:
+                g = gcd(g, abs(x))
+            expected = tuple(x // g for x in v) if g > 1 else tuple(v)
+            assert primitive_vector(v) == expected
+            assert primitive_vector(list(v)) == expected
+
+    def test_dot(self):
+        rng = random.Random(157)
+        vectors = seeded_vectors(rng)
+        for u in vectors:
+            v = rng.choice([w for w in vectors if len(w) == len(u)])
+            total = 0
+            for a, b in zip(u, v):
+                total += a * b
+            assert cones._dot(u, v) == total
 
 
 class TestSolve:

@@ -18,6 +18,7 @@ from gkzmono import (
     describe_resonant_arrangement,
     enumerate_faces,
     face_functionals,
+    hermite_normal_form,
     intlinalg,
     resonance,
     resonance_centers,
@@ -330,9 +331,13 @@ class TestFaceTestCount:
 
 
 class TestFacetFunctionals:
-    """face_functionals, which reads a facet's DD normal, against the Hermite form.
+    """face_functionals and the resonance table's entries against the Hermite form.
 
-    The reference is the IntMatrix Hermite path of the oracles, not
+    face_functionals reads a facet's DD normal and the canonical basis of every
+    other face.  The table keeps the DD normal of a facet and, for every other
+    face, the kernel rows of one Hermite pass as they come: any Z-basis of the
+    perp lattice, so its rows are checked by their count and Hermite form.  The
+    reference is the IntMatrix Hermite path of the oracles, not
     cones._perp_lattice_basis, which face_functionals reads off every other face.
     """
 
@@ -342,11 +347,18 @@ class TestFacetFunctionals:
             hermite = perp_lattice_by_hermite_forms(config, face.indices)
             assert face_functionals(config, face) == hermite
         table = resonance._resonance_table(config)
-        assert len(table.facets) == len(cones._facets(config))
+        facets = cones._facets(config)
+        assert len(table.facets) == len(facets)
         assert sorted(table.facets) == sorted(table.below[-1])
-        for i in table.facets:
+        for i, (normal, _) in zip(table.facets, facets):
             face = table.faces[i]
+            assert table.functionals[i] in {(normal,), (tuple(-x for x in normal),)}
             assert table.functionals[i] == perp_lattice_by_hermite_forms(config, face.indices)
+        for face, entry in zip(table.faces, table.functionals):
+            corank = config.d - intlinalg.rank_int([config.column(j) for j in face.indices])
+            assert len(entry) == corank
+            rows = entry and hermite_normal_form(IntMatrix(entry, cols=config.d))[0].data
+            assert rows == perp_lattice_by_hermite_forms(config, face.indices)
 
     def test_random_configurations(self):
         rng = random.Random(137)
@@ -356,6 +368,14 @@ class TestFacetFunctionals:
         assert any(pointed) and not all(pointed)
         for config in configs:
             self.assert_match_the_hermite_form(config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SWEEP, random_homogeneous_configuration(random.Random(5), 6, 16)],
+        ids=["beta_sweep", "cone_6_16"],
+    )
+    def test_wide_configurations(self, config):
+        self.assert_match_the_hermite_form(config)
 
     def test_half_space_and_full_space(self):
         half = Configuration(HALF_SPACE)
@@ -482,6 +502,44 @@ class TestColdClassify:
             result = classify(BETA_SWEEP_MATRIX, beta)
             assert face in resonance_centers(result.configuration, beta).member_faces
         assert builds == dd_runs == [result.configuration]
+
+    def test_no_table_entry_is_computed_after_the_first_build(self, monkeypatch):
+        # The table is an A-side compile: after one facet-resonant classify
+        # builds it, no parameter computes a perp lattice of its own.
+        cones._normalize_matrix.cache_clear()
+        rng = random.Random(149)
+        facets = {f.indices for f in SWEEP.face_lattice() if len(face_functionals(SWEEP, f)) == 1}
+        facet = next(f for f in SWEEP.face_lattice() if f.indices in facets)
+        config = classify(BETA_SWEEP_MATRIX, planted_beta(rng, SWEEP, facet)).configuration
+        assert memo_entries(config, resonance._resonance_table) == 1
+        computed = []
+        kernel, basis = cones._perp_kernel, cones._perp_lattice_basis
+
+        def kernel_spy(c, labels):
+            computed.append(("kernel", labels))
+            return kernel(c, labels)
+
+        def basis_spy(c, labels):
+            if (basis.__wrapped__, labels) not in c._memo:
+                computed.append(("basis", labels))
+            return basis(c, labels)
+
+        for module in (cones, resonance):
+            monkeypatch.setattr(module, "_perp_kernel", kernel_spy)
+            monkeypatch.setattr(module, "_perp_lattice_basis", basis_spy)
+        lattice = config.face_lattice()
+        below_facets = 0
+        for _ in range(20):
+            for beta in betas_of_every_kind(rng, config, rng.choice(lattice)):
+                result = classify(BETA_SWEEP_MATRIX, beta)
+                assert result.configuration is config
+                below_facets += any(
+                    c.indices not in facets and c not in (lattice[0], lattice[-1])
+                    for c in result.centers
+                )
+        assert below_facets > 0  # the walk read entries below the facets
+        assert computed == []
+        assert memo_entries(config, resonance._resonance_table) == 1
 
     def test_a_member_facet_formats_no_congruence_text(self, monkeypatch):
         texts = []
