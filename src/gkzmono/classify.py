@@ -1,11 +1,11 @@
 """The decision procedure: reducible or irreducible monodromy.
 
 The verdict is a theorem application, not an analytic computation: after
-normalizing the input, every resonance center of the parameter is tested
-for the pyramid property.  Monodromy is irreducible exactly when a center
-is a pyramid base (in which case it is the only center); otherwise it is
-reducible, and for a nonempty center the strict volume drop
-face_volume(center) < generic rank is recorded as evidence.
+normalizing the input (which coerces beta once), every resonance center is
+tested for the pyramid property.  Monodromy is irreducible exactly when a
+center is a pyramid base (then it is the only center); otherwise it is
+reducible, and for a nonempty center the strict volume drop face_volume <
+generic rank, read with the rank the walk gives the center, is the evidence.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .cones import Configuration, Face, Parameter, reduce_configuration
 from .errors import InternalInconsistency
 from .intlinalg import IntMatrix
 from .pyramids import is_pyramid
-from .resonance import resonance_centers
-from .volume import face_volume, generic_rank
+from .resonance import _walk
+from .volume import _face_volume, generic_rank
 
 REDUCIBLE = "Reducible"
 IRREDUCIBLE = "Irreducible"
@@ -62,16 +62,17 @@ class Classification:
 def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     """Classify the monodromy of the system attached to (A, beta).
 
-    Normalizes the input, finds the resonance centers, and applies the
-    pyramid criterion to each.  Also asserts two facts the theory
+    Normalizes the input, finds the resonance centers with their ranks, and
+    applies the pyramid criterion to each.  Also asserts two facts the theory
     guarantees: a pyramid center is the unique center, and a reducible
     verdict with a nonempty center comes with a strict volume drop.
     """
     config, beta, basis = reduce_configuration(A_raw, beta_raw)
-    report = resonance_centers(config, beta)
+    report, ranks = _walk(config, beta)
     flags = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
-    volumes = tuple(face_volume(config, f) if f.indices else None for f in report.centers)
+    volumes = tuple(_face_volume(config, f.indices, r) if f.indices else None
+                    for f, r in zip(report.centers, ranks))
     if any(flags):
         if len(report.centers) != 1:
             raise InternalInconsistency(

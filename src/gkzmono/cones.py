@@ -39,8 +39,8 @@ from .intlinalg import (
     IntMatrix,
     IntVec,
     _hermite_rows,
+    _hermite_solutions,
     clear_denominators,
-    hermite_coordinates,
     hermite_kernel_basis,
     hermite_normal_form,
     integer_entries,
@@ -450,8 +450,7 @@ def _gauss_rat_coordinates(rows: Sequence[IntVec], beta: Parameter) -> Optional[
 
     The real and imaginary parts are solved separately.
     """
-    real = hermite_coordinates(rows, [b.re for b in beta])
-    imag = hermite_coordinates(rows, [b.im for b in beta])
+    real, imag = _hermite_solutions(rows, ([b.re for b in beta], [b.im for b in beta]))
     if real is None or imag is None:
         return None
     return tuple(GaussRat(r, i) for r, i in zip(real, imag))
@@ -498,7 +497,7 @@ def _hermite_reduce(
         H = [list(col) for col in columns]
         _hermite_rows(H, len(H[0]))
     basis = tuple(tuple(row) for row in H if any(row))
-    coordinates = tuple(hermite_coordinates(basis, col) for col in columns)
+    coordinates = tuple(_hermite_solutions(basis, columns))
     if any(x is None or any(q.denominator != 1 for q in x) for x in coordinates):
         raise InternalInconsistency("a column is not in the lattice of its Hermite basis")
     return coordinates, basis

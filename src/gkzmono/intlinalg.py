@@ -473,16 +473,21 @@ def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[
     zero.  An exact quotient stays an int; v lies in the lattice of the rows
     exactly when every coordinate is integral.
     """
-    residue = list(v)
-    coords = []
-    for row in rows:
-        pivot = next(k for k, x in enumerate(row) if x)
-        r, p = residue[pivot], row[pivot]
-        q = r // p if r % p == 0 else Fraction(r, p)
-        coords.append(q)
-        if q:
-            residue = [x - q * y for x, y in zip(residue, row)]
-    return None if any(residue) else tuple(coords)
+    return next(_hermite_solutions(rows, [v]))
+
+
+def _hermite_solutions(rows: Sequence[Sequence[int]], vectors: Iterable[Sequence]):
+    """hermite_coordinates of each vector in turn, the pivots of the rows read once."""
+    pivots = [next(k for k, x in enumerate(row) if x) for row in rows]
+    for v in vectors:
+        residue, coords = list(v), []
+        for row, pivot in zip(rows, pivots):
+            r, p = residue[pivot], row[pivot]
+            q = r // p if r % p == 0 else Fraction(r, p)
+            coords.append(q)
+            if q:
+                residue = [x - q * y for x, y in zip(residue, row)]
+        yield None if any(residue) else tuple(coords)
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:

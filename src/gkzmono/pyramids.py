@@ -23,16 +23,17 @@ def _related_columns(config: Configuration) -> frozenset[int]:
     """Labels of the columns that appear in a toric relation among the distinct columns.
 
     Summing over copies maps ker A onto those relations (lift one onto the
-    first copies), so a column is related iff some basis relation of A has
-    a nonzero sum over its copies.  Every copy is listed.
+    first copies), so a column is related iff a relation in any basis of ker A,
+    the raw rows of U*A^T = H, sums to nonzero over its copies, all listed.
     """
+    H, U = config.hermite
     copies: dict[IntVec, list[int]] = {}
     for j in range(1, config.n + 1):
         copies.setdefault(config.column(j), []).append(j)
     return frozenset(
         j
         for labels in copies.values()
-        if any(sum(u[k - 1] for k in labels) for u in config.kernel)
+        if any(sum(u[k - 1] for k in labels) for u, h in zip(U.data, H.data) if not any(h))
         for j in labels
     )
 

@@ -22,15 +22,14 @@ other face the kernel rows of one Hermite pass (cones._perp_kernel).
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
 The minimal face, the columns on every facet, is tested first: if it is a
-member, so is every face, and it is the only center.  Otherwise each facet
-is tested on its normal, and when no facet is a member, the full face is
-the only member and the parameter is nonresonant.  Otherwise the table is
-built and the walk goes down from the member facets, testing a face only
-once every face covering it is a member; a face with a non-member above it
-cannot be a member.  The centers are the members with no member directly
-below them.  A generic parameter thus costs one test per facet, plus one
-for the minimal face, and closes no face lattice; only a member minimal
-face or facet reads the lattice, and only a member facet builds the table.
+member, so is every face, and it is the only center.  Otherwise all facet
+normals are tested in one sweep, imaginary part first; if none passes, the
+full face is the only member and beta is nonresonant.  Otherwise the table
+is built and the walk goes down from the member facets, testing a face only
+once every face covering it is a member (none below a non-member can be).
+The centers are the members with no member directly below them, each with
+its rank, d minus its number of functionals.  A generic parameter costs one
+test per facet and one for the minimal face, and closes no face lattice.
 
 The same functionals, read face by face without the table, and the Hermite
 basis of the face's columns (cones._hermite_reduce) describe each component
@@ -185,20 +184,28 @@ def _full_face(config: Configuration) -> tuple[Face, ...]:
 
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
-    beta = as_parameter(beta, config.d)
+    return _walk(config, as_parameter(beta, config.d))[0]
+
+
+def _member_facets(facets, scale: int, re: IntVec, im: IntVec) -> list[int]:
+    """Positions of the facets whose normal v passes, all in one sweep, v . Im first."""
+    return [k for k, (v, _) in enumerate(facets)
+            if not (im and sum(map(mul, v, im))) and not sum(map(mul, v, re)) % scale]
+
+
+def _walk(config: Configuration, beta: Parameter) -> tuple[ResonanceReport, tuple[int, ...]]:
+    """resonance_centers on a coerced parameter, and each center's rank."""
     scaled = _scaled(beta)
-    if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
+    if _passes(lineality := _perp_lattice_basis(config, config.lineality_columns), *scaled):
         # The minimal face is a member, hence so is every face above it.
         faces = config.face_lattice()
-        return ResonanceReport(config, beta, faces, faces[:1])
-    facets = _facets(config)
-    if len(facets) == 1:  # a lone facet is the minimal face, which has failed
-        facets = ()
-    member_facets = [k for k, (normal, _) in enumerate(facets) if _passes((normal,), *scaled)]
+        return ResonanceReport(config, beta, faces, faces[:1]), (config.d - len(lineality),)
+    facets = _facets(config)  # a lone facet is the minimal face, which has failed
+    member_facets = _member_facets(facets, *scaled) if len(facets) > 1 else ()
     if not member_facets:
         # The full face is always a member: the columns span Q^d.
         full = _full_face(config)
-        return ResonanceReport(config, beta, full, full)
+        return ResonanceReport(config, beta, full, full), (config.d,)
     table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)
@@ -213,12 +220,9 @@ def resonance_centers(config: Configuration, beta) -> ResonanceReport:
                 stack.append(i)
     members = sorted(found)
     centers = [i for i in members if found.isdisjoint(below[i])]
-    return ResonanceReport(
-        config,
-        beta,
-        tuple(table.faces[i] for i in members),
-        tuple(table.faces[i] for i in centers),
-    )
+    faces, ranks = table.faces, tuple(config.d - len(table.functionals[i]) for i in centers)
+    members, centers = tuple(faces[i] for i in members), tuple(faces[i] for i in centers)
+    return ResonanceReport(config, beta, members, centers), ranks
 
 
 def _congruence_text(w: IntVec) -> str:

@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cones import Configuration, Face, _hermite_reduce, per_configuration
 from .errors import DegenerateConfiguration, EmptyFace, InternalInconsistency
@@ -151,26 +151,31 @@ def normalized_volume(config: Configuration) -> VolumeResult:
     return _volume_of_matrix(config.A.columns())
 
 
-@per_configuration
 def face_volume(config: Configuration, face: Face) -> int:
-    """Normalized volume of a face in the lattice its columns generate.
-
-    The face's columns are triangulated in their coordinates on the Hermite
-    basis of that lattice (cones._hermite_reduce), which may be a proper
-    sublattice of its saturation.  When the distinct nonzero coordinates are
-    as many as the basis vectors, they are a basis of Z^r: a unimodular
-    simplex, volume 1 (a face of zero columns spans a rank-0 lattice, the
-    volume of a point).  The full face already lives in Z^d: its volume is
-    the normalized volume.
-    """
+    """Normalized volume of a face in the lattice its columns generate (_face_volume)."""
     if not face.indices:
         raise EmptyFace("volume of the empty face is undefined")
-    if len(face.indices) == config.n:
+    return _face_volume(config, face.indices, None)
+
+
+@per_configuration
+def _face_volume(config: Configuration, labels: tuple[int, ...], rank: Optional[int]) -> int:
+    """face_volume by labels, given the face's rank or None.
+
+    Distinct nonzero columns as many as the rank are a basis: volume 1 (a point at
+    rank 0), with no Hermite pass when the rank is known.  Other faces are
+    triangulated on the Hermite basis (cones._hermite_reduce) of their lattice,
+    which may be a proper sublattice of its saturation; the full face's is Z^d.
+    """
+    if len(labels) == config.n:
         return normalized_volume(config).volume
-    coordinates, basis = _hermite_reduce([config.A.column(j - 1) for j in face.indices])
-    if len(set(coordinates) - {(0,) * len(basis)}) == len(basis):
-        return 1
-    return _volume_of_matrix(coordinates).volume
+    columns = [config.A.column(j - 1) for j in labels]
+    distinct = len(set(columns) - {(0,) * config.d})
+    if distinct != rank:
+        coordinates, basis = _hermite_reduce(columns)
+        if distinct != len(basis):
+            return _volume_of_matrix(coordinates).volume
+    return 1
 
 
 def generic_rank(config: Configuration) -> int:

@@ -34,6 +34,11 @@ independent columns, the reference for the double description
 linear inequalities without elimination, the reference for Fourier-Motzkin
 (cones.fourier_motzkin_point).
 
+triangulated_face_volume is a face's volume with no shortcut: its columns
+are triangulated in their coordinates on the IntMatrix Hermite basis of the
+lattice they generate, the reference for the unimodular identity that
+volume._face_volume reads off a face's rank.
+
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through validated IntMatrix Hermite forms, the reference for the plain-row
 reduction in cones._perp_lattice_basis and, up to a Hermite form, for the
@@ -59,7 +64,8 @@ from gkzmono import (
     smith_normal_form,
 )
 from gkzmono.cones import per_configuration
-from gkzmono.intlinalg import hermite_kernel_basis
+from gkzmono.intlinalg import hermite_coordinates, hermite_kernel_basis
+from gkzmono.volume import _volume_of_matrix
 
 
 def distinct_columns(config):
@@ -335,3 +341,11 @@ def perp_lattice_by_hermite_forms(config, labels):
     in canonical order by a second Hermite form, each on IntMatrix.
     """
     return hermite_kernel_basis(*hermite_normal_form(config.submatrix(labels)))
+
+
+def triangulated_face_volume(config, face):
+    """A nonempty face's normalized volume in the lattice its columns generate, triangulated."""
+    columns = [config.column(j) for j in face.indices]
+    H, _ = hermite_normal_form(IntMatrix(columns, cols=config.d))
+    basis = [row for row in H.data if any(row)]
+    return _volume_of_matrix([hermite_coordinates(basis, col) for col in columns]).volume

@@ -27,8 +27,16 @@ from gkzmono import (
     volume,
 )
 from gkzmono.cli import _parse_beta_literal
-from sweeps import random_beta, random_full_rank_matrix, random_unimodular
+from oracles import fraction_elimination, triangulated_face_volume
+from sweeps import (
+    BETA_SWEEP_MATRIX,
+    random_beta,
+    random_configuration,
+    random_full_rank_matrix,
+    random_unimodular,
+)
 from test_golden import CASES as GOLDEN_CASES
+from test_resonance import betas_of_every_kind, planted_beta
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 PYRAMID = IntMatrix([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
@@ -385,6 +393,35 @@ class TestCacheStructure:
         assert calls == ["_hermite_rows"] * len(faces)
         assert built == []
 
+    def test_warm_classify_reduces_only_centers_of_volume_above_one(self, monkeypatch):
+        # The classify-path counterpart: once one facet-resonant classify has
+        # compiled beta_sweep's A, a center's rank comes from the walk, and a
+        # Hermite pass runs only for a center that the count cannot decide.
+        rng = random.Random(2011)
+        cones._normalize_matrix.cache_clear()
+        config = classify(BETA_SWEEP_MATRIX, [0] * 5).configuration
+        lattice = config.face_lattice()
+        facet = next(f for f in lattice if len(f.indices) == 4)
+        classify(BETA_SWEEP_MATRIX, planted_beta(rng, config, facet))
+        reduced, original = [], intlinalg._hermite_rows
+        for module in package_modules():
+            if getattr(module, "_hermite_rows", None) is original:
+                monkeypatch.setattr(
+                    module, "_hermite_rows",
+                    lambda h, width: reduced.append(sorted(map(tuple, h))) or original(h, width),
+                )
+        above_one = 0
+        for _ in range(20):
+            for beta in betas_of_every_kind(rng, config, rng.choice(lattice)):
+                before = len(reduced)
+                result = classify(BETA_SWEEP_MATRIX, beta)
+                large = [sorted(config.column(j) for j in f.indices)
+                         for f, vol in zip(result.centers, result.face_volumes)
+                         if vol is not None and vol > 1]
+                above_one += len(large)
+                assert all(rows in large for rows in reduced[before:])
+        assert 0 < len(reduced) <= above_one
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_classify_runs_no_smith_form(self, monkeypatch, name):
         calls = spy_on(monkeypatch, "smith_normal_form")
@@ -401,24 +438,25 @@ class TestCacheStructure:
         assert not any(hasattr(m, "solve_rational") for m in package_modules())
         beta_solves, integer_solves = [], []
         original_beta = cones._gauss_rat_coordinates
-        original = intlinalg.hermite_coordinates
+        original = intlinalg._hermite_solutions
 
         def beta_spy(*args):
             beta_solves.append(sys._getframe(1).f_code.co_name)
             return original_beta(*args)
 
         def spy(*args):
-            x = original(*args)
-            caller = sys._getframe(1).f_code.co_name
-            if caller != "_gauss_rat_coordinates":
-                integer_solves.append(x is not None and all(q.denominator == 1 for q in x))
-            return x
+            solutions = list(original(*args))
+            if sys._getframe(1).f_code.co_name != "_gauss_rat_coordinates":
+                integer_solves.extend(
+                    x is not None and all(q.denominator == 1 for q in x) for x in solutions
+                )
+            return iter(solutions)
 
         for module in package_modules():
             if getattr(module, "_gauss_rat_coordinates", None) is original_beta:
                 monkeypatch.setattr(module, "_gauss_rat_coordinates", beta_spy)
-            if getattr(module, "hermite_coordinates", None) is original:
-                monkeypatch.setattr(module, "hermite_coordinates", spy)
+            if getattr(module, "_hermite_solutions", None) is original:
+                monkeypatch.setattr(module, "_hermite_solutions", spy)
         matrix, beta, _ = GOLDEN_CASES[name]
         A = IntMatrix(json.loads(matrix))
         cones._normalize_matrix.cache_clear()
@@ -474,3 +512,63 @@ class TestCacheStructure:
         assert factored == [INDEX_FOUR.transpose(), config.A.transpose()]
         assert config.A == QUADRIC and B @ config.A == INDEX_FOUR
         assert beta == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))
+
+
+class TestCenterVolumes:
+    """classify's center volumes, with each center's rank taken from the walk.
+
+    Every volume equals the oracle that always triangulates.  A proper
+    center whose distinct nonzero columns are as many as its rank (computed
+    here over Q) is unimodular and never reaches the Hermite reduction; only
+    the others do, each once per configuration.
+    """
+
+    @staticmethod
+    def configurations():
+        # Signed entries give non-pointed cones; a duplicate or a zero column
+        # goes into two of every three, and beta_sweep's A comes last.
+        rng = random.Random(2027)
+        for k in range(200):
+            config = random_configuration(rng, dmax=4, nmax=7, lo=-3 if k % 2 else 0)
+            columns = list(config.A.columns())
+            if k % 3 == 1:
+                columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+            elif k % 3 == 2:
+                columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
+            yield IntMatrix.from_columns(columns, config.d), rng
+        yield BETA_SWEEP_MATRIX, rng
+
+    def test_center_volumes_match_the_triangulating_oracle(self, monkeypatch):
+        reduced = []
+        original = volume._hermite_reduce
+        monkeypatch.setattr(
+            volume, "_hermite_reduce", lambda columns: reduced.append(columns) or original(columns)
+        )
+        kinds = {"counted": 0, "reduced": 0, "full": 0, "nonpointed": 0}
+        for A, rng in self.configurations():
+            cones._normalize_matrix.cache_clear()
+            config = classify(A, [0] * A.rows).configuration
+            kinds["nonpointed"] += config.lineality_columns != ()
+            lattice = config.face_lattice()
+            faces = lattice if A is BETA_SWEEP_MATRIX else [rng.choice(lattice)]
+            for beta in (b for face in faces for b in betas_of_every_kind(rng, config, face)):
+                before = len(reduced)
+                result = classify(A, beta)
+                uncounted = []
+                for face, vol in zip(result.centers, result.face_volumes):
+                    if not face.indices:
+                        assert vol is None
+                        continue
+                    assert vol == triangulated_face_volume(config, face)
+                    columns = [config.column(j) for j in face.indices]
+                    rank = fraction_elimination(columns)[0]
+                    if len(face.indices) == config.n:
+                        kinds["full"] += 1
+                    elif len(set(columns) - {(0,) * config.d}) == rank:
+                        assert vol == 1
+                        kinds["counted"] += 1
+                    else:
+                        uncounted.append(columns)
+                        kinds["reduced"] += 1
+                assert all(columns in uncounted for columns in reduced[before:])
+        assert min(kinds.values()) > 20, kinds

@@ -276,18 +276,27 @@ class TestCoverRelation:
 
 
 class TestFaceTestCount:
-    """The walk prunes from both ends: it runs few face tests."""
+    """The walk prunes from both ends: it runs few face tests.
+
+    One test is a face's congruences (_passes) or one facet normal of the
+    facet sweep (_member_facets), which tests them all in one call.
+    """
 
     @pytest.fixture
     def tests_run(self, monkeypatch):
         calls = []
-        original = resonance._passes
+        passes, sweep = resonance._passes, resonance._member_facets
 
         def counting(*args):
             calls.append(1)
-            return original(*args)
+            return passes(*args)
+
+        def sweeping(facets, *scaled):
+            calls.extend([1] * len(facets))
+            return sweep(facets, *scaled)
 
         monkeypatch.setattr(resonance, "_passes", counting)
+        monkeypatch.setattr(resonance, "_member_facets", sweeping)
         return calls
 
     def test_generic_beta_tests_the_facets_and_the_minimal_face(self, tests_run):
