@@ -33,6 +33,7 @@ from .errors import (
     InternalInconsistency,
     LatticeNotSaturated,
     RankDeficient,
+    ScaleLimit,
 )
 from .intlinalg import (
     GaussRat,
@@ -57,6 +58,10 @@ Parameter = tuple[GaussRat, ...]
 # is_face; the benchmark change of ROADMAP item 1 lifts that pin and deletes
 # this constant together with the brute path.
 BRUTE_FORCE_LIMIT = 3
+
+# A Fourier-Motzkin stage builds (positive rows) * (negative rows) + (the rest)
+# rows; above this it raises ScaleLimit.  The test suite's largest stage has 756.
+FOURIER_MOTZKIN_ROW_LIMIT = 10_000
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -159,10 +164,6 @@ class Configuration:
             raise DimensionMismatch(f"column label {label} out of range 1..{self.n}")
         return self.A.column(label - 1)
 
-    def submatrix(self, labels: Iterable[int]) -> IntMatrix:
-        cols = [self.column(j) for j in sorted(set(labels))]
-        return IntMatrix.from_columns(cols, self.d)
-
     @property
     @per_configuration
     def kernel(self) -> tuple[IntVec, ...]:
@@ -230,7 +231,7 @@ def fourier_motzkin_point(
     primitive integer rows (coeffs..., rhs), variables left to right.
     Back-substitution always picks the tightest lower bound (or the upper
     bound when unbounded below, or 0 when unconstrained).  Returns None when
-    infeasible.
+    infeasible; a stage above FOURIER_MOTZKIN_ROW_LIMIT rows raises ScaleLimit.
     """
     current = _primitive_rows(
         clear_denominators(tuple(coeffs) + (rhs,)) for coeffs, rhs in inequalities
@@ -240,10 +241,13 @@ def fourier_motzkin_point(
         stages.append(current)
         positive = [row for row in current if row[k] > 0]
         negative = [row for row in current if row[k] < 0]
+        kept = [row for row in current if row[k] == 0]
+        if len(kept) + len(positive) * len(negative) > FOURIER_MOTZKIN_ROW_LIMIT:
+            raise ScaleLimit(f"Fourier-Motzkin stage exceeds {FOURIER_MOTZKIN_ROW_LIMIT} rows")
         combined = [
             tuple(-n[k] * x + p[k] * y for x, y in zip(p, n)) for p in positive for n in negative
         ]
-        current = _primitive_rows([row for row in current if row[k] == 0] + combined)
+        current = _primitive_rows(kept + combined)
         if any(not any(row[:-1]) for row in current):
             return None
     if current:  # all variables eliminated: only rows 0 >= rhs > 0 remain

@@ -189,30 +189,10 @@ class IntMatrix:
             tuple(self.column(j) for j in range(self.cols)), cols=self.rows
         )
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        tcols = other.columns()
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in tcols)
-                for row in self.data
-            ),
-            cols=other.cols,
-        )
-
     def mat_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        return det_int(self.data)
-
-    def rank(self) -> int:
-        return rank_int(self.data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -243,25 +223,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination (Bareiss 1968).
-
-    Returns (rank, sign, last_pivot): the parity of the row swaps and the
-    last nonzero pivot (1 if none).  Each step updates the rows below the
-    pivot to minors of the input, so each division is exact.
-    """
+def rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by fraction-free (Bareiss 1968) elimination: every division is exact."""
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rank, sign, prev = 0, 1, 1
+    rank, prev = 0, 1
     for c in range(ncols):
         for i in range(rank, nrows):
             if m[i][c]:
                 break
         else:
             continue
-        if i != rank:
-            m[rank], m[i] = m[i], m[rank]
-            sign = -sign
+        m[rank], m[i] = m[i], m[rank]
         top = m[rank]
         p = top[c]
         for row in m[rank + 1:]:
@@ -270,18 +243,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 row[j] = (row[j] * p - x * top[j]) // prev
         prev = p
         rank += 1
-    return rank, sign, prev
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square matrix: the signed last Bareiss pivot."""
-    rank, sign, last_pivot = _bareiss(rows)
-    return sign * last_pivot if rank == len(rows) else 0
-
-
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q, by Bareiss elimination in integers."""
-    return _bareiss(rows)[0]
+    return rank
 
 
 def _apply_row_pair(mat: list[list[int]], i: int, k: int, a: int, b: int, c: int, d: int):
@@ -453,31 +415,23 @@ def hermite_kernel_basis(H: IntMatrix, U: IntMatrix) -> tuple[IntVec, ...]:
     """Canonical basis of the left kernel lattice {u : u*M = 0}, given U*M = H.
 
     The rows of the unimodular U whose H row is zero span it (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4), returned in
-    HNF-canonical order: a deterministic function of M, () when trivial.
-    cones._perp_kernel reads each face's lattice so on plain rows.
+    Course in Computational Algebraic Number Theory, 2.4), put in HNF-canonical
+    order by one transform-free pass (as cones._perp_lattice_basis does): a
+    deterministic function of M, () when trivial.
     """
-    basis = [u for u, h in zip(U.data, H.data) if not any(h)]
-    if not basis:
-        return ()
-    return hermite_normal_form(IntMatrix(basis, cols=U.cols))[0].data
-
-
-def hermite_coordinates(rows: Sequence[Sequence[int]], v: Sequence) -> Optional[tuple]:
-    """The unique x over Q with v = sum x_i rows[i], or None when v is outside their span.
-
-    rows are the nonzero rows of a row Hermite form: independent, and each
-    leading entry lies right of the one before.  Forward substitution on the
-    leading entries clears one entry of the residue per row, since later
-    rows vanish there, so v is in the span exactly when the residue ends at
-    zero.  An exact quotient stays an int; v lies in the lattice of the rows
-    exactly when every coordinate is integral.
-    """
-    return next(_hermite_solutions(rows, [v]))
+    basis = [list(u) for u, h in zip(U.data, H.data) if not any(h)]
+    _hermite_rows(basis, U.cols)
+    return tuple(map(tuple, basis))
 
 
 def _hermite_solutions(rows: Sequence[Sequence[int]], vectors: Iterable[Sequence]):
-    """hermite_coordinates of each vector in turn, the pivots of the rows read once."""
+    """For each vector v, the unique x over Q with v = sum x_i rows[i], or None if there is none.
+
+    rows are the nonzero rows of a row Hermite form, whose pivots are read
+    once.  Forward substitution clears one entry of the residue per row, as
+    later rows vanish there; an exact quotient stays an int, so v lies in
+    the lattice of the rows exactly when every coordinate is integral.
+    """
     pivots = [next(k for k, x in enumerate(row) if x) for row in rows]
     for v in vectors:
         residue, coords = list(v), []

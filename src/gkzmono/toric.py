@@ -60,11 +60,6 @@ class Binomial:
         if any(min(p, m) != 0 for p, m in zip(self.plus, self.minus)):
             raise ValueError("binomial monomials must be coprime")
 
-    @property
-    def exponent(self) -> IntVec:
-        """The kernel vector plus - minus."""
-        return tuple(p - m for p, m in zip(self.plus, self.minus))
-
     def to_json(self) -> dict:
         return {"plus": list(self.plus), "minus": list(self.minus)}
 

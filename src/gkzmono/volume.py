@@ -124,7 +124,8 @@ def _placing_triangulation(points: dict[int, IntVec], d: int) -> list[tuple[Simp
 
     place(seed, seed_det)
     for label, p in [(l, points[l]) for l in labels if l not in seed]:
-        for facet, (simplex, simplex_det, dropped, birth) in sorted(boundary.items()):
+        # A snapshot: p lies on none of its facets, so their order does not matter.
+        for facet, (simplex, simplex_det, dropped, birth) in list(boundary.items()):
             if simplex not in forms:
                 forms[simplex] = _derived_forms(*birth, simplex_det)
             value = sum(map(mul, forms[simplex][dropped], p))

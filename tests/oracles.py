@@ -22,11 +22,12 @@ resonance centers, their uniqueness or volumes, so it checks classify from
 the outside.
 
 solve_rational is the Gauss-Jordan reference for the runtime's one exact
-solver, forward substitution on Hermite rows (intlinalg.hermite_coordinates).
+solver, forward substitution on Hermite rows (intlinalg._hermite_solutions).
 fraction_elimination is the rank and determinant by elimination over Q, the
-reference for the Bareiss elimination (intlinalg.det_int, rank_int), and
-cofactor_adjugate the adjugate from signed minors, the reference for the
-seed simplex's facet forms (volume._seed_simplex).
+reference for the Bareiss rank (intlinalg.rank_int) and for every rank and
+determinant a test needs, and cofactor_adjugate the adjugate from signed
+minors, the reference for the seed simplex's facet forms
+(volume._seed_simplex).  matmul is the plain matrix product.
 
 facets_by_subset_normals lists the facets from the hyperplanes through d - 1
 independent columns, the reference for the double description
@@ -40,11 +41,20 @@ lattice they generate, the reference for the unimodular identity that
 volume._face_volume reads off a face's rank.
 
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
-through validated IntMatrix Hermite forms, the reference for the plain-row
-reduction in cones._perp_lattice_basis and, up to a Hermite form, for the
-kernel rows that the resonance table keeps (cones._perp_kernel).
+through the IntMatrix Hermite form of the face matrix, the reference for
+the reduction of the face's own rows in cones._perp_lattice_basis and, up
+to a Hermite form, for the kernel rows that the resonance table keeps
+(cones._perp_kernel).
+
+face_lattice_axiom_failures checks the face lattice and the resonance
+table's cover relation against the axioms of a face lattice (Ziegler,
+Lectures on Polytopes, 1995, Thm 2.7 and Cor 8.17), with inclusion read
+off the column sets and ranks from fraction_elimination: meets are faces,
+every interval of length 2 is a diamond, the covers are the inclusions of
+rank step 1, and the Euler sum vanishes.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -64,7 +74,8 @@ from gkzmono import (
     smith_normal_form,
 )
 from gkzmono.cones import per_configuration
-from gkzmono.intlinalg import hermite_coordinates, hermite_kernel_basis
+from gkzmono.intlinalg import _hermite_solutions, hermite_kernel_basis
+from gkzmono.resonance import _resonance_table
 from gkzmono.volume import _volume_of_matrix
 
 
@@ -91,7 +102,7 @@ def related_columns_by_distinct_kernel(config):
 
 def is_pyramid_rank(config, face):
     """d = #distinct columns outside the face + rank of the face span."""
-    face_rank = config.submatrix(face.indices).rank() if face.indices else 0
+    face_rank = fraction_elimination([config.column(j) for j in face.indices])[0]
     return config.d == len(outside_vectors(config, face)) + face_rank
 
 
@@ -154,7 +165,7 @@ def _apex(config):
     """A distinct column whose removal, with its copies, leaves rank d-1."""
     for v in distinct_columns(config):
         rest = [c for c in config.A.columns() if c != v]
-        if (IntMatrix.from_columns(rest, config.d).rank() if rest else 0) == config.d - 1:
+        if fraction_elimination(rest)[0] == config.d - 1:
             return v
     return None
 
@@ -250,6 +261,18 @@ def fraction_elimination(rows):
     return rank, int(det) if rank == nrows else 0
 
 
+def matmul(*matrices):
+    """The product of IntMatrix factors, left to right."""
+    product = matrices[0]
+    for M in matrices[1:]:
+        if product.cols != M.rows:
+            raise DimensionMismatch("matrix product shape mismatch")
+        columns = M.columns()
+        product = IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in columns]
+                             for row in product.data], cols=M.cols)
+    return product
+
+
 def cofactor_adjugate(rows):
     """adj(M) oracle: entry (i, j) is the signed minor of M without row j and column i."""
     n = len(rows)
@@ -323,7 +346,7 @@ def feasible_point_by_minimal_faces(rows, nvars):
         row = [Fraction(x) for x in (*coeffs, rhs)]
         scale = lcm(*(q.denominator for q in row))
         scaled.append([int(q * scale) for q in row])
-    rank = IntMatrix([row[:-1] for row in scaled], cols=nvars).rank()
+    rank = fraction_elimination([row[:-1] for row in scaled])[0]
     for subset in combinations(scaled, rank):
         system = IntMatrix([row[:-1] for row in subset], cols=nvars)
         y = solve_rational(system, [row[-1] for row in subset])
@@ -337,10 +360,11 @@ def feasible_point_by_minimal_faces(rows, nvars):
 def perp_lattice_by_hermite_forms(config, labels):
     """Saturated basis of {w in Z^d : w . a_j = 0 for j in labels}.
 
-    The kernel rows of the transform of the face matrix's Hermite form, put
-    in canonical order by a second Hermite form, each on IntMatrix.
+    The kernel rows of the transform of the IntMatrix Hermite form of the
+    face matrix, put in canonical order by hermite_kernel_basis.
     """
-    return hermite_kernel_basis(*hermite_normal_form(config.submatrix(labels)))
+    face = IntMatrix.from_columns([config.column(j) for j in labels], config.d)
+    return hermite_kernel_basis(*hermite_normal_form(face))
 
 
 def triangulated_face_volume(config, face):
@@ -348,4 +372,58 @@ def triangulated_face_volume(config, face):
     columns = [config.column(j) for j in face.indices]
     H, _ = hermite_normal_form(IntMatrix(columns, cols=config.d))
     basis = [row for row in H.data if any(row)]
-    return _volume_of_matrix([hermite_coordinates(basis, col) for col in columns]).volume
+    return _volume_of_matrix(list(_hermite_solutions(basis, columns))).volume
+
+
+def face_lattice_axiom_failures(config):
+    """The face-lattice axioms that config's faces and resonance table break ([] if none).
+
+    Inclusion is read off the column sets and each face's rank is the rank
+    of its columns (fraction_elimination), never the table's.  Meets: every
+    face is the meet of the coatoms above it, and a face meets each coatom
+    in a face; by induction over the coatoms above one face, the meet of any
+    two faces is then a face.  Then every interval of length 2 has exactly
+    two middle faces, the table's covers are the inclusions of rank step 1,
+    and with more than one face the sum of (-1)^rank vanishes.
+    """
+    faces = config.face_lattice()
+    masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
+    ranks = [fraction_elimination([config.column(j) for j in f.indices])[0] for f in faces]
+    full, known, failures = (1 << config.n) - 1, set(masks), []
+    if len(known) != len(masks) or full not in known:
+        failures.append("faces repeat or miss the full face")
+    top = max(ranks)
+    coatoms = [m for m, r in zip(masks, ranks) if r == top - 1]
+    for mask in masks:
+        meet = full
+        for coatom in coatoms:
+            if coatom & mask == mask:
+                meet &= coatom
+            if coatom & mask not in known:
+                failures.append(f"a meet with a coatom is not a face: {mask:b} & {coatom:b}")
+        if mask != meet:
+            failures.append(f"a face is not the meet of the coatoms above it: {mask:b}")
+    level: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        level.setdefault(r, []).append(i)
+
+    def above(i, step):
+        return [k for k in level.get(ranks[i] + step, ()) if masks[i] & masks[k] == masks[i]]
+
+    covers = [above(i, 1) for i in range(len(faces))]
+    for i in range(len(faces)):
+        middles = Counter(k for j in covers[i] for k in covers[j])
+        if any(middles[k] != 2 for k in above(i, 2)):
+            failures.append(f"an interval of length 2 above {masks[i]:b} is not a diamond")
+    table = _resonance_table(config)
+    if table.faces != faces:
+        failures.append("the table's faces are not the face lattice")
+    below = [set() for _ in faces]
+    for i, up in enumerate(covers):
+        for k in up:
+            below[k].add(i)
+    if [set(b) for b in table.below] != below:
+        failures.append("the table's covers are not the inclusions of rank step 1")
+    if len(faces) > 1 and sum((-1) ** r for r in ranks):
+        failures.append("the Euler sum of the face lattice is not 0")
+    return failures

@@ -9,6 +9,7 @@ from gkzmono import (
     RankDeficient,
     reduce_configuration,
 )
+from oracles import fraction_elimination
 
 # The benchmark's beta_sweep configuration: pointed, d = 5, n = 12, 140 faces
 # and 26 facets.
@@ -50,7 +51,7 @@ def random_full_rank_matrix(rng, dmax=3, nmax=5, lo=-3, hi=3):
         d = rng.randint(1, dmax)
         n = rng.randint(d, nmax)
         M = IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(d)])
-        if M.rank() == d:
+        if fraction_elimination(M.data)[0] == d:
             return M
 
 

@@ -25,7 +25,7 @@ from gkzmono import (
     resonance_centers,
     toric_ideal_generators,
 )
-from oracles import ORACLES
+from oracles import ORACLES, fraction_elimination, matmul
 from sweeps import (
     random_beta,
     random_configuration,
@@ -132,7 +132,7 @@ def test_criterion_07_invariance_sweep():
             for _ in range(10):
                 U = random_unimodular(rng, A.rows)
                 beta_u = U.mat_vec([Fraction(b) for b in beta])
-                assert classify(U @ A, beta_u).verdict == base
+                assert classify(matmul(U, A), beta_u).verdict == base
 
 
 def test_criterion_08_volume_values():
@@ -148,8 +148,9 @@ def test_criterion_08_volume_values():
         for _ in range(30):
             d = rng.randint(1, 4)
             M = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
-            if M.det() != 0:
-                assert _volume_of_matrix(M.columns()).volume == abs(M.det())
+            det = fraction_elimination(M.data)[1]
+            if det != 0:
+                assert _volume_of_matrix(M.columns()).volume == abs(det)
 
 
 def test_criterion_09_rank_evidence_inequality():

@@ -401,7 +401,8 @@ class TestDenseFiveByEight:
 
     Brute-force face enumeration ran out of memory on it, so it runs in a
     child process with bounded memory and time; inside, classify and the
-    faces command must each finish well within a second.
+    faces command must each finish well within a second, and brute force
+    must stop at the Fourier-Motzkin row limit within two.
     """
 
     A = DENSE_FIVE_BY_EIGHT
@@ -422,6 +423,18 @@ print(json.dumps([result["verdict"], result["centers"], classify_s,
                   code, json.loads(out.getvalue())["faces"], faces_s]))
 """
 
+    BRUTE_CHILD = """
+import json, sys, time
+from gkzmono import Configuration, IntMatrix, ScaleLimit, enumerate_faces
+config = Configuration(IntMatrix(json.loads(sys.argv[1])))
+start = time.perf_counter()
+try:
+    outcome = len(enumerate_faces(config, "brute"))
+except ScaleLimit:
+    outcome = "ScaleLimit"
+print(json.dumps([outcome, time.perf_counter() - start]))
+"""
+
     @staticmethod
     def limit_memory():
         import resource
@@ -440,3 +453,15 @@ print(json.dumps([result["verdict"], result["centers"], classify_s,
         assert (verdict, centers) == ("Irreducible", [full])
         assert (code, [face["indices"] for face in faces]) == (0, [full])
         assert classify_s < 1 and faces_s < 1
+
+    def test_brute_force_stops_at_the_row_limit(self):
+        # The empty face's eight inequalities in five variables would make
+        # Fourier-Motzkin stages of about 8, 16, 64, 1024 and 262144 rows.
+        result = subprocess.run(
+            [sys.executable, "-c", self.BRUTE_CHILD, json.dumps(self.A)],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+            preexec_fn=self.limit_memory,
+        )
+        assert result.returncode == 0, result.stderr
+        outcome, seconds = json.loads(result.stdout)
+        assert outcome == "ScaleLimit" and seconds < 2

@@ -15,6 +15,7 @@ from gkzmono import (
     InternalInconsistency,
     LatticeNotSaturated,
     RankDeficient,
+    ScaleLimit,
     cones,
     enumerate_faces,
     fourier_motzkin_point,
@@ -25,8 +26,11 @@ from gkzmono import (
 )
 from gkzmono.cones import per_configuration
 from oracles import (
+    face_lattice_axiom_failures,
     facets_by_subset_normals,
     feasible_point_by_minimal_faces,
+    fraction_elimination,
+    matmul,
     perp_lattice_by_hermite_forms,
     solve_rational,
 )
@@ -119,7 +123,7 @@ class TestReduce:
         assert config.A == IntMatrix.identity(2)
         assert B == IntMatrix([[2, 0], [0, 1]])
         assert beta == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3)))
-        assert B @ config.A == IntMatrix([[2, 0], [0, 1]])
+        assert matmul(B, config.A) == IntMatrix([[2, 0], [0, 1]])
 
     def test_single_row_gcd(self):
         config, beta, B = reduce_configuration(IntMatrix([[2, 4]]), ["3"])
@@ -131,7 +135,7 @@ class TestReduce:
         raw = IntMatrix([[1, 2], [2, 4]])
         config, beta, B = reduce_configuration(raw, ["1", "2"])
         assert config.d == 1
-        assert B @ config.A == raw
+        assert matmul(B, config.A) == raw
 
     def test_beta_outside_span(self):
         with pytest.raises(BetaOutsideSpan):
@@ -151,9 +155,9 @@ class TestReduce:
             try:
                 config, _, B = reduce_configuration(raw, beta)
             except RankDeficient:
-                assert raw.rank() == 0
+                assert fraction_elimination(raw.data)[0] == 0
                 continue
-            assert B @ config.A == raw
+            assert matmul(B, config.A) == raw
 
 
 def hermite_reduce_by_solving(A_raw):
@@ -177,7 +181,7 @@ class TestHermiteReduce:
         A = IntMatrix.from_columns(coordinates, len(basis))
         B = IntMatrix.from_columns(basis, A_raw.rows)
         assert (A, B) == hermite_reduce_by_solving(A_raw)
-        assert B @ A == A_raw
+        assert matmul(B, A) == A_raw
 
     def test_face_submatrices(self):
         rng = random.Random(101)
@@ -185,7 +189,7 @@ class TestHermiteReduce:
         for _ in range(30):
             config = random_configuration(rng, dmax=4, nmax=7)
             for face in config.face_lattice():
-                sub = config.submatrix(face.indices)
+                sub = IntMatrix.from_columns([config.column(j) for j in face.indices], config.d)
                 if any(map(any, sub.data)):
                     self.assert_matches_reference(sub)
                     checked += 1
@@ -199,8 +203,8 @@ class TestHermiteReduce:
             d = config.d
             diagonal = IntMatrix([[index if i == j == d - 1 else int(i == j)
                                    for j in range(d)] for i in range(d)])
-            M = random_unimodular(rng, d) @ diagonal @ random_unimodular(rng, d)
-            A_raw = M @ config.A
+            M = matmul(random_unimodular(rng, d), diagonal, random_unimodular(rng, d))
+            A_raw = matmul(M, config.A)
             self.assert_matches_reference(A_raw)
             _, basis = cones._hermite_reduce(A_raw.columns())
             assert len(basis) == d
@@ -243,7 +247,8 @@ class TestPerpLatticeBasis:
         for config in configs:
             for k in range(config.n + 1):
                 for labels in combinations(range(1, config.n + 1), k):
-                    expected = kernel_lattice_basis(config.submatrix(labels).transpose())
+                    face = IntMatrix([config.column(j) for j in labels], cols=config.d)
+                    expected = kernel_lattice_basis(face)
                     assert cones._perp_lattice_basis(config, labels) == expected
 
     def test_matches_the_hermite_form_oracle_on_every_face(self):
@@ -322,6 +327,35 @@ class TestFourierMotzkin:
         assert fourier_motzkin_point([], 2) == (0, 0)
         assert fourier_motzkin_point([((), 0)], 0) == ()
         assert fourier_motzkin_point([((), 1)], 0) is None
+
+    def test_a_stage_above_the_row_limit_raises(self, monkeypatch):
+        # Three rows positive and four negative in y1, and one free of it,
+        # make a second stage of 3 * 4 + 1 rows.
+        rows = [((1, k), 0) for k in range(3)] + [((-1, k), -5) for k in range(4)]
+        rows.append(((0, 1), 0))
+        monkeypatch.setattr(cones, "FOURIER_MOTZKIN_ROW_LIMIT", 13)
+        assert fourier_motzkin_point(rows, 2) is not None
+        monkeypatch.setattr(cones, "FOURIER_MOTZKIN_ROW_LIMIT", 12)
+        with pytest.raises(ScaleLimit):
+            fourier_motzkin_point(rows, 2)
+
+
+class TestFaceLatticeAxioms:
+    """The face lattice and the resonance table's covers obey the face-lattice axioms."""
+
+    def test_random_configurations(self):
+        rng = random.Random(139)
+        configs = [random_configuration(rng, dmax=5, nmax=8, lo=-3 * (k % 2))
+                   for k in range(300)]
+        pointed = [c.lineality_columns == () for c in configs]
+        assert any(pointed) and not all(pointed)
+        for config in configs:
+            assert face_lattice_axiom_failures(config) == []
+
+    @pytest.mark.parametrize("d, n", [(6, 16), (7, 18)], ids=["cone_6_16", "cone_7_18"])
+    def test_wide_cones(self, d, n):
+        config = random_homogeneous_configuration(random.Random(5), d, n)
+        assert face_lattice_axiom_failures(config) == []
 
 
 class TestFacets:

@@ -18,8 +18,8 @@ from gkzmono import (
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import det_int, hermite_coordinates, primitive_vector, rank_int
-from oracles import fraction_elimination, solve_rational
+from gkzmono.intlinalg import _hermite_solutions, primitive_vector, rank_int
+from oracles import fraction_elimination, matmul, solve_rational
 from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -79,9 +79,9 @@ class TestHermite:
     def test_2x2_with_remultiplication_oracle(self):
         M = IntMatrix([[2, 4], [1, 3]])
         H, U = hermite_normal_form(M)
-        assert U @ M == H
-        assert abs(U.det()) == 1
-        assert abs(H.det()) == 2
+        assert matmul(U, M) == H
+        assert abs(fraction_elimination(U.data)[1]) == 1
+        assert abs(fraction_elimination(H.data)[1]) == 2
         assert is_hermite_canonical(H)
 
     @settings(max_examples=80, deadline=None)
@@ -89,8 +89,8 @@ class TestHermite:
     def test_properties(self, rows):
         M = IntMatrix(rows)
         H, U = hermite_normal_form(M)
-        assert U @ M == H
-        assert abs(U.det()) == 1
+        assert matmul(U, M) == H
+        assert abs(fraction_elimination(U.data)[1]) == 1
         assert is_hermite_canonical(H)
         # canonical form is a fixed point
         H2, _ = hermite_normal_form(H)
@@ -118,16 +118,16 @@ class TestSmith:
         M = IntMatrix(rows)
         snf = smith_normal_form(M)
         assert snf.invariant_factors() == factors
-        assert snf.U @ M @ snf.V == snf.S
+        assert matmul(snf.U, M, snf.V) == snf.S
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrices)
     def test_properties(self, rows):
         M = IntMatrix(rows)
         snf = smith_normal_form(M)
-        assert snf.U @ M @ snf.V == snf.S
-        assert abs(snf.U.det()) == 1
-        assert abs(snf.V.det()) == 1
+        assert matmul(snf.U, M, snf.V) == snf.S
+        assert abs(fraction_elimination(snf.U.data)[1]) == 1
+        assert abs(fraction_elimination(snf.V.data)[1]) == 1
         diag = [snf.S.data[i][i] for i in range(min(M.rows, M.cols))]
         for i in range(M.rows):
             for j in range(M.cols):
@@ -158,7 +158,7 @@ class TestKernel:
     def test_kernel_properties(self, rows):
         M = IntMatrix(rows)
         basis = kernel_lattice_basis(M)
-        assert len(basis) == M.cols - M.rank()
+        assert len(basis) == M.cols - fraction_elimination(M.data)[0]
         for u in basis:
             assert M.mat_vec(u) == tuple(0 for _ in range(M.rows))
         # saturation: small integer kernel vectors must already be members.
@@ -167,12 +167,12 @@ class TestKernel:
         if M.cols <= 3:
             for cand in itertools.product(range(-3, 4), repeat=M.cols):
                 if any(cand) and M.mat_vec(cand) == tuple(0 for _ in range(M.rows)):
-                    coords = hermite_coordinates(basis, cand)
+                    coords = next(_hermite_solutions(basis, [cand]))
                     assert coords is not None and all(q.denominator == 1 for q in coords)
 
 
 class TestAgainstTheReplacedAlgorithms:
-    """The Hermite kernel and Bareiss rank/det against the algorithms they replaced."""
+    """The Hermite kernel and Bareiss rank against the algorithms they replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -187,7 +187,7 @@ class TestAgainstTheReplacedAlgorithms:
         for _ in range(100):
             config = random_configuration(rng)
             for face in config.face_lattice():
-                M = config.submatrix(face.indices).transpose()
+                M = IntMatrix([config.column(j) for j in face.indices], cols=config.d)
                 assert kernel_lattice_basis(M) == smith_kernel(M)
                 checked += 1
         assert checked > 500
@@ -213,10 +213,11 @@ class TestAgainstTheReplacedAlgorithms:
         ],
     )
     def test_rank_and_det_match_fraction_elimination(self, rows):
+        # A square matrix has full Bareiss rank exactly when its determinant is nonzero.
         rank, det = fraction_elimination(rows)
         assert rank_int(rows) == rank
         if det is not None:
-            assert det_int(rows) == det
+            assert (rank_int(rows) == len(rows)) == (det != 0)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -225,7 +226,7 @@ class TestAgainstTheReplacedAlgorithms:
             rank, det = fraction_elimination(m)
             assert rank_int(m) == rank
             if det is not None:
-                assert det_int(m) == det
+                assert (rank_int(m) == len(m)) == (det != 0)
 
 
 def seeded_vectors(rng):
@@ -301,12 +302,12 @@ class TestHermiteCoordinates:
                 continue
             coeffs = [rng.randint(-5, 5) for _ in rows]
             planted = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(n))
-            assert hermite_coordinates(rows, planted) == tuple(coeffs)
+            assert next(_hermite_solutions(rows, [planted])) == tuple(coeffs)
             third = tuple(Fraction(x, 3) for x in planted)
-            assert hermite_coordinates(rows, third) == tuple(Fraction(c, 3) for c in coeffs)
+            assert next(_hermite_solutions(rows, [third])) == tuple(Fraction(c, 3) for c in coeffs)
             for v in (tuple(rng.randint(-6, 6) for _ in range(n)), planted, third):
                 x = solve_rational(IntMatrix(rows).transpose(), v)
-                coords = hermite_coordinates(rows, v)
+                coords = next(_hermite_solutions(rows, [v]))
                 if x is None:
                     kinds["outside"] += 1
                     assert coords is None
@@ -404,12 +405,6 @@ class TestIntMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatch):
             IntMatrix([[1, 2], [3]])
-
-    def test_det_and_rank(self):
-        M = IntMatrix([[2, 4], [1, 3]])
-        assert M.det() == 2
-        assert M.rank() == 2
-        assert IntMatrix([[1, 2], [2, 4]]).rank() == 1
 
     def test_hashable_and_immutable(self):
         M = IntMatrix([[1]])

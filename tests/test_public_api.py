@@ -84,7 +84,7 @@ def public_members(cls):
 def test_configuration_members_are_pinned():
     # d is the only name for the number of rows.
     assert public_members(Configuration) == [
-        "column", "d", "face_lattice", "kernel", "lineality_columns", "n", "submatrix",
+        "column", "d", "face_lattice", "kernel", "lineality_columns", "n",
     ]
 
 

@@ -8,7 +8,7 @@ from gkzmono import (
     kernel_lattice_basis,
     pyramids,
 )
-from oracles import ORACLES, is_pyramid_rank, related_columns_by_distinct_kernel
+from oracles import ORACLES, is_pyramid_rank, matmul, related_columns_by_distinct_kernel
 from sweeps import face_of, random_configuration, random_unimodular
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -131,7 +131,7 @@ class TestAggregate:
                 )
                 assert is_pyramid(permuted, face_of(permuted, relabeled)) == expected
                 U = random_unimodular(rng, config.d)
-                transformed = Configuration(U @ config.A)
+                transformed = Configuration(matmul(U, config.A))
                 assert is_pyramid(transformed, face_of(transformed, face.indices)) == expected
 
 

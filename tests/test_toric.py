@@ -380,9 +380,6 @@ class TestBinomialType:
         with pytest.raises(ValueError):
             Binomial((1, -1), (0, 0))
 
-    def test_exponent_vector(self):
-        assert Binomial((1, 0, 1), (0, 2, 0)).exponent == (1, -2, 1)
-
     @pytest.mark.parametrize("plus, minus", [((1.7, 0), (0, 2.2)), ((True, 0), (0, 1))])
     def test_exponents_are_not_truncated_or_coerced(self, plus, minus):
         with pytest.raises(TypeError):
