@@ -5,7 +5,7 @@ normalizing the input (which coerces beta once), every resonance center is
 tested for the pyramid property.  Monodromy is irreducible exactly when a
 center is a pyramid base (then it is the only center); otherwise it is
 reducible, and for a nonempty center the strict volume drop face_volume <
-generic rank, read with the rank the walk gives the center, is the evidence.
+generic rank is the evidence.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import InternalInconsistency
 from .intlinalg import IntMatrix
 from .pyramids import is_pyramid
 from .resonance import _walk
-from .volume import _face_volume, generic_rank
+from .volume import face_volume, generic_rank
 
 REDUCIBLE = "Reducible"
 IRREDUCIBLE = "Irreducible"
@@ -62,17 +62,16 @@ class Classification:
 def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     """Classify the monodromy of the system attached to (A, beta).
 
-    Normalizes the input, finds the resonance centers with their ranks, and
-    applies the pyramid criterion to each.  Also asserts two facts the theory
+    Normalizes the input, finds the resonance centers, and applies the
+    pyramid criterion to each.  Also asserts two facts the theory
     guarantees: a pyramid center is the unique center, and a reducible
     verdict with a nonempty center comes with a strict volume drop.
     """
     config, beta, basis = reduce_configuration(A_raw, beta_raw)
-    report, ranks = _walk(config, beta)
+    report = _walk(config, beta)
     flags = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
-    volumes = tuple(_face_volume(config, f.indices, r) if f.indices else None
-                    for f, r in zip(report.centers, ranks))
+    volumes = tuple(face_volume(config, f) if f.indices else None for f in report.centers)
     if any(flags):
         if len(report.centers) != 1:
             raise InternalInconsistency(

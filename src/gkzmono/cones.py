@@ -135,11 +135,7 @@ class Configuration:
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        self._adopt(A, hermite_normal_form(A.transpose()))
-
-    def _adopt(self, A: IntMatrix, hermite: tuple[IntMatrix, IntMatrix]) -> None:
-        """Validate A by the row Hermite form U*A^T = H of hermite, and keep both."""
-        H, _ = hermite
+        H, U = hermite_normal_form(A.transpose())
         rank = sum(map(any, H.data))
         if rank < A.rows:
             raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
@@ -148,7 +144,7 @@ class Configuration:
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
-        self.hermite = hermite
+        self.hermite = (H, U)
         self._memo: dict = {}
 
     @property
@@ -300,6 +296,12 @@ def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple
     return tuple(map(tuple, basis))
 
 
+def _check_labels(config: Configuration, labels: tuple[int, ...]) -> None:
+    """Raise DimensionMismatch unless the sorted labels are all column labels 1..n."""
+    if labels and (labels[0] < 1 or labels[-1] > config.n):
+        raise DimensionMismatch(f"column labels out of range 1..{config.n}")
+
+
 def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     """Return a Face with an integer witness, or None if subset is not a face.
 
@@ -309,8 +311,7 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     system is homogeneous, so >= 1 is the same as > 0).
     """
     labels = tuple(sorted(set(subset)))
-    if labels and (labels[0] < 1 or labels[-1] > config.n):
-        raise DimensionMismatch(f"column labels out of range 1..{config.n}")
+    _check_labels(config, labels)
     basis = _perp_lattice_basis(config, labels)
     complement = [j for j in range(1, config.n + 1) if j not in labels]
     inequalities = []
@@ -470,36 +471,30 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]
     """(config, B, reduced) with A_raw = B * config.A.
 
     When A_raw is valid as is, B is the identity and reduced is False.
-    Otherwise the Hermite form that failed the validation is reduced.
+    Otherwise its columns are reduced (_hermite_reduce).
     """
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
-    hermite = hermite_normal_form(A_raw.transpose())
-    config = Configuration.__new__(Configuration)
     try:
-        config._adopt(A_raw, hermite)
-        return config, IntMatrix.identity(A_raw.rows), False
+        return Configuration(A_raw), IntMatrix.identity(A_raw.rows), False
     except (RankDeficient, LatticeNotSaturated):
         pass
-    coordinates, basis = _hermite_reduce(A_raw.columns(), hermite[0].data)
+    coordinates, basis = _hermite_reduce(A_raw.columns())
     if not basis:
         raise RankDeficient("all columns are zero")
     B = IntMatrix.from_columns(basis, A_raw.rows)
     return Configuration(IntMatrix.from_columns(coordinates, len(basis))), B, True
 
 
-def _hermite_reduce(
-    columns: Sequence[IntVec], H: Optional[Sequence[IntVec]] = None
-) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+def _hermite_reduce(columns: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """(coordinates, basis): the one Hermite reduction of a column lattice, on plain rows.
 
-    basis is the nonzero rows of the row Hermite form H of the columns as rows (from one
-    transform-free pass unless the caller has H), and column j = sum_i coordinates[j][i]
-    basis[i], integral.  It normalizes user matrices, and gives faces volumes and spans.
+    basis is the nonzero rows of the row Hermite form H of the columns as rows, from one
+    transform-free pass, and column j = sum_i coordinates[j][i] basis[i], integral.  It
+    normalizes user matrices that fail validation, and gives faces volumes and spans.
     """
-    if H is None:
-        H = [list(col) for col in columns]
-        _hermite_rows(H, len(H[0]))
+    H = [list(col) for col in columns]
+    _hermite_rows(H, len(H[0]))
     basis = tuple(tuple(row) for row in H if any(row))
     coordinates = tuple(_hermite_solutions(basis, columns))
     if any(x is None or any(q.denominator != 1 for q in x) for x in coordinates):

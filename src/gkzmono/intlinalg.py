@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, InputError
 
 IntVec = tuple[int, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -14,7 +14,7 @@ pyramid over F exactly when no relation involves a column outside F.
 
 from __future__ import annotations
 
-from .cones import Configuration, Face, per_configuration
+from .cones import Configuration, Face, _check_labels, per_configuration
 from .intlinalg import IntVec
 
 
@@ -40,5 +40,6 @@ def _related_columns(config: Configuration) -> frozenset[int]:
 
 def is_pyramid(config: Configuration, face: Face) -> bool:
     """No toric relation among the distinct columns involves a column outside the face."""
+    _check_labels(config, face.indices)
     return _related_columns(config).issubset(face.indices)
 

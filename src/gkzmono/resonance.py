@@ -12,12 +12,14 @@ The test runs in integers: with L the lcm of the denominators of all real
 and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  Any
 basis of the lattice gives the same test; face_functionals returns the
-canonical one, which the printed congruences read.  A facet's lattice is
-Z*v, v its primitive normal from double description.  The walk reads the
-functionals of every face from a table in lattice order, (size, indices),
-built once per configuration with the cover relation, and only below a
-member facet.  The table keeps any basis: a facet's normal, and for every
-other face the kernel rows of one Hermite pass (cones._perp_kernel).
+canonical one (cones._perp_lattice_basis), which the printed congruences
+read.  A facet's lattice is Z*v, v its primitive normal from double
+description, and its canonical basis is v signed to start positive.  The
+walk reads the functionals of every face from a table in lattice order,
+(size, indices), built once per configuration with the cover relation, and
+only below a member facet.  The table keeps any basis: a facet's normal as
+double description signs it, and for every other face the kernel rows of
+one Hermite pass (cones._perp_kernel).
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -27,9 +29,9 @@ normals are tested in one sweep, imaginary part first; if none passes, the
 full face is the only member and beta is nonresonant.  Otherwise the table
 is built and the walk goes down from the member facets, testing a face only
 once every face covering it is a member (none below a non-member can be).
-The centers are the members with no member directly below them, each with
-its rank, d minus its number of functionals.  A generic parameter costs one
-test per facet and one for the minimal face, and closes no face lattice.
+The centers are the members with no member directly below them.  A generic
+parameter costs one test per facet and one for the minimal face, and closes
+no face lattice.
 
 The same functionals, read face by face without the table, and the Hermite
 basis of the face's columns (cones._hermite_reduce) describe each component
@@ -43,25 +45,14 @@ from math import lcm
 from operator import mul
 
 from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _facets, _hermite_reduce, _perp_kernel, _perp_lattice_basis
+from .cones import _check_labels, _facets, _hermite_reduce, _perp_kernel, _perp_lattice_basis
 from .intlinalg import IntVec
 
 
-@per_configuration
-def _facet_functionals(config: Configuration) -> dict[tuple[int, ...], tuple[IntVec]]:
-    """Facet labels -> DD normal, signed like the Hermite form: first nonzero entry positive."""
-    functionals = {}
-    for normal, mask in _facets(config):
-        sign = 1 if next(x for x in normal if x) > 0 else -1
-        labels = tuple(j + 1 for j in range(config.n) if mask >> j & 1)
-        functionals[labels] = (tuple(sign * x for x in normal),)
-    return functionals
-
-
 def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
-    """Integer functionals whose congruences cut out Z^d + C*span(face)."""
-    facet = _facet_functionals(config).get(face.indices)
-    return facet or _perp_lattice_basis(config, face.indices)
+    """Integer functionals whose congruences cut out Z^d + C*span(face): the canonical basis."""
+    _check_labels(config, face.indices)
+    return _perp_lattice_basis(config, face.indices)
 
 
 @dataclass(frozen=True)
@@ -84,18 +75,19 @@ class _ResonanceTable:
 def _resonance_table(config: Configuration) -> _ResonanceTable:
     """The functionals and covers of every face.
 
-    A facet keeps its DD normal and every other face the kernel rows of one
-    Hermite pass, not the canonical basis of face_functionals: any basis has
-    the same congruences and corank.  G covers F iff G contains F and has
-    rank one more.  The rank of a face is d minus the number of its
-    functionals, and the face lattice of a cone, pointed or not, is graded
-    by rank.
+    A facet keeps its DD normal, found by its position in the lattice, and
+    every other face the kernel rows of one Hermite pass, not the canonical
+    basis of face_functionals: any basis has the same congruences and
+    corank.  G covers F iff G contains F and has rank one more.  The rank of
+    a face is d minus the number of its functionals, and the face lattice of
+    a cone, pointed or not, is graded by rank.
     """
     faces = config.face_lattice()
     masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
-    normals = _facet_functionals(config)
-    functionals = tuple(normals.get(f.indices) or _perp_kernel(config, f.indices) for f in faces)
     position = {mask: i for i, mask in enumerate(masks)}
+    facets = {position[mask]: (normal,) for normal, mask in _facets(config)}  # in _facets order
+    functionals = tuple(facets.get(i) or _perp_kernel(config, f.indices)
+                        for i, f in enumerate(faces))
     by_corank: dict[int, list[int]] = {}
     for i, w in enumerate(functionals):
         by_corank.setdefault(len(w), []).append(i)
@@ -112,7 +104,7 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
         functionals,
         below,
         tuple(cover_counts),
-        tuple(position[mask] for _, mask in _facets(config)),
+        tuple(facets),
     )
 
 
@@ -184,7 +176,7 @@ def _full_face(config: Configuration) -> tuple[Face, ...]:
 
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
-    return _walk(config, as_parameter(beta, config.d))[0]
+    return _walk(config, as_parameter(beta, config.d))
 
 
 def _member_facets(facets, scale: int, re: IntVec, im: IntVec) -> list[int]:
@@ -193,19 +185,19 @@ def _member_facets(facets, scale: int, re: IntVec, im: IntVec) -> list[int]:
             if not (im and sum(map(mul, v, im))) and not sum(map(mul, v, re)) % scale]
 
 
-def _walk(config: Configuration, beta: Parameter) -> tuple[ResonanceReport, tuple[int, ...]]:
-    """resonance_centers on a coerced parameter, and each center's rank."""
+def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
+    """resonance_centers on a coerced parameter."""
     scaled = _scaled(beta)
-    if _passes(lineality := _perp_lattice_basis(config, config.lineality_columns), *scaled):
+    if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
         # The minimal face is a member, hence so is every face above it.
         faces = config.face_lattice()
-        return ResonanceReport(config, beta, faces, faces[:1]), (config.d - len(lineality),)
+        return ResonanceReport(config, beta, faces, faces[:1])
     facets = _facets(config)  # a lone facet is the minimal face, which has failed
     member_facets = _member_facets(facets, *scaled) if len(facets) > 1 else ()
     if not member_facets:
         # The full face is always a member: the columns span Q^d.
         full = _full_face(config)
-        return ResonanceReport(config, beta, full, full), (config.d,)
+        return ResonanceReport(config, beta, full, full)
     table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)
@@ -218,11 +210,9 @@ def _walk(config: Configuration, beta: Parameter) -> tuple[ResonanceReport, tupl
             if not pending[i] and i and _passes(table.functionals[i], *scaled):
                 found.add(i)
                 stack.append(i)
-    members = sorted(found)
-    centers = [i for i in members if found.isdisjoint(below[i])]
-    faces, ranks = table.faces, tuple(config.d - len(table.functionals[i]) for i in centers)
-    members, centers = tuple(faces[i] for i in members), tuple(faces[i] for i in centers)
-    return ResonanceReport(config, beta, members, centers), ranks
+    members, faces = sorted(found), table.faces
+    return ResonanceReport(config, beta, tuple(faces[i] for i in members),
+                           tuple(faces[i] for i in members if found.isdisjoint(below[i])))
 
 
 def _congruence_text(w: IntVec) -> str:

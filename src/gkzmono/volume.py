@@ -20,11 +20,11 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .cones import Configuration, Face, _hermite_reduce, per_configuration
+from .cones import Configuration, Face, _check_labels, _hermite_reduce, per_configuration
 from .errors import DegenerateConfiguration, EmptyFace, InternalInconsistency
-from .intlinalg import IntVec
+from .intlinalg import IntVec, rank_int
 
 Simplex = tuple[int, ...]
 
@@ -152,31 +152,24 @@ def normalized_volume(config: Configuration) -> VolumeResult:
     return _volume_of_matrix(config.A.columns())
 
 
-def face_volume(config: Configuration, face: Face) -> int:
-    """Normalized volume of a face in the lattice its columns generate (_face_volume)."""
-    if not face.indices:
-        raise EmptyFace("volume of the empty face is undefined")
-    return _face_volume(config, face.indices, None)
-
-
 @per_configuration
-def _face_volume(config: Configuration, labels: tuple[int, ...], rank: Optional[int]) -> int:
-    """face_volume by labels, given the face's rank or None.
+def face_volume(config: Configuration, face: Face) -> int:
+    """Normalized volume of a face in the lattice its columns generate.
 
-    Distinct nonzero columns as many as the rank are a basis: volume 1 (a point at
-    rank 0), with no Hermite pass when the rank is known.  Other faces are
+    Distinct nonzero columns as many as the face's rank (rank_int) are a basis:
+    volume 1 (a point at rank 0), with no Hermite pass.  Other faces are
     triangulated on the Hermite basis (cones._hermite_reduce) of their lattice,
     which may be a proper sublattice of its saturation; the full face's is Z^d.
     """
-    if len(labels) == config.n:
+    _check_labels(config, face.indices)
+    if not face.indices:
+        raise EmptyFace("volume of the empty face is undefined")
+    if len(face.indices) == config.n:
         return normalized_volume(config).volume
-    columns = [config.A.column(j - 1) for j in labels]
-    distinct = len(set(columns) - {(0,) * config.d})
-    if distinct != rank:
-        coordinates, basis = _hermite_reduce(columns)
-        if distinct != len(basis):
-            return _volume_of_matrix(coordinates).volume
-    return 1
+    columns = [config.A.column(j - 1) for j in face.indices]
+    if len(set(columns) - {(0,) * config.d}) == rank_int(columns):
+        return 1
+    return _volume_of_matrix(_hermite_reduce(columns)[0]).volume
 
 
 def generic_rank(config: Configuration) -> int:

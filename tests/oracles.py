@@ -38,7 +38,7 @@ linear inequalities without elimination, the reference for Fourier-Motzkin
 triangulated_face_volume is a face's volume with no shortcut: its columns
 are triangulated in their coordinates on the IntMatrix Hermite basis of the
 lattice they generate, the reference for the unimodular identity that
-volume._face_volume reads off a face's rank.
+volume.face_volume reads off a face's rank (intlinalg.rank_int).
 
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through the IntMatrix Hermite form of the face matrix, the reference for

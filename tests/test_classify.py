@@ -378,9 +378,10 @@ class TestCacheStructure:
         assert calls == []
 
     def test_face_volume_runs_one_hermite_form_and_no_smith_form(self, monkeypatch):
-        # Per face: one transform-free Hermite pass on the face's plain
-        # columns reduces it, and the coordinates are triangulated as they
-        # are: no IntMatrix Hermite form, and no Configuration validates them.
+        # Every proper face of the square cone has as many distinct nonzero
+        # columns as its rank, so its volume is 1 from that count alone: no
+        # Hermite pass, no IntMatrix Hermite form, and no Configuration
+        # validates its columns.
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
         faces = [f for f in config.face_lattice() if f.indices][:-1]
         calls = spy_on(monkeypatch, "smith_normal_form", "hermite_normal_form", "_hermite_rows")
@@ -390,7 +391,7 @@ class TestCacheStructure:
             cones.Configuration, "__init__", lambda self, A: built.append(A) or init(self, A)
         )
         assert [volume.face_volume(config, f) for f in faces] == [1] * len(faces)
-        assert calls == ["_hermite_rows"] * len(faces)
+        assert calls == []
         assert built == []
 
     def test_warm_classify_reduces_only_centers_of_volume_above_one(self, monkeypatch):
@@ -421,6 +422,28 @@ class TestCacheStructure:
                 above_one += len(large)
                 assert all(rows in large for rows in reduced[before:])
         assert 0 < len(reduced) <= above_one
+
+    def test_public_face_volume_reads_the_classify_memo(self, monkeypatch):
+        # classify and the public face_volume share one memo entry per face:
+        # once a facet-resonant classify has read every center's volume, the
+        # public call computes no rank and takes no Hermite pass.
+        rng = random.Random(2011)
+        cones._normalize_matrix.cache_clear()
+        config = classify(BETA_SWEEP_MATRIX, [0] * 5).configuration
+        facet = next(f for f in config.face_lattice() if len(f.indices) == 4)
+        result = classify(BETA_SWEEP_MATRIX, planted_beta(rng, config, facet))
+        centers = [f for f in result.centers if f.indices]
+        assert centers and result.centers != (config.face_lattice()[-1],)
+        calls = []
+        for name in ("rank_int", "_hermite_reduce"):
+            original = getattr(volume, name)
+            monkeypatch.setattr(
+                volume, name, lambda *args, _o=original, _n=name: calls.append(_n) or _o(*args)
+            )
+        assert [volume.face_volume(config, f) for f in centers] == [
+            v for f, v in zip(result.centers, result.face_volumes) if f.indices
+        ]
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_classify_runs_no_smith_form(self, monkeypatch, name):

@@ -160,6 +160,11 @@ class TestExitCodes:
     def test_float_beta_rejected(self, capture):
         assert capture(["classify", "-A", QUADRIC_ARG, "-b", "0.5,1"])[0] == 1
 
+    @pytest.mark.parametrize("beta", ["\u0661/\u0662,\uff11", "\uff11,1", "1/2,\u0967"])
+    def test_non_ascii_digit_beta_rejected(self, capture, beta):
+        code, out, err = capture(["classify", "-A", QUADRIC_ARG, "-b", beta])
+        assert (code, out) == (1, "") and "not a rational literal" in err
+
     @pytest.mark.parametrize("beta", ["1/2,,1", "1/2,1,", ",1/2,1"])
     @pytest.mark.parametrize("option", ["-b", "--beta="])
     def test_empty_beta_entry_rejected(self, capture, option, beta):

@@ -8,6 +8,7 @@ import pytest
 from gkzmono import (
     BetaOutsideSpan,
     Configuration,
+    DimensionMismatch,
     Face,
     GaussRat,
     InputError,
@@ -18,9 +19,12 @@ from gkzmono import (
     ScaleLimit,
     cones,
     enumerate_faces,
+    face_functionals,
+    face_volume,
     fourier_motzkin_point,
     hermite_normal_form,
     is_face,
+    is_pyramid,
     kernel_lattice_basis,
     reduce_configuration,
 )
@@ -283,6 +287,27 @@ class TestIsFace:
     def test_out_of_range(self):
         with pytest.raises(Exception):
             is_face(Configuration(QUADRIC), [4])
+
+
+class TestColumnLabels:
+    """Every public face reader rejects a label that is not a column label 1..n."""
+
+    @pytest.mark.parametrize("label", [0, -1, 4])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda c, labels: is_face(c, labels),
+            lambda c, labels: face_volume(c, Face(labels, (0, 0))),
+            lambda c, labels: face_functionals(c, Face(labels, (0, 0))),
+            lambda c, labels: is_pyramid(c, Face(labels, (0, 0))),
+        ],
+        ids=["is_face", "face_volume", "face_functionals", "is_pyramid"],
+    )
+    def test_out_of_range_label(self, reader, label):
+        config = Configuration(QUADRIC)
+        for labels in ([label], [1, label]):
+            with pytest.raises(DimensionMismatch, match="out of range 1..3"):
+                reader(config, labels)
 
 
 class TestFourierMotzkin:

@@ -337,6 +337,14 @@ class TestGaussRat:
         with pytest.raises(InputError):
             GaussRat.parse({"re": "1", "imag": "2"})
 
+    @pytest.mark.parametrize(
+        "bad", ["\u0661/\u0662", "\uff11", "1/\u0662", "-\u0967", "\U0001d7d9"]
+    )
+    def test_rejects_non_ascii_digits(self, bad):
+        # int() reads these as 1/2, 1, 1/2, -1 and 1; a literal takes ASCII digits only.
+        with pytest.raises(InputError, match="not a rational literal"):
+            parse_rational(bad)
+
     @pytest.mark.parametrize("bad", [True, False, {"re": True}, {"re": "1", "im": False}])
     def test_rejects_bools(self, bad):
         with pytest.raises(InputError):

@@ -342,12 +342,13 @@ class TestFaceTestCount:
 class TestFacetFunctionals:
     """face_functionals and the resonance table's entries against the Hermite form.
 
-    face_functionals reads a facet's DD normal and the canonical basis of every
-    other face.  The table keeps the DD normal of a facet and, for every other
-    face, the kernel rows of one Hermite pass as they come: any Z-basis of the
-    perp lattice, so its rows are checked by their count and Hermite form.  The
-    reference is the IntMatrix Hermite path of the oracles, not
-    cones._perp_lattice_basis, which face_functionals reads off every other face.
+    face_functionals reads the canonical basis of every face, a facet's
+    included: its DD normal with the first nonzero entry positive.  The table
+    keeps a facet's DD normal with the sign double description gives it and,
+    for every other face, the kernel rows of one Hermite pass as they come: any
+    Z-basis of the perp lattice, so its rows are checked by their count and
+    Hermite form.  The reference is the IntMatrix Hermite path of the oracles,
+    not cones._perp_lattice_basis, which face_functionals reads.
     """
 
     @staticmethod
@@ -362,7 +363,6 @@ class TestFacetFunctionals:
         for i, (normal, _) in zip(table.facets, facets):
             face = table.faces[i]
             assert table.functionals[i] in {(normal,), (tuple(-x for x in normal),)}
-            assert table.functionals[i] == perp_lattice_by_hermite_forms(config, face.indices)
         for face, entry in zip(table.faces, table.functionals):
             corank = config.d - intlinalg.rank_int([config.column(j) for j in face.indices])
             assert len(entry) == corank
@@ -384,6 +384,16 @@ class TestFacetFunctionals:
         ids=["beta_sweep", "cone_6_16"],
     )
     def test_wide_configurations(self, config):
+        self.assert_match_the_hermite_form(config)
+
+    def test_facet_whose_normal_starts_negative(self):
+        # Columns (1, 1) and (0, 1): the facet {1} has the DD normal (-1, 1),
+        # which the table keeps and face_functionals reads as (1, -1).
+        config = Configuration(IntMatrix([[1, 0], [1, 1]]))
+        assert cones._facets(config) == (((-1, 1), 0b01), ((1, 0), 0b10))
+        assert face_functionals(config, config.face_lattice()[1]) == ((1, -1),)
+        table = resonance._resonance_table(config)
+        assert table.functionals[table.facets[0]] == ((-1, 1),)
         self.assert_match_the_hermite_form(config)
 
     def test_half_space_and_full_space(self):
