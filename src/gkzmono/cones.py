@@ -10,11 +10,12 @@ alone; the configuration is pointed when it is empty.
 Face enumeration computes the facets with the double description method
 on the dual cone, whose rays carry the bitmasks of the columns they vanish
 on (adjacency is a test on those bitmasks), and closes the facet bitmasks
-under intersection; each face is witnessed by the primitive sum of the
-normals of the facets that contain it.  Feasibility questions ("is there a
-functional with these signs?") are answered by exact Fourier-Motzkin
-elimination on primitive integer rows; only the back-substituted point is
-rational.  That oracle still enumerates the faces of configurations with at
+under intersection, once per configuration (_face_closure).  The faces stay
+bitmasks until a Face is read: one helper (_face) witnesses a closure entry
+by the primitive sum of the normals of the facets that contain it.
+Feasibility questions ("is there a functional with these signs?") are
+answered by exact Fourier-Motzkin elimination on primitive integer rows;
+only the back-substituted point is rational.  That oracle still enumerates the faces of configurations with at
 most BRUTE_FORCE_LIMIT columns, for the reason given at the constant.
 """
 
@@ -56,7 +57,9 @@ Parameter = tuple[GaussRat, ...]
 # every n measured (2 to 10).  The only reason brute force remains is the
 # benchmark, which asserts that a cold classify of a 2x3 matrix reaches
 # is_face; the benchmark change of ROADMAP item 1 lifts that pin and deletes
-# this constant together with the brute path.
+# this constant together with the brute path.  Up to this many columns the
+# resonance table also takes its faces from face_lattice(), so reports print
+# the brute-force witnesses that `faces` prints.
 BRUTE_FORCE_LIMIT = 3
 
 # A Fourier-Motzkin stage builds (positive rows) * (negative rows) + (the rest)
@@ -99,7 +102,7 @@ class Face:
     __slots__ = ("indices", "witness")
 
     def __init__(self, indices: Iterable[int], witness: Iterable[int]):
-        object.__setattr__(self, "indices", tuple(sorted(set(indices))))
+        object.__setattr__(self, "indices", tuple(sorted(set(integer_entries(indices)))))
         object.__setattr__(self, "witness", integer_entries(witness))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -310,7 +313,7 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
     Fourier-Motzkin for a point with value >= 1 on every other column (the
     system is homogeneous, so >= 1 is the same as > 0).
     """
-    labels = tuple(sorted(set(subset)))
+    labels = tuple(sorted(set(integer_entries(subset))))
     _check_labels(config, labels)
     basis = _perp_lattice_basis(config, labels)
     complement = [j for j in range(1, config.n + 1) if j not in labels]
@@ -397,15 +400,53 @@ def _facets(config: Configuration) -> tuple[tuple[IntVec, int], ...]:
     return tuple(sorted(rays.items()))
 
 
+@per_configuration
+def _face_closure(config: Configuration) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every face as (column bitmask, labels), sorted by (size, labels): lattice order.
+
+    The facet bitmasks closed under intersection, plus the full face: every
+    proper face is such an intersection.  Each facet normal is checked once
+    here to be nonnegative on the columns and zero exactly on its bitmask.
+    """
+    columns = config.A.columns()
+    for normal, facet in _facets(config):
+        values = [_dot(normal, a) for a in columns]
+        if min(values) < 0 or facet != sum(1 << j for j, v in enumerate(values) if v == 0):
+            raise InternalInconsistency("facet intersection is not a face")
+    masks = {(1 << config.n) - 1}
+    for _, facet in _facets(config):
+        masks |= {mask & facet for mask in masks}
+    bits = [(j, 1 << j - 1) for j in range(1, config.n + 1)]
+    closure = [(mask, tuple([j for j, bit in bits if mask & bit])) for mask in masks]
+    return tuple(sorted(closure, key=lambda pair: (len(pair[1]), pair[1])))
+
+
+def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
+    """The Face of a closure entry, witnessed by the primitive sum of its facets' normals.
+
+    The normals are checked by _face_closure, so the witness vanishes exactly
+    on the meet of those facets, which must be the face.  The labels and the
+    witness are the package's own, so the slots are set without Face's checks.
+    """
+    meet, normals = (1 << config.n) - 1, [(0,) * config.d]
+    for normal, facet in _facets(config):
+        if facet & mask == mask:
+            meet &= facet
+            normals.append(normal)
+    if meet != mask:
+        raise InternalInconsistency("facet intersection is not a face")
+    face = object.__new__(Face)
+    object.__setattr__(face, "indices", labels)
+    object.__setattr__(face, "witness", primitive_vector(tuple(map(sum, zip(*normals)))))
+    return face
+
+
 def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, ...]:
     """Every face, sorted by (size, indices): the minimal face first, the full face last.
 
-    method "dd" computes the facets by double description and closes their
-    column bitmasks under intersection: every proper face is such an
-    intersection, witnessed by the primitive sum of the normals of the
-    facets containing it (canonical).  Each normal is checked once to be
-    nonnegative on the columns and zero exactly on its bitmask, so a witness
-    vanishes exactly on the meet of its facets, which must be the face.
+    method "dd" computes the facets by double description and builds a Face
+    from each entry of their closure (_face_closure, _face), witnessed by the
+    primitive sum of the normals of the facets containing it (canonical).
     "brute" checks every index subset with the feasibility oracle.  "auto"
     runs DD, except up to BRUTE_FORCE_LIMIT columns, where it keeps brute
     force only because the benchmark pins that path; ROADMAP item 1's
@@ -413,36 +454,13 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, 
     """
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"
-    if method == "brute":
-        labels = range(1, config.n + 1)
-        found = (is_face(config, s) for k in range(config.n + 1) for s in combinations(labels, k))
-        faces = [face for face in found if face is not None]
-    elif method == "dd":
-        facets = _facets(config)
-        columns = config.A.columns()
-        for normal, facet in facets:
-            values = [_dot(normal, a) for a in columns]
-            if min(values) < 0 or facet != sum(1 << j for j, v in enumerate(values) if v == 0):
-                raise InternalInconsistency("facet intersection is not a face")
-        full = (1 << config.n) - 1
-        masks = {full}
-        for _, facet in facets:
-            masks |= {mask & facet for mask in masks}
-        zero = (0,) * config.d
-        faces = []
-        for mask in masks:
-            meet, normals = full, [zero]
-            for normal, facet in facets:
-                if facet & mask == mask:
-                    meet &= facet
-                    normals.append(normal)
-            if meet != mask:
-                raise InternalInconsistency("facet intersection is not a face")
-            witness = primitive_vector(tuple(map(sum, zip(*normals))))
-            faces.append(Face((j + 1 for j in range(config.n) if mask >> j & 1), witness))
-    else:
+    if method == "dd":
+        return tuple(_face(config, mask, labels) for mask, labels in _face_closure(config))
+    if method != "brute":
         raise InputError(f"unknown face enumeration method {method!r}")
-    return tuple(sorted(faces, key=lambda f: (len(f.indices), f.indices)))
+    labels = range(1, config.n + 1)
+    found = (is_face(config, s) for k in range(config.n + 1) for s in combinations(labels, k))
+    return tuple(face for face in found if face is not None)  # combinations are in lattice order
 
 
 # ---------------------------------------------------------------------------

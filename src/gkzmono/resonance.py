@@ -19,7 +19,10 @@ walk reads the functionals of every face from a table in lattice order,
 (size, indices), built once per configuration with the cover relation, and
 only below a member facet.  The table keeps any basis: a facet's normal as
 double description signs it, and for every other face the kernel rows of
-one Hermite pass (cones._perp_kernel).
+one Hermite pass (cones._perp_kernel).  It is read off the closure of the
+facet bitmasks (cones._face_closure) and holds no Face until the walk
+reports one: a reported face is built once (cones._face) and kept by
+position, so a walk witnesses its member faces and nothing else.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -43,9 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
+from typing import Optional
 
-from .cones import Configuration, Face, Parameter, as_parameter, per_configuration
-from .cones import _check_labels, _facets, _hermite_reduce, _perp_kernel, _perp_lattice_basis
+from .cones import BRUTE_FORCE_LIMIT, Configuration, Face, Parameter, as_parameter
+from .cones import _check_labels, _face, _face_closure, _facets, _hermite_reduce
+from .cones import _perp_kernel, _perp_lattice_basis, per_configuration
 from .intlinalg import IntVec
 
 
@@ -59,12 +64,16 @@ def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
 class _ResonanceTable:
     """Per-face data in lattice order, plus the cover relation.
 
-    below[i] holds the positions of the faces that face i covers,
-    cover_counts[i] the number of faces that cover face i, and facets[k]
-    the position of the k-th entry of cones._facets.
+    closure is cones._face_closure, the (column bitmask, labels) of every
+    face.  faces[i] is the Face at position i once a report has read it and
+    None before: _walk builds only the faces it reports.  below[i] holds the
+    positions of the faces that face i covers, cover_counts[i] the number of
+    faces that cover face i, and facets[k] the position of the k-th entry of
+    cones._facets.
     """
 
-    faces: tuple[Face, ...]
+    closure: tuple[tuple[int, tuple[int, ...]], ...]
+    faces: list[Optional[Face]]
     functionals: tuple[tuple[IntVec, ...], ...]
     below: tuple[tuple[int, ...], ...]
     cover_counts: tuple[int, ...]
@@ -73,21 +82,21 @@ class _ResonanceTable:
 
 @per_configuration
 def _resonance_table(config: Configuration) -> _ResonanceTable:
-    """The functionals and covers of every face.
+    """The functionals and covers of every face, read off the bitmask closure.
 
     A facet keeps its DD normal, found by its position in the lattice, and
     every other face the kernel rows of one Hermite pass, not the canonical
     basis of face_functionals: any basis has the same congruences and
     corank.  G covers F iff G contains F and has rank one more.  The rank of
     a face is d minus the number of its functionals, and the face lattice of
-    a cone, pointed or not, is graded by rank.
+    a cone, pointed or not, is graded by rank.  No Face is built here.
     """
-    faces = config.face_lattice()
-    masks = [sum(1 << j - 1 for j in f.indices) for f in faces]
+    closure = _face_closure(config)
+    masks = [mask for mask, _ in closure]
     position = {mask: i for i, mask in enumerate(masks)}
     facets = {position[mask]: (normal,) for normal, mask in _facets(config)}  # in _facets order
-    functionals = tuple(facets.get(i) or _perp_kernel(config, f.indices)
-                        for i, f in enumerate(faces))
+    functionals = tuple(facets.get(i) or _perp_kernel(config, labels)
+                        for i, (_, labels) in enumerate(closure))
     by_corank: dict[int, list[int]] = {}
     for i, w in enumerate(functionals):
         by_corank.setdefault(len(w), []).append(i)
@@ -95,17 +104,15 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
         tuple(i for i in by_corank.get(len(w) + 1, ()) if masks[i] & mask == masks[i])
         for w, mask in zip(functionals, masks)
     )
-    cover_counts = [0] * len(faces)
+    cover_counts = [0] * len(closure)
     for positions in below:
         for i in positions:
             cover_counts[i] += 1
-    return _ResonanceTable(
-        faces,
-        functionals,
-        below,
-        tuple(cover_counts),
-        tuple(facets),
-    )
+    # Brute force keeps the faces of at most BRUTE_FORCE_LIMIT columns, so a
+    # report prints the witnesses that face_lattice() prints; this line goes
+    # with the brute path (ROADMAP item 3).
+    faces = list(config.face_lattice()) if config.n <= BRUTE_FORCE_LIMIT else [None] * len(closure)
+    return _ResonanceTable(closure, faces, functionals, below, tuple(cover_counts), tuple(facets))
 
 
 def _scaled(beta: Parameter) -> tuple[int, IntVec, IntVec]:
@@ -211,6 +218,9 @@ def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
                 found.add(i)
                 stack.append(i)
     members, faces = sorted(found), table.faces
+    for i in members:
+        if faces[i] is None:
+            faces[i] = _face(config, *table.closure[i])
     return ResonanceReport(config, beta, tuple(faces[i] for i in members),
                            tuple(faces[i] for i in members if found.isdisjoint(below[i])))
 

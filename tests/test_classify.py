@@ -22,11 +22,13 @@ from gkzmono import (
     intlinalg,
     pyramids,
     reduce_configuration,
+    resonance,
     resonance_centers,
     toric,
     volume,
 )
 from gkzmono.cli import _parse_beta_literal
+from gkzmono.cones import per_configuration
 from oracles import fraction_elimination, matmul, triangulated_face_volume
 from sweeps import (
     BETA_SWEEP_MATRIX,
@@ -275,9 +277,13 @@ class TestSharedConfiguration:
             return enumerate_faces(config, *args, **kwargs)
 
         monkeypatch.setattr(cones, "enumerate_faces", counting)
+        closures, close = [], cones._face_closure.__wrapped__
+        counted = per_configuration(lambda c: closures.append(c.A) or close(c))
+        monkeypatch.setattr(cones, "_face_closure", counted)
+        monkeypatch.setattr(resonance, "_face_closure", counted)
         first = classify(IntMatrix(QUADRIC.data), ["1/2", "1"])
         second = classify(IntMatrix(QUADRIC.data), ["1/3", "1/5"])
-        assert calls == [QUADRIC]
+        assert calls == closures == [QUADRIC]
         assert first.configuration is second.configuration
         assert [f.indices for f in second.centers] == [(1, 2, 3)]
 
@@ -396,8 +402,9 @@ class TestCacheStructure:
 
     def test_warm_classify_reduces_only_centers_of_volume_above_one(self, monkeypatch):
         # The classify-path counterpart: once one facet-resonant classify has
-        # compiled beta_sweep's A, a center's rank comes from the walk, and a
-        # Hermite pass runs only for a center that the count cannot decide.
+        # compiled beta_sweep's A, a center's rank comes from rank_int inside
+        # face_volume, and a Hermite pass runs only for a center that the
+        # count cannot decide.
         rng = random.Random(2011)
         cones._normalize_matrix.cache_clear()
         config = classify(BETA_SWEEP_MATRIX, [0] * 5).configuration
@@ -539,7 +546,7 @@ class TestCacheStructure:
 
 
 class TestCenterVolumes:
-    """classify's center volumes, with each center's rank taken from the walk.
+    """classify's center volumes, with each center's rank from rank_int inside face_volume.
 
     Every volume equals the oracle that always triangulates.  A proper
     center whose distinct nonzero columns are as many as its rank (computed

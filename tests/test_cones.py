@@ -288,6 +288,10 @@ class TestIsFace:
         with pytest.raises(Exception):
             is_face(Configuration(QUADRIC), [4])
 
+    def test_bool_label_is_rejected(self):
+        with pytest.raises(TypeError):
+            is_face(Configuration(QUADRIC), [True])
+
 
 class TestColumnLabels:
     """Every public face reader rejects a label that is not a column label 1..n."""
@@ -589,6 +593,11 @@ class TestFaceValue:
     def test_witness_is_not_truncated_or_coerced(self, witness):
         with pytest.raises(TypeError):
             Face([1], witness)
+
+    @pytest.mark.parametrize("indices", [[1.5], [True]])
+    def test_indices_are_not_truncated_or_coerced(self, indices):
+        with pytest.raises(TypeError):
+            Face(indices, (0, 0))
 
     def test_json(self):
         assert Face([2, 1], [1, -1]).to_json() == {

@@ -11,6 +11,7 @@ import pytest
 from gkzmono import (
     IRREDUCIBLE,
     Configuration,
+    Face,
     GaussRat,
     IntMatrix,
     classify,
@@ -250,12 +251,13 @@ class TestCoverRelation:
     def assert_matches_definition(self, config):
         table = resonance._resonance_table(config)
         lattice = config.face_lattice()
-        assert table.faces == lattice
+        labels = [labels for _, labels in table.closure]
+        assert labels == [f.indices for f in lattice]
         covers = covers_by_definition(lattice)
-        compiled = [set() for _ in table.faces]
+        compiled = [set() for _ in labels]
         for g, positions in enumerate(table.below):
             for i in positions:
-                compiled[i].add(table.faces[g].indices)
+                compiled[i].add(labels[g])
         assert compiled == covers
         assert list(table.cover_counts) == [len(c) for c in covers]
 
@@ -269,10 +271,10 @@ class TestCoverRelation:
     def test_beta_sweep_full_face_covers_its_facets(self):
         self.assert_matches_definition(SWEEP)
         table = resonance._resonance_table(SWEEP)
-        proper = [set(f.indices) for f in table.faces[:-1]]
+        proper = [set(labels) for _, labels in table.closure[:-1]]
         facets = {tuple(sorted(f)) for f in proper if not any(f < g for g in proper)}
         assert len(facets) == 26
-        assert {table.faces[i].indices for i in table.below[-1]} == facets
+        assert {table.closure[i][1] for i in table.below[-1]} == facets
 
 
 class TestFaceTestCount:
@@ -360,14 +362,14 @@ class TestFacetFunctionals:
         facets = cones._facets(config)
         assert len(table.facets) == len(facets)
         assert sorted(table.facets) == sorted(table.below[-1])
-        for i, (normal, _) in zip(table.facets, facets):
-            face = table.faces[i]
+        for i, (normal, mask) in zip(table.facets, facets):
+            assert table.closure[i][0] == mask
             assert table.functionals[i] in {(normal,), (tuple(-x for x in normal),)}
-        for face, entry in zip(table.faces, table.functionals):
-            corank = config.d - intlinalg.rank_int([config.column(j) for j in face.indices])
+        for (_, labels), entry in zip(table.closure, table.functionals):
+            corank = config.d - intlinalg.rank_int([config.column(j) for j in labels])
             assert len(entry) == corank
             rows = entry and hermite_normal_form(IntMatrix(entry, cols=config.d))[0].data
-            assert rows == perp_lattice_by_hermite_forms(config, face.indices)
+            assert rows == perp_lattice_by_hermite_forms(config, labels)
 
     def test_random_configurations(self):
         rng = random.Random(137)
@@ -592,6 +594,60 @@ class TestColdClassify:
         assert [f.indices for f in report.member_faces] == members
         assert len(tests_run) == 1
         assert memo_entries(config, resonance._resonance_table) == 0
+
+
+class TestFacesBuiltWhenReported:
+    """The table keeps column bitmasks; a Face is built only when a report reads it."""
+
+    def test_cold_facet_resonant_classify_builds_only_its_members(self, monkeypatch):
+        lattice_calls, builds = [], []
+        enumerate_, lattice = cones.enumerate_faces, cones.Configuration.face_lattice
+        monkeypatch.setattr(
+            cones, "enumerate_faces", lambda *args: lattice_calls.append(args) or enumerate_(*args)
+        )
+        monkeypatch.setattr(
+            cones.Configuration, "face_lattice", lambda c: lattice_calls.append(c) or lattice(c)
+        )
+        build = cones._face
+        for module in (cones, resonance):
+            monkeypatch.setattr(module, "_face", lambda *args: builds.append(args) or build(*args))
+        rng = random.Random(151)
+        for _, mask in rng.sample(cones._facets(SWEEP), 3):
+            cones._normalize_matrix.cache_clear()
+            facet = Face((j + 1 for j in range(SWEEP.n) if mask >> j & 1), (0,) * SWEEP.d)
+            beta = planted_beta(rng, SWEEP, facet)
+            builds.clear()
+            config = classify(BETA_SWEEP_MATRIX, beta).configuration
+            report = resonance_centers(config, beta)
+            assert facet in report.member_faces
+            assert len(builds) == len(report.member_faces) < len(cones._face_closure(config))
+        assert lattice_calls == []
+
+    def test_reported_witnesses_are_the_face_lattice_witnesses(self):
+        rng = random.Random(157)
+        small = [random_configuration(rng, dmax=3, nmax=3) for _ in range(60)]
+        wide = [random_configuration(rng, dmax=4, nmax=7, lo=-3 * (k % 2)) for k in range(60)]
+        assert all(c.n <= 3 for c in small) and sum(c.n > 3 for c in wide) > 40
+        for config in small + wide:
+            lattice = config.face_lattice()
+            by_labels = {f.indices: f.witness for f in lattice}
+            for beta in betas_of_every_kind(rng, config, rng.choice(lattice)):
+                report = resonance_centers(config, beta)
+                result = classify(config.A, beta)
+                for face in report.member_faces + result.centers:
+                    assert face.witness == by_labels[face.indices]
+
+    def test_small_input_keeps_the_witness_that_faces_prints(self):
+        A = IntMatrix([[-2, 1, -2], [2, 1, 3], [-1, -1, -2]])
+        beta = ["-1", "1", "-1/2"]
+        config = Configuration(A)
+        # Brute force and double description witness the face {1} differently.
+        assert enumerate_faces(config, "dd")[1].witness == (0, -1, -2)
+        assert config.face_lattice()[1].witness == (1, 0, -2)
+        result = classify(A, beta)
+        assert [(f.indices, f.witness) for f in result.centers] == [((1,), (1, 0, -2))]
+        report = resonance_centers(result.configuration, beta)
+        assert [(f.indices, f.witness) for f in report.centers] == [((1,), (1, 0, -2))]
 
 
 # Nonresonant inputs: a d=8, n=20 cone with 688 facets and 9996 faces, the
