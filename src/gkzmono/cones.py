@@ -15,8 +15,8 @@ bitmasks until a Face is read: one helper (_face) witnesses a closure entry
 by the primitive sum of the normals of the facets that contain it.
 Feasibility questions ("is there a functional with these signs?") are
 answered by exact Fourier-Motzkin elimination on primitive integer rows;
-only the back-substituted point is rational.  That oracle still enumerates the faces of configurations with at
-most BRUTE_FORCE_LIMIT columns, for the reason given at the constant.
+only the back-substituted point is rational.  That oracle still enumerates
+the faces up to BRUTE_FORCE_LIMIT columns, for the reason at the constant.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ Parameter = tuple[GaussRat, ...]
 # feasibility oracle, and runs double description above.  DD is faster at
 # every n measured (2 to 10).  The only reason brute force remains is the
 # benchmark, which asserts that a cold classify of a 2x3 matrix reaches
-# is_face; the benchmark change of ROADMAP item 1 lifts that pin and deletes
-# this constant together with the brute path.  Up to this many columns the
-# resonance table also takes its faces from face_lattice(), so reports print
-# the brute-force witnesses that `faces` prints.
+# is_face; ROADMAP item 2's benchmark change lifts that pin, and item 3 then
+# deletes this constant with the brute path.  Up to this many columns
+# resonance reports also take their faces from face_lattice()
+# (resonance._reported_face), so they print the witnesses that `faces` prints.
 BRUTE_FORCE_LIMIT = 3
 
 # A Fourier-Motzkin stage builds (positive rows) * (negative rows) + (the rest)

@@ -27,14 +27,14 @@ position, so a walk witnesses its member faces and nothing else.
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
 The minimal face, the columns on every facet, is tested first: if it is a
-member, so is every face, and it is the only center.  Otherwise all facet
-normals are tested in one sweep, imaginary part first; if none passes, the
-full face is the only member and beta is nonresonant.  Otherwise the table
-is built and the walk goes down from the member facets, testing a face only
-once every face covering it is a member (none below a non-member can be).
-The centers are the members with no member directly below them.  A generic
-parameter costs one test per facet and one for the minimal face, and closes
-no face lattice.
+member, so is every face, and it is the only center, witnessed from the
+facets alone; the report's member_faces builds face_lattice() when read.
+Otherwise all facet normals are tested in one sweep, imaginary part first;
+if none passes, the full face is the only member and beta is nonresonant.
+Otherwise the table is built and the walk goes down from the member
+facets, testing a face only once every face covering it is a member (none
+below a non-member can be).  The centers are the members with no member
+directly below them.  A generic or an integer parameter closes no lattice.
 
 The same functionals, read face by face without the table, and the Hermite
 basis of the face's columns (cones._hermite_reduce) describe each component
@@ -51,6 +51,7 @@ from typing import Optional
 from .cones import BRUTE_FORCE_LIMIT, Configuration, Face, Parameter, as_parameter
 from .cones import _check_labels, _face, _face_closure, _facets, _hermite_reduce
 from .cones import _perp_kernel, _perp_lattice_basis, per_configuration
+from .errors import InternalInconsistency
 from .intlinalg import IntVec
 
 
@@ -65,15 +66,14 @@ class _ResonanceTable:
     """Per-face data in lattice order, plus the cover relation.
 
     closure is cones._face_closure, the (column bitmask, labels) of every
-    face.  faces[i] is the Face at position i once a report has read it and
-    None before: _walk builds only the faces it reports.  below[i] holds the
-    positions of the faces that face i covers, cover_counts[i] the number of
-    faces that cover face i, and facets[k] the position of the k-th entry of
-    cones._facets.
+    face.  faces maps a position to its Face once a report has read it:
+    _walk builds only the faces it reports.  below[i] holds the positions of
+    the faces that face i covers, cover_counts[i] the number of faces that
+    cover face i, and facets[k] the position of the k-th entry of cones._facets.
     """
 
     closure: tuple[tuple[int, tuple[int, ...]], ...]
-    faces: list[Optional[Face]]
+    faces: dict[int, Face]
     functionals: tuple[tuple[IntVec, ...], ...]
     below: tuple[tuple[int, ...], ...]
     cover_counts: tuple[int, ...]
@@ -108,11 +108,12 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
     for positions in below:
         for i in positions:
             cover_counts[i] += 1
-    # Brute force keeps the faces of at most BRUTE_FORCE_LIMIT columns, so a
-    # report prints the witnesses that face_lattice() prints; this line goes
-    # with the brute path (ROADMAP item 3).
-    faces = list(config.face_lattice()) if config.n <= BRUTE_FORCE_LIMIT else [None] * len(closure)
-    return _ResonanceTable(closure, faces, functionals, below, tuple(cover_counts), tuple(facets))
+    return _ResonanceTable(closure, {}, functionals, below, tuple(cover_counts), tuple(facets))
+
+
+def _reported_face(config: Configuration, i: int, entry: tuple[int, tuple[int, ...]]) -> Face:
+    """The Face at lattice position i of closure entry (mask, labels); see BRUTE_FORCE_LIMIT."""
+    return config.face_lattice()[i] if config.n <= BRUTE_FORCE_LIMIT else _face(config, *entry)
 
 
 def _scaled(beta: Parameter) -> tuple[int, IntVec, IntVec]:
@@ -142,13 +143,18 @@ class ResonanceReport:
 
     config: Configuration
     beta: Parameter
-    member_faces: tuple[Face, ...]
+    _members: Optional[tuple[Face, ...]]  # None when the minimal face is a member
     centers: tuple[Face, ...]
 
     @property
+    def member_faces(self) -> tuple[Face, ...]:
+        """The member faces in lattice order: every face when the minimal face is one."""
+        return self.config.face_lattice() if self._members is None else self._members
+
+    @property
     def is_nonresonant(self) -> bool:
-        """The full face is always a member; beta is nonresonant iff it is the only one."""
-        return len(self.member_faces) == 1
+        """The members are up-closed: the full face is the only one iff it is a center."""
+        return len(self.centers[0].indices) == self.config.n
 
     @property
     def member_congruences(self) -> tuple[tuple[str, ...], ...]:
@@ -181,6 +187,17 @@ def _full_face(config: Configuration) -> tuple[Face, ...]:
     return (Face(range(1, config.n + 1), (0,) * config.d),)
 
 
+@per_configuration
+def _minimal_face(config: Configuration) -> tuple[Face, ...]:
+    """The centers when the minimal face is a member; no closure checked its facets' normals."""
+    labels = config.lineality_columns
+    face = _reported_face(config, 0, (sum(1 << j - 1 for j in labels), labels))
+    values = [sum(map(mul, face.witness, a)) for a in config.A.columns()]
+    if min(values) < 0 or labels != tuple(j for j, v in enumerate(values, 1) if not v):
+        raise InternalInconsistency("minimal face witness fails its sign conditions")
+    return (face,)
+
+
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
     return _walk(config, as_parameter(beta, config.d))
@@ -196,9 +213,7 @@ def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
     """resonance_centers on a coerced parameter."""
     scaled = _scaled(beta)
     if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
-        # The minimal face is a member, hence so is every face above it.
-        faces = config.face_lattice()
-        return ResonanceReport(config, beta, faces, faces[:1])
+        return ResonanceReport(config, beta, None, _minimal_face(config))  # all faces are members
     facets = _facets(config)  # a lone facet is the minimal face, which has failed
     member_facets = _member_facets(facets, *scaled) if len(facets) > 1 else ()
     if not member_facets:
@@ -219,8 +234,8 @@ def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
                 stack.append(i)
     members, faces = sorted(found), table.faces
     for i in members:
-        if faces[i] is None:
-            faces[i] = _face(config, *table.closure[i])
+        if i not in faces:
+            faces[i] = _reported_face(config, i, table.closure[i])
     return ResonanceReport(config, beta, tuple(faces[i] for i in members),
                            tuple(faces[i] for i in members if found.isdisjoint(below[i])))
 

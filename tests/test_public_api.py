@@ -105,8 +105,10 @@ def test_toric_system_saturation_is_not_a_field():
 
 
 def test_resonance_report_derives_nonresonance():
-    # is_nonresonant is read off the members: the full face is the only one.
+    # is_nonresonant is read off the centers: the full face is the only one.
+    # member_faces is derived on read: every face when the walk listed none.
     assert [f.name for f in dataclasses.fields(ResonanceReport)] == [
-        "config", "beta", "member_faces", "centers",
+        "config", "beta", "_members", "centers",
     ]
+    assert isinstance(ResonanceReport.member_faces, property)
     assert isinstance(ResonanceReport.is_nonresonant, property)

@@ -14,6 +14,7 @@ from gkzmono import (
     Face,
     GaussRat,
     IntMatrix,
+    InternalInconsistency,
     classify,
     cones,
     describe_resonant_arrangement,
@@ -663,19 +664,31 @@ NONRESONANT = {
 }
 
 
+# Integer parameters, whose minimal face is their only center: the same
+# d=8, n=20 cone and three golden cases, pointed and not.
+INTEGER = {
+    "cone_8_20": (NONRESONANT["cone_8_20"][0], "1,0,0,0,0,0,0,0"),
+    **{name: (json.loads(CASES[name][0]), CASES[name][1])
+       for name in ("wide_integer", "non_pointed_integer", "non_cohen_macaulay_rank_jump")},
+}
+
+
 class TestLatticeFreePath:
-    """A cold nonresonant parameter closes no face lattice and builds no table."""
+    """A cold nonresonant or integer parameter closes no face lattice and builds no table."""
 
     @pytest.fixture
     def lattice_builds(self, monkeypatch):
         calls = []
         enumerate_, build = cones.enumerate_faces, resonance._resonance_table
+        closure = cones._face_closure
         monkeypatch.setattr(
             cones, "enumerate_faces", lambda *args: calls.append(args) or enumerate_(*args)
         )
         monkeypatch.setattr(
             resonance, "_resonance_table", lambda c: calls.append(c) or build(c)
         )
+        for module in (cones, resonance):
+            monkeypatch.setattr(module, "_face_closure", lambda c: calls.append(c) or closure(c))
         return calls
 
     @pytest.mark.parametrize("name", sorted(NONRESONANT))
@@ -699,6 +712,47 @@ class TestLatticeFreePath:
             {"indices": full, "witness": [0] * len(matrix), "congruences": []}
         ]
         assert lattice_builds == []
+
+    @pytest.mark.parametrize("name", sorted(INTEGER))
+    def test_integer_classify(self, lattice_builds, name):
+        matrix, beta = INTEGER[name]
+        cones._normalize_matrix.cache_clear()
+        result = classify(IntMatrix(matrix), beta.split(","))
+        config = result.configuration
+        assert [f.indices for f in result.centers] == [config.lineality_columns]
+        report = resonance_centers(config, result.parameter)
+        assert report.centers == result.centers
+        assert lattice_builds == []
+        # The members are derived when read: the whole face lattice.
+        assert report.member_faces == config.face_lattice()
+        assert lattice_builds
+        assert result.centers[0].witness == config.face_lattice()[0].witness
+
+    def test_minimal_face_center_against_the_lattice(self):
+        rng = random.Random(163)
+        configs = [random_configuration(rng, dmax=4, nmax=7, lo=-3 * (k % 2)) for k in range(199)]
+        configs.append(Configuration(IntMatrix(DENSE_FIVE_BY_EIGHT)))
+        assert sum(c.lineality_columns == () for c in configs) > 40
+        assert sum(c.lineality_columns != () for c in configs) > 40
+        for config in configs:
+            integer = [rng.randint(-9, 9) for _ in range(config.d)]
+            centers = resonance_centers(config, integer).centers
+            lattice = config.face_lattice()
+            assert [(f.indices, f.witness) for f in centers] == [
+                (lattice[0].indices, lattice[0].witness)
+            ]
+            for beta in [integer] + betas_of_every_kind(rng, config, rng.choice(lattice)):
+                report = resonance_centers(config, beta)
+                assert report.is_nonresonant == (len(report.member_faces) == 1)
+
+    def test_minimal_face_witness_is_checked(self):
+        # No closure checks the facet normals on this path: a flipped normal
+        # must still fail the minimal face's witness.
+        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
+        (v, first), *rest = cones._facets(config)
+        config._memo[(cones._facets.__wrapped__,)] = ((tuple(-x for x in v), first), *rest)
+        with pytest.raises(InternalInconsistency):
+            resonance_centers(config, [1, 0])
 
     def test_full_space_has_its_single_face(self):
         # No facet: the minimal face is every column, and any parameter is a member.
