@@ -7,10 +7,14 @@ complement; the whole column set is always a face (functional 0).  The
 minimal face is the set of columns on every facet, read off the facets
 alone; the configuration is pointed when it is empty.
 
-Face enumeration computes the facets with the double description method
-on the dual cone, whose rays carry the bitmasks of the columns they vanish
-on (adjacency is a test on those bitmasks), and closes the facet bitmasks
-under intersection, once per configuration (_face_closure).  The faces stay
+The hull, conv(0 + columns), is triangulated once by placing (_hull).  A
+facet form, x -> det(the facet's lifted vertices (1, v), then (1, x)), is
+derived from the parent simplex's forms by one exact exchange rule, so a
+visibility test is one dot product, also the new simplex's certificate
+entry.  The cone is the hull's tangent cone at 0: its facets are read off
+the final boundary through 0, and the normalized volume reads the same
+triangulation.  Face enumeration closes the facet bitmasks under
+intersection, once per configuration (_face_closure).  The faces stay
 bitmasks until a Face is read: one helper (_face) witnesses a closure entry
 by the primitive sum of the normals of the facets that contain it.
 Feasibility questions ("is there a functional with these signs?") are
@@ -21,14 +25,16 @@ the faces up to BRUTE_FORCE_LIMIT columns, for the reason at the constant.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BetaOutsideSpan,
+    DegenerateConfiguration,
     DimensionMismatch,
     InputError,
     InternalInconsistency,
@@ -47,15 +53,15 @@ from .intlinalg import (
     hermite_normal_form,
     integer_entries,
     primitive_vector,
-    rank_int,
 )
 
 Parameter = tuple[GaussRat, ...]
+Simplex = tuple[int, ...]
 
 # Up to this many columns "auto" brute-forces all index subsets against the
-# feasibility oracle, and runs double description above.  DD is faster at
-# every n measured (2 to 10).  The only reason brute force remains is the
-# benchmark, which asserts that a cold classify of a 2x3 matrix reaches
+# feasibility oracle, and closes the hull's facets above.  The closure is
+# faster at every n measured (2 to 10).  The only reason brute force remains
+# is the benchmark, which asserts that a cold classify of a 2x3 matrix reaches
 # is_face; ROADMAP item 2's benchmark change lifts that pin, and item 3 then
 # deletes this constant with the brute path.  Up to this many columns
 # resonance reports also take their faces from face_lattice()
@@ -274,6 +280,135 @@ def fourier_motzkin_point(
 
 
 # ---------------------------------------------------------------------------
+# The hull: a placing triangulation of conv(0 + columns)
+# ---------------------------------------------------------------------------
+
+
+def _derived_forms(parent: list[IntVec], parent_det: int, parent_forms: list[IntVec], k: int,
+                   p: IntVec, i: int, det: int) -> list[IntVec]:
+    """Facet forms of parent's facet k with p inserted at position i, exactly; det is its det.
+
+    Points are lifted to (1, x).  f_k stays; opposite q = parent[j],
+    +-(f_k(p) f_j - f_j(p) f_k) / parent_det, signed by f_j(q) = (-1)^(d-j) parent_det.
+    A zero det, a remainder, or a value at the vertex in position m other than
+    (-1)^(d-m) det raises InternalInconsistency.
+    """
+    if not det:
+        raise InternalInconsistency("placing triangulation has a flat simplex")
+    d, order = len(parent) - 1, [j for j in range(len(parent)) if j != k]
+    order.insert(i, k)  # k stands for p
+    at_p, forms = [sum(map(mul, f, p)) for f in parent_forms], []
+    for m, j in enumerate(order):
+        g, rest, expected = parent_forms[k], (), (-1) ** (d - m) * det
+        if j != k:
+            sign = 1 if (-1) ** (d - j) * at_p[k] == expected else -1
+            v, w = sign * at_p[k], sign * at_p[j]
+            g, rest = zip(*[divmod(v * x - w * y, parent_det)
+                            for x, y in zip(parent_forms[j], parent_forms[k])])
+        if any(rest) or sum(map(mul, g, p if j == k else parent[j])) != expected:
+            raise InternalInconsistency("a derived facet form disagrees with the determinant")
+        forms.append(g)
+    return forms
+
+
+def _seed_simplex(points: dict[int, IntVec], labels: list[int], d: int):
+    """(labels, det, facet forms) of the first affinely independent points in label order.
+
+    Points are exchanged into the unit simplex base, base + e_1, ..., base + e_d
+    (det 1, forms (-1)^(d-k) times its barycentric coordinates): a point enters
+    iff the form opposite a remaining unit vertex is nonzero at it.
+    """
+    base = points[labels[0]]
+    vertices = [base] + [base[:k] + (base[k] + 1,) + base[k + 1:] for k in range(1, d + 1)]
+    forms = [tuple((-1) ** d * x for x in (sum(base),) + (-1,) * d)]
+    forms += [tuple((-1) ** (d - k) * (-base[k] if m == 0 else int(m == k)) for m in range(d + 1))
+              for k in range(1, d + 1)]
+    seed, det = labels[:1], 1
+    for label in labels[1:]:
+        p, i = points[label], len(seed)
+        k, value = next(((k, v) for k in range(i, d + 1) if (v := sum(map(mul, forms[k], p)))),
+                        (0, 0))
+        if value:  # p moves from last to position i: a (d-i+1)-cycle
+            new_det = -value if (d - i) % 2 else value
+            forms = _derived_forms(vertices, det, forms, k, p, i, new_det)
+            vertices = vertices[:i] + [p] + [v for j, v in enumerate(vertices[i:], i) if j != k]
+            seed, det = seed + [label], new_det
+            if len(seed) == d + 1:
+                break
+    if len(seed) < d + 1:
+        raise DegenerateConfiguration("points do not span the ambient space")
+    return tuple(seed), det, forms
+
+
+def _placing_triangulation(points: dict[int, IntVec], d: int):
+    """Triangulate conv(points) by inserting in ascending label order.
+
+    Each new point is joined to the boundary facets it strictly sees; points
+    inside (or on) the current hull contribute nothing, and a repeated point
+    only by its smallest label.  Returns the sorted simplices with their
+    |det|, the final boundary and the facet forms derived so far.
+    """
+    labels = sorted({x: label for label, x in sorted(points.items(), reverse=True)}.values())
+    points = {label: (1,) + points[label] for label in labels}
+    seed, seed_det, seed_forms = _seed_simplex(points, labels, d)
+    simplices: list[tuple[Simplex, int]] = []
+    # facet -> (simplex, det, k, birth): () for the seed, else _derived_forms' arguments but det
+    boundary: dict[Simplex, tuple] = {}
+    forms: dict[Simplex, list] = {seed: seed_forms}  # facet forms of each simplex tested so far
+
+    def place(simplex: Simplex, det: int, birth: tuple = ()):
+        # det is the edge determinant of the sorted simplex; combinations
+        # drops simplex[d], simplex[d-1], ... in turn.
+        simplices.append((simplex, abs(det)))
+        for k, facet in zip(range(d, -1, -1), combinations(simplex, d)):
+            if boundary.pop(facet, None) is None:
+                boundary[facet] = (simplex, det, k, birth)
+
+    place(seed, seed_det)
+    for label, p in [(l, points[l]) for l in labels if l not in seed]:
+        # A snapshot: p lies on none of its facets, so their order does not matter.
+        for facet, (simplex, simplex_det, dropped, birth) in list(boundary.items()):
+            if simplex not in forms:
+                forms[simplex] = _derived_forms(*birth, simplex_det)
+            value = sum(map(mul, forms[simplex][dropped], p))
+            if value * (-1) ** (d - dropped) * simplex_det < 0:  # p strictly sees the facet
+                i = bisect(facet, label)  # moving the label to position i: a (d-i+1)-cycle
+                place(facet[:i] + (label,) + facet[i:], -value if (d - i) % 2 else value,
+                      ([points[v] for v in simplex], simplex_det, forms[simplex], dropped, p, i))
+    return tuple(sorted(simplices)), boundary, forms
+
+
+@per_configuration
+def _hull(config: Configuration) -> tuple[tuple, tuple]:
+    """(triangulation, facets) of conv(0 + columns), the one hull of the configuration.
+
+    A facet is read off each boundary simplex through the origin: the linear
+    part of its form, signed positive at the opposite vertex, primitive.  The
+    form must vanish on the facet's d (affinely independent) vertices and the
+    normal be nonnegative on every column, else InternalInconsistency.
+    """
+    d, columns = config.d, config.A.columns()
+    points = ((0,) * d, *columns)  # the origin is label 0, column j label j
+    triangulation, boundary, forms = _placing_triangulation(dict(enumerate(points)), d)
+    normals = set()
+    for facet, (simplex, det, k, birth) in boundary.items():
+        if facet[0]:  # not through the origin
+            continue
+        form = (forms.get(simplex) or forms.setdefault(simplex, _derived_forms(*birth, det)))[k]
+        if any(sum(map(mul, form, (1,) + points[v])) for v in facet):
+            raise InternalInconsistency("a hull facet form does not vanish on its facet")
+        sign = det if (d - k) % 2 == 0 else -det  # the sign of the form at the opposite vertex
+        normals.add(primitive_vector(tuple(sign * x for x in form[1:])))
+    facets = []
+    for normal in sorted(normals):
+        values = [_dot(normal, a) for a in columns]
+        if min(values) < 0:
+            raise InternalInconsistency("a hull facet normal is negative on a column")
+        facets.append((normal, sum(1 << j for j, v in enumerate(values) if v == 0)))
+    return triangulation, tuple(facets)
+
+
+# ---------------------------------------------------------------------------
 # Faces
 # ---------------------------------------------------------------------------
 
@@ -338,66 +473,8 @@ def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
 
 @per_configuration
 def _facets(config: Configuration) -> tuple[tuple[IntVec, int], ...]:
-    """Facets of the cone as (primitive inner normal, column bitmask), sorted by normal.
-
-    The normals are the extreme rays of the dual cone {phi : phi . a_j >= 0},
-    found by the double description method.  The dual cone is pointed because
-    the columns span Q^d, so the method starts from the full space (lineality
-    basis = identity, no rays) and ends with an empty lineality part.  Each
-    ray carries the bitmask of the columns so far that it vanishes on (bit
-    j - 1 for column j).  Two rays are adjacent iff their common zero set has
-    at least d - dim(lineality) - 2 columns and lies in no third ray's zero
-    set (the combinatorial test of Fukuda and Prodon 1996).  Face enumeration
-    and the resonance walk share the result.
-    """
-    d = config.d
-    lineality = [tuple(row) for row in IntMatrix.identity(d).data]
-    columns = config.A.columns()
-    rays: dict[IntVec, int] = {}
-    for j, a in enumerate(columns):
-        bit = 1 << j
-        values = [_dot(l, a) for l in lineality]
-        if any(values):
-            idx = next(i for i, v in enumerate(values) if v != 0)
-            l0 = lineality[idx] if values[idx] > 0 else tuple(-x for x in lineality[idx])
-            v0 = abs(values[idx])
-            lineality = [
-                primitive_vector(tuple(v0 * x - v * y for x, y in zip(l, l0)))
-                for i, (l, v) in enumerate(zip(lineality, values))
-                if i != idx
-            ]
-            rays = {
-                primitive_vector(tuple(v0 * x - _dot(r, a) * y for x, y in zip(r, l0))): mask | bit
-                for r, mask in rays.items()
-            }
-            rays[l0] = bit - 1  # l0 vanished on every earlier column
-        else:
-            target = d - len(lineality) - 2
-            value = {r: _dot(r, a) for r in rays}
-            masks = list(rays.values())
-            new_rays = {}
-            positive = [(p, pm) for p, pm in rays.items() if value[p] > 0]
-            negative = [(m, mm) for m, mm in rays.items() if value[m] < 0]
-            for (p, pm), (m, mm) in product(positive, negative):
-                meet = pm & mm
-                if meet.bit_count() < target:
-                    continue
-                if sum(meet & other == meet for other in masks) == 2:  # p and m only
-                    combo = tuple(value[p] * x - value[m] * y for x, y in zip(m, p))
-                    new_rays[primitive_vector(combo)] = meet | bit
-            rays = {
-                r: mask | (bit if value[r] == 0 else 0)
-                for r, mask in rays.items()
-                if value[r] >= 0
-            }
-            rays.update(new_rays)
-    if lineality:
-        raise InternalInconsistency("dual cone kept a lineality direction")
-    for mask in rays.values():
-        tight = [a for j, a in enumerate(columns) if mask >> j & 1]
-        if rank_int(tight) != d - 1:
-            raise InternalInconsistency("double description produced a non-extreme ray")
-    return tuple(sorted(rays.items()))
+    """The cone's facets as (primitive inner normal, column bitmask), sorted: _hull's."""
+    return _hull(config)[1]
 
 
 @per_configuration
@@ -444,13 +521,11 @@ def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
 def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, ...]:
     """Every face, sorted by (size, indices): the minimal face first, the full face last.
 
-    method "dd" computes the facets by double description and builds a Face
-    from each entry of their closure (_face_closure, _face), witnessed by the
-    primitive sum of the normals of the facets containing it (canonical).
-    "brute" checks every index subset with the feasibility oracle.  "auto"
-    runs DD, except up to BRUTE_FORCE_LIMIT columns, where it keeps brute
-    force only because the benchmark pins that path; ROADMAP item 1's
-    benchmark change deletes it.
+    method "dd", a name kept from double description, now names the facet
+    closure: a Face per closure entry of the hull's facets (_face_closure,
+    _face), witnessed by the primitive sum of its facets' normals.  "brute"
+    checks every index subset with the feasibility oracle; "auto" runs it up
+    to BRUTE_FORCE_LIMIT columns, only because the benchmark pins it there.
     """
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"

@@ -13,13 +13,13 @@ and imaginary entries of beta, the conditions read w_i . (L Im beta) = 0
 and w_i . (L Re beta) = 0 mod L.  beta is scaled once per call.  Any
 basis of the lattice gives the same test; face_functionals returns the
 canonical one (cones._perp_lattice_basis), which the printed congruences
-read.  A facet's lattice is Z*v, v its primitive normal from double
-description, and its canonical basis is v signed to start positive.  The
-walk reads the functionals of every face from a table in lattice order,
+read.  A facet's lattice is Z*v, v its primitive inner normal read off the
+hull (cones._facets), and its canonical basis is v signed to start positive.
+The walk reads the functionals of every face from a table in lattice order,
 (size, indices), built once per configuration with the cover relation, and
-only below a member facet.  The table keeps any basis: a facet's normal as
-double description signs it, and for every other face the kernel rows of
-one Hermite pass (cones._perp_kernel).  It is read off the closure of the
+only below a member facet.  The table keeps any basis: a facet's inner
+normal, and for every other face the kernel rows of one Hermite pass
+(cones._perp_kernel).  It is read off the closure of the
 facet bitmasks (cones._face_closure) and holds no Face until the walk
 reports one: a reported face is built once (cones._face) and kept by
 position, so a walk witnesses its member faces and nothing else.
@@ -69,7 +69,8 @@ class _ResonanceTable:
     face.  faces maps a position to its Face once a report has read it:
     _walk builds only the faces it reports.  below[i] holds the positions of
     the faces that face i covers, cover_counts[i] the number of faces that
-    cover face i, and facets[k] the position of the k-th entry of cones._facets.
+    cover face i, and facets[k] the position of the k-th entry of cones._facets,
+    the hull's facets sorted by inner normal.
     """
 
     closure: tuple[tuple[int, tuple[int, ...]], ...]
@@ -84,7 +85,7 @@ class _ResonanceTable:
 def _resonance_table(config: Configuration) -> _ResonanceTable:
     """The functionals and covers of every face, read off the bitmask closure.
 
-    A facet keeps its DD normal, found by its position in the lattice, and
+    A facet keeps its inner normal, found by its position in the lattice, and
     every other face the kernel rows of one Hermite pass, not the canonical
     basis of face_functionals: any basis has the same congruences and
     corank.  G covers F iff G contains F and has rank one more.  The rank of

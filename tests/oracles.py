@@ -27,11 +27,14 @@ fraction_elimination is the rank and determinant by elimination over Q, the
 reference for the Bareiss rank (intlinalg.rank_int) and for every rank and
 determinant a test needs, and cofactor_adjugate the adjugate from signed
 minors, the reference for the seed simplex's facet forms
-(volume._seed_simplex).  matmul is the plain matrix product.
+(cones._seed_simplex).  matmul is the plain matrix product.
 
 facets_by_subset_normals lists the facets from the hyperplanes through d - 1
-independent columns, the reference for the double description
-(cones._facets).  feasible_point_by_minimal_faces decides a system of
+independent columns, and facets_by_double_description finds them as the
+extreme rays of the dual cone (Fukuda and Prodon 1996), the oracle that
+scales to wide cones: both are references for the facets that the runtime
+reads off the boundary of its placing triangulation (cones._hull, through
+cones._facets).  feasible_point_by_minimal_faces decides a system of
 linear inequalities without elimination, the reference for Fourier-Motzkin
 (cones.fourier_motzkin_point).
 
@@ -56,7 +59,7 @@ rank step 1, and the Euler sum vanishes.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from gkzmono import (
@@ -331,6 +334,72 @@ def facets_by_subset_normals(config):
             continue
         facets[tuple(normal)] = tuple(j for j, v in enumerate(values, 1) if v == 0)
     return sorted(facets.items())
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def facets_by_double_description(config):
+    """Facets as sorted (primitive inner normal, column bitmask) pairs, the runtime's format.
+
+    The normals are the extreme rays of the dual cone {phi : phi . a_j >= 0}.
+    The dual cone is pointed because the columns span Q^d, so the method
+    starts from the full space (lineality basis = identity, no rays) and ends
+    with an empty lineality part.  Each ray carries the bitmask of the
+    columns so far that it vanishes on (bit j - 1 for column j).  Two rays
+    are adjacent iff their common zero set has at least d - dim(lineality) - 2
+    columns and lies in no third ray's zero set (the combinatorial test of
+    Fukuda and Prodon 1996).  Every ray is checked to be extreme: its zero
+    set has rank d - 1.
+    """
+    d, columns = config.d, config.A.columns()
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    lineality = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = {}
+    for j, a in enumerate(columns):
+        bit = 1 << j
+        values = [dot(l, a) for l in lineality]
+        if any(values):
+            idx = next(i for i, v in enumerate(values) if v != 0)
+            l0 = lineality[idx] if values[idx] > 0 else tuple(-x for x in lineality[idx])
+            v0 = abs(values[idx])
+            lineality = [
+                _primitive([v0 * x - v * y for x, y in zip(l, l0)])
+                for i, (l, v) in enumerate(zip(lineality, values))
+                if i != idx
+            ]
+            rays = {
+                _primitive([v0 * x - dot(r, a) * y for x, y in zip(r, l0)]): mask | bit
+                for r, mask in rays.items()
+            }
+            rays[l0] = bit - 1  # l0 vanished on every earlier column
+        else:
+            target = d - len(lineality) - 2
+            value = {r: dot(r, a) for r in rays}
+            masks = list(rays.values())
+            new_rays = {}
+            positive = [(p, pm) for p, pm in rays.items() if value[p] > 0]
+            negative = [(m, mm) for m, mm in rays.items() if value[m] < 0]
+            for (p, pm), (m, mm) in product(positive, negative):
+                meet = pm & mm
+                if meet.bit_count() < target:
+                    continue
+                if sum(meet & other == meet for other in masks) == 2:  # p and m only
+                    combo = [value[p] * x - value[m] * y for x, y in zip(m, p)]
+                    new_rays[_primitive(combo)] = meet | bit
+            rays = {
+                r: mask | (bit if value[r] == 0 else 0)
+                for r, mask in rays.items()
+                if value[r] >= 0
+            }
+            rays.update(new_rays)
+    assert not lineality, "the dual cone kept a lineality direction"
+    for mask in rays.values():
+        tight = [a for j, a in enumerate(columns) if mask >> j & 1]
+        assert fraction_elimination(tight)[0] == d - 1, "a non-extreme ray"
+    return tuple(sorted(rays.items()))
 
 
 def feasible_point_by_minimal_faces(rows, nvars):

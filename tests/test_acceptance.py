@@ -98,7 +98,7 @@ def test_criterion_05_pyramid_equivalence_sweep():
 
 
 def test_criterion_06_face_enumeration_oracle():
-    with criterion(6, "double description equals subset brute force (n <= 8)", 300.0):
+    with criterion(6, "facet closure equals subset brute force (n <= 8)", 300.0):
         rng = random.Random(20240502)
         for _ in range(120):
             config = random_configuration(rng, dmax=4, nmax=8, lo=-3, hi=3)

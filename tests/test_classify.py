@@ -13,6 +13,7 @@ from gkzmono import (
     REDUCIBLE,
     BetaOutsideSpan,
     Configuration,
+    Face,
     GaussRat,
     InputError,
     IntMatrix,
@@ -35,6 +36,7 @@ from sweeps import (
     random_beta,
     random_configuration,
     random_full_rank_matrix,
+    random_homogeneous_configuration,
     random_unimodular,
 )
 from test_golden import CASES as GOLDEN_CASES
@@ -286,6 +288,49 @@ class TestSharedConfiguration:
         assert calls == closures == [QUADRIC]
         assert first.configuration is second.configuration
         assert [f.indices for f in second.centers] == [(1, 2, 3)]
+
+    def test_a_cold_classify_triangulates_each_configuration_once(self, monkeypatch):
+        # The facets and the generic rank read one hull per configuration:
+        # one placing triangulation of its columns, and no other facet
+        # enumeration (no feasibility test of a subset, no face lattice).
+        # A face volume triangulates a face's columns, never the whole set.
+        hulls, face_triangulations, subsets = [], [], []
+        placing, of_matrix, feasible = (
+            cones._placing_triangulation, volume._volume_of_matrix, cones.is_face
+        )
+        monkeypatch.setattr(
+            cones, "_placing_triangulation", lambda p, d: hulls.append(p) or placing(p, d)
+        )
+        monkeypatch.setattr(
+            volume, "_volume_of_matrix", lambda c: face_triangulations.append(c) or of_matrix(c)
+        )
+        monkeypatch.setattr(
+            cones, "is_face", lambda *args: subsets.append(args) or feasible(*args)
+        )
+        monkeypatch.setattr(cones, "enumerate_faces", None)
+        rng = random.Random(163)
+        matrices = [BETA_SWEEP_MATRIX, random_homogeneous_configuration(rng, 6, 14).A]
+        matrices += [random_full_rank_matrix(rng, dmax=4, nmax=7) for _ in range(30)]
+        cones._normalize_matrix.cache_clear()
+        configs = set()
+        for A in matrices:
+            A = reduce_configuration(A, [0] * A.rows)[0].A  # classify's key for this config
+            config = reduce_configuration(A, [0] * A.rows)[0]
+            if config in configs or config.n <= cones.BRUTE_FORCE_LIMIT:
+                continue
+            configs.add(config)
+            before = len(face_triangulations)
+            classify(config.A, [rng.randint(-9, 9) for _ in range(config.d)])  # cold
+            assert len(hulls) == len(configs)
+            _, mask = rng.choice(cones._facets(config) or ((None, (1 << config.n) - 1),))
+            facet = Face([j + 1 for j in range(config.n) if mask >> j & 1], ())
+            for beta in betas_of_every_kind(rng, config, facet):
+                result = classify(config.A, beta)
+                assert result.configuration is config
+                assert result.generic_rank == volume.normalized_volume(config).volume
+            assert len(hulls) == len(configs)
+            assert all(len(c) < config.n for c in face_triangulations[before:])
+        assert len(configs) > 20 and subsets == []
 
     @pytest.mark.parametrize(
         "raw, inside, expected, outside",

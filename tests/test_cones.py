@@ -26,11 +26,14 @@ from gkzmono import (
     is_face,
     is_pyramid,
     kernel_lattice_basis,
+    normalized_volume,
     reduce_configuration,
+    volume,
 )
 from gkzmono.cones import per_configuration
 from oracles import (
     face_lattice_axiom_failures,
+    facets_by_double_description,
     facets_by_subset_normals,
     feasible_point_by_minimal_faces,
     fraction_elimination,
@@ -91,10 +94,10 @@ class TestConfiguration:
         assert Configuration(IntMatrix([[1, 0]])).lineality_columns == (2,)
 
     def test_lineality_columns_read_only_the_facets(self, monkeypatch):
-        dd_runs, enumerations = [], []
-        dd, enumerate_ = cones._facets.__wrapped__, cones.enumerate_faces
+        hull_runs, enumerations = [], []
+        hull, enumerate_ = cones._hull.__wrapped__, cones.enumerate_faces
         monkeypatch.setattr(
-            cones, "_facets", per_configuration(lambda c: dd_runs.append(c) or dd(c))
+            cones, "_hull", per_configuration(lambda c: hull_runs.append(c) or hull(c))
         )
         monkeypatch.setattr(
             cones, "enumerate_faces", lambda *args: enumerations.append(args) or enumerate_(*args)
@@ -110,8 +113,8 @@ class TestConfiguration:
             config = Configuration(A)
             assert config.lineality_columns == columns
             assert config.lineality_columns == columns
-            assert dd_runs == [config]
-            dd_runs.clear()
+            assert hull_runs == [config]
+            hull_runs.clear()
         assert enumerations == []
 
 
@@ -387,8 +390,15 @@ class TestFaceLatticeAxioms:
         assert face_lattice_axiom_failures(config) == []
 
 
+def moment_configuration(d, n):
+    """The cyclic polytope's moment matrix, rows t^0 .. t^(d-1) at t = 0 .. n-1, reduced."""
+    A = IntMatrix([[t ** i for t in range(n)] for i in range(d)])
+    return reduce_configuration(A, [0] * d)[0]
+
+
 class TestFacets:
-    """Double description against the hyperplanes through d - 1 columns."""
+    """The facets read off the hull, against double description and the
+    hyperplanes through d - 1 columns."""
 
     @staticmethod
     def facets(config):
@@ -396,6 +406,78 @@ class TestFacets:
             (normal, tuple(j + 1 for j in range(config.n) if mask >> j & 1))
             for normal, mask in cones._facets(config)
         ]
+
+    def test_random_configurations_match_double_description(self):
+        # Signed entries give non-pointed cones; a column is duplicated or a
+        # zero column inserted in two of every three inputs.
+        rng = random.Random(1317)
+        pointed = 0
+        for k in range(300):
+            config = random_configuration(rng, dmax=5, nmax=9, lo=-3 if k % 2 else 0)
+            columns = list(config.A.columns())
+            if k % 3 == 1:
+                columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+            elif k % 3 == 2:
+                columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
+            config = Configuration(IntMatrix.from_columns(columns, config.d))
+            pointed += config.lineality_columns == ()
+            assert cones._facets(config) == facets_by_double_description(config)
+            if config.n <= 8:
+                assert self.facets(config) == facets_by_subset_normals(config)
+        assert 60 < pointed < 240
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_seed_five_cones_match_double_description(self, d):
+        config = random_homogeneous_configuration(random.Random(5), d, 2 * d + 4)
+        assert cones._facets(config) == facets_by_double_description(config)
+        if d <= 6:
+            assert self.facets(config) == facets_by_subset_normals(config)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_cyclic_cones_match_double_description(self, d):
+        config = moment_configuration(d, 12)
+        assert cones._facets(config) == facets_by_double_description(config)
+        assert self.facets(config) == facets_by_subset_normals(config)
+
+    @staticmethod
+    def corrupt_a_boundary_form(monkeypatch, change):
+        """Make the hull read change(form) for its first boundary facet through the origin."""
+        placing = cones._placing_triangulation
+
+        def corrupted(points, d):
+            triangulation, boundary, forms = placing(points, d)
+            simplex, det, k, birth = next(v for f, v in boundary.items() if f[0] == 0)
+            simplex_forms = list(forms.get(simplex) or cones._derived_forms(*birth, det))
+            simplex_forms[k] = change(simplex_forms[k])
+            return triangulation, boundary, {**forms, simplex: simplex_forms}
+
+        monkeypatch.setattr(cones, "_placing_triangulation", corrupted)
+
+    @pytest.mark.parametrize("A", [QUADRIC, BETA_SWEEP_MATRIX, IntMatrix([[1, -1, 0], [0, 0, 1]])])
+    def test_a_normal_negative_on_a_column_is_an_inconsistency(self, monkeypatch, A):
+        # The flipped form still vanishes on its facet; its normal is then
+        # negative at the opposite vertex, a column.
+        self.corrupt_a_boundary_form(monkeypatch, lambda form: tuple(-x for x in form))
+        with pytest.raises(InternalInconsistency, match="negative on a column"):
+            cones._facets(Configuration(A))
+
+    @pytest.mark.parametrize("A", [QUADRIC, BETA_SWEEP_MATRIX, IntMatrix([[1, -1, 0], [0, 0, 1]])])
+    def test_a_form_off_its_facet_is_an_inconsistency(self, monkeypatch, A):
+        # A shifted constant term keeps the normal (nonnegative on every
+        # column), but the form no longer vanishes at the origin.
+        self.corrupt_a_boundary_form(monkeypatch, lambda form: (form[0] + 1,) + form[1:])
+        with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
+            cones._facets(Configuration(A))
+
+    def test_the_volume_reads_the_same_hull(self):
+        # One triangulation per configuration: the facets and the normalized
+        # volume come from one run, equal to the triangulation of the columns.
+        for A in (QUADRIC, BETA_SWEEP_MATRIX, IntMatrix(DENSE_FIVE_BY_EIGHT)):
+            config = Configuration(A)
+            triangulation, facets = cones._hull(config)
+            assert cones._facets(config) is facets
+            assert normalized_volume(config).triangulation is triangulation
+            assert triangulation == volume._volume_of_matrix(A.columns()).triangulation
 
     def test_beta_sweep(self):
         config = Configuration(BETA_SWEEP_MATRIX)

@@ -32,9 +32,9 @@ CASES = {
     "pyramid": ("[[1,1,1,0],[0,1,2,0],[0,0,0,1]]", "0,1/2,1/3", []),
     "square_negative_beta": ("[[1,1,1,1],[0,1,0,1],[0,0,1,1]]", "-1,0,0", []),
     "duplicate_columns": ("[[1,1,1,1],[0,1,1,2]]", "1/2,0", []),
-    # Twelve columns: face enumeration by double description.  The toric
-    # ideal needs more than 100 Buchberger steps, so this budget pins the
-    # exit-2 path of toric-ideal and export.
+    # Twelve columns: face enumeration by the closure of the hull's facets.
+    # The toric ideal needs more than 100 Buchberger steps, so this budget
+    # pins the exit-2 path of toric-ideal and export.
     "twelve_columns": (
         "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,1,2,3,0,1,2,3,0,1,2,0],"
         "[0,0,0,0,1,1,1,1,2,2,2,3]]",

@@ -346,8 +346,8 @@ class TestFacetFunctionals:
     """face_functionals and the resonance table's entries against the Hermite form.
 
     face_functionals reads the canonical basis of every face, a facet's
-    included: its DD normal with the first nonzero entry positive.  The table
-    keeps a facet's DD normal with the sign double description gives it and,
+    included: its inner normal with the first nonzero entry positive.  The table
+    keeps a facet's inner normal as the hull gives it (positive inside) and,
     for every other face, the kernel rows of one Hermite pass as they come: any
     Z-basis of the perp lattice, so its rows are checked by their count and
     Hermite form.  The reference is the IntMatrix Hermite path of the oracles,
@@ -390,7 +390,7 @@ class TestFacetFunctionals:
         self.assert_match_the_hermite_form(config)
 
     def test_facet_whose_normal_starts_negative(self):
-        # Columns (1, 1) and (0, 1): the facet {1} has the DD normal (-1, 1),
+        # Columns (1, 1) and (0, 1): the facet {1} has the inner normal (-1, 1),
         # which the table keeps and face_functionals reads as (1, -1).
         config = Configuration(IntMatrix([[1, 0], [1, 1]]))
         assert cones._facets(config) == (((-1, 1), 0b01), ((1, 0), 0b10))
@@ -419,7 +419,7 @@ def golden_stdout(name, argv):
 
 
 class TestOneReader:
-    """Facets read their DD normal everywhere, and the arrangement reads no table."""
+    """Facets read their inner normal everywhere, and the arrangement reads no table."""
 
     MATRIX, BETA, _ = CASES["wide_facet_resonant"]
 
@@ -509,21 +509,21 @@ class TestColdClassify:
         assert memo_entries(config, cones._perp_lattice_basis) <= 1
 
     def test_a_member_facet_builds_the_table_once(self, monkeypatch):
-        builds, dd_runs = [], []
-        build, dd = resonance._resonance_table.__wrapped__, cones._facets.__wrapped__
+        rng = random.Random(139)
+        facets = [f for f in SWEEP.face_lattice() if len(face_functionals(SWEEP, f)) == 1]
+        builds, hull_runs = [], []
+        build, hull = resonance._resonance_table.__wrapped__, cones._hull.__wrapped__
         monkeypatch.setattr(
             resonance, "_resonance_table", per_configuration(lambda c: builds.append(c) or build(c))
         )
-        counted_dd = per_configuration(lambda c: dd_runs.append(c) or dd(c))
-        monkeypatch.setattr(cones, "_facets", counted_dd)
-        monkeypatch.setattr(resonance, "_facets", counted_dd)
-        rng = random.Random(139)
-        facets = [f for f in SWEEP.face_lattice() if len(face_functionals(SWEEP, f)) == 1]
+        monkeypatch.setattr(
+            cones, "_hull", per_configuration(lambda c: hull_runs.append(c) or hull(c))
+        )
         for face in rng.sample(facets, 3):
             beta = planted_beta(rng, SWEEP, face)
             result = classify(BETA_SWEEP_MATRIX, beta)
             assert face in resonance_centers(result.configuration, beta).member_faces
-        assert builds == dd_runs == [result.configuration]
+        assert builds == hull_runs == [result.configuration]
 
     def test_no_table_entry_is_computed_after_the_first_build(self, monkeypatch):
         # The table is an A-side compile: after one facet-resonant classify

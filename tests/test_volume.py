@@ -194,8 +194,8 @@ class TestNormalizedVolume:
         every_point.  Returns the events and each exchange's (vertices, forms).
         """
         events, built = [], []
-        derive, seed_simplex = volume._derived_forms, volume._seed_simplex
-        placing = volume._placing_triangulation
+        derive, seed_simplex = cones._derived_forms, cones._seed_simplex
+        placing = cones._placing_triangulation
 
         def checked_derived(parent, parent_det, parent_forms, k, p, i, det):
             events.append("exchange")
@@ -226,8 +226,8 @@ class TestNormalizedVolume:
             events.append("placed")
             return result
 
-        monkeypatch.setattr(volume, "_derived_forms", checked_derived)
-        monkeypatch.setattr(volume, "_seed_simplex", seeded)
+        monkeypatch.setattr(cones, "_derived_forms", checked_derived)
+        monkeypatch.setattr(cones, "_seed_simplex", seeded)
         monkeypatch.setattr(volume, "_placing_triangulation", placed)
         return events, built
 
@@ -275,8 +275,8 @@ class TestNormalizedVolume:
                 if det:
                     break
             events, built = self.spy_on_the_placing(monkeypatch)
-            triangulation = volume._placing_triangulation(dict(enumerate(vertices)), d)
-            assert triangulation == [(tuple(range(d + 1)), abs(det))]
+            triangulation = volume._placing_triangulation(dict(enumerate(vertices)), d)[0]
+            assert triangulation == ((tuple(range(d + 1)), abs(det)),)
             assert events == ["exchange"] * d + ["seed", "placed"]
             adj = cofactor_adjugate(edges)
             rows = [[-sum(col) for col in zip(*adj)]] + adj
@@ -299,7 +299,7 @@ class TestNormalizedVolume:
         # fail, never a volume.  A shift by the simplex's det leaves every
         # division exact, so only the value at the opposite vertex can catch it.
         columns, d = BETA_SWEEP_MATRIX.columns(), BETA_SWEEP_MATRIX.rows
-        derive = volume._derived_forms
+        derive = cones._derived_forms
         at_call = {"unit": 1, "seed": d, "derived": d + 1}[corrupt]
         for k in range(d + 1):
             calls = []
@@ -316,7 +316,7 @@ class TestNormalizedVolume:
                     forms[k] = (g[0] + (rest[-1] if shift == "det" else 1),) + g[1:]
                 return forms
 
-            monkeypatch.setattr(volume, "_derived_forms", corrupted)
+            monkeypatch.setattr(cones, "_derived_forms", corrupted)
             with pytest.raises(InternalInconsistency, match="derived facet form"):
                 volume._volume_of_matrix(columns)
             assert len(calls) > at_call or corrupt == "unit"
@@ -325,9 +325,9 @@ class TestNormalizedVolume:
         # Adding x_m - q_m to the parent form opposite q keeps the derived
         # form's value at q.  Whenever that leaves the division inexact, the
         # exchange must raise: the seed's exchanges and the later ones.
-        calls, derive = [], volume._derived_forms
+        calls, derive = [], cones._derived_forms
         monkeypatch.setattr(
-            volume, "_derived_forms", lambda *args: calls.append(args) or derive(*args)
+            cones, "_derived_forms", lambda *args: calls.append(args) or derive(*args)
         )
         volume._volume_of_matrix(BETA_SWEEP_MATRIX.columns())
         inexact = [0, 0]
@@ -346,8 +346,8 @@ class TestNormalizedVolume:
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
         # Every simplex of a placing triangulation is full-dimensional; a
         # zero determinant is a bug, reported as exit 3 on the CLI.
-        derive = volume._derived_forms
-        monkeypatch.setattr(volume, "_derived_forms", lambda *args: derive(*args[:-1], 0))
+        derive = cones._derived_forms
+        monkeypatch.setattr(cones, "_derived_forms", lambda *args: derive(*args[:-1], 0))
         with pytest.raises(InternalInconsistency, match="flat simplex"):
             normalized_volume(Configuration(IntMatrix([[1, 1, 1], [0, 3, 7]])))
         cones._normalize_matrix.cache_clear()
@@ -516,16 +516,21 @@ class TestTriangulationDigest:
         assert h.hexdigest() == self.CONES
 
     def test_face_volumes(self, monkeypatch):
-        # Records every triangulation that face_volume runs, in call order.
+        # Records every triangulation that face_volume reads, in call order:
+        # a reduced face's own, and the full face's from the configuration's
+        # hull (normalized_volume, read once per configuration here).
         h = hashlib.sha256()
-        original = volume._volume_of_matrix
 
-        def record(A):
-            result = original(A)
-            self.update(h, result)
-            return result
+        def recorded(original):
+            def record(*args):
+                result = original(*args)
+                self.update(h, result)
+                return result
 
-        monkeypatch.setattr(volume, "_volume_of_matrix", record)
+            return record
+
+        monkeypatch.setattr(volume, "_volume_of_matrix", recorded(volume._volume_of_matrix))
+        monkeypatch.setattr(volume, "normalized_volume", recorded(volume.normalized_volume))
         rng = random.Random(1905)
         for _ in range(50):
             config = random_configuration(rng, dmax=4, nmax=7)
