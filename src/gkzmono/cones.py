@@ -7,13 +7,13 @@ complement; the whole column set is always a face (functional 0).  The
 minimal face is the set of columns on every facet, read off the facets
 alone; the configuration is pointed when it is empty.
 
-The hull, conv(0 + columns), is triangulated once by placing (_hull).  A
-facet form, x -> det(the facet's lifted vertices (1, v), then (1, x)), is
-derived from the parent simplex's forms by one exact exchange rule, so a
-visibility test is one dot product, also the new simplex's certificate
-entry.  The cone is the hull's tangent cone at 0: its facets are read off
-the final boundary through 0, and the normalized volume reads the same
-triangulation.  Face enumeration closes the facet bitmasks under
+The hull, conv(0 + columns), is triangulated once by placing (_hull).  Each
+boundary facet keeps one inner form, x -> +-det(the facet's lifted vertices
+(1, v), then (1, x)), so a visibility test is one dot product, also the new
+simplex's certificate entry; a new facet's form is derived exactly at its
+horizon ridge.  The cone is the hull's tangent cone at 0: its facets are
+read off the final boundary through 0, and the normalized volume reads the
+same triangulation.  Face enumeration closes the facet bitmasks under
 intersection, once per configuration (_face_closure).  The faces stay
 bitmasks until a Face is read: one helper (_face) witnesses a closure entry
 by the primitive sum of the normals of the facets that contain it.
@@ -284,127 +284,127 @@ def fourier_motzkin_point(
 # ---------------------------------------------------------------------------
 
 
-def _derived_forms(parent: list[IntVec], parent_det: int, parent_forms: list[IntVec], k: int,
-                   p: IntVec, i: int, det: int) -> list[IntVec]:
-    """Facet forms of parent's facet k with p inserted at position i, exactly; det is its det.
-
-    Points are lifted to (1, x).  f_k stays; opposite q = parent[j],
-    +-(f_k(p) f_j - f_j(p) f_k) / parent_det, signed by f_j(q) = (-1)^(d-j) parent_det.
-    A zero det, a remainder, or a value at the vertex in position m other than
-    (-1)^(d-m) det raises InternalInconsistency.
-    """
-    if not det:
-        raise InternalInconsistency("placing triangulation has a flat simplex")
-    d, order = len(parent) - 1, [j for j in range(len(parent)) if j != k]
-    order.insert(i, k)  # k stands for p
-    at_p, forms = [sum(map(mul, f, p)) for f in parent_forms], []
-    for m, j in enumerate(order):
-        g, rest, expected = parent_forms[k], (), (-1) ** (d - m) * det
-        if j != k:
-            sign = 1 if (-1) ** (d - j) * at_p[k] == expected else -1
-            v, w = sign * at_p[k], sign * at_p[j]
-            g, rest = zip(*[divmod(v * x - w * y, parent_det)
-                            for x, y in zip(parent_forms[j], parent_forms[k])])
-        if any(rest) or sum(map(mul, g, p if j == k else parent[j])) != expected:
-            raise InternalInconsistency("a derived facet form disagrees with the determinant")
-        forms.append(g)
-    return forms
-
-
 def _seed_simplex(points: dict[int, IntVec], labels: list[int], d: int):
-    """(labels, det, facet forms) of the first affinely independent points in label order.
+    """(labels, |det|, inner forms) of the first affinely independent points in label order.
 
     Points are exchanged into the unit simplex base, base + e_1, ..., base + e_d
-    (det 1, forms (-1)^(d-k) times its barycentric coordinates): a point enters
-    iff the form opposite a remaining unit vertex is nonzero at it.
+    (|det| 1, its barycentric coordinates as inner forms): p enters iff the form
+    g opposite a remaining unit vertex is nonzero at it, and replaces that
+    vertex; the new forms are derived as at a horizon, with the sign of g that
+    p sees (_horizon_form).  forms[m] is the form opposite seed[m].
     """
     base = points[labels[0]]
     vertices = [base] + [base[:k] + (base[k] + 1,) + base[k + 1:] for k in range(1, d + 1)]
-    forms = [tuple((-1) ** d * x for x in (sum(base),) + (-1,) * d)]
-    forms += [tuple((-1) ** (d - k) * (-base[k] if m == 0 else int(m == k)) for m in range(d + 1))
+    forms = [(sum(base),) + (-1,) * d]
+    forms += [tuple(-base[k] if m == 0 else int(m == k) for m in range(d + 1))
               for k in range(1, d + 1)]
     seed, det = labels[:1], 1
     for label in labels[1:]:
         p, i = points[label], len(seed)
-        k, value = next(((k, v) for k in range(i, d + 1) if (v := sum(map(mul, forms[k], p)))),
-                        (0, 0))
-        if value:  # p moves from last to position i: a (d-i+1)-cycle
-            new_det = -value if (d - i) % 2 else value
-            forms = _derived_forms(vertices, det, forms, k, p, i, new_det)
-            vertices = vertices[:i] + [p] + [v for j, v in enumerate(vertices[i:], i) if j != k]
-            seed, det = seed + [label], new_det
-            if len(seed) == d + 1:
-                break
-    if len(seed) < d + 1:
+        if i > d:
+            break
+        at_p = [sum(map(mul, g, p)) for g in forms]
+        k = next((k for k in range(i, d + 1) if at_p[k]), None)
+        if k is None:  # p lies in the span of the seed so far
+            continue
+        seen, det = forms[k] if at_p[k] < 0 else tuple(-x for x in forms[k]), abs(at_p[k])
+        forms = [tuple(-x for x in seen) if j == k else _horizon_form(seen, -det, g, at_p[j], v)
+                 for j, (g, v) in enumerate(zip(forms, vertices))]
+        vertices[k], vertices[i], forms[k], forms[i] = vertices[i], p, forms[i], forms[k]
+        seed.append(label)
+    if len(seed) <= d:
         raise DegenerateConfiguration("points do not span the ambient space")
     return tuple(seed), det, forms
 
 
-def _placing_triangulation(points: dict[int, IntVec], d: int):
-    """Triangulate conv(points) by inserting in ascending label order.
+def _horizon_form(seen: IntVec, seen_p: int, hidden: IntVec, hidden_p: int, u: IntVec) -> IntVec:
+    """Inner form of ridge + p, where p sees seen = ridge + u; hidden is the ridge's other facet.
 
-    Each new point is joined to the boundary facets it strictly sees; points
+    (hidden(p) seen - seen(p) hidden) / hidden(u), exactly, with -seen(p) at u.
+    A divisor <= 0, a remainder or another value raises InternalInconsistency.
+    """
+    divisor = sum(map(mul, hidden, u))
+    if divisor <= 0:
+        raise InternalInconsistency("placing triangulation has a flat simplex or an outer form")
+    form, rest = zip(*[divmod(hidden_p * x - seen_p * y, divisor) for x, y in zip(seen, hidden)])
+    if any(rest) or sum(map(mul, form, u)) != -seen_p:
+        raise InternalInconsistency("a derived facet form disagrees with the determinant")
+    return form
+
+
+def _placing_triangulation(points: dict[int, IntVec], d: int):
+    """Triangulate conv(points) by inserting in ascending label order (beneath-beyond).
+
+    Each new point p is joined to the boundary facets it strictly sees; points
     inside (or on) the current hull contribute nothing, and a repeated point
-    only by its smallest label.  Returns the sorted simplices with their
-    |det|, the final boundary and the facet forms derived so far.
+    only by its smallest label.  A boundary facet keeps one inner form g: g >= 0
+    on the hull, |g(x)| = |det| of its lifted points then (1, x).  So p sees it
+    iff g(p) < 0, and -g(p) is the new simplex's |det|.  A new facet's form is
+    derived at its horizon ridge, shared with a facet p does not see.  Returns
+    the sorted simplices with their |det| and the final boundary with its forms.
     """
     labels = sorted({x: label for label, x in sorted(points.items(), reverse=True)}.values())
     points = {label: (1,) + points[label] for label in labels}
-    seed, seed_det, seed_forms = _seed_simplex(points, labels, d)
-    simplices: list[tuple[Simplex, int]] = []
-    # facet -> (simplex, det, k, birth): () for the seed, else _derived_forms' arguments but det
-    boundary: dict[Simplex, tuple] = {}
-    forms: dict[Simplex, list] = {seed: seed_forms}  # facet forms of each simplex tested so far
-
-    def place(simplex: Simplex, det: int, birth: tuple = ()):
-        # det is the edge determinant of the sorted simplex; combinations
-        # drops simplex[d], simplex[d-1], ... in turn.
-        simplices.append((simplex, abs(det)))
-        for k, facet in zip(range(d, -1, -1), combinations(simplex, d)):
-            if boundary.pop(facet, None) is None:
-                boundary[facet] = (simplex, det, k, birth)
-
-    place(seed, seed_det)
+    seed, det, forms = _seed_simplex(points, labels, d)
+    simplices: list[tuple[Simplex, int]] = [(seed, det)]
+    boundary: dict[Simplex, IntVec] = {}
+    ridges: dict[Simplex, list[Simplex]] = {}  # (d-1)-tuple -> its two boundary facets
+    for m, g in enumerate(forms):
+        facet = seed[:m] + seed[m + 1:]
+        boundary[facet] = g
+        for j in range(d):
+            ridges.setdefault(facet[:j] + facet[j + 1:], []).append(facet)
     for label, p in [(l, points[l]) for l in labels if l not in seed]:
-        # A snapshot: p lies on none of its facets, so their order does not matter.
-        for facet, (simplex, simplex_det, dropped, birth) in list(boundary.items()):
-            if simplex not in forms:
-                forms[simplex] = _derived_forms(*birth, simplex_det)
-            value = sum(map(mul, forms[simplex][dropped], p))
-            if value * (-1) ** (d - dropped) * simplex_det < 0:  # p strictly sees the facet
-                i = bisect(facet, label)  # moving the label to position i: a (d-i+1)-cycle
-                place(facet[:i] + (label,) + facet[i:], -value if (d - i) % 2 else value,
-                      ([points[v] for v in simplex], simplex_det, forms[simplex], dropped, p, i))
-    return tuple(sorted(simplices)), boundary, forms
+        at_p = {facet: sum(map(mul, g, p)) for facet, g in boundary.items()}
+        for facet in [facet for facet, value in at_p.items() if value < 0]:  # p sees it
+            value, g, i = at_p[facet], boundary.pop(facet), bisect(facet, label)
+            simplices.append((facet[:i] + (label,) + facet[i:], -value))
+            for m, u in enumerate(facet):
+                ridge = facet[:m] + facet[m + 1:]
+                pair = ridges.get(ridge, ())
+                other = pair[pair[0] == facet] if len(pair) == 2 and facet in pair else None
+                if other not in at_p:
+                    raise InternalInconsistency("a boundary ridge is not in exactly two facets")
+                if at_p[other] >= 0:  # a horizon ridge: with p, it spans a new facet
+                    i = bisect(ridge, label)
+                    new = pair[pair.index(facet)] = ridge[:i] + (label,) + ridge[i:]
+                    boundary[new] = _horizon_form(g, value, boundary[other], at_p[other], points[u])
+                    for j in [j for j in range(d) if j != i]:
+                        ridges.setdefault(new[:j] + new[j + 1:], []).append(new)
+                elif other not in boundary:  # p sees both, and both have left the boundary
+                    del ridges[ridge]
+    return tuple(sorted(simplices)), boundary
 
 
 @per_configuration
 def _hull(config: Configuration) -> tuple[tuple, tuple]:
     """(triangulation, facets) of conv(0 + columns), the one hull of the configuration.
 
-    A facet is read off each boundary simplex through the origin: the linear
-    part of its form, signed positive at the opposite vertex, primitive.  The
-    form must vanish on the facet's d (affinely independent) vertices and the
-    normal be nonnegative on every column, else InternalInconsistency.
+    A facet is read off each boundary facet through the origin: the linear
+    part of its inner form, primitive.  The form must vanish at the origin,
+    its normal on the facet's other vertices (read off the column bitmask)
+    and be nonnegative on every column, else InternalInconsistency.
     """
     d, columns = config.d, config.A.columns()
     points = ((0,) * d, *columns)  # the origin is label 0, column j label j
-    triangulation, boundary, forms = _placing_triangulation(dict(enumerate(points)), d)
-    normals = set()
-    for facet, (simplex, det, k, birth) in boundary.items():
+    triangulation, boundary = _placing_triangulation(dict(enumerate(points)), d)
+    vertices: dict[IntVec, int] = {}  # normal -> bitmask of its boundary facets' vertices
+    for facet, form in boundary.items():
         if facet[0]:  # not through the origin
             continue
-        form = (forms.get(simplex) or forms.setdefault(simplex, _derived_forms(*birth, det)))[k]
-        if any(sum(map(mul, form, (1,) + points[v])) for v in facet):
+        if form[0]:
             raise InternalInconsistency("a hull facet form does not vanish on its facet")
-        sign = det if (d - k) % 2 == 0 else -det  # the sign of the form at the opposite vertex
-        normals.add(primitive_vector(tuple(sign * x for x in form[1:])))
+        normal = primitive_vector(form[1:])
+        vertices[normal] = vertices.get(normal, 0) | sum(1 << v - 1 for v in facet[1:])
     facets = []
-    for normal in sorted(normals):
+    for normal in sorted(vertices):
         values = [_dot(normal, a) for a in columns]
         if min(values) < 0:
             raise InternalInconsistency("a hull facet normal is negative on a column")
-        facets.append((normal, sum(1 << j for j, v in enumerate(values) if v == 0)))
+        mask = sum(1 << j for j, v in enumerate(values) if v == 0)
+        if vertices[normal] & ~mask:
+            raise InternalInconsistency("a hull facet form does not vanish on its facet")
+        facets.append((normal, mask))
     return triangulation, tuple(facets)
 
 

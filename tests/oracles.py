@@ -19,15 +19,20 @@ Schulze-Walther, "Resonance equals reducibility for A-hypergeometric
 systems" (arXiv:1009.3569): split off apexes one at a time, then the
 apex-free core is irreducible iff beta is not resonant.  It never looks at
 resonance centers, their uniqueness or volumes, so it checks classify from
-the outside.
+the outside.  verdict_by_facet_theorem reads the verdict off the facets
+alone: Irreducible iff every facet whose resonant span holds beta contains
+the related columns (Gelfand-Kapranov-Zelevinsky 1990; Beukers 2011;
+Schulze-Walther), from double description and the definitions, with no
+hull and no resonance table.
 
 solve_rational is the Gauss-Jordan reference for the runtime's one exact
 solver, forward substitution on Hermite rows (intlinalg._hermite_solutions).
 fraction_elimination is the rank and determinant by elimination over Q, the
 reference for the Bareiss rank (intlinalg.rank_int) and for every rank and
 determinant a test needs, and cofactor_adjugate the adjugate from signed
-minors, the reference for the seed simplex's facet forms
-(cones._seed_simplex).  matmul is the plain matrix product.
+minors, the reference for the seed simplex's inner facet forms, which the
+placing keeps as its first boundary (cones._seed_simplex).  matmul is the
+plain matrix product.
 
 facets_by_subset_normals lists the facets from the hyperplanes through d - 1
 independent columns, and facets_by_double_description finds them as the
@@ -49,6 +54,13 @@ the reduction of the face's own rows in cones._perp_lattice_basis and, up
 to a Hermite form, for the kernel rows that the resonance table keeps
 (cones._perp_kernel).
 
+triangulation_failures checks a triangulation certificate against the
+axioms of a triangulation of conv(points) (De Loera, Rambau & Santos,
+Triangulations, 2010, ch. 4): full-dimensional simplices of their stated
+|det|, two simplices on opposite sides of every interior ridge, every
+other ridge on a facet of the hull, and one generic point covered once.
+It proves the normalized volume without the placing order.
+
 face_lattice_axiom_failures checks the face lattice and the resonance
 table's cover relation against the axioms of a face lattice (Ziegler,
 Lectures on Polytopes, 1995, Thm 2.7 and Cor 8.17), with inclusion read
@@ -66,6 +78,7 @@ from gkzmono import (
     IRREDUCIBLE,
     REDUCIBLE,
     DimensionMismatch,
+    Face,
     GaussRat,
     IntMatrix,
     face_functionals,
@@ -198,6 +211,23 @@ def verdict_by_apex_stripping(A, beta):
     proper = lattice[:-1]
     if any(fraction_in_resonant_span(config, f, beta) for f in proper):
         return REDUCIBLE
+    return IRREDUCIBLE
+
+
+def verdict_by_facet_theorem(A, beta):
+    """Reducible or Irreducible: Irreducible iff every member facet contains R.
+
+    R is the set of related columns (related_columns_by_distinct_kernel), and
+    a member facet is a facet (facets_by_double_description) whose resonant
+    span Z^d + C*span(F) holds beta (fraction_in_resonant_span), both on the
+    normalized pair.  It reads neither the hull nor the resonance table.
+    """
+    config, beta, _ = reduce_configuration(A, beta)
+    related = related_columns_by_distinct_kernel(config)
+    for normal, mask in facets_by_double_description(config):
+        labels = {j for j in range(1, config.n + 1) if mask >> j - 1 & 1}
+        if not related <= labels and fraction_in_resonant_span(config, Face(labels, normal), beta):
+            return REDUCIBLE
     return IRREDUCIBLE
 
 
@@ -495,4 +525,63 @@ def face_lattice_axiom_failures(config):
         failures.append("the table's covers are not the inclusions of rank step 1")
     if len(faces) > 1 and sum((-1) ** r for r in ranks):
         failures.append("the Euler sum of the face lattice is not 0")
+    return failures
+
+
+def triangulation_failures(points, triangulation):
+    """The triangulation axioms that (simplex, |det|) pairs over points break ([] if none).
+
+    points maps each label to a point of Z^d.  Every simplex must be
+    full-dimensional with its stated |det| (fraction_elimination on its
+    edges).  A ridge (a simplex less one vertex) in two simplices must have
+    their opposite vertices strictly on opposite sides of it; a ridge in one
+    simplex must have every point on one closed side, so that it lies on a
+    facet of conv(points); no ridge lies in three.  Then the simplices cover
+    conv(points) a constant number of times off the ridges, and one generic
+    point near the first simplex's centroid, covered exactly once, makes
+    that number 1 (De Loera, Rambau & Santos, Triangulations, 2010, ch. 4):
+    the |det| sum to the normalized volume whatever the placing order.
+    """
+    lifted = {label: (1, *x) for label, x in points.items()}
+    d = len(next(iter(lifted.values()))) - 1
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    failures, ridges = [], {}
+    for simplex, det in triangulation:
+        edges = [[a - b for a, b in zip(points[v], points[simplex[0]])] for v in simplex[1:]]
+        if len(simplex) != d + 1 or det <= 0 or abs(fraction_elimination(edges)[1]) != det:
+            failures.append(f"simplex {simplex} is flat or its |det| is not {det}")
+            continue
+        for k, v in enumerate(simplex):
+            ridges.setdefault(simplex[:k] + simplex[k + 1:], []).append(v)
+    forms = {ridge: _normal([lifted[v] for v in ridge], d + 1) for ridge in ridges}
+    for ridge, opposite in ridges.items():
+        if len(opposite) == 1:
+            values = [dot(forms[ridge], x) for x in lifted.values()]
+            if min(values) < 0 < max(values):
+                failures.append(f"boundary ridge {ridge} has points on both sides")
+        elif len(opposite) > 2:
+            failures.append(f"ridge {ridge} lies in {len(opposite)} simplices")
+        elif dot(forms[ridge], lifted[opposite[0]]) * dot(forms[ridge], lifted[opposite[1]]) >= 0:
+            failures.append(f"the simplices at interior ridge {ridge} are on one side")
+    if failures or not triangulation:
+        return failures or ["no simplex"]
+
+    def covers(simplex, q):
+        return all(dot(forms[simplex[:k] + simplex[k + 1:]], q)
+                   * dot(forms[simplex[:k] + simplex[k + 1:]], lifted[v]) > 0
+                   for k, v in enumerate(simplex))
+
+    # q = the first simplex's centroid, moved along (1, s, s^2, ...) off every
+    # ridge's hyperplane, in homogeneous coordinates (scale, scale * x).
+    first = triangulation[0][0]
+    centre = [sum(column) for column in zip(*(lifted[v] for v in first))]
+    for s in range(2, 50):
+        q = [10 ** (6 + s) * c + (0, *(s ** m for m in range(d)))[i] for i, c in enumerate(centre)]
+        if covers(first, q) and all(dot(form, q) for form in forms.values()):
+            break
+    else:
+        return ["no generic point found in the first simplex"]
+    covered = sum(covers(simplex, q) for simplex, _ in triangulation)
+    if covered != 1:
+        failures.append(f"a generic point is covered {covered} times")
     return failures

@@ -445,11 +445,9 @@ class TestFacets:
         placing = cones._placing_triangulation
 
         def corrupted(points, d):
-            triangulation, boundary, forms = placing(points, d)
-            simplex, det, k, birth = next(v for f, v in boundary.items() if f[0] == 0)
-            simplex_forms = list(forms.get(simplex) or cones._derived_forms(*birth, det))
-            simplex_forms[k] = change(simplex_forms[k])
-            return triangulation, boundary, {**forms, simplex: simplex_forms}
+            triangulation, boundary = placing(points, d)
+            facet = next(f for f in boundary if f[0] == 0)
+            return triangulation, {**boundary, facet: change(boundary[facet])}
 
         monkeypatch.setattr(cones, "_placing_triangulation", corrupted)
 

@@ -1,15 +1,16 @@
-"""classify against the apex-stripping verdict of tests/oracles.py."""
+"""classify against the apex-stripping verdict and the facet theorem of tests/oracles.py."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gkzmono import IRREDUCIBLE, REDUCIBLE, GaussRat, IntMatrix, classify
 from gkzmono.cli import _parse_beta_literal
-from oracles import verdict_by_apex_stripping
-from sweeps import random_beta, random_full_rank_matrix
+from oracles import facets_by_double_description, verdict_by_apex_stripping, verdict_by_facet_theorem
+from sweeps import random_beta, random_full_rank_matrix, random_homogeneous_configuration
 from test_golden import CASES as GOLDEN_CASES
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
@@ -105,3 +106,46 @@ def test_agrees_with_classify_on_a_seeded_sweep():
             )
             seen[REDUCIBLE] += result.verdict == REDUCIBLE
     assert min(seen.values()) >= 150, seen
+
+
+def test_the_facet_theorem_agrees_with_classify_on_a_seeded_sweep():
+    # Irreducible iff every member facet contains the related columns, read
+    # off double description and the resonant spans alone: the same mix of
+    # cores, apexes and dependent rows as the apex-stripping sweep.
+    rng = random.Random(2011)
+    verdicts = Counter()
+    for i in range(150):
+        core = random_full_rank_matrix(rng, dmax=3, nmax=5)
+        A, apex = with_apex(rng, core) if i % 2 else (core, None)
+        raw, dependent = with_dependent_row(rng, A) if i % 5 == 2 and A.rows > 1 else (A, None)
+        for kind in KINDS:
+            beta = random_parameter(rng, kind, core.rows)
+            if apex is not None:
+                beta = apex(beta, rng.choice((-2, 0, 1, Fraction(1, 2))))
+            if dependent is not None:
+                beta = dependent(beta)
+            verdict = classify(raw, beta).verdict
+            assert verdict_by_facet_theorem(raw, beta) == verdict, (raw, beta)
+            verdicts[verdict] += 1
+    assert verdicts[IRREDUCIBLE] >= 300 and verdicts[REDUCIBLE] >= 50, verdicts
+
+
+def test_the_facet_theorem_agrees_with_classify_on_a_wide_cone():
+    # The seed-5 d=7, n=18 cone, for every 28th of its 227 facets: a beta in
+    # the span of the facet's columns plus an integer vector (facet-resonant),
+    # then a generic one.
+    config = random_homogeneous_configuration(random.Random(5), 7, 18)
+    A, rng = config.A, random.Random(7)
+    verdicts = Counter()
+    for normal, mask in facets_by_double_description(config)[::28]:
+        columns = [a for j, a in enumerate(A.columns()) if mask >> j & 1]
+        weights = [Fraction(rng.randint(-3, 3), rng.choice((2, 3))) for _ in columns]
+        shift = [rng.randint(-2, 2) for _ in range(A.rows)]
+        resonant = [sum(w * a[m] for w, a in zip(weights, columns)) + shift[m]
+                    for m in range(A.rows)]
+        generic = [Fraction(rng.randint(-5000, 5000), 10007) for _ in range(A.rows)]
+        for beta in (resonant, generic):
+            verdict = classify(A, beta).verdict
+            assert verdict_by_facet_theorem(A, beta) == verdict, beta
+            verdicts[verdict] += 1
+    assert verdicts[REDUCIBLE] >= 8 and verdicts[IRREDUCIBLE] >= 4, verdicts

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 from operator import mul
 
 import pytest
@@ -19,7 +20,7 @@ from gkzmono import (
     normalized_volume,
     volume,
 )
-from oracles import cofactor_adjugate, fraction_elimination, matmul
+from oracles import cofactor_adjugate, fraction_elimination, matmul, triangulation_failures
 from sweeps import (
     BETA_SWEEP_MATRIX,
     face_of,
@@ -182,39 +183,22 @@ class TestNormalizedVolume:
             self.assert_certificate(A, volume._volume_of_matrix(A.columns()))
 
     @staticmethod
-    def spy_on_the_placing(monkeypatch, every_point=()):
-        """Record each exchange, the end of the seed and the end of the placing.
+    def spy_on_the_placing(monkeypatch):
+        """Record each derivation, the end of the seed and the end of the placing.
 
-        Each exchange's facet forms are checked against the determinant of
-        the facet's lifted points (1, x) followed by a point p, the value a
-        visibility test (and a new simplex's certificate) reads.  Both sides
-        are affine in p, so the simplex's own vertices pin them: the
-        determinant is 0 at the facet's vertices and (-1)^(d-m) det at the
-        vertex in position m.  Each form is also evaluated at every point of
-        every_point.  Returns the events and each exchange's (vertices, forms).
+        A derivation is one call of the exact horizon rule (cones._horizon_form):
+        the seed's exchanges and the placing's new boundary facets both take
+        their forms from it.  Returns the events, each derivation's arguments
+        and the final boundary (facet -> inner form) of each placing.
         """
-        events, built = [], []
-        derive, seed_simplex = cones._derived_forms, cones._seed_simplex
+        events, derivations, boundaries = [], [], []
+        horizon, seed_simplex = cones._horizon_form, cones._seed_simplex
         placing = cones._placing_triangulation
 
-        def checked_derived(parent, parent_det, parent_forms, k, p, i, det):
-            events.append("exchange")
-            forms = derive(parent, parent_det, parent_forms, k, p, i, det)
-            facet = parent[:k] + parent[k + 1:]
-            vertices = facet[:i] + [p] + facet[i:]
-            assert det == fraction_elimination(vertices)[1]
-            d = len(vertices) - 1
-            for m, g in enumerate(forms):
-                value = (-1) ** (d - m) * det
-                assert [sum(map(mul, g, v)) for v in vertices] == [
-                    value * (j == m) for j in range(d + 1)
-                ]
-                for x in every_point:
-                    lifted = (1,) + x
-                    row = vertices[:m] + vertices[m + 1:] + [lifted]
-                    assert sum(map(mul, g, lifted)) == fraction_elimination(row)[1]
-            built.append((tuple(vertices), forms))
-            return forms
+        def derived(*args):
+            events.append("derive")
+            derivations.append(args)
+            return horizon(*args)
 
         def seeded(*args):
             result = seed_simplex(*args)
@@ -224,12 +208,45 @@ class TestNormalizedVolume:
         def placed(*args):
             result = placing(*args)
             events.append("placed")
+            boundaries.append(result[1])
             return result
 
-        monkeypatch.setattr(cones, "_derived_forms", checked_derived)
+        monkeypatch.setattr(cones, "_horizon_form", derived)
         monkeypatch.setattr(cones, "_seed_simplex", seeded)
         monkeypatch.setattr(volume, "_placing_triangulation", placed)
-        return events, built
+        return events, derivations, boundaries
+
+    @staticmethod
+    def derivation_points(triangulation, d):
+        """The label of the point p of each derivation, in call order, from the triangulation.
+
+        The seed is the lexicographically first simplex (a smaller label it
+        skips depends on the seed labels before it), and derives d forms for
+        each of its labels after the first.  A later point derives one form
+        per facet through it that exactly one of its simplices has (its
+        simplices: those whose largest label it is).
+        """
+        (seed, _), *later = triangulation
+        labels = [p for p in seed[1:] for _ in range(d)]
+        through_p = Counter(s[:m] + s[m + 1:] for s, _ in later for m in range(d))
+        return labels + sorted(facet[-1] for facet, count in through_p.items() if count == 1)
+
+    @staticmethod
+    def assert_inner_forms(points, boundary, every_point):
+        """Each kept form is +-det(its facet's lifted points, then (1, x)), >= 0 at every point.
+
+        Every form must vanish on its facet and be nonnegative at every point;
+        with every_point the determinant itself is recomputed at every point
+        (fraction_elimination), and the form must be its absolute value.
+        """
+        lifted = [(1,) + x for x in points]
+        for facet, form in boundary.items():
+            values = [sum(map(mul, form, x)) for x in lifted]
+            assert min(values) >= 0 and [values[v] for v in facet] == [0] * len(facet)
+            if every_point:
+                dets = [fraction_elimination([lifted[v] for v in facet] + [x])[1] for x in lifted]
+                assert values == [abs(det) for det in dets]
+                assert min(dets) >= 0 or max(dets) <= 0
 
     @pytest.mark.parametrize(
         "A, every_point",
@@ -240,31 +257,31 @@ class TestNormalizedVolume:
         ids=["beta_sweep", "wide_cone"],
     )
     def test_every_simplex_takes_its_forms_from_one_exchange(self, monkeypatch, A, every_point):
-        # The seed takes d exchanges from the unit simplex; every later
-        # simplex derives its facet forms from its parent's, at most once,
-        # and nothing runs after the placing.
+        # The seed takes d exchanges from the unit simplex, each deriving the d
+        # forms of the facets through the entering point.  After it, each new
+        # boundary facet derives its one form at its horizon ridge, counted
+        # off the triangulation (derivation_points), and nothing runs after
+        # the placing.
         points = [(0,) * A.rows] + list(A.columns())
-        events, built = self.spy_on_the_placing(monkeypatch, points if every_point else ())
+        events, _, boundaries = self.spy_on_the_placing(monkeypatch)
         result = volume._volume_of_matrix(A.columns())
         d = A.rows
-        assert events[:d + 1] == ["exchange"] * d + ["seed"] and events[-1] == "placed"
-        assert set(events[d + 1:-1]) == {"exchange"}
-        lifted = {tuple((1,) + points[v] for v in s) for s, _ in result.triangulation}
-        # The seed is the lexicographically first simplex: a smaller label it
-        # skips is dependent on the seed labels before it.
-        seed, *later = [vertices for vertices, _ in built[d - 1:]]
-        assert seed == tuple((1,) + points[v] for v in result.triangulation[0][0])
-        assert len(later) == len(set(later)) and seed not in later
-        # Forms are derived when a simplex is first tested, and the ones the
-        # last point places never are.
-        assert set(later) < lifted - {seed}
+        horizon = len(self.derivation_points(result.triangulation, d)) - d * d
+        assert events == ["derive"] * (d * d) + ["seed"] + ["derive"] * horizon + ["placed"]
+        assert horizon > d
+        # The kept forms: one per facet of exactly one simplex, the boundary.
+        facets = Counter(f for s, _ in result.triangulation for f in combinations(s, d))
+        (boundary,) = boundaries
+        assert set(boundary) == {f for f, count in facets.items() if count == 1}
+        self.assert_inner_forms(points, boundary, every_point)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_a_lone_seed_matches_the_cofactor_adjugate(self, monkeypatch, d):
         # d + 1 points in general position: the seed is the whole
-        # triangulation, after d exchanges.  Its forms are the rows of the
-        # adjugate of its edge matrix, signed by (-1)^(d-k), with
-        # lambda_0 = 1 - sum lambda_k.
+        # triangulation, after d exchanges of d derivations each.  Its
+        # determinant forms are the rows of the adjugate of its edge matrix,
+        # signed by (-1)^(d-k), with lambda_0 = 1 - sum lambda_k; the boundary
+        # keeps each with the sign that is positive at its opposite vertex.
         rng = random.Random(40 + d)
         signs = set()
         for _ in range(4):
@@ -274,18 +291,21 @@ class TestNormalizedVolume:
                 det = fraction_elimination(edges)[1]
                 if det:
                     break
-            events, built = self.spy_on_the_placing(monkeypatch)
+            events, _, boundaries = self.spy_on_the_placing(monkeypatch)
             triangulation = volume._placing_triangulation(dict(enumerate(vertices)), d)[0]
             assert triangulation == ((tuple(range(d + 1)), abs(det)),)
-            assert events == ["exchange"] * d + ["seed", "placed"]
+            assert events == ["derive"] * (d * d) + ["seed", "placed"]
             adj = cofactor_adjugate(edges)
             rows = [[-sum(col) for col in zip(*adj)]] + adj
-            expected = []
+            expected = {}
             for k, row in enumerate(rows):
                 c = [(-1) ** (d - k) * x for x in row]
                 c0 = (-1) ** (d - k) * det * (k == 0) - sum(map(mul, c, vertices[0]))
-                expected.append((c0, *c))
-            assert built[-1][1] == expected
+                sign = 1 if (-1) ** (d - k) * det > 0 else -1
+                expected[tuple(j for j in range(d + 1) if j != k)] = tuple(
+                    sign * x for x in (c0, *c)
+                )
+            assert boundaries[-1] == expected
             signs.add(det > 0)
             monkeypatch.undo()
         assert signs == {True, False}
@@ -293,61 +313,110 @@ class TestNormalizedVolume:
     @pytest.mark.parametrize("shift", ["one", "det"])
     @pytest.mark.parametrize("corrupt", ["unit", "seed", "derived"])
     def test_a_corrupted_form_is_an_internal_inconsistency(self, monkeypatch, corrupt, shift):
-        # Shift the constant term of one form, in turn for each of the d+1
-        # facets: of the unit simplex (the first exchange's parent), of the
-        # seed or of the first later simplex.  The exchanges that read it must
-        # fail, never a volume.  A shift by the simplex's det leaves every
-        # division exact, so only the value at the opposite vertex can catch it.
+        # Shift the constant term of one form, in turn for d+1 of them: of the
+        # unit simplex as the first exchange reads it (the form p sees, then
+        # each other one), of the seed, or of the first d+1 forms derived
+        # after the seed.  The derivations that read it must fail, never a
+        # volume.  A shift by the divisor that reads a seen form (the parent's
+        # |det| in an exchange) leaves the division exact, so only the value at
+        # u can catch it; a derived form is shifted by its value at u.
         columns, d = BETA_SWEEP_MATRIX.columns(), BETA_SWEEP_MATRIX.rows
-        derive = cones._derived_forms
-        at_call = {"unit": 1, "seed": d, "derived": d + 1}[corrupt]
-        for k in range(d + 1):
+        horizon, seed_simplex = cones._horizon_form, cones._seed_simplex
+        at_call = {"unit": 0, "seed": d * d, "derived": d * d + 1}[corrupt]
+
+        def shifted(form, value, by):
+            by = by if shift == "det" else 1
+            return (form[0] + by,) + tuple(form[1:]), value + by
+
+        for t in range(d + 1):
             calls = []
 
-            def corrupted(parent, parent_det, parent_forms, *rest, k=k):
+            def derived(seen, seen_p, hidden, hidden_p, u, t=t):
                 calls.append(1)
-                if corrupt == "unit" and len(calls) == at_call:
-                    parent_forms = list(parent_forms)
-                    g = parent_forms[k]
-                    parent_forms[k] = (g[0] + (parent_det if shift == "det" else 1),) + g[1:]
-                forms = derive(parent, parent_det, parent_forms, *rest)
-                if corrupt != "unit" and len(calls) == at_call:
-                    g = forms[k]
-                    forms[k] = (g[0] + (rest[-1] if shift == "det" else 1),) + g[1:]
-                return forms
+                if corrupt == "unit" and len(calls) <= d:
+                    divisor = sum(map(mul, hidden, u))
+                    if t == 0:
+                        seen, seen_p = shifted(seen, seen_p, divisor)
+                    elif len(calls) == t:
+                        hidden, hidden_p = shifted(hidden, hidden_p, divisor)
+                form = horizon(seen, seen_p, hidden, hidden_p, u)
+                if corrupt == "derived" and len(calls) == at_call + t:
+                    form = shifted(form, 0, -seen_p)[0]
+                return form
 
-            monkeypatch.setattr(cones, "_derived_forms", corrupted)
+            def seeded(*args, t=t):
+                seed, det, forms = seed_simplex(*args)
+                if corrupt == "seed":
+                    forms = list(forms)
+                    forms[t] = shifted(forms[t], 0, det)[0]
+                return seed, det, forms
+
+            monkeypatch.setattr(cones, "_horizon_form", derived)
+            monkeypatch.setattr(cones, "_seed_simplex", seeded)
             with pytest.raises(InternalInconsistency, match="derived facet form"):
                 volume._volume_of_matrix(columns)
-            assert len(calls) > at_call or corrupt == "unit"
+            assert len(calls) > at_call + (t if corrupt == "derived" else 0)
 
     def test_an_inexact_derivation_is_an_internal_inconsistency(self, monkeypatch):
-        # Adding x_m - q_m to the parent form opposite q keeps the derived
-        # form's value at q.  Whenever that leaves the division inexact, the
-        # exchange must raise: the seed's exchanges and the later ones.
-        calls, derive = [], cones._derived_forms
-        monkeypatch.setattr(
-            cones, "_derived_forms", lambda *args: calls.append(args) or derive(*args)
-        )
-        volume._volume_of_matrix(BETA_SWEEP_MATRIX.columns())
+        # Adding x_m - u_m to the seen or the hidden form keeps its value at u.
+        # Whenever that leaves the division inexact, the derivation must
+        # raise: in the seed's exchanges and at the later horizons.
+        A, d = BETA_SWEEP_MATRIX, BETA_SWEEP_MATRIX.rows
+        _, derivations, _ = self.spy_on_the_placing(monkeypatch)
+        triangulation = volume._volume_of_matrix(A.columns()).triangulation
+        monkeypatch.undo()
+        points = [(1,) + p for p in [(0,) * d] + list(A.columns())]
+        labels = self.derivation_points(triangulation, d)
+        assert len(labels) == len(derivations)
         inexact = [0, 0]
-        for call, (parent, parent_det, parent_forms, k, p, i, det) in enumerate(calls):
-            for j, q in enumerate(parent):
-                for m in range(1, len(q)) if j != k else ():
-                    forms = list(parent_forms)
-                    forms[j] = tuple(x + (n == m) - (n == 0) * q[m] for n, x in enumerate(forms[j]))
-                    v, w = (sum(map(mul, f, p)) for f in (forms[k], forms[j]))
-                    if any((v * x - w * y) % parent_det for x, y in zip(forms[j], forms[k])):
-                        inexact[call >= BETA_SWEEP_MATRIX.rows] += 1
-                        with pytest.raises(InternalInconsistency, match="derived facet form"):
-                            derive(parent, parent_det, forms, k, p, i, det)
+        for call, (label, (seen, seen_p, hidden, hidden_p, u)) in enumerate(
+            zip(labels, derivations)
+        ):
+            p = points[label]
+            assert (sum(map(mul, seen, p)), sum(map(mul, hidden, p))) == (seen_p, hidden_p)
+            divisor = sum(map(mul, hidden, u))
+            for which, m in product((0, 1), range(1, d + 1)):
+                forms = [list(seen), list(hidden)]
+                forms[which][m] += 1
+                forms[which][0] -= u[m]
+                (s, h), (s_p, h_p) = forms, [sum(map(mul, f, p)) for f in forms]
+                if any((h_p * x - s_p * y) % divisor for x, y in zip(s, h)):
+                    inexact[call >= d * d] += 1
+                    with pytest.raises(InternalInconsistency, match="derived facet form"):
+                        cones._horizon_form(tuple(s), s_p, tuple(h), h_p, u)
         assert inexact[0] > 0 and inexact[1] > 100
 
+    def test_a_divisor_that_is_not_positive_is_an_internal_inconsistency(self):
+        # hidden(u) is |det| of the ridge with the two vertices off it: 0 when
+        # the ridge's facets are coplanar, never a ZeroDivisionError.
+        seen, u = (0, 1, 0), (1, 0, 1)  # x -> x_1 vanishes at u
+        for hidden in [(0, 0, 0), (0, 1, 0), (1, 0, -2)]:
+            assert sum(map(mul, hidden, u)) <= 0
+            with pytest.raises(InternalInconsistency, match="flat simplex"):
+                cones._horizon_form(seen, -1, hidden, 1, u)
+
+    def test_a_ridge_off_two_facets_is_an_internal_inconsistency(self, monkeypatch):
+        # A seed that keeps only d of its d+1 facets leaves every ridge of the
+        # dropped one in a single facet; the first point that sees a kept
+        # facet reads one, and never raises a KeyError.
+        seed_simplex = cones._seed_simplex
+
+        def dropped(*args):
+            seed, det, forms = seed_simplex(*args)
+            return seed, det, forms[:-1]
+
+        monkeypatch.setattr(cones, "_seed_simplex", dropped)
+        with pytest.raises(InternalInconsistency, match="not in exactly two facets"):
+            volume._volume_of_matrix(BETA_SWEEP_MATRIX.columns())
+
     def test_flat_simplex_is_an_internal_inconsistency(self, monkeypatch):
-        # Every simplex of a placing triangulation is full-dimensional; a
-        # zero determinant is a bug, reported as exit 3 on the CLI.
-        derive = cones._derived_forms
-        monkeypatch.setattr(cones, "_derived_forms", lambda *args: derive(*args[:-1], 0))
+        # Every simplex of a placing triangulation is full-dimensional: a
+        # derivation whose hidden facet meets u (a zero divisor) is a bug,
+        # reported as exit 3 on the CLI.
+        horizon = cones._horizon_form
+        monkeypatch.setattr(
+            cones, "_horizon_form", lambda seen, seen_p, *rest: horizon(seen, seen_p, seen, *rest[1:])
+        )
         with pytest.raises(InternalInconsistency, match="flat simplex"):
             normalized_volume(Configuration(IntMatrix([[1, 1, 1], [0, 3, 7]])))
         cones._normalize_matrix.cache_clear()
@@ -460,6 +529,60 @@ class TestFaceVolume:
                     assert face_volume(config, face) == vol
                 else:
                     assert face_volume(config, face) < vol
+
+
+class TestTriangulationChecker:
+    """The placing triangulation against the triangulation axioms
+    (oracles.triangulation_failures), which prove the volume without the
+    placing order."""
+
+    @staticmethod
+    def checked(columns, d):
+        points = dict(enumerate([(0,) * d, *columns]))
+        return triangulation_failures(points, volume._volume_of_matrix(columns).triangulation)
+
+    def test_random_configurations(self):
+        # Signed entries give non-pointed cones; a column is duplicated or a
+        # zero column inserted in two of every three inputs.
+        rng = random.Random(2010)
+        for k in range(150):
+            config = random_configuration(rng, dmax=5, nmax=9, lo=-3 if k % 2 else 0)
+            columns = list(config.A.columns())
+            if k % 3 == 1:
+                columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+            elif k % 3 == 2:
+                columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
+            assert self.checked(columns, config.d) == [], columns
+
+    def test_seed_five_cone(self):
+        config = random_homogeneous_configuration(random.Random(5), 7, 18)
+        assert self.checked(config.A.columns(), 7) == []
+
+    @pytest.mark.parametrize("d, n", [(3, 12), (4, 12), (5, 10), (5, 12), (6, 12)])
+    def test_moment_cones(self, d, n):
+        A = IntMatrix([[t ** i for t in range(n)] for i in range(d)])
+        config = cones.reduce_configuration(A, [0] * d)[0]
+        assert self.checked(config.A.columns(), d) == []
+
+    def test_a_dropped_or_swapped_simplex_fails(self):
+        # The checker itself: dropping a simplex, giving one another |det|,
+        # or moving one vertex to another point (with that simplex's true
+        # |det|) must each break an axiom.
+        A = BETA_SWEEP_MATRIX
+        points = dict(enumerate([(0,) * A.rows, *A.columns()]))
+        triangulation = list(volume._volume_of_matrix(A.columns()).triangulation)
+        assert len(triangulation) > 2 and triangulation_failures(points, triangulation) == []
+        for k, (simplex, det) in enumerate(triangulation):
+            assert triangulation_failures(points, triangulation[:k] + triangulation[k + 1:])
+            assert triangulation_failures(points, [*triangulation[:k], (simplex, det + 1),
+                                                   *triangulation[k + 1:]])
+            for label in set(points) - set(simplex):
+                moved = tuple(sorted(simplex[1:] + (label,)))
+                edges = [[a - b for a, b in zip(points[v], points[moved[0]])] for v in moved[1:]]
+                moved_det = abs(fraction_elimination(edges)[1])
+                if moved_det:
+                    swapped = [*triangulation[:k], (moved, moved_det), *triangulation[k + 1:]]
+                    assert triangulation_failures(points, swapped), (simplex, moved)
 
 
 class TestTriangulationDigest:
