@@ -12,8 +12,8 @@ boundary facet keeps one inner form, x -> +-det(the facet's lifted vertices
 (1, v), then (1, x)), so a visibility test is one dot product, also the new
 simplex's certificate entry; a new facet's form is derived exactly at its
 horizon ridge.  The cone is the hull's tangent cone at 0: its facets are
-read off the final boundary through 0, and the normalized volume reads the
-same triangulation.  Face enumeration closes the facet bitmasks under
+read off the final boundary through 0 and certified there, once, and the
+normalized volume reads the same triangulation.  Face enumeration closes the facet bitmasks under
 intersection, once per configuration (_face_closure).  The faces stay
 bitmasks until a Face is read: one helper (_face) witnesses a closure entry
 by the primitive sum of the normals of the facets that contain it.
@@ -49,9 +49,8 @@ from .intlinalg import (
     _hermite_rows,
     _hermite_solutions,
     clear_denominators,
-    hermite_kernel_basis,
-    hermite_normal_form,
     integer_entries,
+    kernel_lattice_basis,
     primitive_vector,
 )
 
@@ -131,29 +130,30 @@ class Configuration:
     """Validated configuration: integer d x n matrix with ZA = Z^d.
 
     Columns are addressed by 1-based labels, matching the face index sets.
-    Validation: ZA = Z^d iff the row Hermite form of A^T has d nonzero rows,
-    all with pivot 1; otherwise RankDeficient or LatticeNotSaturated is
-    raised (use :func:`reduce_configuration` to normalize arbitrary input).
-    The validating form U*A^T = H is kept as self.hermite, and the kernel
-    basis and the related columns read it.  Results that depend on A alone
-    (face lattice, perp bases, volumes, the columns in toric relations, the
-    kernel basis and the saturated toric ideal) are computed once per
-    instance and kept in its memo.
+    Validation: ZA = Z^d iff the row Hermite form of the columns as rows has
+    d nonzero rows, all with pivot 1; otherwise RankDeficient or
+    LatticeNotSaturated is raised (use :func:`reduce_configuration` to
+    normalize arbitrary input).  It is one transform-free pass, and only its
+    tuple of columns is kept, for every reader of the columns.  Results that
+    depend on A alone (face lattice, perp bases, volumes, the columns in
+    toric relations, the kernel basis and the saturated toric ideal) are
+    computed once per instance, when first read, and kept in its memo.
     """
 
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        H, U = hermite_normal_form(A.transpose())
-        rank = sum(map(any, H.data))
+        columns = A.columns()
+        H = [list(a) for a in columns]
+        rank = _hermite_rows(H, A.rows)
         if rank < A.rows:
             raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
-        if any(H.data[i][i] != 1 for i in range(rank)):
+        if any(H[i][i] != 1 for i in range(rank)):
             raise LatticeNotSaturated(
                 "columns generate a proper sublattice; apply reduce_configuration"
             )
         self.A = A
-        self.hermite = (H, U)
+        self._columns = columns
         self._memo: dict = {}
 
     @property
@@ -167,13 +167,13 @@ class Configuration:
     def column(self, label: int) -> IntVec:
         if not 1 <= label <= self.n:
             raise DimensionMismatch(f"column label {label} out of range 1..{self.n}")
-        return self.A.column(label - 1)
+        return self._columns[label - 1]
 
     @property
     @per_configuration
     def kernel(self) -> tuple[IntVec, ...]:
-        """kernel_lattice_basis(A), read off the validating form self.hermite."""
-        return hermite_kernel_basis(*self.hermite)
+        """kernel_lattice_basis(A): only the toric ideal and its exports read it."""
+        return kernel_lattice_basis(self.A)
 
     @property
     @per_configuration
@@ -383,9 +383,12 @@ def _hull(config: Configuration) -> tuple[tuple, tuple]:
     A facet is read off each boundary facet through the origin: the linear
     part of its inner form, primitive.  The form must vanish at the origin,
     its normal on the facet's other vertices (read off the column bitmask)
-    and be nonnegative on every column, else InternalInconsistency.
+    and be nonnegative on every column, else InternalInconsistency.  This is
+    the one certificate of the facets: the bitmask comes from the same dot
+    products, so every reader takes a normal as nonnegative on the columns
+    and zero exactly on its bitmask.
     """
-    d, columns = config.d, config.A.columns()
+    d, columns = config.d, config._columns
     points = ((0,) * d, *columns)  # the origin is label 0, column j label j
     triangulation, boundary = _placing_triangulation(dict(enumerate(points)), d)
     vertices: dict[IntVec, int] = {}  # normal -> bitmask of its boundary facets' vertices
@@ -418,7 +421,7 @@ def _perp_kernel(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec
 
     The face matrix M, cut from config.A on plain rows, carries the identity
     along its Hermite form U*M = H; the rows of U whose H row is zero span
-    the saturated lattice (as in hermite_kernel_basis).  Not memoized.
+    the saturated lattice (as in kernel_lattice_basis).  Not memoized.
     """
     d, width = config.d, len(labels)
     rows = [[row[j - 1] for j in labels] + [0] * i + [1] + [0] * (d - 1 - i)
@@ -482,14 +485,8 @@ def _face_closure(config: Configuration) -> tuple[tuple[int, tuple[int, ...]], .
     """Every face as (column bitmask, labels), sorted by (size, labels): lattice order.
 
     The facet bitmasks closed under intersection, plus the full face: every
-    proper face is such an intersection.  Each facet normal is checked once
-    here to be nonnegative on the columns and zero exactly on its bitmask.
+    proper face is such an intersection.  The facets are certified by _hull.
     """
-    columns = config.A.columns()
-    for normal, facet in _facets(config):
-        values = [_dot(normal, a) for a in columns]
-        if min(values) < 0 or facet != sum(1 << j for j, v in enumerate(values) if v == 0):
-            raise InternalInconsistency("facet intersection is not a face")
     masks = {(1 << config.n) - 1}
     for _, facet in _facets(config):
         masks |= {mask & facet for mask in masks}
@@ -501,8 +498,8 @@ def _face_closure(config: Configuration) -> tuple[tuple[int, tuple[int, ...]], .
 def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
     """The Face of a closure entry, witnessed by the primitive sum of its facets' normals.
 
-    The normals are checked by _face_closure, so the witness vanishes exactly
-    on the meet of those facets, which must be the face.  The labels and the
+    The normals are certified by _hull, so the witness vanishes exactly on
+    the meet of those facets, which must be the face.  The labels and the
     witness are the package's own, so the slots are set without Face's checks.
     """
     meet, normals = (1 << config.n) - 1, [(0,) * config.d]

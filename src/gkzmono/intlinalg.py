@@ -405,22 +405,19 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
 
 
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
-    """Z-basis of the saturated integer kernel lattice {u : A*u = 0}, from the HNF of A^T."""
+    """Canonical Z-basis of the saturated integer kernel lattice {u : A*u = 0}, () when trivial.
+
+    One Hermite pass on the plain rows [a_j | e_j] brings the columns of A to
+    row Hermite form with the transform U riding along; the rows of U whose
+    H row is zero span the kernel (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).  A transform-free pass puts them in canonical order
+    (as cones._perp_lattice_basis does): a deterministic function of A.
+    """
     if A.cols == 0:
         return ()
-    return hermite_kernel_basis(*hermite_normal_form(A.transpose()))
-
-
-def hermite_kernel_basis(H: IntMatrix, U: IntMatrix) -> tuple[IntVec, ...]:
-    """Canonical basis of the left kernel lattice {u : u*M = 0}, given U*M = H.
-
-    The rows of the unimodular U whose H row is zero span it (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4), put in HNF-canonical
-    order by one transform-free pass (as cones._perp_lattice_basis does): a
-    deterministic function of M, () when trivial.
-    """
-    basis = [list(u) for u, h in zip(U.data, H.data) if not any(h)]
-    _hermite_rows(basis, U.cols)
+    rows = [list(a) + [int(i == j) for j in range(A.cols)] for i, a in enumerate(A.columns())]
+    basis = [row[A.rows:] for row in rows[_hermite_rows(rows, A.rows):]]
+    _hermite_rows(basis, A.cols)
     return tuple(map(tuple, basis))
 
 

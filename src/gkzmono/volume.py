@@ -60,7 +60,7 @@ def face_volume(config: Configuration, face: Face) -> int:
         raise EmptyFace("volume of the empty face is undefined")
     if len(face.indices) == config.n:
         return normalized_volume(config).volume
-    columns = [config.A.column(j - 1) for j in face.indices]
+    columns = [config._columns[j - 1] for j in face.indices]
     if len(set(columns) - {(0,) * config.d}) == rank_int(columns):
         return 1
     return _volume_of_matrix(_hermite_reduce(columns)[0]).volume

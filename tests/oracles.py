@@ -2,9 +2,9 @@
 
 The runtime pyramid test, gkzmono.is_pyramid, is the kernel-support test:
 no toric relation among the distinct columns involves a column outside the
-face.  It reads those columns off the kernel of A itself;
-related_columns_by_distinct_kernel is their definition, on the kernel of
-the matrix of distinct columns.  The three characterizations here are
+face.  It reads those columns off the hull's facets (a column is in none
+iff it is an apex); related_columns_by_distinct_kernel is their
+definition, on the kernel of the matrix of distinct columns.  The three characterizations here are
 computed in different ways and must agree with the test on every face:
 
 * rank: d equals the number of distinct columns outside the face plus the
@@ -52,7 +52,10 @@ perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through the IntMatrix Hermite form of the face matrix, the reference for
 the reduction of the face's own rows in cones._perp_lattice_basis and, up
 to a Hermite form, for the kernel rows that the resonance table keeps
-(cones._perp_kernel).
+(cones._perp_kernel).  kernel_by_hermite_transform reads the kernel of A
+the same way, off the transform of the IntMatrix Hermite form of A^T: the
+reference for intlinalg.kernel_lattice_basis, which carries the transform
+on plain rows.
 
 triangulation_failures checks a triangulation certificate against the
 axioms of a triangulation of conv(points) (De Loera, Rambau & Santos,
@@ -90,7 +93,7 @@ from gkzmono import (
     smith_normal_form,
 )
 from gkzmono.cones import per_configuration
-from gkzmono.intlinalg import _hermite_solutions, hermite_kernel_basis
+from gkzmono.intlinalg import _hermite_rows, _hermite_solutions
 from gkzmono.resonance import _resonance_table
 from gkzmono.volume import _volume_of_matrix
 
@@ -454,6 +457,24 @@ def feasible_point_by_minimal_faces(rows, nvars):
         ):
             return y
     return None
+
+
+def hermite_kernel_basis(H, U):
+    """Canonical basis of the left kernel lattice {u : u*M = 0}, given U*M = H.
+
+    The rows of the unimodular U whose H row is zero span it (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4), put in HNF-canonical
+    order by one transform-free pass: a deterministic function of M, () when
+    trivial.
+    """
+    basis = [list(u) for u, h in zip(U.data, H.data) if not any(h)]
+    _hermite_rows(basis, U.cols)
+    return tuple(map(tuple, basis))
+
+
+def kernel_by_hermite_transform(A):
+    """The saturated kernel lattice {u : A*u = 0} off the Hermite form U*A^T = H."""
+    return hermite_kernel_basis(*hermite_normal_form(A.transpose())) if A.cols else ()
 
 
 def perp_lattice_by_hermite_forms(config, labels):

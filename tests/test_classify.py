@@ -30,7 +30,12 @@ from gkzmono import (
 )
 from gkzmono.cli import _parse_beta_literal
 from gkzmono.cones import per_configuration
-from oracles import fraction_elimination, matmul, triangulated_face_volume
+from oracles import (
+    fraction_elimination,
+    kernel_by_hermite_transform,
+    matmul,
+    triangulated_face_volume,
+)
 from sweeps import (
     BETA_SWEEP_MATRIX,
     random_beta,
@@ -70,19 +75,23 @@ def spy_on(monkeypatch, *names):
     return calls
 
 
-def hermite_arguments(monkeypatch):
-    """Record, in call order, the matrix of each hermite_normal_form call."""
-    factored = []
-    original = intlinalg.hermite_normal_form
+def hermite_passes(monkeypatch):
+    """Record, in call order, each Hermite pass as (caller, width, rows as given).
 
-    def spy(M):
-        factored.append(M)
-        return original(M)
+    Configuration.__init__ makes the validation pass; a pass whose rows are
+    wider than width carries a block along (a transform).
+    """
+    passes = []
+    original = intlinalg._hermite_rows
+
+    def spy(h, width):
+        passes.append((sys._getframe(1).f_code.co_name, width, tuple(map(tuple, h))))
+        return original(h, width)
 
     for module in package_modules():
-        if getattr(module, "hermite_normal_form", None) is original:
-            monkeypatch.setattr(module, "hermite_normal_form", spy)
-    return factored
+        if getattr(module, "_hermite_rows", None) is original:
+            monkeypatch.setattr(module, "_hermite_rows", spy)
+    return passes
 
 
 def random_gauss_rationals(rng, kind, d):
@@ -555,39 +564,80 @@ class TestCacheStructure:
         assert calls == []
 
     def test_the_columns_are_factored_once(self, monkeypatch):
-        # The pyramid test on every face and the toric ideal read the Hermite
-        # form that validated the configuration: A^T is never factored again,
-        # and the kernel is put in canonical order on plain rows.
+        # The pyramid test on every face reads the hull's facets: no Hermite
+        # pass and no kernel.  The toric ideal computes the kernel once, when
+        # it first reads it, in canonical order; later readers take the memo.
         config = cones.Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
         lattice = config.face_lattice()
-        factored = hermite_arguments(monkeypatch)
+        passes = hermite_passes(monkeypatch)
+        kernels = spy_on(monkeypatch, "kernel_lattice_basis")
         flags = [pyramids.is_pyramid(config, f) for f in lattice]
-        toric.toric_ideal_generators(config)
         assert flags == [f == lattice[-1] for f in lattice]
-        assert factored == []
-        H, U = config.hermite
-        raw = [u for u, h in zip(U.data, H.data) if not any(h)]
-        assert intlinalg.hermite_normal_form(IntMatrix(raw))[0].data == config.kernel
+        assert passes == [] and kernels == []
+        toric.toric_ideal_generators(config)
+        toric.lattice_binomials(config)
+        assert kernels == ["kernel_lattice_basis"]
+        assert {caller for caller, _, _ in passes} == {"kernel_lattice_basis"}
+        assert intlinalg.hermite_normal_form(IntMatrix(config.kernel))[0].data == config.kernel
+        assert config.kernel == kernel_by_hermite_transform(config.A)
 
-    def test_cold_pipeline_factors_the_transpose_once(self, monkeypatch):
+    def test_cold_pipeline_validates_once_and_defers_the_kernel(self, monkeypatch):
+        # One validation pass, on the columns alone; classify computes no
+        # kernel, and the toric ideal computes it once.
         A = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 2, 3, 0], [0, 0, 0, 0, 1]])
         cones._normalize_matrix.cache_clear()
-        factored = hermite_arguments(monkeypatch)
+        passes = hermite_passes(monkeypatch)
+        kernels = spy_on(monkeypatch, "kernel_lattice_basis")
         result = classify(IntMatrix(A.data), ["1/2", "1/3", "2"])
-        config = result.configuration
-        toric.toric_ideal_generators(config)
         assert result.verdict == IRREDUCIBLE
-        assert factored.count(A.transpose()) == 1
+        assert kernels == []
+        toric.toric_ideal_generators(result.configuration)
+        toric.toric_ideal_generators(result.configuration)
+        assert kernels == ["kernel_lattice_basis"]
+        assert [(w, rows) for caller, w, rows in passes if caller == "__init__"] == [
+            (3, A.columns())
+        ]
 
     def test_normalization_reduces_the_form_that_failed_validation(self, monkeypatch):
-        # One Hermite form of A_raw^T fails the validation and is reduced;
-        # the second validates the reduced matrix.
+        # The validation pass on A_raw's columns fails, the same rows are
+        # reduced, and a second validation pass accepts the reduced matrix.
+        # No pass carries a transform, and no kernel is computed.
         cones._normalize_matrix.cache_clear()
-        factored = hermite_arguments(monkeypatch)
+        passes = hermite_passes(monkeypatch)
+        kernels = spy_on(monkeypatch, "kernel_lattice_basis")
         config, beta, B = cones.reduce_configuration(INDEX_FOUR, [1, 1])
-        assert factored == [INDEX_FOUR.transpose(), config.A.transpose()]
+        assert [(caller, rows) for caller, _, rows in passes] == [
+            ("__init__", INDEX_FOUR.columns()),
+            ("_hermite_reduce", INDEX_FOUR.columns()),
+            ("__init__", config.A.columns()),
+        ]
+        assert all(len(rows[0]) == width for _, width, rows in passes)
+        assert kernels == []
         assert config.A == QUADRIC and matmul(B, config.A) == INDEX_FOUR
         assert beta == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))
+
+    COLD = [(json.loads(m), _parse_beta_literal(b)) for m, b, _ in GOLDEN_CASES.values()] + [
+        (random_homogeneous_configuration(random.Random(5), 8, 20).A.data, beta)
+        for beta in ([3, -1, 0, 2, 5, 1, 0, 4], ["1/128", "-1/243", "2/625", "1/2401", "-5/999983",
+                                                 "1/3", "1/5", "1/7"])
+    ]
+
+    @pytest.mark.parametrize("matrix, beta", COLD, ids=[*GOLDEN_CASES, "d8_integer", "d8_generic"])
+    def test_cold_classify_computes_no_kernel_and_carries_no_transform(
+        self, monkeypatch, matrix, beta
+    ):
+        # The related columns come off the hull's facets.  The only pass that
+        # carries a block is a face's perp lattice (cones._perp_kernel),
+        # whose block is the d x d identity, never the n x n transform.
+        cones._normalize_matrix.cache_clear()
+        passes = hermite_passes(monkeypatch)
+        kernels = spy_on(monkeypatch, "kernel_lattice_basis", "hermite_normal_form")
+        config = classify(IntMatrix(matrix), beta).configuration
+        assert kernels == []
+        carried = [(caller, len(rows[0]) - width) for caller, width, rows in passes
+                   if rows and len(rows[0]) > width]
+        assert set(carried) <= {("_perp_kernel", config.d)}
+        assert all(len(rows[0]) == width for caller, width, rows in passes if caller == "__init__")
 
 
 class TestCenterVolumes:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add, mul
 
 import pytest
 
@@ -50,6 +51,26 @@ from sweeps import (
 )
 
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
+
+
+def corrupt_a_boundary_form(monkeypatch, change, facet=None):
+    """Make the hull read change(form) for one boundary facet through the origin.
+
+    The facet is a tuple of labels (the origin is 0, column j is j); by
+    default it is the first one the placing reports.
+    """
+    placing = cones._placing_triangulation
+
+    def corrupted(points, d):
+        triangulation, boundary = placing(points, d)
+        f = facet or next(f for f in boundary if f[0] == 0)
+        return triangulation, {**boundary, f: change(boundary[f])}
+
+    monkeypatch.setattr(cones, "_placing_triangulation", corrupted)
+
+
+def flip(form):
+    return tuple(-x for x in form)
 
 
 def witness_is_valid(config, face):
@@ -439,23 +460,11 @@ class TestFacets:
         assert cones._facets(config) == facets_by_double_description(config)
         assert self.facets(config) == facets_by_subset_normals(config)
 
-    @staticmethod
-    def corrupt_a_boundary_form(monkeypatch, change):
-        """Make the hull read change(form) for its first boundary facet through the origin."""
-        placing = cones._placing_triangulation
-
-        def corrupted(points, d):
-            triangulation, boundary = placing(points, d)
-            facet = next(f for f in boundary if f[0] == 0)
-            return triangulation, {**boundary, facet: change(boundary[facet])}
-
-        monkeypatch.setattr(cones, "_placing_triangulation", corrupted)
-
     @pytest.mark.parametrize("A", [QUADRIC, BETA_SWEEP_MATRIX, IntMatrix([[1, -1, 0], [0, 0, 1]])])
     def test_a_normal_negative_on_a_column_is_an_inconsistency(self, monkeypatch, A):
         # The flipped form still vanishes on its facet; its normal is then
         # negative at the opposite vertex, a column.
-        self.corrupt_a_boundary_form(monkeypatch, lambda form: tuple(-x for x in form))
+        corrupt_a_boundary_form(monkeypatch, flip)
         with pytest.raises(InternalInconsistency, match="negative on a column"):
             cones._facets(Configuration(A))
 
@@ -463,7 +472,7 @@ class TestFacets:
     def test_a_form_off_its_facet_is_an_inconsistency(self, monkeypatch, A):
         # A shifted constant term keeps the normal (nonnegative on every
         # column), but the form no longer vanishes at the origin.
-        self.corrupt_a_boundary_form(monkeypatch, lambda form: (form[0] + 1,) + form[1:])
+        corrupt_a_boundary_form(monkeypatch, lambda form: (form[0] + 1,) + form[1:])
         with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
             cones._facets(Configuration(A))
 
@@ -587,29 +596,31 @@ class TestEnumerate:
             }
             assert relabeled == {f.indices for f in enumerate_faces(permuted, "dd")}
 
-    def test_a_sign_flipped_facet_normal_is_an_inconsistency(self, monkeypatch):
-        # -e3 vanishes on the same columns as e3, so only the sign check sees it.
-        config = Configuration(IntMatrix.identity(3))
-        (normal, mask), *rest = cones._facets(config)
-        assert normal == (0, 0, 1)
-        flipped = ((tuple(-x for x in normal), mask), *rest)
-        monkeypatch.setattr(cones, "_facets", lambda c: flipped)
-        with pytest.raises(InternalInconsistency, match="facet intersection is not a face"):
-            enumerate_faces(config, "dd")
+    def test_the_closure_path_reaches_the_hull_certificate(self, monkeypatch):
+        # -e3 vanishes on the same columns as e3, so only the sign check sees
+        # it; _hull makes it once, and the face closure does not repeat it.
+        assert cones._facets(Configuration(IntMatrix.identity(3)))[0][0] == (0, 0, 1)
+        corrupt_a_boundary_form(monkeypatch, flip)
+        with pytest.raises(InternalInconsistency, match="normal is negative on a column"):
+            enumerate_faces(Configuration(IntMatrix.identity(3)), "dd")
 
     def test_a_stray_bit_in_a_facet_mask_is_an_inconsistency(self, monkeypatch):
-        # Each facet's normal must vanish exactly on its mask.
-        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
-        facets = cones._facets(config)
+        # A facet's normal must vanish on the vertices of its boundary facets.
+        # Adding another facet's form that is positive at one of them keeps
+        # the normal nonnegative on the columns, but the mask read off the
+        # dot products loses that vertex, and _hull sees the stray bit.
+        A = IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        points = [(0, 0, 0), *A.columns()]
+        boundary = cones._placing_triangulation(dict(enumerate(points)), 3)[1]
         cases = 0
-        for k, (normal, mask) in enumerate(facets):
-            for j in range(config.n):
-                if mask >> j & 1:
-                    continue
-                stray = facets[:k] + ((normal, mask | 1 << j),) + facets[k + 1:]
-                monkeypatch.setattr(cones, "_facets", lambda c: stray)
-                with pytest.raises(InternalInconsistency, match="intersection is not a face"):
-                    enumerate_faces(config, "dd")
+        for facet in [f for f in sorted(boundary) if f[0] == 0]:
+            for v in facet[1:]:
+                other = next(g for f, g in sorted(boundary.items())
+                             if f[0] == 0 and sum(map(mul, g, (1, *points[v]))) > 0)
+                with monkeypatch.context() as m:  # one corrupted form per case
+                    corrupt_a_boundary_form(m, lambda form: tuple(map(add, form, other)), facet)
+                    with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
+                        enumerate_faces(Configuration(A), "dd")
                 cases += 1
         assert cases == 8
 

@@ -19,7 +19,7 @@ from gkzmono import (
     smith_normal_form,
 )
 from gkzmono.intlinalg import _hermite_solutions, primitive_vector, rank_int
-from oracles import fraction_elimination, matmul, solve_rational
+from oracles import fraction_elimination, kernel_by_hermite_transform, matmul, solve_rational
 from sweeps import random_configuration
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -180,6 +180,23 @@ class TestAgainstTheReplacedAlgorithms:
         M = IntMatrix(rows)
         assert kernel_lattice_basis(M) == smith_kernel(M)
         assert kernel_lattice_basis(M.transpose()) == smith_kernel(M.transpose())
+
+    def test_kernel_matches_the_hermite_transform_route(self):
+        # One pass on plain rows [a_j | e_j] against the IntMatrix Hermite
+        # form of A^T and its transform: the same basis, wide and tall
+        # matrices, dependent rows and zero columns included.
+        rng = random.Random(907)
+        kinds = {"trivial": 0, "zero_column": 0, "rank_deficient": 0}
+        for _ in range(600):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 9)
+            M = IntMatrix([[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(cols)]
+                           for _ in range(rows)])
+            basis = kernel_lattice_basis(M)
+            assert basis == kernel_by_hermite_transform(M)
+            kinds["trivial"] += basis == ()
+            kinds["zero_column"] += not all(map(any, M.columns()))
+            kinds["rank_deficient"] += fraction_elimination(M.data)[0] < min(rows, cols)
+        assert min(kinds.values()) > 50
 
     def test_kernel_matches_the_smith_kernel_on_face_perp_lattices(self):
         rng = random.Random(113)

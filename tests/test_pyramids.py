@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from gkzmono import (
     Configuration,
@@ -136,7 +137,7 @@ class TestAggregate:
 
 
 class TestRelatedColumns:
-    """The pyramid test reads the kernel off the validating Hermite form."""
+    """The pyramid test reads the related columns off the hull's facets, not a kernel."""
 
     def test_configuration_kernel_is_the_kernel_lattice_basis(self):
         for config in COPIES + [QUADRIC, PYRAMID]:
@@ -149,3 +150,22 @@ class TestRelatedColumns:
             assert pyramids._related_columns(config) == expected
             related += bool(expected)
         assert 0 < related < len(COPIES)
+
+    def test_related_columns_match_the_oracle_on_signed_configurations(self):
+        # Signed entries give non-pointed cones (a cone with no facet relates
+        # every column), zero columns (on every facet, so always related),
+        # duplicate columns (an apex's copies are one facet's whole
+        # complement) and configurations with no relation at all.
+        rng = random.Random(2011)
+        kinds = Counter()
+        for _ in range(4000):
+            config = random_configuration(rng, 5, 9, -2, 2)
+            columns = config.A.columns()
+            expected = related_columns_by_distinct_kernel(config)
+            assert pyramids._related_columns(config) == expected
+            kinds["nonpointed"] += config.lineality_columns != ()
+            kinds["zero"] += (0,) * config.d in columns
+            kinds["duplicate"] += len(set(columns)) < config.n
+            kinds["apex"] += len(expected) < config.n
+            kinds["unrelated"] += not expected
+        assert min(kinds.values()) > 500

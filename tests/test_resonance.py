@@ -35,6 +35,7 @@ from sweeps import (
     random_configuration,
     random_homogeneous_configuration,
 )
+from test_cones import corrupt_a_boundary_form, flip
 from test_golden import CASES, GOLDEN
 
 QUADRIC = Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]]))
@@ -418,6 +419,23 @@ def golden_stdout(name, argv):
     return text[start:end if end >= 0 else None]
 
 
+def hermite_form_callers(monkeypatch):
+    """Record the calling module of each IntMatrix Hermite form or kernel the package takes."""
+    callers = []
+    for name in ("hermite_normal_form", "kernel_lattice_basis"):
+        original = getattr(intlinalg, name)
+
+        def spy(M, _original=original):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(M)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gkzmono") and module is not None:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+    return callers
+
+
 class TestOneReader:
     """Facets read their inner normal everywhere, and the arrangement reads no table."""
 
@@ -431,16 +449,12 @@ class TestOneReader:
 
     def test_warm_centers_takes_no_hermite_form(self, monkeypatch):
         self.cli(["classify", "-A", self.MATRIX, f"--beta={self.BETA}"])
-        calls = []
-        original = cones.hermite_normal_form
-        monkeypatch.setattr(
-            cones, "hermite_normal_form", lambda *args: calls.append(args) or original(*args)
-        )
+        callers = hermite_form_callers(monkeypatch)
         argv = ["centers", "-A", self.MATRIX, f"--beta={self.BETA}", "--json"]
         out = self.cli(argv)
         assert out == golden_stdout("wide_facet_resonant", argv)
         assert len(json.loads(out)["member_faces"]) == 35
-        assert calls == []
+        assert callers == []
 
     @pytest.fixture
     def table_builds(self, monkeypatch):
@@ -463,30 +477,16 @@ class TestOneReader:
             cones._normalize_matrix.cache_clear()
         assert table_builds == []
 
-    # Hermite forms of a cold arrangement command before the span bases came
-    # from cones._hermite_reduce: resonance then took one of its own per
-    # nonempty proper face (2 of 15 on quadric, 10 of 23 on twelve_columns).
-    HERMITE_FORMS = {"quadric": 15, "twelve_columns": 23}
-
-    @pytest.mark.parametrize("name", sorted(HERMITE_FORMS))
+    # The span bases come from cones._hermite_reduce and validation is a
+    # transform-free pass on plain rows, so no IntMatrix Hermite form runs.
+    @pytest.mark.parametrize("name", ["quadric", "twelve_columns"])
     @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
     def test_cold_arrangement_takes_no_hermite_form_of_its_own(self, monkeypatch, name, extra):
-        callers = []
-        original = intlinalg.hermite_normal_form
-
-        def spy(M):
-            callers.append(sys._getframe(1).f_globals["__name__"])
-            return original(M)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("gkzmono") and module is not None:
-                if getattr(module, "hermite_normal_form", None) is original:
-                    monkeypatch.setattr(module, "hermite_normal_form", spy)
+        callers = hermite_form_callers(monkeypatch)
         cones._normalize_matrix.cache_clear()
         argv = ["arrangement", "-A", CASES[name][0], *extra]
         assert self.cli(argv) == golden_stdout(name, argv)
-        assert "gkzmono.resonance" not in callers
-        assert 0 < len(callers) <= self.HERMITE_FORMS[name]
+        assert callers == []
 
 
 def memo_entries(config, fn):
@@ -745,13 +745,13 @@ class TestLatticeFreePath:
                 report = resonance_centers(config, beta)
                 assert report.is_nonresonant == (len(report.member_faces) == 1)
 
-    def test_minimal_face_witness_is_checked(self):
-        # No closure checks the facet normals on this path: a flipped normal
-        # must still fail the minimal face's witness.
+    def test_the_lattice_free_path_reaches_the_hull_certificate(self, monkeypatch):
+        # No closure reads the facets on this path, and the minimal face's
+        # witness is the sum of their normals: the hull's certificate must
+        # catch a flipped facet form before the witness is built.
+        corrupt_a_boundary_form(monkeypatch, flip)
         config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
-        (v, first), *rest = cones._facets(config)
-        config._memo[(cones._facets.__wrapped__,)] = ((tuple(-x for x in v), first), *rest)
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(InternalInconsistency, match="normal is negative on a column"):
             resonance_centers(config, [1, 0])
 
     def test_full_space_has_its_single_face(self):
