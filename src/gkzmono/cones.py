@@ -13,8 +13,10 @@ boundary facet keeps one inner form, x -> +-det(the facet's lifted vertices
 simplex's certificate entry; a new facet's form is derived exactly at its
 horizon ridge.  The cone is the hull's tangent cone at 0: its facets are
 read off the final boundary through 0 and certified there, once, and the
-normalized volume reads the same triangulation.  Face enumeration closes the facet bitmasks under
-intersection, once per configuration (_face_closure).  The faces stay
+normalized volume reads the same triangulation.  A homogeneous configuration
+places its columns alone, in their own hyperplane (_cone_placing).  Face
+enumeration closes the facet bitmasks under intersection, once per
+configuration (_face_closure).  The faces stay
 bitmasks until a Face is read: one helper (_face) witnesses a closure entry
 by the primitive sum of the normals of the facets that contain it.
 Feasibility questions ("is there a functional with these signs?") are
@@ -133,8 +135,10 @@ class Configuration:
     Validation: ZA = Z^d iff the row Hermite form of the columns as rows has
     d nonzero rows, all with pivot 1; otherwise RankDeficient or
     LatticeNotSaturated is raised (use :func:`reduce_configuration` to
-    normalize arbitrary input).  It is one transform-free pass, and only its
-    tuple of columns is kept, for every reader of the columns.  Results that
+    normalize arbitrary input; the error keeps the rows as hermite_rows).  It
+    is one transform-free pass on the rows [a_j | 1]: an accepted form is
+    [I_d; 0], so the carried column is (y; 0) iff y . a_j = 1 for every j.
+    Only that grading (_grading, else None) and the columns are kept.  Results that
     depend on A alone (face lattice, perp bases, volumes, the columns in
     toric relations, the kernel basis and the saturated toric ideal) are
     computed once per instance, when first read, and kept in its memo.
@@ -143,17 +147,18 @@ class Configuration:
     def __init__(self, A: IntMatrix):
         if A.rows == 0 or A.cols == 0:
             raise RankDeficient("configuration must have at least one row and column")
-        columns = A.columns()
-        H = [list(a) for a in columns]
-        rank = _hermite_rows(H, A.rows)
-        if rank < A.rows:
-            raise RankDeficient(f"columns span a rank-{rank} sublattice of Z^{A.rows}")
-        if any(H[i][i] != 1 for i in range(rank)):
-            raise LatticeNotSaturated(
-                "columns generate a proper sublattice; apply reduce_configuration"
-            )
+        columns, d = A.columns(), A.rows
+        H = [[*a, 1] for a in columns]
+        rank = _hermite_rows(H, d)
+        if rank < d or any(H[i][i] != 1 for i in range(rank)):
+            invalid = (RankDeficient(f"columns span a rank-{rank} sublattice of Z^{d}") if rank < d
+                       else LatticeNotSaturated("columns generate a proper sublattice; apply "
+                                                "reduce_configuration"))
+            invalid.hermite_rows = H
+            raise invalid
         self.A = A
         self._columns = columns
+        self._grading = None if any(row[d] for row in H[d:]) else tuple(row[d] for row in H[:d])
         self._memo: dict = {}
 
     @property
@@ -376,29 +381,50 @@ def _placing_triangulation(points: dict[int, IntVec], d: int):
     return tuple(sorted(simplices)), boundary
 
 
+def _cone_placing(columns: Sequence[IntVec], grading: Optional[IntVec]):
+    """(triangulation, cone facets as (vertex labels, form)) of conv(0 + columns), 0 labeled 0.
+
+    Without a grading the origin is placed too; the boundary forms through it must vanish
+    there.  With a grading y (y . a_j = 1) the hull is a pyramid with apex 0: the columns
+    alone are placed, coordinate k (least nonzero |y_k|) dropped, lifted as phi(a) = (y . a,
+    a without k), det phi = +-y_k.  So a simplex s is (0,) + s with |det| / |y_k| exactly,
+    and a boundary form g is the cone form g . phi = g_0 y + (g_rest with 0 at k).
+    """
+    d = len(columns[0])
+    if grading is None:
+        triangulation, boundary = _placing_triangulation(dict(enumerate(((0,) * d, *columns))), d)
+        through_origin = [(facet, g) for facet, g in boundary.items() if facet[:1] == (0,)]
+        if any(g[0] for _, g in through_origin):
+            raise InternalInconsistency("a hull facet form does not vanish on its facet")
+        return triangulation, [(facet[1:], g[1:]) for facet, g in through_origin]
+    size, k = min((abs(y), i) for i, y in enumerate(grading) if y)
+    points = {j: a[:k] + a[k + 1:] for j, a in enumerate(columns, 1)}
+    cells, boundary = _placing_triangulation(points, d - 1)
+    if any(det % size for _, det in cells):
+        raise InternalInconsistency("a simplex's |det| is not a multiple of the grading's")
+    return tuple(((0, *s), det // size) for s, det in cells), [
+        (facet, tuple(g[0] * y + x for y, x in zip(grading, (*g[1:k + 1], 0, *g[k + 1:]))))
+        for facet, g in boundary.items()
+    ]
+
+
 @per_configuration
 def _hull(config: Configuration) -> tuple[tuple, tuple]:
     """(triangulation, facets) of conv(0 + columns), the one hull of the configuration.
 
-    A facet is read off each boundary facet through the origin: the linear
-    part of its inner form, primitive.  The form must vanish at the origin,
-    its normal on the facet's other vertices (read off the column bitmask)
-    and be nonnegative on every column, else InternalInconsistency.  This is
-    the one certificate of the facets: the bitmask comes from the same dot
-    products, so every reader takes a normal as nonnegative on the columns
-    and zero exactly on its bitmask.
+    A facet is read off each cone form of the placing (_cone_placing), made
+    primitive.  The normal must vanish on the form's vertices (read off the
+    column bitmask) and be nonnegative on every column, else
+    InternalInconsistency.  This is the one certificate of the facets: the
+    bitmask comes from the same dot products, so every reader takes a normal
+    as nonnegative on the columns and zero exactly on its bitmask.
     """
-    d, columns = config.d, config._columns
-    points = ((0,) * d, *columns)  # the origin is label 0, column j label j
-    triangulation, boundary = _placing_triangulation(dict(enumerate(points)), d)
+    columns = config._columns
+    triangulation, cone = _cone_placing(columns, config._grading)
     vertices: dict[IntVec, int] = {}  # normal -> bitmask of its boundary facets' vertices
-    for facet, form in boundary.items():
-        if facet[0]:  # not through the origin
-            continue
-        if form[0]:
-            raise InternalInconsistency("a hull facet form does not vanish on its facet")
-        normal = primitive_vector(form[1:])
-        vertices[normal] = vertices.get(normal, 0) | sum(1 << v - 1 for v in facet[1:])
+    for facet, form in cone:
+        normal = primitive_vector(form)
+        vertices[normal] = vertices.get(normal, 0) | sum(1 << v - 1 for v in facet)
     facets = []
     for normal in sorted(vertices):
         values = [_dot(normal, a) for a in columns]
@@ -561,30 +587,31 @@ def _normalize_matrix(A_raw: IntMatrix) -> tuple[Configuration, IntMatrix, bool]
     """(config, B, reduced) with A_raw = B * config.A.
 
     When A_raw is valid as is, B is the identity and reduced is False.
-    Otherwise its columns are reduced (_hermite_reduce).
+    Otherwise _hermite_reduce takes the rows that failed validation, less the carried column.
     """
     if A_raw.rows == 0 or A_raw.cols == 0:
         raise RankDeficient("cannot reduce an empty matrix")
     try:
         return Configuration(A_raw), IntMatrix.identity(A_raw.rows), False
-    except (RankDeficient, LatticeNotSaturated):
-        pass
-    coordinates, basis = _hermite_reduce(A_raw.columns())
+    except (RankDeficient, LatticeNotSaturated) as invalid:
+        H = [row[:-1] for row in invalid.hermite_rows]
+    coordinates, basis = _hermite_reduce(A_raw.columns(), H)
     if not basis:
         raise RankDeficient("all columns are zero")
     B = IntMatrix.from_columns(basis, A_raw.rows)
     return Configuration(IntMatrix.from_columns(coordinates, len(basis))), B, True
 
 
-def _hermite_reduce(columns: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+def _hermite_reduce(columns: Sequence[IntVec], H=None) -> tuple[tuple[IntVec, ...], ...]:
     """(coordinates, basis): the one Hermite reduction of a column lattice, on plain rows.
 
-    basis is the nonzero rows of the row Hermite form H of the columns as rows, from one
-    transform-free pass, and column j = sum_i coordinates[j][i] basis[i], integral.  It
+    basis: the nonzero rows of the row Hermite form H of the columns as rows (one transform-free
+    pass unless the caller has H); column j = sum_i coordinates[j][i] basis[i], integral.  It
     normalizes user matrices that fail validation, and gives faces volumes and spans.
     """
-    H = [list(col) for col in columns]
-    _hermite_rows(H, len(H[0]))
+    if H is None:
+        H = [list(col) for col in columns]
+        _hermite_rows(H, len(H[0]))
     basis = tuple(tuple(row) for row in H if any(row))
     coordinates = tuple(_hermite_solutions(basis, columns))
     if any(x is None or any(q.denominator != 1 for q in x) for x in coordinates):

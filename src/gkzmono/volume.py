@@ -2,7 +2,8 @@
 
 A configuration's volume reads the placing triangulation of its hull
 (cones._hull), the run that also gives the facets; a face's triangulates
-its own Hermite coordinates and reads no facets.  The simplices (the origin
+its own Hermite coordinates and reads no facets, by the same placing rule
+(cones._cone_placing).  The simplices (the origin
 labeled 0, columns by their 1-based labels) are returned as a certificate:
 the volume is the sum of their |det|, each re-checkable on its own.  For a
 configuration it equals the holonomic rank at generic parameters.
@@ -11,10 +12,10 @@ configuration it equals the holonomic rank at generic parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .cones import Configuration, Face, Simplex, _check_labels, _hermite_reduce, _hull
-from .cones import _placing_triangulation, per_configuration
+from .cones import Configuration, Face, Simplex, _check_labels, _cone_placing, _dot
+from .cones import _hermite_reduce, _hull, per_configuration
 from .errors import EmptyFace
 from .intlinalg import IntVec, rank_int
 
@@ -33,9 +34,8 @@ class VolumeResult:
         }
 
 
-def _volume_of_matrix(columns: Sequence[IntVec]) -> VolumeResult:
-    d = len(columns[0])
-    triangulation = _placing_triangulation(dict(enumerate([(0,) * d, *columns])), d)[0]
+def _volume_of_matrix(columns: Sequence[IntVec], grading: Optional[IntVec] = None) -> VolumeResult:
+    triangulation = _cone_placing(columns, grading)[0]
     return VolumeResult(sum(c for _, c in triangulation), triangulation)
 
 
@@ -54,6 +54,7 @@ def face_volume(config: Configuration, face: Face) -> int:
     volume 1 (a point at rank 0), with no Hermite pass.  Other faces are
     triangulated on the Hermite basis (cones._hermite_reduce) of their lattice,
     which may be a proper sublattice of its saturation; the full face's is Z^d.
+    A homogeneous configuration's grading y grades them by (y . b_i) over it.
     """
     _check_labels(config, face.indices)
     if not face.indices:
@@ -63,7 +64,9 @@ def face_volume(config: Configuration, face: Face) -> int:
     columns = [config._columns[j - 1] for j in face.indices]
     if len(set(columns) - {(0,) * config.d}) == rank_int(columns):
         return 1
-    return _volume_of_matrix(_hermite_reduce(columns)[0]).volume
+    coordinates, basis = _hermite_reduce(columns)
+    grading = config._grading and tuple(_dot(config._grading, b) for b in basis)
+    return _volume_of_matrix(coordinates, grading).volume
 
 
 def generic_rank(config: Configuration) -> int:

@@ -78,8 +78,9 @@ def spy_on(monkeypatch, *names):
 def hermite_passes(monkeypatch):
     """Record, in call order, each Hermite pass as (caller, width, rows as given).
 
-    Configuration.__init__ makes the validation pass; a pass whose rows are
-    wider than width carries a block along (a transform).
+    Configuration.__init__ makes the validation pass, which carries one
+    all-ones column for the grading; any other pass whose rows are wider
+    than width carries a block along (a transform).
     """
     passes = []
     original = intlinalg._hermite_rows
@@ -302,16 +303,14 @@ class TestSharedConfiguration:
         # The facets and the generic rank read one hull per configuration:
         # one placing triangulation of its columns, and no other facet
         # enumeration (no feasibility test of a subset, no face lattice).
-        # A face volume triangulates a face's columns, never the whole set.
+        # A face volume triangulates a face's columns, never the whole set;
+        # it reaches the same placing rule through volume's own binding.
         hulls, face_triangulations, subsets = [], [], []
-        placing, of_matrix, feasible = (
-            cones._placing_triangulation, volume._volume_of_matrix, cones.is_face
-        )
+        placing, of_matrix, feasible = cones._cone_placing, volume._volume_of_matrix, cones.is_face
+        monkeypatch.setattr(cones, "_cone_placing", lambda c, y: hulls.append(c) or placing(c, y))
         monkeypatch.setattr(
-            cones, "_placing_triangulation", lambda p, d: hulls.append(p) or placing(p, d)
-        )
-        monkeypatch.setattr(
-            volume, "_volume_of_matrix", lambda c: face_triangulations.append(c) or of_matrix(c)
+            volume, "_volume_of_matrix",
+            lambda c, y: face_triangulations.append(c) or of_matrix(c, y),
         )
         monkeypatch.setattr(
             cones, "is_face", lambda *args: subsets.append(args) or feasible(*args)
@@ -582,8 +581,9 @@ class TestCacheStructure:
         assert config.kernel == kernel_by_hermite_transform(config.A)
 
     def test_cold_pipeline_validates_once_and_defers_the_kernel(self, monkeypatch):
-        # One validation pass, on the columns alone; classify computes no
-        # kernel, and the toric ideal computes it once.
+        # One validation pass, on the columns with the all-ones column
+        # carried; classify computes no kernel, and the toric ideal computes
+        # it once.
         A = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 2, 3, 0], [0, 0, 0, 0, 1]])
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
@@ -595,23 +595,23 @@ class TestCacheStructure:
         toric.toric_ideal_generators(result.configuration)
         assert kernels == ["kernel_lattice_basis"]
         assert [(w, rows) for caller, w, rows in passes if caller == "__init__"] == [
-            (3, A.columns())
+            (3, tuple((*a, 1) for a in A.columns()))
         ]
 
     def test_normalization_reduces_the_form_that_failed_validation(self, monkeypatch):
-        # The validation pass on A_raw's columns fails, the same rows are
-        # reduced, and a second validation pass accepts the reduced matrix.
-        # No pass carries a transform, and no kernel is computed.
+        # The validation pass on A_raw's columns fails, its rows (without
+        # the carried all-ones column) are reduced with no second pass, and
+        # a second validation pass accepts the reduced matrix.  No pass
+        # carries a transform, and no kernel is computed.
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
         kernels = spy_on(monkeypatch, "kernel_lattice_basis")
         config, beta, B = cones.reduce_configuration(INDEX_FOUR, [1, 1])
         assert [(caller, rows) for caller, _, rows in passes] == [
-            ("__init__", INDEX_FOUR.columns()),
-            ("_hermite_reduce", INDEX_FOUR.columns()),
-            ("__init__", config.A.columns()),
+            ("__init__", tuple((*a, 1) for a in INDEX_FOUR.columns())),
+            ("__init__", tuple((*a, 1) for a in config.A.columns())),
         ]
-        assert all(len(rows[0]) == width for _, width, rows in passes)
+        assert all(len(rows[0]) == width + 1 for _, width, rows in passes)
         assert kernels == []
         assert config.A == QUADRIC and matmul(B, config.A) == INDEX_FOUR
         assert beta == (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))
@@ -626,9 +626,11 @@ class TestCacheStructure:
     def test_cold_classify_computes_no_kernel_and_carries_no_transform(
         self, monkeypatch, matrix, beta
     ):
-        # The related columns come off the hull's facets.  The only pass that
-        # carries a block is a face's perp lattice (cones._perp_kernel),
-        # whose block is the d x d identity, never the n x n transform.
+        # The related columns come off the hull's facets.  Validation
+        # carries exactly one column (all ones, for the grading); the only
+        # other pass that carries a block is a face's perp lattice
+        # (cones._perp_kernel), whose block is the d x d identity, never the
+        # n x n transform.
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
         kernels = spy_on(monkeypatch, "kernel_lattice_basis", "hermite_normal_form")
@@ -636,8 +638,9 @@ class TestCacheStructure:
         assert kernels == []
         carried = [(caller, len(rows[0]) - width) for caller, width, rows in passes
                    if rows and len(rows[0]) > width]
-        assert set(carried) <= {("_perp_kernel", config.d)}
-        assert all(len(rows[0]) == width for caller, width, rows in passes if caller == "__init__")
+        assert set(carried) <= {("_perp_kernel", config.d), ("__init__", 1)}
+        assert all(len(rows[0]) == width + 1 for caller, width, rows in passes
+                   if caller == "__init__")
 
 
 class TestCenterVolumes:

@@ -41,6 +41,8 @@ from oracles import (
     matmul,
     perp_lattice_by_hermite_forms,
     solve_rational,
+    triangulated_face_volume,
+    triangulation_failures,
 )
 from sweeps import (
     BETA_SWEEP_MATRIX,
@@ -53,20 +55,45 @@ from sweeps import (
 QUADRIC = IntMatrix([[1, 1, 1], [0, 1, 2]])
 
 
-def corrupt_a_boundary_form(monkeypatch, change, facet=None):
-    """Make the hull read change(form) for one boundary facet through the origin.
+def is_cone_facet(points, facet):
+    """Whether a boundary facet of the hull's placing gives a cone facet.
 
-    The facet is a tuple of labels (the origin is 0, column j is j); by
-    default it is the first one the placing reports.
+    When the origin is placed (label 0, column j is j), those are the facets
+    through it; a homogeneous configuration places its columns alone, in
+    their hyperplane, and every boundary facet is one.
+    """
+    return 0 not in points or facet[:1] == (0,)
+
+
+def corrupt_a_boundary_form(monkeypatch, change, facet=None):
+    """Make the hull read change(form) for one boundary facet that gives a cone facet.
+
+    The facet is a tuple of labels; by default it is the first such one the
+    placing reports.
     """
     placing = cones._placing_triangulation
 
     def corrupted(points, d):
         triangulation, boundary = placing(points, d)
-        f = facet or next(f for f in boundary if f[0] == 0)
+        f = facet or next(f for f in boundary if is_cone_facet(points, f))
         return triangulation, {**boundary, f: change(boundary[f])}
 
     monkeypatch.setattr(cones, "_placing_triangulation", corrupted)
+
+
+def hull_placing(config):
+    """(points, final boundary) of the one placing that cones._hull runs for config."""
+    runs, placing = [], cones._placing_triangulation
+
+    def recorded(points, d):
+        runs.append((points, placing(points, d)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_placing_triangulation", recorded)
+        cones._hull(config)
+    ((points, (_, boundary)),) = runs
+    return points, boundary
 
 
 def flip(form):
@@ -137,6 +164,27 @@ class TestConfiguration:
             assert hull_runs == [config]
             hull_runs.clear()
         assert enumerations == []
+
+    def test_the_grading_is_read_off_validation(self):
+        # y . a_j = 1 on every column has a solution iff appending a row of
+        # ones keeps the rank (the columns span Q^d, so it is unique); then
+        # validation's carried column reads it, else _grading is None.
+        rng = random.Random(3301)
+        configs = [random_configuration(rng, dmax=4, nmax=7, lo=-2 * (k % 2), hi=2)
+                   for k in range(150)]
+        for _ in range(50):  # homogeneous, the grading moved off e_1 by a row change
+            d = rng.randint(2, 4)
+            A = random_homogeneous_configuration(rng, d, d + 3).A
+            configs.append(Configuration(matmul(random_unimodular(rng, d), A)))
+        homogeneous = 0
+        for config in configs:
+            ones = fraction_elimination([*config.A.data, [1] * config.n])[0]
+            y = config._grading
+            assert (y is not None) == (ones == config.d)
+            if y is not None:
+                homogeneous += 1
+                assert all(sum(map(mul, y, a)) == 1 for a in config.A.columns())
+        assert 50 < homogeneous < 150
 
 
 class TestReduce:
@@ -460,6 +508,8 @@ class TestFacets:
         assert cones._facets(config) == facets_by_double_description(config)
         assert self.facets(config) == facets_by_subset_normals(config)
 
+    # QUADRIC and BETA_SWEEP_MATRIX are homogeneous (their columns are
+    # placed alone); the last matrix is not (the origin is placed with them).
     @pytest.mark.parametrize("A", [QUADRIC, BETA_SWEEP_MATRIX, IntMatrix([[1, -1, 0], [0, 0, 1]])])
     def test_a_normal_negative_on_a_column_is_an_inconsistency(self, monkeypatch, A):
         # The flipped form still vanishes on its facet; its normal is then
@@ -470,8 +520,10 @@ class TestFacets:
 
     @pytest.mark.parametrize("A", [QUADRIC, BETA_SWEEP_MATRIX, IntMatrix([[1, -1, 0], [0, 0, 1]])])
     def test_a_form_off_its_facet_is_an_inconsistency(self, monkeypatch, A):
-        # A shifted constant term keeps the normal (nonnegative on every
-        # column), but the form no longer vanishes at the origin.
+        # Through the origin, a shifted constant term keeps the normal
+        # (nonnegative on every column), but the form no longer vanishes at
+        # the origin.  In a homogeneous configuration's hyperplane it adds
+        # the grading to the normal: 1 more on every column, the facet's too.
         corrupt_a_boundary_form(monkeypatch, lambda form: (form[0] + 1,) + form[1:])
         with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
             cones._facets(Configuration(A))
@@ -501,6 +553,74 @@ class TestFacets:
         for _ in range(200):
             config = random_configuration(rng, dmax=5, nmax=9)
             assert self.facets(config) == facets_by_subset_normals(config)
+
+
+class TestHomogeneousHull:
+    """A homogeneous configuration places its columns alone, in their own
+    hyperplane: the same triangulation as the placing of 0 + columns, the
+    triangulation axioms, the facets of double description, and face volumes
+    that agree with triangulating each face's coordinates with the origin."""
+
+    @staticmethod
+    def configurations():
+        yield IntMatrix([[2, -1, 5, -4, 8], [-1, 1, -3, 3, -5]])  # grading (2, 3): no unit entry
+        yield IntMatrix([[1, 1, 1]])  # d = 1, one point three times
+        yield IntMatrix([[1, 1, 1, 1], [0, 1, 1, 2]])  # d = 2, a duplicate column
+        yield IntMatrix([[1, 1, 1, 1], [0, 1, 3, 7]])
+        rng = random.Random(3907)
+        for k in range(40):
+            d = rng.randint(2, 5)
+            n = rng.randint(d + 1, min(d + 5, 5 ** (d - 1)))  # (1, x), x in [0, 4]^(d-1)
+            config = random_homogeneous_configuration(rng, d, n)
+            columns = list(config.A.columns())
+            if k % 2:
+                columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+            yield matmul(random_unimodular(rng, d), IntMatrix.from_columns(columns, d))
+
+    def test_against_the_origin_placing_and_double_description(self):
+        least = set()  # the least nonzero |y_k| of each grading
+        for A in self.configurations():
+            config = Configuration(A)
+            y, columns, d = config._grading, config._columns, config.d
+            assert y is not None and all(sum(map(mul, y, a)) == 1 for a in columns)
+            least.add(min(abs(x) for x in y if x))
+            points = dict(enumerate([(0,) * d, *columns]))
+            triangulation, facets = cones._hull(config)
+            assert triangulation == cones._placing_triangulation(points, d)[0]
+            assert triangulation_failures(points, triangulation) == []
+            assert facets == facets_by_double_description(config)
+            for face in config.face_lattice()[1:-1]:
+                assert face_volume(config, face) == triangulated_face_volume(config, face)
+        assert len(least) > 1
+
+    def test_every_shifted_derived_form_is_an_inconsistency(self, monkeypatch):
+        # Every boundary facet of the columns' own placing gives a cone facet,
+        # so _hull certifies every final form: shifting the constant term of
+        # any form derived after the seed must raise, whether a later
+        # derivation reads it or it stays on the final boundary.
+        A = random_homogeneous_configuration(random.Random(5), 7, 18).A
+        horizon, seed_simplex = cones._horizon_form, cones._seed_simplex
+        for t in range(40):
+            seen = []
+
+            def seeded(*args):
+                result = seed_simplex(*args)
+                seen.append("seed")
+                return result
+
+            def derived(*args, t=t):
+                form = horizon(*args)
+                if seen and len(seen) == t + 1:
+                    form = (form[0] + 1, *form[1:])
+                if seen:
+                    seen.append("derive")
+                return form
+
+            monkeypatch.setattr(cones, "_seed_simplex", seeded)
+            monkeypatch.setattr(cones, "_horizon_form", derived)
+            with pytest.raises(InternalInconsistency):
+                cones._hull(Configuration(A))
+            assert len(seen) > t + 1
 
 
 class TestEnumerate:
@@ -596,33 +716,46 @@ class TestEnumerate:
             }
             assert relabeled == {f.indices for f in enumerate_faces(permuted, "dd")}
 
-    def test_the_closure_path_reaches_the_hull_certificate(self, monkeypatch):
+    # The identity is homogeneous (grading (1, 1, 1)); the other is not.
+    @pytest.mark.parametrize(
+        "A", [IntMatrix.identity(3), IntMatrix([[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0]])],
+        ids=["homogeneous", "not_homogeneous"],
+    )
+    def test_the_closure_path_reaches_the_hull_certificate(self, monkeypatch, A):
         # -e3 vanishes on the same columns as e3, so only the sign check sees
         # it; _hull makes it once, and the face closure does not repeat it.
+        # So does every flipped normal.
         assert cones._facets(Configuration(IntMatrix.identity(3)))[0][0] == (0, 0, 1)
         corrupt_a_boundary_form(monkeypatch, flip)
         with pytest.raises(InternalInconsistency, match="normal is negative on a column"):
-            enumerate_faces(Configuration(IntMatrix.identity(3)), "dd")
+            enumerate_faces(Configuration(A), "dd")
 
-    def test_a_stray_bit_in_a_facet_mask_is_an_inconsistency(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "A, expected_cases",
+        [
+            (IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]), 8),
+            (IntMatrix([[1, 1, 1, 2], [0, 1, 0, 1], [0, 0, 1, 1]]), 6),
+        ],
+        ids=["homogeneous", "not_homogeneous"],
+    )
+    def test_a_stray_bit_in_a_facet_mask_is_an_inconsistency(self, monkeypatch, A, expected_cases):
         # A facet's normal must vanish on the vertices of its boundary facets.
         # Adding another facet's form that is positive at one of them keeps
         # the normal nonnegative on the columns, but the mask read off the
         # dot products loses that vertex, and _hull sees the stray bit.
-        A = IntMatrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-        points = [(0, 0, 0), *A.columns()]
-        boundary = cones._placing_triangulation(dict(enumerate(points)), 3)[1]
+        points, boundary = hull_placing(Configuration(A))
+        facets = [f for f in sorted(boundary) if is_cone_facet(points, f)]
         cases = 0
-        for facet in [f for f in sorted(boundary) if f[0] == 0]:
-            for v in facet[1:]:
-                other = next(g for f, g in sorted(boundary.items())
-                             if f[0] == 0 and sum(map(mul, g, (1, *points[v]))) > 0)
+        for facet in facets:
+            for v in [v for v in facet if v]:  # the columns, not the origin
+                other = next(boundary[f] for f in facets
+                             if sum(map(mul, boundary[f], (1, *points[v]))) > 0)
                 with monkeypatch.context() as m:  # one corrupted form per case
                     corrupt_a_boundary_form(m, lambda form: tuple(map(add, form, other)), facet)
                     with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
                         enumerate_faces(Configuration(A), "dd")
                 cases += 1
-        assert cases == 8
+        assert cases == expected_cases
 
     def test_pointed_iff_empty_face(self):
         rng = random.Random(37)

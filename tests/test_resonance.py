@@ -745,12 +745,18 @@ class TestLatticeFreePath:
                 report = resonance_centers(config, beta)
                 assert report.is_nonresonant == (len(report.member_faces) == 1)
 
-    def test_the_lattice_free_path_reaches_the_hull_certificate(self, monkeypatch):
+    # The first matrix is homogeneous (its columns are placed alone in their
+    # hyperplane); the second is not (the origin is placed with them).
+    @pytest.mark.parametrize(
+        "A", [[[1, 1, 1, 1], [0, 1, 2, 3]], [[1, 1, 1, 2], [0, 1, 2, 3]]],
+        ids=["homogeneous", "not_homogeneous"],
+    )
+    def test_the_lattice_free_path_reaches_the_hull_certificate(self, monkeypatch, A):
         # No closure reads the facets on this path, and the minimal face's
         # witness is the sum of their normals: the hull's certificate must
         # catch a flipped facet form before the witness is built.
         corrupt_a_boundary_form(monkeypatch, flip)
-        config = Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]]))
+        config = Configuration(IntMatrix(A))
         with pytest.raises(InternalInconsistency, match="normal is negative on a column"):
             resonance_centers(config, [1, 0])
 

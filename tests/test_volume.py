@@ -213,7 +213,7 @@ class TestNormalizedVolume:
 
         monkeypatch.setattr(cones, "_horizon_form", derived)
         monkeypatch.setattr(cones, "_seed_simplex", seeded)
-        monkeypatch.setattr(volume, "_placing_triangulation", placed)
+        monkeypatch.setattr(cones, "_placing_triangulation", placed)
         return events, derivations, boundaries
 
     @staticmethod
@@ -292,7 +292,7 @@ class TestNormalizedVolume:
                 if det:
                     break
             events, _, boundaries = self.spy_on_the_placing(monkeypatch)
-            triangulation = volume._placing_triangulation(dict(enumerate(vertices)), d)[0]
+            triangulation = cones._placing_triangulation(dict(enumerate(vertices)), d)[0]
             assert triangulation == ((tuple(range(d + 1)), abs(det)),)
             assert events == ["derive"] * (d * d) + ["seed", "placed"]
             adj = cofactor_adjugate(edges)
@@ -474,7 +474,8 @@ class TestFaceVolume:
             configs = [Configuration(BETA_SWEEP_MATRIX)]
         calls, original = [], volume._volume_of_matrix
         monkeypatch.setattr(
-            volume, "_volume_of_matrix", lambda columns: calls.append(columns) or original(columns)
+            volume, "_volume_of_matrix",
+            lambda columns, y: calls.append(columns) or original(columns, y),
         )
         unimodular = triangulated = 0
         for config in configs:
