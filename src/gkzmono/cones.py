@@ -364,6 +364,7 @@ def _placing_triangulation(points: dict[int, IntVec], d: int):
         for facet in [facet for facet, value in at_p.items() if value < 0]:  # p sees it
             value, g, i = at_p[facet], boundary.pop(facet), bisect(facet, label)
             simplices.append((facet[:i] + (label,) + facet[i:], -value))
+            read = False  # whether a derivation checks g(u) = 0: p off the other facet's plane
             for m, u in enumerate(facet):
                 ridge = facet[:m] + facet[m + 1:]
                 pair = ridges.get(ridge, ())
@@ -371,32 +372,34 @@ def _placing_triangulation(points: dict[int, IntVec], d: int):
                 if other not in at_p:
                     raise InternalInconsistency("a boundary ridge is not in exactly two facets")
                 if at_p[other] >= 0:  # a horizon ridge: with p, it spans a new facet
-                    i = bisect(ridge, label)
+                    read, i = read or at_p[other] > 0, bisect(ridge, label)
                     new = pair[pair.index(facet)] = ridge[:i] + (label,) + ridge[i:]
                     boundary[new] = _horizon_form(g, value, boundary[other], at_p[other], points[u])
                     for j in [j for j in range(d) if j != i]:
                         ridges.setdefault(new[:j] + new[j + 1:], []).append(new)
                 elif other not in boundary:  # p sees both, and both have left the boundary
                     del ridges[ridge]
+            if not read and any(_dot(g, points[v]) for v in facet):
+                raise InternalInconsistency("a hull facet form does not vanish on its facet")
     return tuple(sorted(simplices)), boundary
 
 
 def _cone_placing(columns: Sequence[IntVec], grading: Optional[IntVec]):
     """(triangulation, cone facets as (vertex labels, form)) of conv(0 + columns), 0 labeled 0.
 
-    Without a grading the origin is placed too; the boundary forms through it must vanish
-    there.  With a grading y (y . a_j = 1) the hull is a pyramid with apex 0: the columns
+    Without a grading the origin is placed too; every final boundary form must vanish on its
+    vertices.  With a grading y (y . a_j = 1) the hull is a pyramid with apex 0: the columns
     alone are placed, coordinate k (least nonzero |y_k|) dropped, lifted as phi(a) = (y . a,
     a without k), det phi = +-y_k.  So a simplex s is (0,) + s with |det| / |y_k| exactly,
     and a boundary form g is the cone form g . phi = g_0 y + (g_rest with 0 at k).
     """
     d = len(columns[0])
     if grading is None:
-        triangulation, boundary = _placing_triangulation(dict(enumerate(((0,) * d, *columns))), d)
-        through_origin = [(facet, g) for facet, g in boundary.items() if facet[:1] == (0,)]
-        if any(g[0] for _, g in through_origin):
+        points = ((0,) * d, *columns)
+        triangulation, boundary = _placing_triangulation(dict(enumerate(points)), d)
+        if any(g[0] + _dot(g[1:], points[v]) for facet, g in boundary.items() for v in facet):
             raise InternalInconsistency("a hull facet form does not vanish on its facet")
-        return triangulation, [(facet[1:], g[1:]) for facet, g in through_origin]
+        return triangulation, [(f[1:], g[1:]) for f, g in boundary.items() if f[:1] == (0,)]
     size, k = min((abs(y), i) for i, y in enumerate(grading) if y)
     points = {j: a[:k] + a[k + 1:] for j, a in enumerate(columns, 1)}
     cells, boundary = _placing_triangulation(points, d - 1)

@@ -45,6 +45,12 @@ divides an element's lead, and tail reduction only reaches monomials below
 that lead, which its own lead cannot divide.  So the leads, their order
 and every reduction step are those of reducing each element against the
 others, and no element reduces to zero.
+
+A generator m - 1 makes each variable of m a unit; in a saturation input
+that is every variable (Sturmfels, Lemma 12.2).  A new element r = x^c h,
+x^c the common factor of its lead and tail over the units, is stored as
+h: h is in the ideal since x^c is a unit, its terms divide r's and so are
+in normal form, and r reduces to zero by h, so every S-pair still does.
 """
 
 from __future__ import annotations
@@ -215,10 +221,15 @@ def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget)
     leads = _Leads()
     pairs: dict[tuple[int, int], Monomial] = {}
     queue: list = []
+    # The variables of the nonconstant side of each generator m - 1 (the module docstring).
+    units = list(map(any, zip(*(max(g, key=any) for g in generators if not all(map(any, g))))))
 
     def add(g: BinPair):
         reduced = _normal_form(g, basis, leads, key, budget)
         if reduced is not None:
+            common = [min(x, y) if u else 0 for x, y, u in zip(*reduced, units)]
+            if any(common):
+                reduced = tuple(tuple(map(operator.sub, m, common)) for m in reduced)
             basis.append(reduced)
             leads.add(reduced[0])
             _update_pairs(basis, leads, pairs, queue, key)

@@ -7,14 +7,14 @@ the product of all variables: adjoin an auxiliary variable t, add
 t*dx_1*...*dx_n - 1, compute a Groebner basis for an order eliminating t,
 and keep the t-free part.
 
-The saturation I_L = I_B : (dx_1*...*dx_n)^oo is the same for every Z-basis
-B of the kernel lattice L (Sturmfels, Groebner Bases and Convex Polytopes,
-Lemma 12.2), and so is the ideal I_B + (t*dx_1*...*dx_n - 1) = I_L +
-(t*dx_1*...*dx_n - 1) whose reduced basis Buchberger returns.  The basis
-only drives the cost, and the canonical Hermite basis is a poor one: for
-the degree-16 curve it holds (0, 1, 0, ..., 0, -15, 14).  So the kernel
-basis is first shortened in the L1 norm by pairwise reduction
-(_shortened), each replacement metered as one step of the run's budget.
+The saturation I_L = I_B : dx^oo, dx = dx_1*...*dx_n, is the same for every
+Z-basis B of the kernel lattice L (Sturmfels, Groebner Bases and Convex
+Polytopes, Lemma 12.2), and so is J = I_B + (t*dx - 1) = I_L + (t*dx - 1),
+whose reduced basis Buchberger returns.  t*dx = 1 modulo J makes t and every
+dx_j a unit, which lets Buchberger cancel any common factor of a new element.
+The basis B only drives the cost, and the Hermite basis is a poor one: for the
+degree-16 curve it holds (0, 1, 0, ..., 0, -15, 14), so it is first shortened
+in the L1 norm (_shortened), each replacement one step of the run's budget.
 """
 
 from __future__ import annotations
@@ -256,9 +256,9 @@ def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ..
 def in_ideal(binomials: Sequence[Binomial], candidate: Binomial, nvars: int) -> bool:
     """Groebner normal-form membership test against a generating set.
 
-    Recomputes a grevlex basis of the given binomials first, so the test is
-    sound for any generating set, not only for Groebner bases.  Raises
-    DimensionMismatch unless every binomial has nvars exponents.
+    Recomputes a grevlex basis of the given binomials first, so the test is sound
+    for any generating set, also one with a binomial m - 1 (its variables are then
+    units).  Raises DimensionMismatch unless every binomial has nvars exponents.
     """
     if any(len(b.plus) != nvars for b in (*binomials, candidate)):
         raise DimensionMismatch(f"binomials must have {nvars} exponents")

@@ -4,6 +4,8 @@ This is the engine as it was before pair selection moved to a heap: pairs
 live in a set, the next one is the minimum of (key(lcm), i, j) over that set
 with every lcm recomputed, and a monomial is reduced by testing each lead
 exponent-wise.  It must return the same basis and spend the same steps.
+Like the engine, it stores each new element without the common factor of
+its lead and tail over the unit variables, those of a generator m - 1.
 
 The module also keeps the order keys as nested tuples, the oracle for the
 engine's flat keys, and its own copy of the kernel-basis shortening that
@@ -112,6 +114,18 @@ def buchberger(
         budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis: list[BinPair] = []
     pairs: set[tuple[int, int]] = set()
+    # The variables of a generator m - 1 (either side constant) are units.
+    units = [False] * len(generators[0][0]) if generators else []
+    for p, q in generators:
+        for monomial, other in ((p, q), (q, p)):
+            if not any(other):
+                units = [u or e > 0 for u, e in zip(units, monomial)]
+
+    def coprime(g: BinPair) -> BinPair:
+        """g without the common factor of lead and tail over the unit variables."""
+        common = [min(a, b) if u else 0 for a, b, u in zip(g[0], g[1], units)]
+        return tuple(tuple(x - c for x, c in zip(m, common)) for m in g)
+
     seeds = []
     for p, q in generators:
         o = oriented(p, q, key)
@@ -121,7 +135,7 @@ def buchberger(
         reduced = normal_form(g, basis, key, budget)
         if reduced is None:
             continue
-        basis.append(reduced)
+        basis.append(coprime(reduced))
         pairs = _update_pairs(basis, pairs, len(basis) - 1, key)
 
     def pair_key(ij):
@@ -139,7 +153,7 @@ def buchberger(
         reduced = normal_form(s, basis, key, budget)
         if reduced is None:
             continue
-        basis.append(reduced)
+        basis.append(coprime(reduced))
         pairs = _update_pairs(basis, pairs, len(basis) - 1, key)
 
     # Minimalize: drop elements whose lead is divisible by another lead.

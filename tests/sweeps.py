@@ -87,6 +87,21 @@ def random_homogeneous_configuration(rng, d, n, hi=4):
             continue
 
 
+def random_confluent_configuration(rng, d, n, hi=4):
+    """A configuration of n distinct columns (h, x), h in {1, 2}, x in [0, hi]^(d-1),
+    that has no grading: the origin is placed with its columns."""
+    while True:
+        columns = set()
+        while len(columns) < n:
+            columns.add((rng.choice((1, 2)),) + tuple(rng.randint(0, hi) for _ in range(d - 1)))
+        try:
+            config = Configuration(IntMatrix.from_columns(sorted(columns), d))
+        except LatticeNotSaturated:
+            continue
+        if config._grading is None:
+            return config
+
+
 def rational_normal_curve(k):
     """The degree-k curve: columns (1, j) for j = 0..k."""
     return Configuration(IntMatrix([[1] * (k + 1), list(range(k + 1))]))

@@ -48,6 +48,7 @@ from sweeps import (
     BETA_SWEEP_MATRIX,
     DENSE_FIVE_BY_EIGHT,
     random_configuration,
+    random_confluent_configuration,
     random_homogeneous_configuration,
     random_unimodular,
 )
@@ -599,28 +600,62 @@ class TestHomogeneousHull:
         # any form derived after the seed must raise, whether a later
         # derivation reads it or it stays on the final boundary.
         A = random_homogeneous_configuration(random.Random(5), 7, 18).A
-        horizon, seed_simplex = cones._horizon_form, cones._seed_simplex
-        for t in range(40):
-            seen = []
+        assert_every_shifted_derived_form_raises(monkeypatch, A, range(40))
 
-            def seeded(*args):
-                result = seed_simplex(*args)
-                seen.append("seed")
-                return result
 
-            def derived(*args, t=t):
-                form = horizon(*args)
-                if seen and len(seen) == t + 1:
-                    form = (form[0] + 1, *form[1:])
-                if seen:
-                    seen.append("derive")
-                return form
+class TestConfluentHull:
+    """A configuration with no grading: the origin is placed with the columns."""
 
-            monkeypatch.setattr(cones, "_seed_simplex", seeded)
-            monkeypatch.setattr(cones, "_horizon_form", derived)
-            with pytest.raises(InternalInconsistency):
-                cones._hull(Configuration(A))
-            assert len(seen) > t + 1
+    CONFLUENT = random_confluent_configuration(random.Random(5), 7, 18).A
+
+    @pytest.mark.parametrize(
+        "A", [IntMatrix([[1, -1, 0], [0, 0, 1]]), CONFLUENT], ids=["plane", "confluent"]
+    )
+    def test_a_shifted_final_form_off_the_origin_is_an_inconsistency(self, monkeypatch, A):
+        # No cone facet is read off such a form, so only the placing's own
+        # check of the final boundary sees it.
+        _, boundary = hull_placing(Configuration(A))
+        facet = next(f for f in boundary if 0 not in f)
+        corrupt_a_boundary_form(monkeypatch, lambda form: (form[0] + 1,) + form[1:], facet)
+        with pytest.raises(InternalInconsistency, match="does not vanish on its facet"):
+            cones._hull(Configuration(A))
+
+    def test_every_shifted_derived_form_is_an_inconsistency(self, monkeypatch):
+        # A shifted form is checked at one vertex by a derivation whose new
+        # point is off the other facet's plane, on all its vertices when a
+        # point sees it and no such derivation checks it, or on the final
+        # boundary.  The first 40 of the 1044 derived forms, every 25th, and
+        # forms 827 and 828: a point sees each with every horizon neighbour's
+        # plane through it, so no derivation checks them.
+        indices = [*range(40), *range(50, 1044, 25), 827, 828]
+        assert_every_shifted_derived_form_raises(monkeypatch, self.CONFLUENT, indices)
+
+
+def assert_every_shifted_derived_form_raises(monkeypatch, A, indices):
+    """Shifting the constant term of the t-th form derived after the seed of
+    A's hull placing raises InternalInconsistency, for every t in indices."""
+    horizon, seed_simplex = cones._horizon_form, cones._seed_simplex
+    for t in indices:
+        seen = []
+
+        def seeded(*args):
+            result = seed_simplex(*args)
+            seen.append("seed")
+            return result
+
+        def derived(*args, t=t):
+            form = horizon(*args)
+            if seen and len(seen) == t + 1:
+                form = (form[0] + 1, *form[1:])
+            if seen:
+                seen.append("derive")
+            return form
+
+        monkeypatch.setattr(cones, "_seed_simplex", seeded)
+        monkeypatch.setattr(cones, "_horizon_form", derived)
+        with pytest.raises(InternalInconsistency):
+            cones._hull(Configuration(A))
+        assert len(seen) > t + 1
 
 
 class TestEnumerate:

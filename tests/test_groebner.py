@@ -381,3 +381,73 @@ class TestAgainstSympy:
         assert {frozenset((g, -g)) for g in map(sympy.expand, ours)} == {
             frozenset((g, -g)) for g in expected.exprs
         }
+
+
+def lattice_pairs(config):
+    return [(b.plus, b.minus) for b in lattice_binomials(config)]
+
+
+class TestUnitVariables:
+    """The variables of a generator m - 1 are units, and only they are cancelled."""
+
+    @staticmethod
+    def stored_run(monkeypatch, generators, key):
+        """(basis, every element the engine stored), checked against the reference."""
+        engine_update, stored = groebner._update_pairs, []
+
+        def update(basis, *args):
+            stored.append(basis[-1])
+            engine_update(basis, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_update_pairs", update)
+            basis, _ = assert_same_run(generators, key, DEFAULT_STEP_BUDGET)
+        return basis, stored
+
+    def test_a_unit_generator_over_some_of_the_variables(self, monkeypatch):
+        # x1*x2 - 1 among binomials in 4 variables: x1 and x2 are units, x3
+        # and x4 are not.
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:5")
+
+        def monomial(exponents):
+            return sympy.Mul(*(x**e for x, e in zip(xs, exponents)))
+
+        rng, kept = random.Random(2081), 0
+        for _ in range(8):
+            generators = [g for g in random_binomials(rng, 4, 3) if all(map(any, g))]
+            generators.append(((1, 1, 0, 0), (0, 0, 0, 0)))
+            basis, stored = self.stored_run(monkeypatch, generators, grevlex_key)
+            assert all(min(lead[k], tail[k]) == 0 for lead, tail in stored for k in (0, 1))
+            kept += any(min(lead[k], tail[k]) for lead, tail in stored for k in (2, 3))
+            expected = sympy.groebner(
+                [monomial(p) - monomial(q) for p, q in generators], *xs, order="grevlex"
+            )
+            assert {monomial(lead) - monomial(tail) for lead, tail in basis} == set(expected.exprs)
+        # A common factor in x3 or x4 stays.
+        assert kept
+
+    @pytest.mark.parametrize(
+        "name, key, steps",
+        [
+            ("curve_6", grevlex_key, 123),
+            ("curve_8", grevlex_key, 395),
+            ("not_saturated", grevlex_key, 7),
+            ("curve_6_saturation_input_without_t", elimination_key, 92),
+        ],
+    )
+    def test_no_unit_generator_spends_the_steps_it_always_did(self, name, key, steps):
+        # Step counts of the engine before it cancelled unit factors: with no
+        # generator m - 1 nothing is cancelled.  [[1,1,1,1],[0,1,3,4]] is the
+        # configuration whose kernel-basis binomials miss part of the toric ideal.
+        generators = {
+            "curve_6": lattice_pairs(rational_normal_curve(6)),
+            "curve_8": lattice_pairs(rational_normal_curve(8)),
+            "not_saturated": lattice_pairs(Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 3, 4]]))),
+            "curve_6_saturation_input_without_t": reference.saturation_generators(
+                rational_normal_curve(6)
+            )[:-1],
+        }[name]
+        assert all(all(map(any, g)) for g in generators)
+        _, remaining = assert_same_run(generators, key, DEFAULT_STEP_BUDGET)
+        assert DEFAULT_STEP_BUDGET - remaining == steps

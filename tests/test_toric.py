@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -270,6 +271,21 @@ class TestToricIdeal:
         assert all(torus_substitution_vanishes(config, b) for b in gens)
         assert sorted((b.plus, b.minus) for b in gens) == reference_toric_ideal(config)
 
+    def test_signed_seven_columns_within_20000_steps(self):
+        # Each new Buchberger element is stored without the common factor of
+        # its lead and tail: this input then saturates in 13 889 steps, and
+        # in 83 690 without.  The digest is of the generators found without.
+        config = Configuration(IntMatrix([
+            [-3, -3, 1, -2, -2, -1, 0], [2, -1, 1, 2, -1, 3, -1], [2, 2, 0, -1, -1, -1, -3]
+        ]))
+        gens = toric_ideal_generators(config, max_steps=20000)
+        assert len(gens) == 206
+        assert hashlib.sha256(repr([(b.plus, b.minus) for b in gens]).encode()).hexdigest() == (
+            "f0bfee0e9e99fe99874c212dffa256db541224f07056fed592d8dcb6524c6d2b"
+        )
+        assert budget_outcome(config, 13889) == gens
+        assert budget_outcome(config, 13888) is None
+
     def test_huge_exponents(self):
         # The engine's lead index must be sized by the leads it holds, not by
         # their exponents: one exponent here is 10**12.
@@ -328,6 +344,14 @@ class TestInIdeal:
     def test_every_binomial_has_nvars_exponents(self, generators, candidate):
         with pytest.raises(DimensionMismatch):
             in_ideal(generators, candidate, 3)
+
+    def test_a_generator_m_minus_1_makes_units(self):
+        # x1*x2 - 1 makes x1 and x2 units: x2*(x1^2*x3 - x2) = x1*x3 - x2^2
+        # modulo it.  x1 -> s, x2 -> 1/s, x3 -> s^-3 kills both generators
+        # but not x1 - x3.
+        generators = [Binomial((1, 1, 0), (0, 0, 0)), Binomial((2, 0, 1), (0, 1, 0))]
+        assert in_ideal(generators, Binomial((1, 0, 1), (0, 2, 0)), 3)
+        assert not in_ideal(generators, Binomial((1, 0, 0), (0, 0, 1)), 3)
 
     def test_orientation_of_generators_and_candidate_is_free(self):
         member = Binomial((4, 0, 0), (0, 2, 2))
