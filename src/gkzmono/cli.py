@@ -7,13 +7,15 @@ entries are {"re": "p/q", "im": "p/q"} objects.  Every command renders a
 single report value either as text or, with --json, as JSON.
 
 Exit codes: 0 success, 1 input error, 2 scale limit, 3 internal
-inconsistency.
+inconsistency.  The console script also exits 1, with no traceback, when
+stdout is closed before the report is written (`gkzmono faces ... | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -295,8 +297,7 @@ def run(argv) -> int:
                 text = _render_toric(report)
             elif args.command == "export":
                 system = toric.hypergeometric_system(config, beta_red, max_steps=args.max_steps)
-                print(exporters.export(system, args.format), end="")
-                return EXIT_OK
+                text = exporters.export(system, args.format)
             else:
                 components = describe_resonant_arrangement(config)
                 report = {"components": [c.to_json() for c in components]}
@@ -311,7 +312,10 @@ def run(argv) -> int:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    if args.json:
+    # Written outside the try above: a closed stdout is not an input error.
+    if args.command == "export":
+        sys.stdout.write(text)
+    elif args.json:
         print(exporters.json_text(report))
     else:
         print(text)
@@ -319,7 +323,13 @@ def run(argv) -> int:
 
 
 def main():  # pragma: no cover - thin wrapper
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:  # the exit flush goes to devnull (Python's signal docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_INPUT
+    sys.exit(status)
 
 
 if __name__ == "__main__":  # pragma: no cover

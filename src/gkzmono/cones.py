@@ -50,6 +50,7 @@ from .intlinalg import (
     IntVec,
     _hermite_rows,
     _hermite_solutions,
+    _kernel_rows,
     clear_denominators,
     integer_entries,
     kernel_lattice_basis,
@@ -446,16 +447,12 @@ def _hull(config: Configuration) -> tuple[tuple, tuple]:
 
 
 def _perp_kernel(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
-    """A basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}, from one Hermite pass.
+    """A basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}, a saturated lattice.
 
-    The face matrix M, cut from config.A on plain rows, carries the identity
-    along its Hermite form U*M = H; the rows of U whose H row is zero span
-    the saturated lattice (as in kernel_lattice_basis).  Not memoized.
+    _kernel_rows on the rows of config.A cut to the labels.  Not memoized.
     """
-    d, width = config.d, len(labels)
-    rows = [[row[j - 1] for j in labels] + [0] * i + [1] + [0] * (d - 1 - i)
-            for i, row in enumerate(config.A.data)]
-    return tuple(tuple(row[width:]) for row in rows[_hermite_rows(rows, width):])
+    rows = [[row[j - 1] for j in labels] for row in config.A.data]
+    return tuple(map(tuple, _kernel_rows(rows, len(labels))))
 
 
 @per_configuration

@@ -404,19 +404,27 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _kernel_rows(vectors: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """A Z-basis of the saturated lattice {x : sum_i x_i vectors[i] = 0}, [] when trivial.
+
+    One Hermite pass on the plain rows [v_i | e_i] brings the width columns
+    of the vectors to row Hermite form with the transform U riding along;
+    the rows of U whose H row is zero span the lattice (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).
+    """
+    n = len(vectors)
+    rows = [[*v, *[0] * i, 1, *[0] * (n - 1 - i)] for i, v in enumerate(vectors)]
+    return [row[width:] for row in rows[_hermite_rows(rows, width):]]
+
+
 def kernel_lattice_basis(A: IntMatrix) -> tuple[IntVec, ...]:
     """Canonical Z-basis of the saturated integer kernel lattice {u : A*u = 0}, () when trivial.
 
-    One Hermite pass on the plain rows [a_j | e_j] brings the columns of A to
-    row Hermite form with the transform U riding along; the rows of U whose
-    H row is zero span the kernel (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4).  A transform-free pass puts them in canonical order
-    (as cones._perp_lattice_basis does): a deterministic function of A.
+    _kernel_rows on the columns of A, then a transform-free pass puts the
+    rows in canonical order (as cones._perp_lattice_basis does): a
+    deterministic function of A.
     """
-    if A.cols == 0:
-        return ()
-    rows = [list(a) + [int(i == j) for j in range(A.cols)] for i, a in enumerate(A.columns())]
-    basis = [row[A.rows:] for row in rows[_hermite_rows(rows, A.rows):]]
+    basis = _kernel_rows(A.columns(), A.rows)
     _hermite_rows(basis, A.cols)
     return tuple(map(tuple, basis))
 

@@ -2,27 +2,22 @@
 
 The system consists of the Euler operators sum_j a_ij x_j dx_j - beta_i and
 the toric ideal of A inside the polynomial ring in the dx variables.  The
-toric ideal is obtained from the kernel-lattice binomials by saturating at
-the product of all variables: adjoin an auxiliary variable t, add
-t*dx_1*...*dx_n - 1, compute a Groebner basis for an order eliminating t,
-and keep the t-free part.
+toric ideal is obtained from the binomials of the canonical kernel basis B
+(Configuration.kernel, in Hermite form) by saturating at the product of all
+variables: adjoin an auxiliary variable t, add t*dx_1*...*dx_n - 1, compute
+a Groebner basis for an order eliminating t, and keep the t-free part.
 
 The saturation I_L = I_B : dx^oo, dx = dx_1*...*dx_n, is the same for every
 Z-basis B of the kernel lattice L (Sturmfels, Groebner Bases and Convex
 Polytopes, Lemma 12.2), and so is J = I_B + (t*dx - 1) = I_L + (t*dx - 1),
-whose reduced basis Buchberger returns.  t*dx = 1 modulo J makes t and every
+whose reduced basis Buchberger returns: the choice of B moves only the
+number of steps, never the generators.  t*dx = 1 modulo J makes t and every
 dx_j a unit, which lets Buchberger cancel any common factor of a new element.
-The basis B only drives the cost, and the Hermite basis is a poor one: for the
-degree-16 curve it holds (0, 1, 0, ..., 0, -15, 14), so it is first shortened
-in the L1 norm (_shortened), each replacement one step of the run's budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor
-from operator import add, sub
 from typing import ClassVar, Sequence
 
 from .cones import Configuration, as_parameter
@@ -161,13 +156,12 @@ def toric_ideal_generators(
     result is interreduced and canonically sorted.  Raises ScaleLimit when
     the computation exceeds max_steps.
 
-    The kernel basis is shortened first (_shortened); its replacements
-    spend steps of the same budget as Buchberger's reductions and S-pairs,
-    and the generators do not depend on the basis.  The run is a
-    deterministic function of A, so it succeeds exactly when max_steps
-    covers the steps it spends.  The first successful run is kept in the
-    configuration's memo with that step count, and later calls replay its
-    outcome for their own budget without running Buchberger.
+    The input is the canonical kernel basis as it is, and the budget counts
+    Buchberger's reductions and S-pairs.  The run is a deterministic
+    function of A, so it succeeds exactly when max_steps covers the steps
+    it spends.  The first successful run is kept in the configuration's
+    memo with that step count, and later calls replay its outcome for their
+    own budget without running Buchberger.
     """
     if not config.kernel:
         return []
@@ -180,67 +174,12 @@ def toric_ideal_generators(
     return list(generators)
 
 
-def _l1(u: IntVec) -> int:
-    return sum(map(abs, u))
-
-
-def _best_multiple(u: IntVec, v: IntVec) -> int:
-    """The integer q minimizing |u - q*v|_1: least |q| on ties, then q > 0.
-
-    The norm is convex in q with breakpoints at the ratios u_k/v_k, weighted
-    by |v_k|.  Its real minimizers are the weighted medians [lo, hi], so the
-    integer minimizers are ceil(lo)..floor(hi), or, when no integer lies in
-    between, floor(lo) or ceil(hi) or both.  When the norm does not drop at
-    q = 1 or q = -1, q = 0 is a minimizer, which is the common case.
-    """
-    norm = _l1(u)
-    if _l1(map(sub, u, v)) >= norm and _l1(map(add, u, v)) >= norm:
-        return 0
-    ratios = sorted((Fraction(x, y), abs(y)) for x, y in zip(u, v) if y)
-    total = sum(w for _, w in ratios)
-
-    def median(points):
-        below = 0
-        for r, w in points:
-            below += w
-            if 2 * below >= total:
-                return r
-
-    lo, hi = median(ratios), median(reversed(ratios))
-    return min(
-        {ceil(lo), floor(hi), floor(lo), ceil(hi)},
-        key=lambda q: (_l1(x - q * y for x, y in zip(u, v)), abs(q), q < 0),
-    )
-
-
-def _shortened(kernel: Sequence[IntVec], budget: StepBudget) -> list[IntVec]:
-    """A kernel basis shortened in the L1 norm, one budget step per replacement.
-
-    For each ordered pair (u, v) of distinct basis vectors, u becomes
-    u - q*v with q = _best_multiple(u, v) when that strictly lowers |u|_1.
-    Passes in basis order repeat until one makes no replacement; each
-    replacement is unimodular, so the result is again a Z-basis.
-    """
-    basis = list(kernel)
-    replaced = True
-    while replaced:
-        replaced = False
-        for i in range(len(basis)):
-            for j, v in enumerate(basis):
-                if i != j and (q := _best_multiple(basis[i], v)):
-                    budget.spend()
-                    basis[i] = tuple(x - q * y for x, y in zip(basis[i], v))
-                    replaced = True
-    return basis
-
-
 def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ...], int]:
     """(generators, steps spent) of one saturation run under max_steps."""
     n = config.n
     budget = StepBudget(max_steps)
     generators: list[BinPair] = [
-        (b.plus + (0,), b.minus + (0,))
-        for b in map(binomial_from_kernel_vector, _shortened(config.kernel, budget))
+        (b.plus + (0,), b.minus + (0,)) for b in map(binomial_from_kernel_vector, config.kernel)
     ]
     generators.append((tuple([1] * n) + (1,), tuple([0] * n) + (0,)))
     basis = buchberger(generators, elimination_key, budget)

@@ -8,11 +8,12 @@ Like the engine, it stores each new element without the common factor of
 its lead and tail over the unit variables, those of a generator m - 1.
 
 The module also keeps the order keys as nested tuples, the oracle for the
-engine's flat keys, and its own copy of the kernel-basis shortening that
-precedes a saturation.
+engine's flat keys, and builds the t-elimination input of a saturation from
+any basis of the kernel lattice: toric_ideal_generators starts from the
+canonical Hermite basis, and the reduced basis does not depend on that
+choice.
 """
 
-from itertools import permutations
 from typing import Optional, Sequence
 
 from gkzmono import kernel_lattice_basis
@@ -171,45 +172,11 @@ def buchberger(
     return sorted(reduced_basis, key=lambda b: key(b[0]))
 
 
-def shortened_kernel(kernel) -> tuple[list[tuple[int, ...]], int]:
-    """(basis, replacements) of the L1 shortening that precedes a saturation.
+def elimination_input(kernel, n) -> list[BinPair]:
+    """The binomials of a basis of the kernel lattice in Z^n, and t*x_1*...*x_n - 1.
 
-    For each ordered pair (u, v) of basis vectors, in basis order, u becomes
-    u - q*v for the q minimizing |u - q*v|_1 (least |q|, then q > 0) when
-    q != 0; passes repeat until one replaces nothing.  q is the best of 0
-    and the floor and ceiling of each ratio u_k/v_k: the norm is convex and
-    linear between those ratios, so an integer minimizer of least |q| is
-    among them.
+    t is the last of the n + 1 variables; the kernel binomials do not involve it.
     """
-    basis, replacements, replaced = [tuple(u) for u in kernel], 0, True
-    while replaced:
-        replaced = False
-        for i, j in permutations(range(len(basis)), 2):
-            u, v = basis[i], basis[j]
-            candidates = {0}
-            for x, y in zip(u, v):
-                if y:
-                    candidates |= {x // y, -(-x // y)}
-            q = min(
-                candidates,
-                key=lambda q: (sum(abs(x - q * y) for x, y in zip(u, v)), abs(q), q < 0),
-            )
-            if q:
-                basis[i] = tuple(x - q * y for x, y in zip(u, v))
-                replacements += 1
-                replaced = True
-    return basis, replacements
-
-
-def saturation_generators(config, shorten: bool = True) -> list[BinPair]:
-    """The t-elimination input that toric_ideal_generators hands to buchberger.
-
-    With shorten=False it is built from the Hermite kernel basis as it is.
-    """
-    n = config.n
-    kernel = kernel_lattice_basis(config.A)
-    if shorten:
-        kernel, _ = shortened_kernel(kernel)
     generators = [
         (tuple(max(x, 0) for x in u) + (0,), tuple(-min(x, 0) for x in u) + (0,))
         for u in kernel
@@ -218,13 +185,14 @@ def saturation_generators(config, shorten: bool = True) -> list[BinPair]:
     return generators
 
 
-def reference_toric_ideal(config) -> list[tuple[Monomial, Monomial]]:
-    """The t-free part of the reference elimination basis, as display pairs.
+def saturation_generators(config) -> list[BinPair]:
+    """The t-elimination input that toric_ideal_generators hands to buchberger."""
+    return elimination_input(kernel_lattice_basis(config.A), config.n)
 
-    The input is the unshortened Hermite kernel basis, so this oracle does
-    not depend on the shortening.
-    """
-    return t_free_part(buchberger(saturation_generators(config, shorten=False), elimination_key))
+
+def reference_toric_ideal(config) -> list[tuple[Monomial, Monomial]]:
+    """The t-free part of the reference elimination basis, as display pairs."""
+    return t_free_part(buchberger(saturation_generators(config), elimination_key))
 
 
 def t_free_part(basis: Sequence[BinPair]) -> list[tuple[Monomial, Monomial]]:

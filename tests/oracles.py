@@ -70,6 +70,12 @@ Lectures on Polytopes, 1995, Thm 2.7 and Cor 8.17), with inclusion read
 off the column sets and ranks from fraction_elimination: meets are faces,
 every interval of length 2 is a diamond, the covers are the inclusions of
 rank step 1, and the Euler sum vanishes.
+
+markov_fiber_failures checks a generating set of the toric ideal without
+Buchberger: the moves of its binomials must connect every fiber
+{u in N^n : Au = b} up to their largest degree (Diaconis & Sturmfels 1998),
+under the grading of a pointed configuration by the sum of its facet normals
+(fiber_grading).
 """
 
 from collections import Counter
@@ -605,4 +611,56 @@ def triangulation_failures(points, triangulation):
     covered = sum(covers(simplex, q) for simplex, _ in triangulation)
     if covered != 1:
         failures.append(f"a generic point is covered {covered} times")
+    return failures
+
+
+def fiber_grading(config):
+    """Each column's degree under the sum of the facet normals (facets_by_double_description).
+
+    The sum is positive on every column exactly when config is pointed and
+    has no zero column, and then every fiber {u in N^n : Au = b} is finite.
+    """
+    normals = [normal for normal, _ in facets_by_double_description(config)]
+    grading = [sum(entries) for entries in zip(*normals)]
+    return [sum(g * a for g, a in zip(grading, column)) for column in config.A.columns()]
+
+
+def markov_fiber_failures(config, binomials):
+    """The b whose fiber {u in N^n : Au = b} the moves of the binomials leave disconnected.
+
+    A set of binomials generates the toric ideal of A exactly when its moves
+    u -> u - plus + minus and u -> u - minus + plus, taken wherever the
+    result stays in N^n, connect every fiber (Diaconis & Sturmfels,
+    Algebraic algorithms for sampling from conditional distributions, Ann.
+    Statist. 1998, Thm 3.1).  Every fiber of degree (fiber_grading) at most
+    the largest degree of a binomial is enumerated whole, and each is walked
+    from its least point.  No Groebner basis enters.
+    """
+    weights = fiber_grading(config)
+    if min(weights) <= 0:
+        raise ValueError("the fibers are finite only for a pointed config with no zero column")
+    top = max((sum(w * e for w, e in zip(weights, b.plus)) for b in binomials), default=0)
+    fibers, stack = {}, [((), 0)]
+    while stack:
+        u, degree = stack.pop()
+        if len(u) == len(weights):
+            fibers.setdefault(config.A.mat_vec(u), []).append(u)
+            continue
+        w = weights[len(u)]
+        stack += [((*u, e), degree + e * w) for e in range((top - degree) // w + 1)]
+    moves = [(b.plus, b.minus) for b in binomials] + [(b.minus, b.plus) for b in binomials]
+    failures = []
+    for b, fiber in sorted(fibers.items()):
+        reached = {min(fiber)}
+        walk = list(reached)
+        while walk:
+            u = walk.pop()
+            for lose, gain in moves:
+                if all(x >= y for x, y in zip(u, lose)):
+                    v = tuple(x - y + z for x, y, z in zip(u, lose, gain))
+                    if v not in reached:
+                        reached.add(v)
+                        walk.append(v)
+        if len(reached) < len(fiber):
+            failures.append(b)
     return failures

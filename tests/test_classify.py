@@ -576,7 +576,7 @@ class TestCacheStructure:
         toric.toric_ideal_generators(config)
         toric.lattice_binomials(config)
         assert kernels == ["kernel_lattice_basis"]
-        assert {caller for caller, _, _ in passes} == {"kernel_lattice_basis"}
+        assert [caller for caller, _, _ in passes] == ["_kernel_rows", "kernel_lattice_basis"]
         assert intlinalg.hermite_normal_form(IntMatrix(config.kernel))[0].data == config.kernel
         assert config.kernel == kernel_by_hermite_transform(config.A)
 
@@ -629,8 +629,8 @@ class TestCacheStructure:
         # The related columns come off the hull's facets.  Validation
         # carries exactly one column (all ones, for the grading); the only
         # other pass that carries a block is a face's perp lattice
-        # (cones._perp_kernel), whose block is the d x d identity, never the
-        # n x n transform.
+        # (cones._perp_kernel, through intlinalg._kernel_rows), whose block
+        # is the d x d identity, never the n x n transform.
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
         kernels = spy_on(monkeypatch, "kernel_lattice_basis", "hermite_normal_form")
@@ -638,7 +638,7 @@ class TestCacheStructure:
         assert kernels == []
         carried = [(caller, len(rows[0]) - width) for caller, width, rows in passes
                    if rows and len(rows[0]) > width]
-        assert set(carried) <= {("_perp_kernel", config.d), ("__init__", 1)}
+        assert set(carried) <= {("_kernel_rows", config.d), ("__init__", 1)}
         assert all(len(rows[0]) == width + 1 for caller, width, rows in passes
                    if caller == "__init__")
 

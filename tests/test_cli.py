@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gkzmono.cli import run
-from sweeps import DENSE_FIVE_BY_EIGHT
+from sweeps import DENSE_FIVE_BY_EIGHT, random_homogeneous_configuration
 
 
 @pytest.fixture
@@ -390,6 +391,23 @@ class TestModuleEntryPoint:
         result = self.module("toric-ideal", "-A", matrix, "--max-steps", "100")
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("scale limit: ")
+
+    def test_a_closed_stdout_exits_1_without_a_traceback(self):
+        # The faces of the seed-5 d=7, n=18 cone are 2334 lines (114 kB),
+        # more than a 64 KiB pipe holds, so the child is still writing when
+        # the reader closes the pipe after one line.
+        matrix = json.dumps(random_homogeneous_configuration(random.Random(5), 7, 18).A.data)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "gkzmono.cli", "faces", "-A", matrix],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert first.startswith(b"{} witness (")
+        assert stderr == b""
 
     def test_the_shared_parser_keeps_no_state_between_calls(self, capture, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it

@@ -33,7 +33,8 @@ from gkzmono.groebner import (
     elimination_key,
     grevlex_key,
 )
-from sweeps import random_configuration, rational_normal_curve
+from oracles import matmul
+from sweeps import random_configuration, random_unimodular, rational_normal_curve
 
 KEYS = {"elimination": elimination_key, "grevlex": grevlex_key}
 NON_POINTED = (
@@ -81,7 +82,7 @@ def kernel_degree(config):
 def heavy_saturation_configurations():
     """Curves of degree 9 and 10, and n = 7 configurations of kernel degree 22-28.
 
-    The degree is that of the Hermite kernel basis, before shortening.
+    The degree is that of the Hermite kernel basis, the saturation's input.
     """
     rng = random.Random(2033)
     configs = [rational_normal_curve(9), rational_normal_curve(10)]
@@ -97,7 +98,18 @@ def binomial_inputs():
     return [random_binomials(rng, rng.randint(3, 5), rng.randint(2, 5)) for _ in range(25)]
 
 
-# The saturation inputs are built from the shortened kernel basis, as
+# A basis of the degree-6 curve's kernel lattice that is short in the L1
+# norm (the Hermite basis reduced pairwise): without t*x_1*...*x_7 - 1 its
+# saturation input has no unit generator.
+CURVE_6_SHORT_KERNEL_BASIS = [
+    (1, -1, 0, 0, 0, -1, 1),
+    (0, 1, -1, 0, 0, -1, 1),
+    (0, 0, 1, -1, 0, -1, 1),
+    (0, 0, 0, 1, -1, -1, 1),
+    (0, 0, 0, 0, 1, -2, 1),
+]
+
+# The saturation inputs are built from the canonical kernel basis, as
 # toric_ideal_generators builds them.
 SATURATION_CONFIGURATIONS = saturation_configurations()
 HEAVY_CONFIGURATIONS = heavy_saturation_configurations()
@@ -162,28 +174,34 @@ class TestAgainstTheReferenceEngine:
         assert raised > 0
 
 
-class TestShortenedInput:
-    """The shortened kernel basis changes the cost of a saturation, not its result."""
+class TestBasisIndependence:
+    """The kernel basis changes the cost of a saturation, not its result."""
 
     @pytest.mark.parametrize(
         "index", range(len(SATURATION_CONFIGURATIONS) + len(HEAVY_CONFIGURATIONS))
     )
-    def test_same_basis_as_the_hermite_input(self, index):
+    def test_same_basis_as_a_unimodular_change_of_the_input(self, index):
         # I_B + (t*x_1*...*x_n - 1) is the same ideal for every Z-basis B of
         # the kernel lattice, so the reduced elimination bases are equal.  The
-        # inputs include the curves of degree 2 to 10.
+        # inputs include the curves of degree 2 to 10.  The change is seeded
+        # row operations, then the first row negated, so it is never the
+        # identity (a one-row kernel has no other change).
         config = (SATURATION_CONFIGURATIONS + HEAVY_CONFIGURATIONS)[index]
+        kernel = IntMatrix(config.kernel)
+        U = random_unimodular(random.Random(2039 + index), kernel.rows)
+        changed = matmul(IntMatrix([[-x for x in U.row(0)], *U.data[1:]]), kernel)
+        assert changed != kernel
         bases = [
             buchberger(
-                reference.saturation_generators(config, shorten),
+                reference.elimination_input(basis.data, config.n),
                 elimination_key,
                 StepBudget(DEFAULT_STEP_BUDGET),
             )
-            for shorten in (True, False)
+            for basis in (kernel, changed)
         ]
         assert bases[0] == bases[1]
         generators = toric_ideal_generators(Configuration(config.A))
-        assert sorted((b.plus, b.minus) for b in generators) == reference.t_free_part(bases[1])
+        assert sorted((b.plus, b.minus) for b in generators) == reference.t_free_part(bases[0])
 
 
 class TestOrderKeys:
@@ -444,8 +462,8 @@ class TestUnitVariables:
             "curve_6": lattice_pairs(rational_normal_curve(6)),
             "curve_8": lattice_pairs(rational_normal_curve(8)),
             "not_saturated": lattice_pairs(Configuration(IntMatrix([[1, 1, 1, 1], [0, 1, 3, 4]]))),
-            "curve_6_saturation_input_without_t": reference.saturation_generators(
-                rational_normal_curve(6)
+            "curve_6_saturation_input_without_t": reference.elimination_input(
+                CURVE_6_SHORT_KERNEL_BASIS, 7
             )[:-1],
         }[name]
         assert all(all(map(any, g)) for g in generators)

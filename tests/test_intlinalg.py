@@ -18,7 +18,7 @@ from gkzmono import (
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import _hermite_solutions, primitive_vector, rank_int
+from gkzmono.intlinalg import _hermite_solutions, _kernel_rows, primitive_vector, rank_int
 from oracles import fraction_elimination, kernel_by_hermite_transform, matmul, solve_rational
 from sweeps import random_configuration
 
@@ -169,6 +169,49 @@ class TestKernel:
                 if any(cand) and M.mat_vec(cand) == tuple(0 for _ in range(M.rows)):
                     coords = next(_hermite_solutions(basis, [cand]))
                     assert coords is not None and all(q.denominator == 1 for q in coords)
+
+
+def kernel_rows_cases():
+    """Seeded vector lists for _kernel_rows: sparse entries give zero vectors,
+    dependent vectors and trivial kernels."""
+    rng = random.Random(409)
+    cases = []
+    for _ in range(24):
+        width, n = rng.randint(1, 5), rng.randint(1, 8)
+        cases.append([tuple(rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(width))
+                      for _ in range(n)])
+    return cases
+
+
+KERNEL_ROWS_CASES = kernel_rows_cases()
+
+
+class TestKernelRows:
+    """The one Hermite kernel pass behind kernel_lattice_basis and cones._perp_kernel."""
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_ROWS_CASES)))
+    def test_spans_the_saturated_kernel(self, index):
+        vectors = KERNEL_ROWS_CASES[index]
+        width, n = len(vectors[0]), len(vectors)
+        rows = _kernel_rows(vectors, width)
+        M = IntMatrix.from_columns(vectors, width)
+        assert len(rows) == n - fraction_elimination(M.data)[0]
+        for x in rows:
+            assert len(x) == n and M.mat_vec(x) == (0,) * width
+        # The same saturated lattice as the oracle's canonical basis.
+        H = hermite_normal_form(IntMatrix(rows, cols=n))[0] if rows else IntMatrix([], cols=n)
+        assert tuple(row for row in H.data if any(row)) == kernel_by_hermite_transform(M)
+
+    def test_cases_cover_trivial_zero_and_dependent_vectors(self):
+        ranks = [fraction_elimination(IntMatrix.from_columns(v, len(v[0])).data)[0]
+                 for v in KERNEL_ROWS_CASES]
+        assert any(r == len(v) for r, v in zip(ranks, KERNEL_ROWS_CASES))
+        assert any(not any(x) for v in KERNEL_ROWS_CASES for x in v)
+        assert any(r < min(len(v), len(v[0])) for r, v in zip(ranks, KERNEL_ROWS_CASES))
+
+    def test_no_vectors_and_no_coordinates(self):
+        assert _kernel_rows([], 3) == []
+        assert _kernel_rows([(), ()], 0) == [[1, 0], [0, 1]]
 
 
 class TestAgainstTheReplacedAlgorithms:
