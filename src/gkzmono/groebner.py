@@ -38,7 +38,8 @@ them shares no variable with f (the product criterion).  Those are the
 lcms a chain test in ascending order keeps, with the same indices, so the
 same pairs are made.
 
-The reduced basis is built in one pass.  The minimal basis keeps, in
+buchberger returns the basis it completes, and reduced_basis reduces a
+Groebner basis in one pass.  The minimal basis keeps, in
 ascending order of leads, each element whose lead no kept lead divides;
 then each tail is reduced against the whole minimal basis.  No other lead
 divides an element's lead, and tail reduction only reaches monomials below
@@ -46,8 +47,11 @@ that lead, which its own lead cannot divide.  So the leads, their order
 and every reduction step are those of reducing each element against the
 others, and no element reduces to zero.
 
-A generator m - 1 makes each variable of m a unit; in a saturation input
-that is every variable (Sturmfels, Lemma 12.2).  A new element r = x^c h,
+If every variable of one side of a generator is a unit, that side is a
+unit, so the other side is one modulo the ideal, and so is each of its
+variables.  The units are the closure of this rule from none: a generator
+m - 1 starts it.  In a saturation input t*x_S - 1 (see the toric module)
+the closure reaches every variable.  A new element r = x^c h,
 x^c the common factor of its lead and tail over the units, is stored as
 h: h is in the ideal since x^c is a unit, its terms divide r's and so are
 in normal form, and r reduces to zero by h, so every S-pair still does.
@@ -216,18 +220,21 @@ def _update_pairs(
 
 
 def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget) -> list[BinPair]:
-    """Reduced Groebner basis of a pure-difference binomial ideal."""
+    """A Groebner basis of a pure-difference binomial ideal; reduced_basis reduces it."""
     basis: list[BinPair] = []
     leads = _Leads()
     pairs: dict[tuple[int, int], Monomial] = {}
     queue: list = []
-    # The variables of the nonconstant side of each generator m - 1 (the module docstring).
-    units = list(map(any, zip(*(max(g, key=any) for g in generators if not all(map(any, g))))))
+    # The closure of the unit rule (the module docstring), starting from no unit.
+    supports = [[{k for k, e in enumerate(m) if e} for m in g] for g in generators]
+    units: set[int] = set()
+    while grown := {k for s in supports for p, q in (s, s[::-1]) if q <= units for k in p} - units:
+        units |= grown
 
     def add(g: BinPair):
         reduced = _normal_form(g, basis, leads, key, budget)
         if reduced is not None:
-            common = [min(x, y) if u else 0 for x, y, u in zip(*reduced, units)]
+            common = [min(x, y) if k in units else 0 for k, (x, y) in enumerate(zip(*reduced))]
             if any(common):
                 reduced = tuple(tuple(map(operator.sub, m, common)) for m in reduced)
             basis.append(reduced)
@@ -246,7 +253,11 @@ def buchberger(generators: Sequence[BinPair], key: OrderKey, budget: StepBudget)
         s = _spair(basis[i], basis[j], lcm)
         if s is not None:
             add(s)
+    return basis
 
+
+def reduced_basis(basis: Sequence[BinPair], key: OrderKey, budget: StepBudget) -> list[BinPair]:
+    """The reduced Groebner basis of the ideal a Groebner basis generates."""
     # Minimalize: drop elements whose lead is divisible by another lead.
     minimal: list[BinPair] = []
     leads = _Leads()

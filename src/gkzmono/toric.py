@@ -2,17 +2,23 @@
 
 The system consists of the Euler operators sum_j a_ij x_j dx_j - beta_i and
 the toric ideal of A inside the polynomial ring in the dx variables.  The
-toric ideal is obtained from the binomials of the canonical kernel basis B
-(Configuration.kernel, in Hermite form) by saturating at the product of all
-variables: adjoin an auxiliary variable t, add t*dx_1*...*dx_n - 1, compute
-a Groebner basis for an order eliminating t, and keep the t-free part.
+toric ideal I_L of the kernel lattice L is obtained from the binomials of
+the canonical kernel basis B (Configuration.kernel, in Hermite form) by
+saturation: adjoin an auxiliary variable t, add t*dx_S - 1, compute a
+Groebner basis for an order eliminating t, and keep the t-free part.
 
-The saturation I_L = I_B : dx^oo, dx = dx_1*...*dx_n, is the same for every
-Z-basis B of the kernel lattice L (Sturmfels, Groebner Bases and Convex
-Polytopes, Lemma 12.2), and so is J = I_B + (t*dx - 1) = I_L + (t*dx - 1),
-whose reduced basis Buchberger returns: the choice of B moves only the
-number of steps, never the generators.  t*dx = 1 modulo J makes t and every
-dx_j a unit, which lets Buchberger cancel any common factor of a new element.
+dx_S is the product of the dx_j for j in S, the columns where no row of B
+has pivot 1 (all of them when no pivot is 1).  I_B : dx_S^oo = I_L, which
+for S = every column is Sturmfels, Groebner Bases and Convex Polytopes,
+Lemma 12.2.  Sketch: Hermite form reduces the entries above a pivot into
+[0, pivot), so a row with pivot 1 at column i is the only row nonzero there
+and reads dx_i*dx^v+ - dx^v- with v on S.  Inverting dx_S solves each such
+dx_i; the other rows span L cut to S, a saturated lattice whose Laurent
+lattice ideal is prime, and Z^n/L = Z^S/(L cut to S).  So J = I_B +
+(t*dx_S - 1) = I_L + (t*dx_S - 1), and the t-free part of its reduced basis
+is the reduced basis of I_L: S and B move only the number of steps, never
+the generators.  t*dx_S = 1 makes t and dx_S units modulo J, and then each
+row with pivot 1 its dx_i, which lets Buchberger cancel any common factor.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .groebner import (
     elimination_key,
     grevlex_key,
     normal_form,
+    reduced_basis,
 )
 from .intlinalg import GaussRat, IntVec, integer_entries
 
@@ -151,9 +158,9 @@ def toric_ideal_generators(
     """A canonical generating set of the full toric ideal of A.
 
     Saturation by elimination: the kernel-basis binomials together with
-    t*dx_1*...*dx_n - 1 generate an ideal whose t-free Groebner basis part
-    (for a block order with t on top) generates the toric ideal.  The
-    result is interreduced and canonically sorted.  Raises ScaleLimit when
+    t*dx_S - 1 generate an ideal whose t-free Groebner basis part (for a
+    block order with t on top) generates the toric ideal.  Only that part is
+    interreduced; the result is canonically sorted.  Raises ScaleLimit when
     the computation exceeds max_steps.
 
     The input is the canonical kernel basis as it is, and the budget counts
@@ -174,20 +181,24 @@ def toric_ideal_generators(
     return list(generators)
 
 
-def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ...], int]:
-    """(generators, steps spent) of one saturation run under max_steps."""
-    n = config.n
-    budget = StepBudget(max_steps)
+def _saturation_input(config: Configuration) -> list[BinPair]:
+    """The kernel binomials and t * prod_{j in S} dx_j - 1, t last (the module docstring)."""
+    n, unit_pivots = config.n, {u.index(1) for u in config.kernel if next(filter(None, u)) == 1}
     generators: list[BinPair] = [
         (b.plus + (0,), b.minus + (0,)) for b in map(binomial_from_kernel_vector, config.kernel)
     ]
-    generators.append((tuple([1] * n) + (1,), tuple([0] * n) + (0,)))
-    basis = buchberger(generators, elimination_key, budget)
-    result = []
-    for lead, tail in basis:
-        if lead[-1] == 0 and tail[-1] == 0:
-            result.append(_display_binomial((lead[:-1], tail[:-1])))
-    result = _canonical_sort(result)
+    generators.append((tuple(int(j not in unit_pivots) for j in range(n)) + (1,), (0,) * (n + 1)))
+    return generators
+
+
+def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ...], int]:
+    """(generators, steps spent) of one saturation run under max_steps."""
+    budget = StepBudget(max_steps)
+    basis = buchberger(_saturation_input(config), elimination_key, budget)
+    # The elements with a t-free lead, and so a t-free tail, form a Groebner
+    # basis of I_L (the elimination theorem); only they are reduced.
+    t_free = reduced_basis([g for g in basis if not g[0][-1]], elimination_key, budget)
+    result = _canonical_sort([_display_binomial((lead[:-1], tail[:-1])) for lead, tail in t_free])
     _assert_homogeneous(config, result)
     return result, max_steps - budget.remaining
 

@@ -3,15 +3,19 @@
 This is the engine as it was before pair selection moved to a heap: pairs
 live in a set, the next one is the minimum of (key(lcm), i, j) over that set
 with every lcm recomputed, and a monomial is reduced by testing each lead
-exponent-wise.  It must return the same basis and spend the same steps.
-Like the engine, it stores each new element without the common factor of
-its lead and tail over the unit variables, those of a generator m - 1.
+exponent-wise.  Its buchberger returns the reduced basis, which the engine's
+reduced_basis(buchberger(...)) must equal, with the same steps spent.  Like
+the engine, it stores each new element without the common factor of its
+lead and tail over the unit variables: those of a generator m - 1, closed
+under the rule that a side with only unit variables makes every variable
+of the other side a unit.
 
 The module also keeps the order keys as nested tuples, the oracle for the
-engine's flat keys, and builds the t-elimination input of a saturation from
-any basis of the kernel lattice: toric_ideal_generators starts from the
-canonical Hermite basis, and the reduced basis does not depend on that
-choice.
+engine's flat keys, and builds the t-elimination input of a saturation at
+every column from any basis of the kernel lattice.  The oracle
+reference_toric_ideal starts from the canonical Hermite basis;
+toric_ideal_generators saturates only at the columns off that basis's unit
+pivots, and the reduced basis of the t-free part depends on neither choice.
 """
 
 from typing import Optional, Sequence
@@ -115,12 +119,19 @@ def buchberger(
         budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis: list[BinPair] = []
     pairs: set[tuple[int, int]] = set()
-    # The variables of a generator m - 1 (either side constant) are units.
+    # A side of a generator whose variables are all units is a unit, and so
+    # is every variable of the other side; repeat until no unit is added.
+    # A constant side has no variable, so each generator m - 1 starts it.
     units = [False] * len(generators[0][0]) if generators else []
-    for p, q in generators:
-        for monomial, other in ((p, q), (q, p)):
-            if not any(other):
-                units = [u or e > 0 for u, e in zip(units, monomial)]
+    changed = True
+    while changed:
+        changed = False
+        for p, q in generators:
+            for monomial, other in ((p, q), (q, p)):
+                if all(u or e == 0 for u, e in zip(units, other)):
+                    for k, e in enumerate(monomial):
+                        if e > 0 and not units[k]:
+                            units[k] = changed = True
 
     def coprime(g: BinPair) -> BinPair:
         """g without the common factor of lead and tail over the unit variables."""
@@ -186,7 +197,7 @@ def elimination_input(kernel, n) -> list[BinPair]:
 
 
 def saturation_generators(config) -> list[BinPair]:
-    """The t-elimination input that toric_ideal_generators hands to buchberger."""
+    """The t-elimination input saturating at every column, the oracle's input."""
     return elimination_input(kernel_lattice_basis(config.A), config.n)
 
 

@@ -1,9 +1,9 @@
 """The Buchberger engine against a step-exact reference and against sympy.
 
 groebner_reference.py keeps the engine with set-based pair selection and a
-linear scan for divisors.  The engine must return the same basis and spend
-exactly the same steps on every input and budget, so every --max-steps
-outcome of the CLI is unchanged.  The engine's index of leads is checked
+linear scan for divisors.  The engine's reduced_basis(buchberger(...)) must
+return the reference's basis and spend exactly the same steps on every input
+and budget, so every --max-steps outcome of the CLI is unchanged.  The engine's index of leads is checked
 against that scan on its own.  The sympy oracle checks the toric ideal
 itself with an independent Groebner implementation.
 """
@@ -32,7 +32,9 @@ from gkzmono.groebner import (
     buchberger,
     elimination_key,
     grevlex_key,
+    reduced_basis,
 )
+from gkzmono.toric import _saturation_input
 from oracles import matmul
 from sweeps import random_configuration, random_unimodular, rational_normal_curve
 
@@ -109,13 +111,18 @@ CURVE_6_SHORT_KERNEL_BASIS = [
     (0, 0, 0, 0, 1, -2, 1),
 ]
 
-# The saturation inputs are built from the canonical kernel basis, as
-# toric_ideal_generators builds them.
+# The saturation inputs are built from the canonical kernel basis and
+# saturate at every column, as the oracle reference_toric_ideal does.
 SATURATION_CONFIGURATIONS = saturation_configurations()
 HEAVY_CONFIGURATIONS = heavy_saturation_configurations()
 SATURATION = [reference.saturation_generators(c) for c in SATURATION_CONFIGURATIONS]
 HEAVY_SATURATION = [reference.saturation_generators(c) for c in HEAVY_CONFIGURATIONS]
 BINOMIALS = binomial_inputs()
+
+
+def reduced_engine(generators, key, budget):
+    """The engine's reduced basis, as the reference's buchberger returns it."""
+    return reduced_basis(buchberger(generators, key, budget), key, budget)
 
 
 def outcome(engine, generators, key, limit):
@@ -130,7 +137,7 @@ def outcome(engine, generators, key, limit):
 
 def assert_same_run(generators, key, limit):
     expected = outcome(reference.buchberger, generators, key, limit)
-    assert outcome(buchberger, generators, key, limit) == expected
+    assert outcome(reduced_engine, generators, key, limit) == expected
     return expected
 
 
@@ -161,7 +168,7 @@ class TestAgainstTheReferenceEngine:
             # The budget a run needs exactly, and one step less.
             short = limit == "steps - 1"
             for generators in SATURATION:
-                _, remaining = outcome(buchberger, generators, key, DEFAULT_STEP_BUDGET)
+                _, remaining = outcome(reduced_engine, generators, key, DEFAULT_STEP_BUDGET)
                 steps = DEFAULT_STEP_BUDGET - remaining
                 basis, remaining = assert_same_run(generators, key, steps - short)
                 assert (basis is None) == short and remaining == -short
@@ -192,7 +199,7 @@ class TestBasisIndependence:
         changed = matmul(IntMatrix([[-x for x in U.row(0)], *U.data[1:]]), kernel)
         assert changed != kernel
         bases = [
-            buchberger(
+            reduced_engine(
                 reference.elimination_input(basis.data, config.n),
                 elimination_key,
                 StepBudget(DEFAULT_STEP_BUDGET),
@@ -444,6 +451,83 @@ class TestUnitVariables:
             assert {monomial(lead) - monomial(tail) for lead, tail in basis} == set(expected.exprs)
         # A common factor in x3 or x4 stays.
         assert kept
+
+    @staticmethod
+    def closure_input(rng, chain, nvars):
+        """chain, and random binomials whose two sides both hold the last variable.
+
+        The last variable is then no unit, and every unit the engine finds
+        comes from chain.
+        """
+        extra = []
+        while len(extra) < 3:
+            p, q = random_binomials(rng, nvars, 1)[0]
+            extra.append(tuple(m[:-1] + (m[-1] + 1,) for m in (p, q)))
+        return chain + extra
+
+    @pytest.mark.parametrize(
+        "chain, units",
+        [
+            # x3*x4 - 1 makes x3 and x4 units, then x1*x2 - x3 makes x1, x2 units.
+            ([((0, 0, 1, 1, 0), (0,) * 5), ((1, 1, 0, 0, 0), (0, 0, 1, 0, 0))], 4),
+            # x4*x5 - 1, then x3 - x4^2, then x1*x2 - x3*x5: three rounds.
+            (
+                [
+                    ((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0)),
+                    ((0, 0, 1, 0, 0, 0), (0, 0, 0, 2, 0, 0)),
+                    ((0, 0, 0, 1, 1, 0), (0,) * 6),
+                ],
+                5,
+            ),
+        ],
+        ids=["two_rounds", "three_rounds"],
+    )
+    def test_units_found_only_by_the_closure(self, monkeypatch, chain, units):
+        # Each round of the closure adds units that no generator m - 1 names.
+        # Every stored element is coprime over all of them, and some normal
+        # form had a common factor in a unit of a later round, so the closure
+        # cancelled something the first round alone would have kept.
+        sympy = pytest.importorskip("sympy")
+        nvars = len(chain[0][0])
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+
+        def monomial(exponents):
+            return sympy.Mul(*(x**e for x, e in zip(xs, exponents)))
+
+        engine_nf, forms = groebner._normal_form, []
+
+        def normal_form(*args):
+            forms.append(engine_nf(*args))
+            return forms[-1]
+
+        first_round = {k for p, q in chain if not any(q) for k, e in enumerate(p) if e}
+        rng, kept, later = random.Random(2087), 0, 0
+        for _ in range(6):
+            generators = self.closure_input(rng, chain, nvars)
+            with monkeypatch.context() as patch:
+                patch.setattr(groebner, "_normal_form", normal_form)
+                basis, stored = self.stored_run(monkeypatch, generators, grevlex_key)
+            assert all(min(lead[k], tail[k]) == 0 for lead, tail in stored for k in range(units))
+            kept += any(min(lead[-1], tail[-1]) for lead, tail in stored)
+            later += any(
+                min(f[0][k], f[1][k]) for f in forms if f for k in range(units) if k not in first_round
+            )
+            expected = sympy.groebner(
+                [monomial(p) - monomial(q) for p, q in generators], *xs, order="grevlex"
+            )
+            assert {monomial(lead) - monomial(tail) for lead, tail in basis} == set(expected.exprs)
+        assert kept and later
+
+    @pytest.mark.parametrize("index", range(len(SATURATION_CONFIGURATIONS)))
+    def test_the_runtime_saturation_input_makes_every_variable_a_unit(self, monkeypatch, index):
+        # t * prod_{j in S} x_j - 1 names the columns of S and t; each kernel
+        # row with pivot 1 then makes its other variables units.
+        config = SATURATION_CONFIGURATIONS[index]
+        generators = _saturation_input(config)
+        basis, stored = self.stored_run(monkeypatch, generators, elimination_key)
+        assert all(min(lead[k], tail[k]) == 0 for lead, tail in stored for k in range(config.n + 1))
+        t_free = [g for g in basis if not g[0][-1]]
+        assert reference.t_free_part(t_free) == reference.reference_toric_ideal(config)
 
     @pytest.mark.parametrize(
         "name, key, steps",

@@ -20,9 +20,15 @@ from gkzmono import (
     lattice_binomials,
     toric_ideal_generators,
 )
-from gkzmono.groebner import DEFAULT_STEP_BUDGET, StepBudget, buchberger, elimination_key
-from gkzmono.toric import EulerOperator, binomial_from_kernel_vector
-from groebner_reference import reference_toric_ideal, saturation_generators
+from gkzmono.groebner import (
+    DEFAULT_STEP_BUDGET,
+    StepBudget,
+    buchberger,
+    elimination_key,
+    reduced_basis,
+)
+from gkzmono.toric import EulerOperator, _saturation_input, binomial_from_kernel_vector
+from groebner_reference import reference_toric_ideal
 from oracles import fiber_grading, markov_fiber_failures
 from sweeps import random_configuration, rational_normal_curve
 
@@ -56,11 +62,13 @@ def steps_needed(A):
     """The least budget under which a cold saturation of A succeeds.
 
     Doubling, then bisection, each probe on a fresh Configuration so that no
-    memo is read: a fresh run fails at 0 steps, since the kernel is nonzero.
+    memo is read.  Every run fails at -1 steps, and a run that spends no
+    step succeeds at 0: [[0, -1, -1], [0, 0, -1]] saturates dx_1 - 1 and
+    t*dx_2*dx_3 - 1, whose leads are coprime.
     """
-    fails, succeeds = 0, 1
+    fails, succeeds = -1, 0
     while budget_outcome(Configuration(A), succeeds) is None:
-        fails, succeeds = succeeds, 2 * succeeds
+        fails, succeeds = succeeds, 2 * succeeds + 1
     while succeeds - fails > 1:
         mid = (fails + succeeds) // 2
         if budget_outcome(Configuration(A), mid) is None:
@@ -71,10 +79,26 @@ def steps_needed(A):
 
 
 def engine_steps(config):
-    """The steps of the engine's saturation of config, from the canonical kernel basis."""
+    """The steps of the engine's saturation of config, as toric_ideal_generators runs it.
+
+    The input saturates at the columns off the kernel basis's unit pivots,
+    and only the elements with a t-free lead are reduced.
+    """
     budget = StepBudget(DEFAULT_STEP_BUDGET)
-    buchberger(saturation_generators(config), elimination_key, budget)
+    basis = buchberger(_saturation_input(config), elimination_key, budget)
+    reduced_basis([g for g in basis if not g[0][-1]], elimination_key, budget)
     return DEFAULT_STEP_BUDGET - budget.remaining
+
+
+def saturated_columns(config):
+    """The 0-based columns t * prod_{j in S} x_j - 1 names in the runtime's input."""
+    saturating = _saturation_input(config)[-1]
+    assert saturating[0][-1] == 1 and not any(saturating[1])
+    return [j for j, e in enumerate(saturating[0][:-1]) if e]
+
+
+def kernel_pivots(config):
+    return [next(x for x in u if x) for u in config.kernel]
 
 
 def bounded_kernel_binomials(config, degree_bound):
@@ -213,12 +237,14 @@ class TestToricIdeal:
         assert len(gens) == 53
         assert all(torus_substitution_vanishes(config, b) for b in gens)
         assert sorted((b.plus, b.minus) for b in gens) == reference_toric_ideal(config)
+        assert engine_steps(config) == 1473
 
     def test_signed_seven_columns_within_20000_steps(self):
-        # From the canonical kernel basis, with each new Buchberger element
-        # stored without the common factor of its lead and tail, this input
-        # saturates in 17 779 steps.  The generators, and so the digest,
-        # depend on neither the kernel basis nor the cancellation.
+        # From the canonical kernel basis, saturated at the columns off its
+        # unit pivots, with each new Buchberger element stored without the
+        # common factor of its lead and tail, this input saturates in 14 874
+        # steps.  The generators, and so the digest, depend on neither the
+        # kernel basis, the saturated columns nor the cancellation.
         config = Configuration(IntMatrix([
             [-3, -3, 1, -2, -2, -1, 0], [2, -1, 1, 2, -1, 3, -1], [2, 2, 0, -1, -1, -1, -3]
         ]))
@@ -227,8 +253,8 @@ class TestToricIdeal:
         assert hashlib.sha256(repr([(b.plus, b.minus) for b in gens]).encode()).hexdigest() == (
             "f0bfee0e9e99fe99874c212dffa256db541224f07056fed592d8dcb6524c6d2b"
         )
-        assert budget_outcome(config, 17779) == gens
-        assert budget_outcome(config, 17778) is None
+        assert budget_outcome(config, 14874) == gens
+        assert budget_outcome(config, 14873) is None
 
     def test_huge_exponents(self):
         # The engine's lead index must be sized by the leads it holds, not by
@@ -272,6 +298,72 @@ class TestToricIdeal:
 
     def test_deterministic(self):
         assert toric_ideal_generators(CUBIC) == toric_ideal_generators(CUBIC)
+
+
+def oracle_sweep_cases():
+    """300 seeded signed configurations, d <= 3 and n <= 6, entries in [-3, 3]."""
+    rng = random.Random(2099)
+    return [random_configuration(rng, dmax=3, nmax=6) for _ in range(300)]
+
+
+class TestSaturatedColumns:
+    """The runtime saturates only at S, the columns off the Hermite basis's unit pivots.
+
+    Each row with pivot 1 solves for its pivot variable once the columns of
+    S are inverted, and the other rows span the saturated lattice L cut to
+    S, so I_B : x_S^oo is the toric ideal.  The oracle,
+    groebner_reference.reference_toric_ideal, saturates at every column.
+    """
+
+    def test_the_runtime_matches_the_full_saturation_oracle(self):
+        cases = oracle_sweep_cases()
+        counts = {"pivot_not_1": 0, "zero_column": 0, "duplicate_columns": 0, "non_pointed": 0}
+        for config in cases:
+            columns = config.A.columns()
+            counts["pivot_not_1"] += any(p != 1 for p in kernel_pivots(config))
+            counts["zero_column"] += any(not any(v) for v in columns)
+            counts["duplicate_columns"] += len(set(columns)) < len(columns)
+            counts["non_pointed"] += bool(config.lineality_columns)
+            generators = sorted((b.plus, b.minus) for b in toric_ideal_generators(config))
+            assert generators == reference_toric_ideal(config)
+        assert counts["pivot_not_1"] >= 100
+        assert min(counts.values()) >= 20
+
+    def test_a_single_row_without_a_unit_pivot_saturates_every_column(self):
+        config = Configuration(IntMatrix([[2, 3]]))
+        assert kernel_pivots(config) == [3]
+        assert saturated_columns(config) == [0, 1]
+        assert [(b.plus, b.minus) for b in toric_ideal_generators(config)] == [((3, 0), (0, 2))]
+
+    def test_a_zero_column_is_never_saturated(self):
+        # The zero column j gives the kernel row e_j, pivot 1, and dx_j - 1.
+        checked = 0
+        for config in oracle_sweep_cases():
+            zero = [j for j, v in enumerate(config.A.columns()) if not any(v)]
+            if zero:
+                assert not set(zero) & set(saturated_columns(config))
+                checked += 1
+        assert checked >= 20
+        config = Configuration(IntMatrix([[1, 0, 1, 1], [0, 0, 1, 2]]))
+        assert saturated_columns(config) == [2, 3]
+        assert [(b.plus, b.minus) for b in toric_ideal_generators(config)] == [
+            ((0, 1, 0, 0), (0, 0, 0, 0)),
+            ((1, 0, 0, 1), (0, 0, 2, 0)),
+        ]
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 16])
+    def test_the_curve_of_degree_k_saturates_two_columns(self, k):
+        assert len(saturated_columns(rational_normal_curve(k))) == 2
+
+    def test_golden_negative_numerators_within_30000_steps(self):
+        # The benchmark's 140-face configuration saturates in 22 476 steps;
+        # at every column it needed 119 243.
+        config = Configuration(IntMatrix([
+            [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [3, 0, 0, 2, 3, 0, 1, 1, 0, 0, 1, 0],
+            [1, 0, 1, 3, 1, 2, 0, 1, 0, 2, 2, 0], [3, 1, 0, 2, 0, 2, 0, 3, 0, 1, 0, 0],
+            [2, 0, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0],
+        ]))
+        assert len(toric_ideal_generators(config, max_steps=30000)) == 228
 
 
 def markov_cases():
