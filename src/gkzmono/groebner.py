@@ -47,11 +47,11 @@ that lead, which its own lead cannot divide.  So the leads, their order
 and every reduction step are those of reducing each element against the
 others, and no element reduces to zero.
 
-If every variable of one side of a generator is a unit, that side is a
-unit, so the other side is one modulo the ideal, and so is each of its
-variables.  The units are the closure of this rule from none: a generator
-m - 1 starts it.  In a saturation input t*x_S - 1 (see the toric module)
-the closure reaches every variable.  A new element r = x^c h,
+If every variable of one side of a generator is a unit, so is the other
+side modulo the ideal, and so each of its variables.  The units are the
+closure of this rule from none: a generator m - 1 starts it.  In a
+saturation input (the toric module) t*x_N - 1 makes t and x_N units, and
+each kernel binomial's side on N then the rest.  A new element r = x^c h,
 x^c the common factor of its lead and tail over the units, is stored as
 h: h is in the ideal since x^c is a unit, its terms divide r's and so are
 in normal form, and r reduces to zero by h, so every S-pair still does.

@@ -4,21 +4,21 @@ The system consists of the Euler operators sum_j a_ij x_j dx_j - beta_i and
 the toric ideal of A inside the polynomial ring in the dx variables.  The
 toric ideal I_L of the kernel lattice L is obtained from the binomials of
 the canonical kernel basis B (Configuration.kernel, in Hermite form) by
-saturation: adjoin an auxiliary variable t, add t*dx_S - 1, compute a
+saturation: adjoin an auxiliary variable t, add t*dx_N - 1, compute a
 Groebner basis for an order eliminating t, and keep the t-free part.
 
-dx_S is the product of the dx_j for j in S, the columns where no row of B
-has pivot 1 (all of them when no pivot is 1).  I_B : dx_S^oo = I_L, which
-for S = every column is Sturmfels, Groebner Bases and Convex Polytopes,
-Lemma 12.2.  Sketch: Hermite form reduces the entries above a pivot into
-[0, pivot), so a row with pivot 1 at column i is the only row nonzero there
-and reads dx_i*dx^v+ - dx^v- with v on S.  Inverting dx_S solves each such
-dx_i; the other rows span L cut to S, a saturated lattice whose Laurent
-lattice ideal is prime, and Z^n/L = Z^S/(L cut to S).  So J = I_B +
-(t*dx_S - 1) = I_L + (t*dx_S - 1), and the t-free part of its reduced basis
-is the reduced basis of I_L: S and B move only the number of steps, never
-the generators.  t*dx_S = 1 makes t and dx_S units modulo J, and then each
-row with pivot 1 its dx_i, which lets Buchberger cancel any common factor.
+dx_N is the product of the dx_j for j in N, the d columns where no row of
+B has its pivot (its first nonzero entry).  I_B : dx_N^oo = I_L, which for
+N = every column is Sturmfels, Groebner Bases and Convex Polytopes, Lemma
+12.2.  Hermite form keeps the pivots positive and the entries at the other
+rows' pivots in [0, pivot), so every row's negative part lies on N.  Once
+dx_N is inverted, each row's negative monomial is a unit, so its positive
+monomial is one too, and so is each variable in it, the pivot among them.
+So the localization at dx_N is the localization at every variable, and
+J = I_B + (t*dx_N - 1) = I_L + (t*dx_N - 1): the t-free part of its
+reduced basis is the reduced basis of I_L, and B and N move only the
+number of steps, never the generators.  The same argument makes t and
+every dx_j a unit modulo J, which lets Buchberger cancel any common factor.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def toric_ideal_generators(
     """A canonical generating set of the full toric ideal of A.
 
     Saturation by elimination: the kernel-basis binomials together with
-    t*dx_S - 1 generate an ideal whose t-free Groebner basis part (for a
+    t*dx_N - 1 generate an ideal whose t-free Groebner basis part (for a
     block order with t on top) generates the toric ideal.  Only that part is
     interreduced; the result is canonically sorted.  Raises ScaleLimit when
     the computation exceeds max_steps.
@@ -182,12 +182,12 @@ def toric_ideal_generators(
 
 
 def _saturation_input(config: Configuration) -> list[BinPair]:
-    """The kernel binomials and t * prod_{j in S} dx_j - 1, t last (the module docstring)."""
-    n, unit_pivots = config.n, {u.index(1) for u in config.kernel if next(filter(None, u)) == 1}
+    """The kernel binomials and t * prod_{j in N} dx_j - 1, t last (the module docstring)."""
+    n, pivots = config.n, {next(j for j, x in enumerate(u) if x) for u in config.kernel}
     generators: list[BinPair] = [
         (b.plus + (0,), b.minus + (0,)) for b in map(binomial_from_kernel_vector, config.kernel)
     ]
-    generators.append((tuple(int(j not in unit_pivots) for j in range(n)) + (1,), (0,) * (n + 1)))
+    generators.append((tuple(int(j not in pivots) for j in range(n)) + (1,), (0,) * (n + 1)))
     return generators
 
 

@@ -520,8 +520,8 @@ class TestUnitVariables:
 
     @pytest.mark.parametrize("index", range(len(SATURATION_CONFIGURATIONS)))
     def test_the_runtime_saturation_input_makes_every_variable_a_unit(self, monkeypatch, index):
-        # t * prod_{j in S} x_j - 1 names the columns of S and t; each kernel
-        # row with pivot 1 then makes its other variables units.
+        # t * prod_{j in N} x_j - 1 names the columns of N and t; each kernel
+        # row's side on N then makes its other variables units.
         config = SATURATION_CONFIGURATIONS[index]
         generators = _saturation_input(config)
         basis, stored = self.stored_run(monkeypatch, generators, elimination_key)

@@ -81,8 +81,8 @@ def steps_needed(A):
 def engine_steps(config):
     """The steps of the engine's saturation of config, as toric_ideal_generators runs it.
 
-    The input saturates at the columns off the kernel basis's unit pivots,
-    and only the elements with a t-free lead are reduced.
+    The input saturates at N, the d columns where no row of the kernel
+    basis has its pivot, and only the elements with a t-free lead are reduced.
     """
     budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis = buchberger(_saturation_input(config), elimination_key, budget)
@@ -91,7 +91,7 @@ def engine_steps(config):
 
 
 def saturated_columns(config):
-    """The 0-based columns t * prod_{j in S} x_j - 1 names in the runtime's input."""
+    """The 0-based columns t * prod_{j in N} x_j - 1 names in the runtime's input."""
     saturating = _saturation_input(config)[-1]
     assert saturating[0][-1] == 1 and not any(saturating[1])
     return [j for j, e in enumerate(saturating[0][:-1]) if e]
@@ -241,8 +241,8 @@ class TestToricIdeal:
 
     def test_signed_seven_columns_within_20000_steps(self):
         # From the canonical kernel basis, saturated at the columns off its
-        # unit pivots, with each new Buchberger element stored without the
-        # common factor of its lead and tail, this input saturates in 14 874
+        # pivots, with each new Buchberger element stored without the
+        # common factor of its lead and tail, this input saturates in 17 503
         # steps.  The generators, and so the digest, depend on neither the
         # kernel basis, the saturated columns nor the cancellation.
         config = Configuration(IntMatrix([
@@ -253,8 +253,8 @@ class TestToricIdeal:
         assert hashlib.sha256(repr([(b.plus, b.minus) for b in gens]).encode()).hexdigest() == (
             "f0bfee0e9e99fe99874c212dffa256db541224f07056fed592d8dcb6524c6d2b"
         )
-        assert budget_outcome(config, 14874) == gens
-        assert budget_outcome(config, 14873) is None
+        assert budget_outcome(config, 17503) == gens
+        assert budget_outcome(config, 17502) is None
 
     def test_huge_exponents(self):
         # The engine's lead index must be sized by the leads it holds, not by
@@ -307,11 +307,12 @@ def oracle_sweep_cases():
 
 
 class TestSaturatedColumns:
-    """The runtime saturates only at S, the columns off the Hermite basis's unit pivots.
+    """The runtime saturates only at N, the d columns off the Hermite basis's pivots.
 
-    Each row with pivot 1 solves for its pivot variable once the columns of
-    S are inverted, and the other rows span the saturated lattice L cut to
-    S, so I_B : x_S^oo is the toric ideal.  The oracle,
+    Every row's negative part lies on N, since Hermite form keeps the entries
+    at the other rows' pivots in [0, pivot).  Once the columns of N are
+    inverted, each row makes the variables of its positive part units, so
+    I_B : x_N^oo is the toric ideal.  The oracle,
     groebner_reference.reference_toric_ideal, saturates at every column.
     """
 
@@ -329,10 +330,28 @@ class TestSaturatedColumns:
         assert counts["pivot_not_1"] >= 100
         assert min(counts.values()) >= 20
 
-    def test_a_single_row_without_a_unit_pivot_saturates_every_column(self):
+    def test_one_round_from_the_columns_off_the_pivots_reaches_every_variable(self):
+        # The premise of the exactness argument, on every sweep configuration.
+        with_kernel = 0
+        for config in oracle_sweep_cases():
+            n = config.n
+            pivots = {min(j for j, x in enumerate(u) if x) for u in config.kernel}
+            off = [j for j in range(n) if j not in pivots]
+            assert saturated_columns(config) == off and len(off) == config.d
+            assert all(u[p] >= 0 for u in config.kernel for p in pivots)
+            start, reached = {*off, n}, {*off, n}
+            for pair in _saturation_input(config)[:-1]:
+                for p, q in (pair, pair[::-1]):
+                    if {k for k, e in enumerate(q) if e} <= start:
+                        reached |= {k for k, e in enumerate(p) if e}
+            assert reached == set(range(n + 1))
+            with_kernel += bool(config.kernel)
+        assert with_kernel >= 250
+
+    def test_a_single_row_without_a_unit_pivot_saturates_off_its_pivot(self):
         config = Configuration(IntMatrix([[2, 3]]))
-        assert kernel_pivots(config) == [3]
-        assert saturated_columns(config) == [0, 1]
+        assert config.kernel == ((3, -2),)
+        assert saturated_columns(config) == [1]
         assert [(b.plus, b.minus) for b in toric_ideal_generators(config)] == [((3, 0), (0, 2))]
 
     def test_a_zero_column_is_never_saturated(self):
@@ -356,7 +375,7 @@ class TestSaturatedColumns:
         assert len(saturated_columns(rational_normal_curve(k))) == 2
 
     def test_golden_negative_numerators_within_30000_steps(self):
-        # The benchmark's 140-face configuration saturates in 22 476 steps;
+        # The benchmark's 140-face configuration saturates in 24 375 steps;
         # at every column it needed 119 243.
         config = Configuration(IntMatrix([
             [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [3, 0, 0, 2, 3, 0, 1, 1, 0, 0, 1, 0],
