@@ -24,7 +24,11 @@ def export(system: ToricSystem, format: str) -> str:
     return _WRITERS[format](system)
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}  # the rest via json.dumps
+class _Fragment(str):
+    """Text json_text rendered already, at the depth where it is placed."""
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, _Fragment: str}  # the rest via json.dumps
 
 
 def json_text(value, newline: str = "\n") -> str:
@@ -41,8 +45,17 @@ def json_text(value, newline: str = "\n") -> str:
     return _SCALARS.get(type(value), json.dumps)(value)
 
 
+def _generator_text(b: Binomial, format: str, render) -> str:
+    """b's text in one format, rendered once per instance (the toric memo shares them)."""
+    if (text := b.rendered.get(format)) is None:
+        text = b.rendered[format] = render(b)
+    return text
+
+
 def _export_json(system: ToricSystem) -> str:
-    return json_text(system.to_json()) + "\n"
+    # A generator's fragment sits at the depth of an item of the "binomials" list.
+    fragment = lambda b: _Fragment(json_text(b.to_json(), "\n    "))
+    return json_text(system.to_json(lambda b: _generator_text(b, "json", fragment))) + "\n"
 
 
 def _integer(value, what: str) -> int:
@@ -166,7 +179,8 @@ def _export_macaulay2(system: ToricSystem) -> str:
         names.append(name)
     for k, b in enumerate(system.binomials, start=1):
         name = f"T_{k}"
-        lines.append(f"{name} = {_binomial_text(b, dx)};")
+        text = _generator_text(b, "macaulay2", lambda b: _binomial_text(b, dx))
+        lines.append(f"{name} = {text};")
         names.append(name)
     lines.append(f"H = ideal({','.join(names)});")
     lines.append("H")
@@ -190,7 +204,8 @@ def _export_singular(system: ToricSystem) -> str:
     lines.append("def W = Weyl();")
     lines.append("setring W;")
     members = [_euler_text(op, x, dx, unit) for op in system.euler]
-    members += [_binomial_text(b, dx) for b in system.binomials]
+    members += [_generator_text(b, "singular", lambda b: _binomial_text(b, dx))
+                for b in system.binomials]
     lines.append(f"ideal H = {','.join(members)};")
     lines.append("H;")
     return "\n".join(lines) + "\n"

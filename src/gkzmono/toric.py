@@ -4,27 +4,30 @@ The system consists of the Euler operators sum_j a_ij x_j dx_j - beta_i and
 the toric ideal of A inside the polynomial ring in the dx variables.  The
 toric ideal I_L of the kernel lattice L is obtained from the binomials of
 the canonical kernel basis B (Configuration.kernel, in Hermite form) by
-saturation: adjoin an auxiliary variable t, add t*dx_N - 1, compute a
+saturation: adjoin an auxiliary variable t, add t*dx_M - 1, compute a
 Groebner basis for an order eliminating t, and keep the t-free part.
 
-dx_N is the product of the dx_j for j in N, the d columns where no row of
-B has its pivot (its first nonzero entry).  I_B : dx_N^oo = I_L, which for
-N = every column is Sturmfels, Groebner Bases and Convex Polytopes, Lemma
-12.2.  Hermite form keeps the pivots positive and the entries at the other
-rows' pivots in [0, pivot), so every row's negative part lies on N.  Once
-dx_N is inverted, each row's negative monomial is a unit, so its positive
-monomial is one too, and so is each variable in it, the pivot among them.
-So the localization at dx_N is the localization at every variable, and
-J = I_B + (t*dx_N - 1) = I_L + (t*dx_N - 1): the t-free part of its
-reduced basis is the reduced basis of I_L, and B and N move only the
-number of steps, never the generators.  The same argument makes t and
-every dx_j a unit modulo J, which lets Buchberger cancel any common factor.
+dx_M is the product of the dx_j for j in M, the columns where some row of
+B is negative (t*dx_M - 1 is t - 1 when M is empty).  Each row's negative
+monomial lies on M, so once dx_M is inverted so is the row's positive
+monomial, and each variable in it: every dx_j with j in S, the columns
+some row occurs on, is a unit.  A variable off S occurs in no generator of
+I_B, so it is a nonzerodivisor modulo I_B.  Hence I_B : dx_M^oo =
+I_B : (dx_1...dx_n)^oo = I_L (Sturmfels, Groebner Bases and Convex
+Polytopes, Lemma 12.2), and J = I_B + (t*dx_M - 1) = I_L + (t*dx_M - 1):
+the t-free part of its reduced basis is the reduced basis of I_L, and B
+and M move only the number of steps, never the generators.  Hermite form
+keeps the entries at the other rows' pivots in [0, pivot), so M lies
+within the d columns off the pivots.  The same argument makes t and every
+dx_j with j in S a unit modulo J, which lets Buchberger cancel any common
+factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from functools import cached_property
+from typing import Callable, ClassVar, Sequence
 
 from .cones import Configuration, as_parameter
 from .errors import DimensionMismatch, InternalInconsistency, ScaleLimit
@@ -65,6 +68,11 @@ class Binomial:
     def to_json(self) -> dict:
         return {"plus": list(self.plus), "minus": list(self.minus)}
 
+    @cached_property
+    def rendered(self) -> dict[str, str]:
+        """The exporters' text of this binomial, by format; not a field."""
+        return {}
+
 
 @dataclass(frozen=True)
 class EulerOperator:
@@ -94,12 +102,12 @@ class ToricSystem:
     # hypergeometric_system raises instead of falling back to a lattice ideal.
     saturated: ClassVar[bool] = True
 
-    def to_json(self) -> dict:
+    def to_json(self, binomial: Callable[[Binomial], object] = Binomial.to_json) -> dict:
         return {
             "nvars": self.nvars,
             "saturated": self.saturated,
             "euler": [e.to_json() for e in self.euler],
-            "binomials": [b.to_json() for b in self.binomials],
+            "binomials": [binomial(b) for b in self.binomials],
         }
 
 
@@ -134,7 +142,7 @@ def _canonical_sort(binomials: Sequence[Binomial]) -> tuple[Binomial, ...]:
 
 def _assert_homogeneous(config: Configuration, binomials: Sequence[Binomial]):
     for b in binomials:
-        if config.A.mat_vec(b.plus) != config.A.mat_vec(b.minus):
+        if any(config.A.mat_vec([p - m for p, m in zip(b.plus, b.minus)])):
             raise InternalInconsistency("emitted binomial is not A-homogeneous")
 
 
@@ -158,7 +166,7 @@ def toric_ideal_generators(
     """A canonical generating set of the full toric ideal of A.
 
     Saturation by elimination: the kernel-basis binomials together with
-    t*dx_N - 1 generate an ideal whose t-free Groebner basis part (for a
+    t*dx_M - 1 generate an ideal whose t-free Groebner basis part (for a
     block order with t on top) generates the toric ideal.  Only that part is
     interreduced; the result is canonically sorted.  Raises ScaleLimit when
     the computation exceeds max_steps.
@@ -182,12 +190,13 @@ def toric_ideal_generators(
 
 
 def _saturation_input(config: Configuration) -> list[BinPair]:
-    """The kernel binomials and t * prod_{j in N} dx_j - 1, t last (the module docstring)."""
-    n, pivots = config.n, {next(j for j, x in enumerate(u) if x) for u in config.kernel}
+    """The kernel binomials and t * prod_{j in M} dx_j - 1, t last (the module docstring)."""
+    n, kernel = config.n, config.kernel
     generators: list[BinPair] = [
-        (b.plus + (0,), b.minus + (0,)) for b in map(binomial_from_kernel_vector, config.kernel)
+        (tuple(max(x, 0) for x in u) + (0,), tuple(max(-x, 0) for x in u) + (0,)) for u in kernel
     ]
-    generators.append((tuple(int(j not in pivots) for j in range(n)) + (1,), (0,) * (n + 1)))
+    negative = {j for u in kernel for j, x in enumerate(u) if x < 0}
+    generators.append((tuple(int(j in negative) for j in range(n)) + (1,), (0,) * (n + 1)))
     return generators
 
 

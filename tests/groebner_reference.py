@@ -14,8 +14,9 @@ The module also keeps the order keys as nested tuples, the oracle for the
 engine's flat keys, and builds the t-elimination input of a saturation at
 every column from any basis of the kernel lattice.  The oracle
 reference_toric_ideal starts from the canonical Hermite basis;
-toric_ideal_generators saturates only at the d columns off that basis's
-pivots, and the reduced basis of the t-free part depends on neither choice.
+toric_ideal_generators saturates only at the columns where a row of that
+basis is negative, and the reduced basis of the t-free part depends on
+neither choice.
 """
 
 from typing import Optional, Sequence

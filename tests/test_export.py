@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gkzmono import (
+    Binomial,
     Configuration,
     InputError,
     IntMatrix,
@@ -18,6 +20,7 @@ from gkzmono import (
     hypergeometric_system,
     parse_toric_system,
 )
+from gkzmono.exporters import FORMATS
 from test_golden import CASES, case_argvs
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +61,17 @@ def indented(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+def spliced(value):
+    """value with each fragment that json_text inserts as is read back as JSON."""
+    if type(value) is exporters._Fragment:
+        return json.loads(value)
+    if isinstance(value, dict):
+        return {k: spliced(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [spliced(x) for x in value]
+    return value
+
+
 def random_string(rng) -> str:
     alphabet = 'ab "\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600'
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
@@ -88,8 +102,8 @@ class TestJsonText:
 
         def spy(value, *inner):
             text = original(value, *inner)
-            if not inner:
-                assert text == indented(value)
+            if not inner:  # the export's generators come as fragments
+                assert text == indented(spliced(value))
                 checked.append(value)
             return text
 
@@ -163,6 +177,70 @@ class TestScripts:
     def test_complex_scripts_declare_i(self, complex_system):
         assert "QQ[ii]/(ii^2+1)" in export(complex_system, "macaulay2")
         assert "minpoly = i^2+1;" in export(complex_system, "singular")
+
+
+class TestWarmExport:
+    """A second beta on one configuration reuses its generators' rendered text.
+
+    The toric memo shares a configuration's Binomial instances across betas,
+    and each instance keeps its text per format.
+    """
+
+    A = [[1, 1, 1, 1], [0, 1, 3, 4]]  # saturation adds generators to the kernel's
+    FIRST, SECOND = ["1/2", "1/3"], [{"re": "1/2", "im": "1/5"}, "-2"]
+
+    @staticmethod
+    def exports(config, beta, formats=FORMATS):
+        system = hypergeometric_system(config, beta)
+        return system, {fmt: export(system, fmt) for fmt in formats}
+
+    @staticmethod
+    def spy_on_rendering(monkeypatch):
+        """The binomials rendered from here on, one entry per format."""
+        rendered = []
+        text, json_text = exporters._binomial_text, exporters.json_text
+
+        def text_spy(b, name):
+            rendered.append(b)
+            return text(b, name)
+
+        def json_spy(value, *inner):
+            if isinstance(value, dict) and "plus" in value:
+                rendered.append(value)
+            return json_text(value, *inner)
+
+        monkeypatch.setattr(exporters, "_binomial_text", text_spy)
+        monkeypatch.setattr(exporters, "json_text", json_spy)
+        return rendered
+
+    def test_a_second_beta_renders_no_generator(self, monkeypatch):
+        config = Configuration(IntMatrix(self.A))
+        self.exports(config, self.FIRST)
+        rendered = self.spy_on_rendering(monkeypatch)
+        system, warm = self.exports(config, self.SECOND)
+        assert rendered == []
+        # A fresh configuration renders each generator once per format, here
+        # in the opposite order of formats.
+        _, cold = self.exports(Configuration(IntMatrix(self.A)), self.SECOND, FORMATS[::-1])
+        assert len(rendered) == len(FORMATS) * len(system.binomials) == 3 * 4
+        assert warm == cold
+
+    def test_a_second_beta_exports_what_the_parsed_json_does(self):
+        config = Configuration(IntMatrix(self.A))
+        self.exports(config, self.FIRST)
+        _, warm = self.exports(config, self.SECOND)
+        parsed = parse_toric_system(warm["json"])
+        assert {fmt: export(parsed, fmt) for fmt in FORMATS[::-1]} == warm
+
+    def test_the_binomial_type_is_unchanged_by_rendering(self):
+        config = Configuration(IntMatrix(self.A))
+        system, _ = self.exports(config, self.FIRST)
+        assert [f.name for f in dataclasses.fields(Binomial)] == ["plus", "minus"]
+        for b in system.binomials:
+            fresh = Binomial(b.plus, b.minus)
+            assert b.rendered and not fresh.rendered
+            assert b == fresh and hash(b) == hash(fresh)
+            assert repr(b) == repr(fresh) == f"Binomial(plus={b.plus}, minus={b.minus})"
 
 
 class TestErrors:
