@@ -21,7 +21,6 @@ from .cones import (
 )
 from .errors import (
     BetaOutsideSpan,
-    DegenerateConfiguration,
     DimensionMismatch,
     EmptyFace,
     GkzError,

@@ -78,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _step_budget(text: str) -> int:
-    steps = int(text)  # argparse reports a ValueError as an invalid value
+    steps = int(text) if text.isascii() and text.isdigit() else 0  # as rational literals
     if steps < 1:
-        raise argparse.ArgumentTypeError(f"step budget must be at least 1, got {steps}")
+        raise argparse.ArgumentTypeError(f"step budget must be ASCII digits, at least 1: {text!r}")
     return steps
 
 
@@ -258,6 +258,18 @@ def _render_toric(report: dict) -> str:
 
 
 def run(argv) -> int:
+    """Run one command; integers of any length are read and printed exactly."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython's digit limit, 3.10.7 on
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     try:
         args = _PARSER.parse_args(_attach_beta_values(argv))
     except SystemExit as exc:

@@ -36,7 +36,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BetaOutsideSpan,
-    DegenerateConfiguration,
     DimensionMismatch,
     InputError,
     InternalInconsistency,
@@ -318,8 +317,8 @@ def _seed_simplex(points: dict[int, IntVec], labels: list[int], d: int):
                  for j, (g, v) in enumerate(zip(forms, vertices))]
         vertices[k], vertices[i], forms[k], forms[i] = vertices[i], p, forms[i], forms[k]
         seed.append(label)
-    if len(seed) <= d:
-        raise DegenerateConfiguration("points do not span the ambient space")
+    if len(seed) <= d:  # every caller's points span: a configuration's, or a face's lattice
+        raise InternalInconsistency("placing seed: the points do not span the ambient space")
     return tuple(seed), det, forms
 
 

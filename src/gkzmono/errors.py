@@ -36,10 +36,6 @@ class EmptyFace(InputError):
     """Operation is undefined for the empty face."""
 
 
-class DegenerateConfiguration(InputError):
-    """Configuration columns do not span the ambient space."""
-
-
 class UnsupportedFormat(InputError):
     """Unknown export format name."""
 

@@ -29,12 +29,13 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not a rational literal (use p or p/q): {reprlib.repr(text)}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator in rational literal: {reprlib.repr(text)}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        num, den = map(int, s.split("/")) if "/" in s else (int(s), 1)
+    except ValueError as exc:  # longer than CPython's int/str digit limit (3.10.7 on)
+        raise InputError(f"rational literal past the digit limit: {reprlib.repr(text)}") from exc
+    if den == 0:
+        raise InputError(f"zero denominator in rational literal: {reprlib.repr(text)}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gkzmono import InputError, parse_rational
 from gkzmono.cli import run
 from sweeps import DENSE_FIVE_BY_EIGHT, random_homogeneous_configuration
 
@@ -219,7 +220,9 @@ class TestExitCodes:
         assert capture(argv)[0] == 0
         assert capture(argv + ["--max-steps", "3"])[0] == 1
 
-    @pytest.mark.parametrize("steps", ["0", "-5", "many"])
+    # Only ASCII digits, as in rational literals: int() would also take
+    # fullwidth digits and underscores.
+    @pytest.mark.parametrize("steps", ["0", "-5", "many", "\uff11\uff10\uff10", "1_0"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -347,6 +350,41 @@ class TestExitCodes:
             cli.reduce_configuration = original
 
 
+class TestLongIntegers:
+    """Integers past CPython's 4300-digit int/str limit are read and printed exactly."""
+
+    N = 10**2500
+    MATRIX = json.dumps([[1, 1, 1, 0, 0], [0, N, 0, 1, 0], [0, 0, N, 0, 1]])
+    VOLUME = "1" + "0" * 2499 + "1" + "0" * 2499 + "1"  # N**2 + N + 1
+
+    def test_volume_of_5001_digits(self, capture):
+        assert capture(["volume", "-A", self.MATRIX]) == (0, self.VOLUME + "\n", "")
+
+    def test_entries_of_5000_digits(self, capture):
+        entry = "1" * 5000
+        code, out, _ = capture(["classify", "-A", QUADRIC_ARG, "-b", f"{entry},1"])
+        assert code == 0 and out.startswith("verdict: ")
+        code, out, _ = capture(["kernel", "-A", f"[[1,{entry}]]"])
+        assert (code, out) == (0, f"({entry},-1)\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_the_callers_digit_limit_is_restored(self, capture):
+        limit = sys.get_int_max_str_digits()
+        assert capture(["volume", "-A", self.MATRIX])[0] == 0
+        assert capture(["volume", "-A", "[[1"])[0] == 1
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_a_library_caller_under_the_limit_gets_an_input_error(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            with pytest.raises(InputError, match="digit limit"):
+                parse_rational("1" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestJsonStability:
     def test_reports_parse_back(self, capture):
         for argv in (
@@ -385,6 +423,10 @@ class TestModuleEntryPoint:
     def test_volume(self):
         result = self.module("volume", "-A", QUADRIC_ARG)
         assert (result.returncode, result.stdout) == (0, "2\n")
+
+    def test_volume_of_5001_digits(self):
+        result = self.module("volume", "-A", TestLongIntegers.MATRIX)
+        assert (result.returncode, result.stdout) == (0, TestLongIntegers.VOLUME + "\n")
 
     def test_scale_limit_exit_code(self):
         matrix = "[[1,1,1,1,1,1,1,1,1,1,1,1],[0,1,2,3,0,1,2,3,0,1,2,0],[0,0,0,0,1,1,1,1,2,2,2,3]]"

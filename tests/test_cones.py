@@ -602,6 +602,12 @@ class TestHomogeneousHull:
         A = random_homogeneous_configuration(random.Random(5), 7, 18).A
         assert_every_shifted_derived_form_raises(monkeypatch, A, range(40))
 
+    def test_a_seed_that_does_not_span_is_an_inconsistency(self):
+        # Every caller places points that span, so coplanar points are a bug.
+        points = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 0)}
+        with pytest.raises(InternalInconsistency, match="do not span"):
+            cones._placing_triangulation(points, 3)
+
 
 class TestConfluentHull:
     """A configuration with no grading: the origin is placed with the columns."""

@@ -7,6 +7,13 @@ differing line is a behaviour change: either a bug, or an intended change
 that must be declared when the corpus is rewritten with
 
     PYTHONPATH=src python tests/test_golden.py
+
+This corpus is the one set of CLI expectations; a new input to check is a
+new CASES entry, written by the same command.  A case whose toric ideal is
+heavy to saturate carries a --max-steps budget (100 for the twelve-column,
+wide and moment-curve inputs), so its toric-ideal and export runs pin the
+exit-2 path and the corpus stays fast to replay.  A step count that needs
+the full saturation is pinned in tests/test_toric.py instead.
 """
 
 import contextlib
@@ -143,6 +150,49 @@ CASES = {
     # centers, and the integral beta where the holonomic rank jumps.
     "non_cohen_macaulay": ("[[1,1,1,1],[0,1,3,4]]", "1/2,1/3", []),
     "non_cohen_macaulay_rank_jump": ("[[1,1,1,1],[0,1,3,4]]", "1,2", []),
+    # Unnormalized simplices: columns of index 6 in Z^3, and 2, 3 spanning Z.
+    "index_six_simplex": ("[[1,1,1],[0,2,0],[0,0,3]]", "1/2,1/3,1/5", []),
+    "one_row_two_three": ("[[2,3]]", "1/2", []),
+    # Three equal columns: the ray's faces are {} and {1,2,3}.
+    "one_row_ones": ("[[1,1,1]]", "1/2", []),
+    # A unimodular pair: the arrangement of each ray.
+    "unimodular_pair": ("[[1,0],[1,1]]", "1/2,1/3", []),
+    # A trapezoid of volume 4 whose center {1,2,3,4} is no pyramid base.
+    "trapezoid": ("[[1,1,1,1,1,1],[0,1,2,3,0,1],[0,0,0,0,1,1]]", "1/2,1/3,1", []),
+    # The square with one center, the vertex {1}.
+    "square_one_center": ("[[1,1,1,1],[0,1,0,1],[0,0,1,1]]", "1/2,0,0", []),
+    # The twisted cubic at an integer beta: no center, and a one-step
+    # budget pins the exit-2 path of toric-ideal and export.
+    "twisted_cubic_integer": ("[[1,1,1,1],[0,1,2,3]]", "1,0", ["--max-steps", "1"]),
+    # A zero column: the pyramid center {1,2,3,5} and the kernel vector e5.
+    "zero_column": ("[[1,1,1,0,0],[0,1,2,0,0],[0,0,0,1,0]]", "1/3,1/5,2", []),
+    # Confluent inputs, which the classification needs no homogeneity for:
+    # a signed simplex resonant along its ray {1}, the octahedron's six
+    # columns +-e_i (not pointed, volume 8) and five signed columns in Z^2.
+    "signed_simplex": ("[[-2,1,-2],[2,1,3],[-1,-1,-2]]", "-1,1,-1/2", []),
+    "octahedron": (
+        "[[1,-1,0,0,0,0],[0,0,1,-1,0,0],[0,0,0,0,1,-1]]", "1/2,1/3,1/5", []
+    ),
+    "signed_two_rows": ("[[2,-1,5,-4,8],[-1,1,-3,3,-5]]", "1/2,1/3", []),
+    # The moment curves (1, t, ..., t^(d-1)) at t = 0..n-1: d = 4, n = 8
+    # (40 faces, volume 294) and d = 5, n = 10 (162 faces, volume 9504).
+    "moment_curve_d4": (
+        "[[1,1,1,1,1,1,1,1],[0,1,2,3,4,5,6,7],[0,1,4,9,16,25,36,49],"
+        "[0,1,8,27,64,125,216,343]]",
+        "1/2,1/3,1/5,1/7",
+        ["--max-steps", "100"],
+    ),
+    "moment_curve_d5": (
+        "[[1,1,1,1,1,1,1,1,1,1],[0,1,2,3,4,5,6,7,8,9],"
+        "[0,1,4,9,16,25,36,49,64,81],[0,1,8,27,64,125,216,343,512,729],"
+        "[0,1,16,81,256,625,1296,2401,4096,6561]]",
+        "1/2,1/3,1/5,1/7,1/11",
+        ["--max-steps", "100"],
+    ),
+    # Exponents of 10**12: the step budget, not the exponent, bounds the run.
+    "huge_exponent_curve": (
+        "[[1,1,1,1],[0,1,1000000000000,1000000000001]]", "1/2,1/3", ["--max-steps", "50"]
+    ),
 }
 
 WITH_BETA = ("reduce", "centers", "classify")

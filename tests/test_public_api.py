@@ -14,7 +14,6 @@ PUBLIC = [
     "Binomial",
     "Classification",
     "Configuration",
-    "DegenerateConfiguration",
     "DimensionMismatch",
     "EmptyFace",
     "EulerOperator",

@@ -257,17 +257,25 @@ class TestToricIdeal:
         # the common factor of its lead and tail, this input saturates in
         # 17 640 steps (17 503 at the columns off its pivots).  The
         # generators, and so the digest, depend on neither the kernel
-        # basis, the saturated columns nor the cancellation.
-        config = Configuration(IntMatrix([
+        # basis, the saturated columns nor the cancellation.  Each budget
+        # runs on a fresh configuration, so no saturation memo answers in
+        # its place.
+        A = IntMatrix([
             [-3, -3, 1, -2, -2, -1, 0], [2, -1, 1, 2, -1, 3, -1], [2, 2, 0, -1, -1, -1, -3]
-        ]))
-        gens = toric_ideal_generators(config, max_steps=20000)
+        ])
+        gens = toric_ideal_generators(Configuration(A), max_steps=20000)
         assert len(gens) == 206
         assert hashlib.sha256(repr([(b.plus, b.minus) for b in gens]).encode()).hexdigest() == (
             "f0bfee0e9e99fe99874c212dffa256db541224f07056fed592d8dcb6524c6d2b"
         )
-        assert budget_outcome(config, 17640) == gens
-        assert budget_outcome(config, 17639) is None
+        assert budget_outcome(Configuration(A), 17640) == gens
+        assert budget_outcome(Configuration(A), 17639) is None
+
+    def test_the_degree_16_curve_within_8431_steps(self):
+        # toric-ideal on the curve exits 2 at --max-steps 8430 and prints its
+        # 120 generators at 8431, each budget on a fresh configuration.
+        assert budget_outcome(rational_normal_curve(16), 8430) is None
+        assert len(budget_outcome(rational_normal_curve(16), 8431)) == 120
 
     def test_huge_exponents(self):
         # The engine's lead index must be sized by the leads it holds, not by
