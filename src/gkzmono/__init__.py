@@ -15,7 +15,6 @@ from .cones import (
     Parameter,
     as_parameter,
     enumerate_faces,
-    fourier_motzkin_point,
     is_face,
     reduce_configuration,
 )

@@ -43,14 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, needs_beta, budgeted=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-A", "--matrix", help="matrix as JSON [[..]] or @file")
-        p.add_argument("--input", help="JSON file with {'A': [[..]], 'beta': [..]}")
+        p.add_argument("-A", "--matrix", action=_Once, help="matrix as JSON [[..]] or @file")
+        p.add_argument("--input", action=_Once, help="JSON file with {'A': [[..]], 'beta': [..]}")
         if needs_beta:
-            p.add_argument("-b", "--beta", help="comma-separated p/q entries or JSON list")
+            p.add_argument("-b", "--beta", action=_Once,
+                           help="comma-separated p/q entries or JSON list")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         if budgeted:
             p.add_argument(
                 "--max-steps",
+                action=_Once,
                 type=_step_budget,
                 default=DEFAULT_STEP_BUDGET,
                 help="step budget (at least 1) for toric-ideal saturation",
@@ -69,12 +71,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--format",
+        action=_Once,
         choices=exporters.FORMATS,
         required=True,
         help="output format",
     )
     add("arrangement", "describe the resonant arrangement", False)
     return parser
+
+
+class _Once(argparse.Action):
+    """Store an option's value; an option given twice is an input error, not its last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            parser.error(f"{'/'.join(self.option_strings)} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 def _step_budget(text: str) -> int:

@@ -16,19 +16,16 @@ read off the final boundary through 0 and certified there, once, and the
 normalized volume reads the same triangulation.  A homogeneous configuration
 places its columns alone, in their own hyperplane (_cone_placing).  Face
 enumeration closes the facet bitmasks under intersection, once per
-configuration (_face_closure).  The faces stay
-bitmasks until a Face is read: one helper (_face) witnesses a closure entry
-by the primitive sum of the normals of the facets that contain it.
-Feasibility questions ("is there a functional with these signs?") are
-answered by exact Fourier-Motzkin elimination on primitive integer rows;
-only the back-substituted point is rational.  That oracle still enumerates
-the faces up to BRUTE_FORCE_LIMIT columns, for the reason at the constant.
+configuration (_face_closure).  The faces stay bitmasks until a Face is read.
+One rule (_meet_face) decides and witnesses every face: a set of columns is
+a face iff it is the meet of the facets that contain it, witnessed by the
+primitive sum of their normals.  is_face applies it to any subset, and the
+closure's entries must pass it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
 from operator import mul
@@ -41,7 +38,6 @@ from .errors import (
     InternalInconsistency,
     LatticeNotSaturated,
     RankDeficient,
-    ScaleLimit,
 )
 from .intlinalg import (
     GaussRat,
@@ -50,7 +46,6 @@ from .intlinalg import (
     _hermite_rows,
     _hermite_solutions,
     _kernel_rows,
-    clear_denominators,
     integer_entries,
     kernel_lattice_basis,
     primitive_vector,
@@ -59,19 +54,13 @@ from .intlinalg import (
 Parameter = tuple[GaussRat, ...]
 Simplex = tuple[int, ...]
 
-# Up to this many columns "auto" brute-forces all index subsets against the
-# feasibility oracle, and closes the hull's facets above.  The closure is
-# faster at every n measured (2 to 10).  The only reason brute force remains
-# is the benchmark, which asserts that a cold classify of a 2x3 matrix reaches
-# is_face; ROADMAP item 2's benchmark change lifts that pin, and item 3 then
-# deletes this constant with the brute path.  Up to this many columns
-# resonance reports also take their faces from face_lattice()
-# (resonance._reported_face), so they print the witnesses that `faces` prints.
+# Up to this many columns "auto" runs every index subset through is_face, and
+# closes the hull's facets above.  Both read the same facets and return equal
+# faces and witnesses, so this is a benchmark pin only: the benchmark asserts
+# that a cold classify of a 2x3 matrix reaches is_face.  ROADMAP item 2a lifts
+# that pin, and item 3 then deletes this constant with the brute path and the
+# face_lattice() read of resonance._reported_face.
 BRUTE_FORCE_LIMIT = 3
-
-# A Fourier-Motzkin stage builds (positive rows) * (negative rows) + (the rest)
-# rows; above this it raises ScaleLimit.  The test suite's largest stage has 756.
-FOURIER_MOTZKIN_ROW_LIMIT = 10_000
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -219,69 +208,6 @@ def as_parameter(values, d: int) -> Parameter:
     if len(beta) != d:
         raise DimensionMismatch(f"parameter has {len(beta)} entries, expected {d}")
     return beta
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility
-# ---------------------------------------------------------------------------
-
-
-def _primitive_rows(rows: Iterable[IntVec]) -> list[IntVec]:
-    """Distinct primitive rows (coeffs..., rhs) of coeffs . y >= rhs, tautologies dropped."""
-    rows = (primitive_vector(row) for row in rows)
-    return list(dict.fromkeys(row for row in rows if any(row[:-1]) or row[-1] > 0))
-
-
-def fourier_motzkin_point(
-    inequalities: Sequence[tuple[Sequence[Fraction], Fraction]], nvars: int
-) -> Optional[tuple[Fraction, ...]]:
-    """Find y in Q^nvars with coeffs . y >= rhs for every inequality.
-
-    Each row is cleared of denominators once; elimination then runs on
-    primitive integer rows (coeffs..., rhs), variables left to right.
-    Back-substitution always picks the tightest lower bound (or the upper
-    bound when unbounded below, or 0 when unconstrained).  Returns None when
-    infeasible; a stage above FOURIER_MOTZKIN_ROW_LIMIT rows raises ScaleLimit.
-    """
-    current = _primitive_rows(
-        clear_denominators(tuple(coeffs) + (rhs,)) for coeffs, rhs in inequalities
-    )
-    stages: list[list[IntVec]] = []
-    for k in range(nvars):
-        stages.append(current)
-        positive = [row for row in current if row[k] > 0]
-        negative = [row for row in current if row[k] < 0]
-        kept = [row for row in current if row[k] == 0]
-        if len(kept) + len(positive) * len(negative) > FOURIER_MOTZKIN_ROW_LIMIT:
-            raise ScaleLimit(f"Fourier-Motzkin stage exceeds {FOURIER_MOTZKIN_ROW_LIMIT} rows")
-        combined = [
-            tuple(-n[k] * x + p[k] * y for x, y in zip(p, n)) for p in positive for n in negative
-        ]
-        current = _primitive_rows(kept + combined)
-        if any(not any(row[:-1]) for row in current):
-            return None
-    if current:  # all variables eliminated: only rows 0 >= rhs > 0 remain
-        return None
-    y = [Fraction(0)] * nvars
-    for k in reversed(range(nvars)):
-        lower: Optional[Fraction] = None
-        upper: Optional[Fraction] = None
-        for row in stages[k]:
-            ck = row[k]
-            if ck == 0:
-                continue
-            bound = (row[-1] - sum(c * v for c, v in zip(row[k + 1:-1], y[k + 1:]))) / Fraction(ck)
-            if ck > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None:
-            y[k] = lower
-        elif upper is not None:
-            y[k] = upper
-        if lower is not None and upper is not None and lower > upper:
-            raise InternalInconsistency("Fourier-Motzkin back-substitution failed")
-    return tuple(y)
 
 
 # ---------------------------------------------------------------------------
@@ -468,37 +394,6 @@ def _check_labels(config: Configuration, labels: tuple[int, ...]) -> None:
         raise DimensionMismatch(f"column labels out of range 1..{config.n}")
 
 
-def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
-    """Return a Face with an integer witness, or None if subset is not a face.
-
-    Solved as an exact LP feasibility problem: parametrize the functionals
-    vanishing on the subset by the saturated orthogonal lattice, then ask
-    Fourier-Motzkin for a point with value >= 1 on every other column (the
-    system is homogeneous, so >= 1 is the same as > 0).
-    """
-    labels = tuple(sorted(set(integer_entries(subset))))
-    _check_labels(config, labels)
-    basis = _perp_lattice_basis(config, labels)
-    complement = [j for j in range(1, config.n + 1) if j not in labels]
-    inequalities = []
-    for j in complement:
-        coeffs = tuple(_dot(w, config.column(j)) for w in basis)
-        if not any(coeffs):
-            return None
-        inequalities.append((coeffs, 1))
-    y = fourier_motzkin_point(inequalities, len(basis))
-    if y is None:
-        return None
-    phi_rat = [sum(yi * w[k] for yi, w in zip(y, basis)) for k in range(config.d)]
-    witness = primitive_vector(clear_denominators(phi_rat))
-    for j in range(1, config.n + 1):
-        value = _dot(witness, config.column(j))
-        ok = value == 0 if j in labels else value > 0
-        if not ok:
-            raise InternalInconsistency("face witness fails its sign conditions")
-    return Face(labels, witness)
-
-
 @per_configuration
 def _facets(config: Configuration) -> tuple[tuple[IntVec, int], ...]:
     """The cone's facets as (primitive inner normal, column bitmask), sorted: _hull's."""
@@ -520,12 +415,12 @@ def _face_closure(config: Configuration) -> tuple[tuple[int, tuple[int, ...]], .
     return tuple(sorted(closure, key=lambda pair: (len(pair[1]), pair[1])))
 
 
-def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
-    """The Face of a closure entry, witnessed by the primitive sum of its facets' normals.
+def _meet_face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Optional[Face]:
+    """The Face on the columns in mask (labels), or None: the one face rule.
 
-    The normals are certified by _hull, so the witness vanishes exactly on
-    the meet of those facets, which must be the face.  The labels and the
-    witness are the package's own, so the slots are set without Face's checks.
+    The columns are a face iff they are the meet of the facets that contain
+    them, witnessed by the primitive sum of those normals, which _hull
+    certified.  The slots are set without Face's checks: the values are ours.
     """
     meet, normals = (1 << config.n) - 1, [(0,) * config.d]
     for normal, facet in _facets(config):
@@ -533,11 +428,26 @@ def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
             meet &= facet
             normals.append(normal)
     if meet != mask:
-        raise InternalInconsistency("facet intersection is not a face")
+        return None
     face = object.__new__(Face)
     object.__setattr__(face, "indices", labels)
     object.__setattr__(face, "witness", primitive_vector(tuple(map(sum, zip(*normals)))))
     return face
+
+
+def _face(config: Configuration, mask: int, labels: tuple[int, ...]) -> Face:
+    """The Face of a closure entry (_meet_face), which must be a face."""
+    face = _meet_face(config, mask, labels)
+    if face is None:
+        raise InternalInconsistency("facet intersection is not a face")
+    return face
+
+
+def is_face(config: Configuration, subset: Iterable[int]) -> Optional[Face]:
+    """The Face on subset, witnessed by the hull's facets, or None if it is not one (_meet_face)."""
+    labels = tuple(sorted(set(integer_entries(subset))))
+    _check_labels(config, labels)
+    return _meet_face(config, sum(1 << j - 1 for j in labels), labels)
 
 
 def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, ...]:
@@ -545,9 +455,9 @@ def enumerate_faces(config: Configuration, method: str = "auto") -> tuple[Face, 
 
     method "dd", a name kept from double description, now names the facet
     closure: a Face per closure entry of the hull's facets (_face_closure,
-    _face), witnessed by the primitive sum of its facets' normals.  "brute"
-    checks every index subset with the feasibility oracle; "auto" runs it up
-    to BRUTE_FORCE_LIMIT columns, only because the benchmark pins it there.
+    _face).  "brute" runs every index subset through is_face, which reads
+    the same facets, so both return equal faces and witnesses; "auto" runs
+    it up to BRUTE_FORCE_LIMIT columns, only because the benchmark pins it.
     """
     if method == "auto":
         method = "brute" if config.n <= BRUTE_FORCE_LIMIT else "dd"

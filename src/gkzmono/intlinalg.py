@@ -457,10 +457,3 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
         return tuple(v)
     return tuple(x // g for x in v)
 
-
-def clear_denominators(v: Sequence[Fraction]) -> IntVec:
-    """Scale a rational vector by the positive lcm of denominators."""
-    lcm = 1
-    for q in v:
-        lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-    return tuple(int(q * lcm) for q in v)

@@ -112,7 +112,7 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
 
 
 def _reported_face(config: Configuration, i: int, entry: tuple[int, tuple[int, ...]]) -> Face:
-    """The Face at lattice position i of closure entry (mask, labels); see BRUTE_FORCE_LIMIT."""
+    """_face(config, *entry), read from face_lattice()[i] up to BRUTE_FORCE_LIMIT as a pin."""
     return config.face_lattice()[i] if config.n <= BRUTE_FORCE_LIMIT else _face(config, *entry)
 
 

@@ -39,9 +39,18 @@ independent columns, and facets_by_double_description finds them as the
 extreme rays of the dual cone (Fukuda and Prodon 1996), the oracle that
 scales to wide cones: both are references for the facets that the runtime
 reads off the boundary of its placing triangulation (cones._hull, through
-cones._facets).  feasible_point_by_minimal_faces decides a system of
-linear inequalities without elimination, the reference for Fourier-Motzkin
-(cones.fourier_motzkin_point).
+cones._facets).
+
+face_by_fourier_motzkin is the face oracle that reads no facet: a subset
+is a face iff some functional vanishes on it and is positive on every other
+column, an exact LP decided by Fourier-Motzkin elimination
+(fourier_motzkin_point) over the saturated perp lattice of the subset
+(perp_lattice_by_hermite_forms).  faces_by_fourier_motzkin runs it on every
+subset of columns.  The runtime decides a face by the hull's facets
+(cones._meet_face) instead, for is_face and for both enumerate_faces
+methods, so only this oracle checks those facets from outside.
+feasible_point_by_minimal_faces decides a system of linear inequalities
+without elimination, the reference for Fourier-Motzkin.
 
 triangulated_face_volume is a face's volume with no shortcut: its columns
 are triangulated in their coordinates on the IntMatrix Hermite basis of the
@@ -90,6 +99,7 @@ from gkzmono import (
     Face,
     GaussRat,
     IntMatrix,
+    ScaleLimit,
     face_functionals,
     face_volume,
     hermite_normal_form,
@@ -99,7 +109,7 @@ from gkzmono import (
     smith_normal_form,
 )
 from gkzmono.cones import per_configuration
-from gkzmono.intlinalg import _hermite_rows, _hermite_solutions
+from gkzmono.intlinalg import _hermite_rows, _hermite_solutions, primitive_vector
 from gkzmono.resonance import _resonance_table
 from gkzmono.volume import _volume_of_matrix
 
@@ -463,6 +473,107 @@ def feasible_point_by_minimal_faces(rows, nvars):
         ):
             return y
     return None
+
+
+# A Fourier-Motzkin stage builds (positive rows) * (negative rows) + (the rest)
+# rows; above this it raises ScaleLimit.  The test suite's largest stage has 756.
+FOURIER_MOTZKIN_ROW_LIMIT = 10_000
+
+
+def _clear_denominators(v):
+    """Scale a rational vector by the positive lcm of denominators."""
+    scale = lcm(*(q.denominator for q in v))
+    return tuple(int(q * scale) for q in v)
+
+
+def _primitive_rows(rows):
+    """Distinct primitive rows (coeffs..., rhs) of coeffs . y >= rhs, tautologies dropped."""
+    rows = (primitive_vector(row) for row in rows)
+    return list(dict.fromkeys(row for row in rows if any(row[:-1]) or row[-1] > 0))
+
+
+def fourier_motzkin_point(inequalities, nvars):
+    """Find y in Q^nvars with coeffs . y >= rhs for every inequality.
+
+    Each row is cleared of denominators once; elimination then runs on
+    primitive integer rows (coeffs..., rhs), variables left to right.
+    Back-substitution always picks the tightest lower bound (or the upper
+    bound when unbounded below, or 0 when unconstrained).  Returns None when
+    infeasible; a stage above FOURIER_MOTZKIN_ROW_LIMIT rows raises ScaleLimit.
+    """
+    current = _primitive_rows(
+        _clear_denominators(tuple(coeffs) + (rhs,)) for coeffs, rhs in inequalities
+    )
+    stages = []
+    for k in range(nvars):
+        stages.append(current)
+        positive = [row for row in current if row[k] > 0]
+        negative = [row for row in current if row[k] < 0]
+        kept = [row for row in current if row[k] == 0]
+        if len(kept) + len(positive) * len(negative) > FOURIER_MOTZKIN_ROW_LIMIT:
+            raise ScaleLimit(f"Fourier-Motzkin stage exceeds {FOURIER_MOTZKIN_ROW_LIMIT} rows")
+        combined = [
+            tuple(-n[k] * x + p[k] * y for x, y in zip(p, n)) for p in positive for n in negative
+        ]
+        current = _primitive_rows(kept + combined)
+        if any(not any(row[:-1]) for row in current):
+            return None
+    if current:  # all variables eliminated: only rows 0 >= rhs > 0 remain
+        return None
+    y = [Fraction(0)] * nvars
+    for k in reversed(range(nvars)):
+        lower = upper = None
+        for row in stages[k]:
+            ck = row[k]
+            if ck == 0:
+                continue
+            bound = (row[-1] - sum(c * v for c, v in zip(row[k + 1:-1], y[k + 1:]))) / Fraction(ck)
+            if ck > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None:
+            y[k] = lower
+        elif upper is not None:
+            y[k] = upper
+        assert lower is None or upper is None or lower <= upper, "back-substitution failed"
+    return tuple(y)
+
+
+def face_by_fourier_motzkin(config, subset):
+    """A Face with an integer witness, or None if subset is not a face, by exact LP.
+
+    Parametrize the functionals vanishing on the subset by its saturated
+    perp lattice, then ask Fourier-Motzkin for a point with value >= 1 on
+    every other column (the system is homogeneous, so >= 1 is the same as
+    > 0).  The witness is that point made primitive.
+    """
+    labels = tuple(sorted(set(subset)))
+    basis = perp_lattice_by_hermite_forms(config, labels)
+    inequalities = []
+    for j in range(1, config.n + 1):
+        if j not in labels:
+            coeffs = tuple(sum(w * a for w, a in zip(v, config.column(j))) for v in basis)
+            if not any(coeffs):
+                return None
+            inequalities.append((coeffs, 1))
+    y = fourier_motzkin_point(inequalities, len(basis))
+    if y is None:
+        return None
+    phi = [sum(yi * w[k] for yi, w in zip(y, basis)) for k in range(config.d)]
+    witness = primitive_vector(_clear_denominators(phi))
+    for j in range(1, config.n + 1):
+        value = sum(w * a for w, a in zip(witness, config.column(j)))
+        assert value == 0 if j in labels else value > 0, "a witness fails its sign conditions"
+    return Face(labels, witness)
+
+
+def faces_by_fourier_motzkin(config):
+    """Every face in lattice order (size, indices): face_by_fourier_motzkin on every subset."""
+    labels = range(1, config.n + 1)
+    found = (face_by_fourier_motzkin(config, s)
+             for k in range(config.n + 1) for s in combinations(labels, k))
+    return tuple(face for face in found if face is not None)
 
 
 def hermite_kernel_basis(H, U):

@@ -333,6 +333,26 @@ class TestExitCodes:
     def test_non_integer_matrix(self, capture):
         assert capture(["volume", "-A", "[[1.5, 2]]"])[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "-A", QUADRIC_ARG, "-b", "1/2,1", "--matrix", "[[1,1,1,1],[0,1,2,3]]"],
+            ["classify", "--input", "{path}", "--input", "{path}"],
+            ["classify", "-A", QUADRIC_ARG, "-b", "1/2,1", "-b", "-1/2,1"],
+            ["toric-ideal", "-A", QUADRIC_ARG, "--max-steps", "5", "--max-steps", "6"],
+            ["export", "-A", QUADRIC_ARG, "-b", "1,1", "--format", "json", "--format", "singular"],
+        ],
+        ids=["matrix", "input", "beta", "max-steps", "format"],
+    )
+    def test_an_option_given_twice_is_rejected(self, capture, tmp_path, argv):
+        # Never the last value silently: without its second copy, each runs.
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"A": [[1, 1, 1], [0, 1, 2]], "beta": ["1/2", "1"]}))
+        argv = [token.format(path=path) for token in argv]
+        code, out, err = capture(argv)
+        assert (code, out) == (1, "") and "given more than once" in err
+        assert capture(argv[:-2])[0] == 0
+
     def test_exit_code_mapping_for_internal_errors(self):
         # reach the handler directly: a stubbed command raising the error
         from gkzmono import cli
@@ -464,10 +484,11 @@ class TestModuleEntryPoint:
 class TestDenseFiveByEight:
     """A valid 5x8 configuration whose cone is all of R^5, so its only face is {1..8}.
 
-    Brute-force face enumeration ran out of memory on it, so it runs in a
-    child process with bounded memory and time; inside, classify and the
-    faces command must each finish well within a second, and brute force
-    must stop at the Fourier-Motzkin row limit within two.
+    Brute-force face enumeration by Fourier-Motzkin ran out of memory on it,
+    so it runs in a child process with bounded memory and time; inside,
+    classify and the faces command must each finish well within a second,
+    the Fourier-Motzkin oracle must stop at its row limit within two, and the
+    runtime's brute force, which reads the hull's facets, lists the one face.
     """
 
     A = DENSE_FIVE_BY_EIGHT
@@ -490,14 +511,17 @@ print(json.dumps([result["verdict"], result["centers"], classify_s,
 
     BRUTE_CHILD = """
 import json, sys, time
+sys.path.insert(0, sys.argv[2])
 from gkzmono import Configuration, IntMatrix, ScaleLimit, enumerate_faces
+from oracles import faces_by_fourier_motzkin
 config = Configuration(IntMatrix(json.loads(sys.argv[1])))
 start = time.perf_counter()
 try:
-    outcome = len(enumerate_faces(config, "brute"))
+    outcome = len(faces_by_fourier_motzkin(config))
 except ScaleLimit:
     outcome = "ScaleLimit"
-print(json.dumps([outcome, time.perf_counter() - start]))
+faces = [face.indices for face in enumerate_faces(config, "brute")]
+print(json.dumps([outcome, time.perf_counter() - start, faces]))
 """
 
     @staticmethod
@@ -522,11 +546,13 @@ print(json.dumps([outcome, time.perf_counter() - start]))
     def test_brute_force_stops_at_the_row_limit(self):
         # The empty face's eight inequalities in five variables would make
         # Fourier-Motzkin stages of about 8, 16, 64, 1024 and 262144 rows.
+        tests = str(Path(__file__).resolve().parent)
         result = subprocess.run(
-            [sys.executable, "-c", self.BRUTE_CHILD, json.dumps(self.A)],
+            [sys.executable, "-c", self.BRUTE_CHILD, json.dumps(self.A), tests],
             capture_output=True, text=True, env=child_env(), timeout=60,
             preexec_fn=self.limit_memory,
         )
         assert result.returncode == 0, result.stderr
-        outcome, seconds = json.loads(result.stdout)
+        outcome, seconds, faces = json.loads(result.stdout)
         assert outcome == "ScaleLimit" and seconds < 2
+        assert faces == [list(range(1, 9))]

@@ -22,7 +22,6 @@ from gkzmono import (
     enumerate_faces,
     face_functionals,
     face_volume,
-    fourier_motzkin_point,
     hermite_normal_form,
     is_face,
     is_pyramid,
@@ -32,11 +31,15 @@ from gkzmono import (
     volume,
 )
 from gkzmono.cones import per_configuration
+import oracles
 from oracles import (
+    face_by_fourier_motzkin,
     face_lattice_axiom_failures,
     facets_by_double_description,
     facets_by_subset_normals,
+    faces_by_fourier_motzkin,
     feasible_point_by_minimal_faces,
+    fourier_motzkin_point,
     fraction_elimination,
     matmul,
     perp_lattice_by_hermite_forms,
@@ -365,6 +368,24 @@ class TestIsFace:
         with pytest.raises(TypeError):
             is_face(Configuration(QUADRIC), [True])
 
+    def test_every_subset_agrees_with_the_fourier_motzkin_oracle(self):
+        # is_face reads the hull's facets and the oracle solves an LP per
+        # subset: they must agree on which subsets are faces, and is_face's
+        # witness must be the one enumerate_faces gives the same face.
+        rng = random.Random(1409)
+        seen = set()
+        for k in range(60):
+            config = random_configuration(rng, dmax=4, nmax=6, lo=-3 * (k % 2))
+            lattice = {f.indices: f.witness for f in enumerate_faces(config, "dd")}
+            for size in range(config.n + 1):
+                for subset in combinations(range(1, config.n + 1), size):
+                    face = is_face(config, subset)
+                    oracle = face_by_fourier_motzkin(config, subset)
+                    assert (face is None) == (oracle is None)
+                    assert face is None or lattice[subset] == face.witness
+                    seen.add(face is None)
+        assert seen == {False, True}
+
 
 class TestColumnLabels:
     """Every public face reader rejects a label that is not a column label 1..n."""
@@ -435,9 +456,9 @@ class TestFourierMotzkin:
         # make a second stage of 3 * 4 + 1 rows.
         rows = [((1, k), 0) for k in range(3)] + [((-1, k), -5) for k in range(4)]
         rows.append(((0, 1), 0))
-        monkeypatch.setattr(cones, "FOURIER_MOTZKIN_ROW_LIMIT", 13)
+        monkeypatch.setattr(oracles, "FOURIER_MOTZKIN_ROW_LIMIT", 13)
         assert fourier_motzkin_point(rows, 2) is not None
-        monkeypatch.setattr(cones, "FOURIER_MOTZKIN_ROW_LIMIT", 12)
+        monkeypatch.setattr(oracles, "FOURIER_MOTZKIN_ROW_LIMIT", 12)
         with pytest.raises(ScaleLimit):
             fourier_motzkin_point(rows, 2)
 
@@ -664,32 +685,37 @@ def assert_every_shifted_derived_form_raises(monkeypatch, A, indices):
         assert len(seen) > t + 1
 
 
+def faces_by(config, method):
+    """enumerate_faces(config, method), or the Fourier-Motzkin oracle for method "fm"."""
+    return faces_by_fourier_motzkin(config) if method == "fm" else enumerate_faces(config, method)
+
+
 class TestEnumerate:
-    @pytest.mark.parametrize("method", ["brute", "dd"])
+    @pytest.mark.parametrize("method", ["brute", "dd", "fm"])
     def test_quadric(self, method):
-        lattice = enumerate_faces(Configuration(QUADRIC), method)
+        lattice = faces_by(Configuration(QUADRIC), method)
         assert [f.indices for f in lattice] == [(), (1,), (3,), (1, 2, 3)]
 
     def test_unknown_method_is_an_input_error(self):
         with pytest.raises(InputError, match="unknown face enumeration method"):
             enumerate_faces(Configuration(QUADRIC), "simplex")
 
-    @pytest.mark.parametrize("method", ["brute", "dd"])
+    @pytest.mark.parametrize("method", ["brute", "dd", "fm"])
     def test_simplicial_all_subsets(self, method):
         c = Configuration(IntMatrix.identity(3))
-        lattice = enumerate_faces(c, method)
+        lattice = faces_by(c, method)
         assert len(lattice) == 8
 
     def test_nonpointed_line(self):
         c = Configuration(IntMatrix([[1, -1]]))
-        for method in ("brute", "dd"):
-            lattice = enumerate_faces(c, method)
+        for method in ("brute", "dd", "fm"):
+            lattice = faces_by(c, method)
             assert [f.indices for f in lattice] == [(1, 2)]
 
-    @pytest.mark.parametrize("method", ["brute", "dd"])
+    @pytest.mark.parametrize("method", ["brute", "dd", "fm"])
     def test_zero_column_in_every_face(self, method):
         c = Configuration(IntMatrix([[1, 0]]))
-        lattice = enumerate_faces(c, method)
+        lattice = faces_by(c, method)
         assert [f.indices for f in lattice] == [(2,), (1, 2)]
 
     @staticmethod
@@ -718,16 +744,46 @@ class TestEnumerate:
             )
 
     def test_methods_agree_on_random_configs(self):
+        # brute and dd read the same facets, so they return equal faces with
+        # equal witnesses; the Fourier-Motzkin oracle reads no facet and
+        # checks the index sets.  Signed entries give non-pointed cones, and a
+        # duplicate or a zero column goes into two of every three (n <= 6).
         rng = random.Random(17)
-        for _ in range(50):
-            config = random_configuration(rng, dmax=3, nmax=6)
+        for k in range(60):
+            config = random_configuration(rng, dmax=3, nmax=5)
+            columns = list(config.A.columns())
+            extra = rng.choice(columns) if k % 3 == 1 else (0,) * config.d
+            if k % 3:
+                columns.insert(rng.randrange(len(columns) + 1), extra)
+            config = Configuration(IntMatrix.from_columns(columns, config.d))
             brute = enumerate_faces(config, "brute")
             dd = enumerate_faces(config, "dd")
-            assert [f.indices for f in brute] == [f.indices for f in dd]
-            for face in brute:
-                witness_is_valid(config, face)
+            assert self.with_witnesses(brute) == self.with_witnesses(dd)
+            assert [f.indices for f in dd] == [f.indices for f in faces_by_fourier_motzkin(config)]
             for face in dd:
                 witness_is_valid(config, face)
+
+    def test_config_corpus_shapes_match_the_fourier_motzkin_oracle(self):
+        # The benchmark's brute == dd check on config_corpus compares two
+        # readings of the same facets; this checks those facets from outside
+        # on inputs of its shape: first row all ones, d = 3..5, n = d+5..10,
+        # entries 0..3.
+        rng = random.Random(2207)
+        configs = []
+        while len(configs) < 24:
+            d = rng.randint(3, 5)
+            n = rng.randint(d + 5, 10)
+            rows = [[1] * n] + [[rng.randint(0, 3) for _ in range(n)] for _ in range(d - 1)]
+            try:
+                configs.append(reduce_configuration(IntMatrix(rows), [0] * d)[0])
+            except RankDeficient:
+                continue
+        for config in configs:
+            dd = enumerate_faces(config, "dd")
+            assert [f.indices for f in dd] == [f.indices for f in faces_by_fourier_motzkin(config)]
+            for face in dd:
+                witness_is_valid(config, face)
+        assert {config.n for config in configs} == {8, 9, 10}
 
     def test_intersection_closed(self):
         rng = random.Random(23)
@@ -818,7 +874,10 @@ class TestFaceDigest:
 
     Faces and witnesses are canonical (witnesses are primitive sums of facet
     normals, or what Fourier-Motzkin finds first), so any rewrite of the face
-    layer must replay both digests exactly.
+    layer must replay both digests exactly.  SWEEP was recorded with the
+    runtime's Fourier-Motzkin brute force, now the oracle
+    faces_by_fourier_motzkin, under the name "brute": it hashes the oracle's
+    faces and witnesses next to the facet closure's.
     """
 
     SWEEP = "52c5c45d2671083f85225533df571d2539f869d9210468f376e4d663823edcde"
@@ -835,8 +894,9 @@ class TestFaceDigest:
                 columns = list(config.A.columns())
                 columns.insert(rng.randrange(len(columns) + 1), (0,) * config.d)
                 config = Configuration(IntMatrix.from_columns(columns, config.d))
-            for method in ("brute", "dd"):
-                for face in enumerate_faces(config, method):
+            for method, lattice in (("brute", faces_by_fourier_motzkin(config)),
+                                    ("dd", enumerate_faces(config, "dd"))):
+                for face in lattice:
                     h.update(repr((method, face.indices, face.witness)).encode())
         assert h.hexdigest() == self.SWEEP
 

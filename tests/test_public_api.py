@@ -42,7 +42,6 @@ PUBLIC = [
     "export",
     "face_functionals",
     "face_volume",
-    "fourier_motzkin_point",
     "generic_rank",
     "hermite_normal_form",
     "hypergeometric_system",
