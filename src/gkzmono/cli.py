@@ -172,19 +172,20 @@ def _parse_beta_literal(text: str) -> list:
 
 
 def _gather_input(args) -> tuple[IntMatrix, Optional[list]]:
-    matrix = None
-    beta = None
-    if args.input:
+    matrix = beta = None
+    if args.input is not None:
         payload = _json(_read_text(args.input), "input file")
         if not isinstance(payload, dict) or "A" not in payload:
             raise InputError("input file must hold a JSON object with an 'A' matrix")
+        if unknown := sorted(set(payload) - {"A", "beta"}):
+            raise InputError(f"unknown keys in input file: {unknown}")
         matrix = _matrix_from_rows(payload["A"])
         beta = payload.get("beta")
         if beta is not None and not isinstance(beta, list):
             raise InputError("input file field 'beta' must be a list")
-    if getattr(args, "matrix", None):
+    if args.matrix is not None:
         matrix = _load_matrix_literal(args.matrix)
-    if getattr(args, "beta", None):
+    if getattr(args, "beta", None) is not None:
         beta = _parse_beta_literal(args.beta)
     if matrix is None:
         raise InputError("no matrix given (use -A or --input)")

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import InputError, UnsupportedFormat
-from .intlinalg import GaussRat, format_rational
+from .intlinalg import GaussRat, format_combination, format_rational
 from .toric import Binomial, EulerOperator, ToricSystem
 
 
@@ -139,23 +139,9 @@ def _shift_text(shift: GaussRat, imaginary_unit: str) -> str:
 
 
 def _euler_text(op: EulerOperator, x, dx, imaginary_unit: str) -> str:
-    terms = []
-    for j, c in enumerate(op.coefficients, start=1):
-        if c == 0:
-            continue
-        factor = f"{x(j)}*{dx(j)}"
-        if c == 1:
-            text = factor
-        elif c == -1:
-            text = f"-{factor}"
-        else:
-            text = f"{c}*{factor}"
-        if terms and not text.startswith("-"):
-            terms.append(f"+{text}")
-        else:
-            terms.append(text)
-    body = "".join(terms) if terms else "0"
-    return body + _shift_text(op.shift, imaginary_unit)
+    """sum_j a_ij*x_j*dx_j - beta_i as text, signs unspaced: "x_1*dx_1-2*x_2*dx_2+1/2"."""
+    terms = format_combination(op.coefficients, lambda j: f"{x(j)}*{dx(j)}")
+    return terms + _shift_text(op.shift, imaginary_unit)
 
 
 def _export_macaulay2(system: ToricSystem) -> str:

@@ -172,13 +172,6 @@ def _normal_form(
     return oriented(p, q, key)
 
 
-def normal_form(
-    pair: BinPair, basis: Sequence[BinPair], key: OrderKey, budget: StepBudget
-) -> Optional[BinPair]:
-    """Fully reduce a pure difference; None means it reduced to zero."""
-    return _normal_form(pair, basis, _Leads(lead for lead, _ in basis), key, budget)
-
-
 def _spair(f: BinPair, g: BinPair, lcm: Monomial) -> Optional[BinPair]:
     """The S-pair's two monomials, unordered: _normal_form orients them after
     reducing each, which takes the same steps in either order."""

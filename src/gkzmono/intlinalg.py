@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InputError
 
@@ -40,6 +40,17 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def format_combination(coefficients: Sequence[int], name: Callable[[int], str], gap="") -> str:
+    """c_1*name(1) + c_2*name(2) + ... as text, "0" if all c_j are 0: +-1 prints bare, any
+    other c as |c|*; each inner term is signed with gap on both sides, a first only by "-"."""
+    text = ""
+    for j, c in enumerate(coefficients, start=1):
+        if c:
+            sign = f"{gap}{'-' if c < 0 else '+'}{gap}" if text else "-" if c < 0 else ""
+            text += sign + (name(j) if c in (1, -1) else f"{abs(c)}*{name(j)}")
+    return text or "0"
 
 
 @dataclass(frozen=True)

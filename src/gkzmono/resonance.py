@@ -51,7 +51,7 @@ from typing import Optional
 from .cones import BRUTE_FORCE_LIMIT, Configuration, Face, Parameter, as_parameter
 from .cones import _check_labels, _face, _face_closure, _facets, _hermite_reduce
 from .cones import _perp_kernel, _perp_lattice_basis, per_configuration
-from .intlinalg import IntVec
+from .intlinalg import IntVec, format_combination
 
 
 def face_functionals(config: Configuration, face: Face) -> tuple[IntVec, ...]:
@@ -237,25 +237,8 @@ def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
 
 
 def _congruence_text(w: IntVec) -> str:
-    """The congruence "w . beta in Z" as text."""
-    terms = []
-    for k, c in enumerate(w, start=1):
-        if c == 0:
-            continue
-        if c == 1:
-            term = f"b{k}"
-        elif c == -1:
-            term = f"-b{k}"
-        else:
-            term = f"{c}*b{k}"
-        if terms and not term.startswith("-"):
-            terms.append(f"+ {term}")
-        elif terms:
-            terms.append(f"- {term[1:]}")
-        else:
-            terms.append(term)
-    expr = " ".join(terms) if terms else "0"
-    return f"{expr} in Z"
+    """The congruence "w . beta in Z" as text, signs spaced: "b1 - 2*b3 in Z"."""
+    return format_combination(w, lambda k: f"b{k}", " ") + " in Z"
 
 
 @dataclass(frozen=True)

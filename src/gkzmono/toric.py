@@ -38,9 +38,9 @@ from .groebner import (
     buchberger,
     elimination_key,
     grevlex_key,
-    normal_form,
     reduced_basis,
 )
+from .groebner import _Leads, _normal_form
 from .intlinalg import GaussRat, IntVec, integer_entries
 
 Monomial = tuple[int, ...]
@@ -215,15 +215,16 @@ def _saturate(config: Configuration, max_steps: int) -> tuple[tuple[Binomial, ..
 def in_ideal(binomials: Sequence[Binomial], candidate: Binomial, nvars: int) -> bool:
     """Groebner normal-form membership test against a generating set.
 
-    Recomputes a grevlex basis of the given binomials first, so the test is sound
-    for any generating set, also one with a binomial m - 1 (its variables are then
-    units).  Raises DimensionMismatch unless every binomial has nvars exponents.
+    Reduces the candidate by a grevlex basis of the binomials, computed here, so the test
+    is sound for any generating set, also one with a binomial m - 1 (its variables are
+    then units).  Raises DimensionMismatch unless every binomial has nvars exponents.
     """
     if any(len(b.plus) != nvars for b in (*binomials, candidate)):
         raise DimensionMismatch(f"binomials must have {nvars} exponents")
     budget = StepBudget(DEFAULT_STEP_BUDGET)
     basis = buchberger([(b.plus, b.minus) for b in binomials], grevlex_key, budget)
-    return normal_form((candidate.plus, candidate.minus), basis, grevlex_key, budget) is None
+    pair, leads = (candidate.plus, candidate.minus), _Leads(lead for lead, _ in basis)
+    return _normal_form(pair, basis, leads, grevlex_key, budget) is None
 
 
 def hypergeometric_system(

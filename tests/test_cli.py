@@ -370,6 +370,67 @@ class TestExitCodes:
             cli.reduce_configuration = original
 
 
+SPELLINGS = {
+    "comma list": ["-A", QUADRIC_ARG, "-b", "1/2,1"],
+    "json list": ["-A", QUADRIC_ARG, "-b", '["1/2","1"]'],
+    "job file": ["--input", "job.json"],
+    "unreduced": ["-A", QUADRIC_ARG, "-b", "2/4,1"],
+    "plus sign": ["-A", QUADRIC_ARG, "-b", "+1/2,1"],
+    "re only": ["-A", QUADRIC_ARG, "-b", '[{"re":"1/2"},"1"]'],
+    "re and im": ["-A", QUADRIC_ARG, "-b", '[{"re":"1/2","im":"0"},"1"]'],
+    "matrix file": ["-A", "@matrix.json", "-b", "1/2,1"],
+    "spaced list": ["-A", QUADRIC_ARG, "-b", "1/2, 1"],
+    "json int": ["-A", QUADRIC_ARG, "-b", '["1/2", 1]'],
+    "whole fraction": ["-A", QUADRIC_ARG, "-b", "1/2,2/2"],
+    "attached": ["-A", QUADRIC_ARG, "--beta=1/2,1"],
+}
+UNKNOWN_KEYS = "unknown keys in input file: ['Beta', 'max_steps']"
+
+
+class TestSpellings:
+    """Equal inputs spelled differently print the same bytes; given options are read."""
+
+    @pytest.fixture(autouse=True)
+    def job_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        quadric = [[1, 1, 1], [0, 1, 2]]
+        (tmp_path / "matrix.json").write_text(json.dumps(quadric))
+        (tmp_path / "job.json").write_text(json.dumps({"A": quadric, "beta": ["1/2", "1"]}))
+        (tmp_path / "unknown.json").write_text(
+            json.dumps({"A": quadric, "beta": ["1/2", "1"], "Beta": ["0", "0"], "max_steps": 1})
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["classify", "centers"])
+    @pytest.mark.parametrize("spelling", SPELLINGS.values(), ids=SPELLINGS.keys())
+    def test_equal_inputs_print_the_same_bytes(self, capture, command, mode, spelling):
+        reference = capture([command, *SPELLINGS["comma list"], *mode])
+        assert reference[0] == 0 and reference[1] and not reference[2]
+        assert capture([command, *spelling, *mode]) == reference
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--input", "job.json", "-b", ""], "empty entry in beta list"),
+            (["classify", "-A", QUADRIC_ARG, "-b", ""], "empty entry in beta list"),
+            (["classify", "--input", "job.json", "-A", ""], "matrix is not valid JSON"),
+            (["classify", "-A", "", "-b", "1/2,1"], "matrix is not valid JSON"),
+            (["classify", "--input", "", "-b", "1/2,1"], "No such file"),
+            (["volume", "--input", ""], "No such file"),
+            (["classify", "--input", "unknown.json"], UNKNOWN_KEYS),
+            (["toric-ideal", "--input", "unknown.json"], UNKNOWN_KEYS),
+        ],
+        ids=[
+            "empty-beta-over-job", "empty-beta", "empty-matrix-over-job", "empty-matrix",
+            "empty-input", "empty-input-volume", "unknown-keys-classify", "unknown-keys-toric",
+        ],
+    )
+    def test_empty_option_or_unknown_key_is_an_input_error(self, capture, argv, message):
+        code, out, err = capture(argv)
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
+
 class TestLongIntegers:
     """Integers past CPython's 4300-digit int/str limit are read and printed exactly."""
 

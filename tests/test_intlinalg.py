@@ -18,7 +18,16 @@ from gkzmono import (
     parse_rational,
     smith_normal_form,
 )
-from gkzmono.intlinalg import _hermite_solutions, _kernel_rows, primitive_vector, rank_int
+from gkzmono.exporters import _euler_text
+from gkzmono.intlinalg import (
+    _hermite_solutions,
+    _kernel_rows,
+    format_combination,
+    primitive_vector,
+    rank_int,
+)
+from gkzmono.resonance import _congruence_text
+from gkzmono.toric import EulerOperator
 from oracles import fraction_elimination, kernel_by_hermite_transform, matmul, solve_rational
 from sweeps import random_configuration
 
@@ -378,6 +387,33 @@ class TestHermiteCoordinates:
                 if v == planted:
                     assert member
         assert min(kinds.values()) >= 5, kinds
+
+
+class TestFormatCombination:
+    """The one renderer of signed integer sums, against the texts that the congruence
+    ("w . beta in Z", gap " ") and Euler-operator (gap "") renderers printed before."""
+
+    @pytest.mark.parametrize(
+        "coefficients, congruence, euler",
+        [
+            ((), "0", "0"),
+            ((0, 0, 0), "0", "0"),
+            ((1,), "b1", "x_1*dx_1"),
+            ((-1,), "-b1", "-x_1*dx_1"),
+            ((-1, 2, 0), "-b1 + 2*b2", "-x_1*dx_1+2*x_2*dx_2"),
+            ((1, -1, 2, -2), "b1 - b2 + 2*b3 - 2*b4", "x_1*dx_1-x_2*dx_2+2*x_3*dx_3-2*x_4*dx_4"),
+            ((3, 0, -1), "3*b1 - b3", "3*x_1*dx_1-x_3*dx_3"),
+            ((-3, 0, 1), "-3*b1 + b3", "-3*x_1*dx_1+x_3*dx_3"),
+            ((0, -2, 0, 1), "-2*b2 + b4", "-2*x_2*dx_2+x_4*dx_4"),
+            ((10**30, -1), f"{10**30}*b1 - b2", f"{10**30}*x_1*dx_1-x_2*dx_2"),
+        ],
+    )
+    def test_both_gaps_match_the_old_renderers(self, coefficients, congruence, euler):
+        assert format_combination(coefficients, lambda k: f"b{k}", " ") == congruence
+        assert format_combination(coefficients, lambda j: f"x_{j}*dx_{j}") == euler
+        assert _congruence_text(coefficients) == f"{congruence} in Z"
+        op = EulerOperator(1, coefficients, GaussRat(Fraction(-1, 2)))
+        assert _euler_text(op, lambda j: f"x_{j}", lambda j: f"dx_{j}", "ii") == euler + "-1/2"
 
 
 class TestGaussRat:
