@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import Configuration, Face, Parameter, reduce_configuration
+from .cones import Configuration, Face, Parameter, _facets, per_configuration, reduce_configuration
 from .errors import InternalInconsistency
 from .intlinalg import IntMatrix
-from .pyramids import is_pyramid
+from .pyramids import _related_columns, is_pyramid
 from .resonance import _walk
 from .volume import face_volume, generic_rank
 
@@ -36,16 +36,8 @@ class Classification:
     basis: IntMatrix
 
     def to_json(self) -> dict:
-        details = []
-        for face, pyramid, vol in zip(self.centers, self.pyramid_flags, self.face_volumes):
-            details.append(
-                {
-                    "indices": list(face.indices),
-                    "witness": list(face.witness),
-                    "pyramid": pyramid,
-                    "face_volume": vol,
-                }
-            )
+        details = [{**face.to_json(), "pyramid": pyramid, "face_volume": vol} for face, pyramid, vol
+                   in zip(self.centers, self.pyramid_flags, self.face_volumes)]
         return {
             "verdict": self.verdict,
             "centers": [list(f.indices) for f in self.centers],
@@ -59,16 +51,24 @@ class Classification:
         }
 
 
+@per_configuration
+def _facets_missing_related(config: Configuration) -> frozenset[int]:
+    """The indices in _facets of the facets that miss a related column (see classify)."""
+    related = sum(1 << j - 1 for j in _related_columns(config))
+    return frozenset(k for k, (_, mask) in enumerate(_facets(config)) if related & ~mask)
+
+
 def classify(A_raw: IntMatrix, beta_raw) -> Classification:
     """Classify the monodromy of the system attached to (A, beta).
 
     Normalizes the input, finds the resonance centers, and applies the
-    pyramid criterion to each.  Also asserts two facts the theory
-    guarantees: a pyramid center is the unique center, and a reducible
-    verdict with a nonempty center comes with a strict volume drop.
+    pyramid criterion to each.  Also asserts three facts the theory
+    guarantees: a pyramid center is the unique center, a reducible verdict
+    with a nonempty center shows a strict volume drop, and the facet theorem
+    holds: Irreducible iff every member facet contains the related columns.
     """
     config, beta, basis = reduce_configuration(A_raw, beta_raw)
-    report = _walk(config, beta)
+    report, member_facets = _walk(config, beta)
     flags = tuple(is_pyramid(config, f) for f in report.centers)
     rank = generic_rank(config)
     volumes = tuple(face_volume(config, f) if f.indices else None for f in report.centers)
@@ -85,6 +85,9 @@ def classify(A_raw: IntMatrix, beta_raw) -> Classification:
                 raise InternalInconsistency(
                     "reducible verdict without a strict volume drop"
                 )
+    reducible = member_facets and not _facets_missing_related(config).isdisjoint(member_facets)
+    if bool(reducible) != (verdict == REDUCIBLE):
+        raise InternalInconsistency("the verdict disagrees with the facet theorem")
     return Classification(
         verdict=verdict,
         centers=report.centers,

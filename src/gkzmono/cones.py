@@ -45,10 +45,10 @@ from .intlinalg import (
     IntVec,
     _hermite_rows,
     _hermite_solutions,
-    _kernel_rows,
     integer_entries,
     kernel_lattice_basis,
     primitive_vector,
+    xgcd,
 )
 
 Parameter = tuple[GaussRat, ...]
@@ -371,21 +371,34 @@ def _hull(config: Configuration) -> tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _perp_kernel(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
-    """A basis of {w in Z^d : w . a_j = 0 for j in labels (sorted)}, a saturated lattice.
+def _perp_step(basis: Sequence[IntVec], column: IntVec) -> tuple[IntVec, ...]:
+    """A basis of L ∩ column^perp, L spanned by the basis rows: one unimodular step.
 
-    _kernel_rows on the rows of config.A cut to the labels.  Not memoized.
+    Integer row operations bring x = (w . column for w in basis) to one
+    nonzero entry, whose row is dropped; x = 0 returns the rows as they are.
     """
-    rows = [[row[j - 1] for j in labels] for row in config.A.data]
-    return tuple(map(tuple, _kernel_rows(rows, len(labels))))
+    rows, x, pivot = list(basis), [sum(map(mul, w, column)) for w in basis], None
+    for k, b in enumerate(x):
+        if b and pivot is None:
+            pivot = k
+        elif b:  # rows (pivot, k) <- (s p + t r, (a r - b p) / g): x_k becomes 0
+            a, p, r = x[pivot], rows[pivot], rows[k]
+            g, s, t = xgcd(a, b) if b % a else (a, 1, 0)
+            rows[pivot], x[pivot] = (tuple(s * u + t * v for u, v in zip(p, r)) if t else p), g
+            a, b = a // g, b // g
+            rows[k] = tuple(a * v - b * u for u, v in zip(p, r))
+    return tuple(row for k, row in enumerate(rows) if k != pivot)
 
 
 @per_configuration
 def _perp_lattice_basis(config: Configuration, labels: tuple[int, ...]) -> tuple[IntVec, ...]:
-    """The canonical basis of that lattice (memoized): _perp_kernel's rows in Hermite form."""
-    basis = list(_perp_kernel(config, labels))
-    _hermite_rows(basis, config.d)
-    return tuple(map(tuple, basis))
+    """Hermite basis of {w in Z^d : w . a_j = 0 for j in labels}: one _perp_step per column."""
+    basis = [(0,) * i + (1,) + (0,) * (config.d - 1 - i) for i in range(config.d)]
+    for j in labels:
+        basis = _perp_step(basis, config._columns[j - 1])
+    rows = list(map(list, basis))
+    _hermite_rows(rows, config.d)
+    return tuple(map(tuple, rows))
 
 
 def _check_labels(config: Configuration, labels: tuple[int, ...]) -> None:

@@ -17,12 +17,11 @@ read.  A facet's lattice is Z*v, v its primitive inner normal read off the
 hull (cones._facets), and its canonical basis is v signed to start positive.
 The walk reads the functionals of every face from a table in lattice order,
 (size, indices), built once per configuration with the cover relation, and
-only below a member facet.  The table keeps any basis: a facet's inner
-normal, and for every other face the kernel rows of one Hermite pass
-(cones._perp_kernel).  It is read off the closure of the
-facet bitmasks (cones._face_closure) and holds no Face until the walk
-reports one: a reported face is built once (cones._face) and kept by
-position, so a walk witnesses its member faces and nothing else.
+only below a member facet.  One pass up the closure of the facet bitmasks
+(cones._face_closure) reads each face's covers off bitsets and cuts its
+lattice from a face it covers by one unimodular step (cones._perp_step); a
+facet keeps its inner normal.  The table holds no Face until the walk
+reports one: a reported face is built once (cones._face), kept by position.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -44,13 +43,15 @@ of the resonant arrangement; their text is formatted only when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
-from operator import mul
-from typing import Optional
+from operator import mul, or_
+from typing import Optional, Sequence
 
 from .cones import BRUTE_FORCE_LIMIT, Configuration, Face, Parameter, as_parameter
 from .cones import _check_labels, _face, _face_closure, _facets, _hermite_reduce
-from .cones import _perp_kernel, _perp_lattice_basis, per_configuration
+from .cones import _perp_lattice_basis, _perp_step, per_configuration
+from .errors import InternalInconsistency
 from .intlinalg import IntVec, format_combination
 
 
@@ -65,11 +66,10 @@ class _ResonanceTable:
     """Per-face data in lattice order, plus the cover relation.
 
     closure is cones._face_closure, the (column bitmask, labels) of every
-    face.  faces maps a position to its Face once a report has read it:
-    _walk builds only the faces it reports.  below[i] holds the positions of
-    the faces that face i covers, cover_counts[i] the number of faces that
-    cover face i, and facets[k] the position of the k-th entry of cones._facets,
-    the hull's facets sorted by inner normal.
+    face, and faces maps a position to its Face once a report has read it.
+    below[i] holds the positions of the faces that face i covers,
+    cover_counts[i] the number of faces covering it, and facets[k] the
+    position of the k-th facet of cones._facets.
     """
 
     closure: tuple[tuple[int, tuple[int, ...]], ...]
@@ -82,33 +82,46 @@ class _ResonanceTable:
 
 @per_configuration
 def _resonance_table(config: Configuration) -> _ResonanceTable:
-    """The functionals and covers of every face, read off the bitmask closure.
+    """The functionals and covers of every face, in one pass up the bitmask closure.
 
-    A facet keeps its inner normal, found by its position in the lattice, and
-    every other face the kernel rows of one Hermite pass, not the canonical
-    basis of face_functionals: any basis has the same congruences and
-    corank.  G covers F iff G contains F and has rank one more.  The rank of
-    a face is d minus the number of its functionals, and the face lattice of
-    a cone, pointed or not, is graded by rank.  No Face is built here.
+    Bitsets over positions grow with the pass, per column (the faces holding
+    it) and per rank.  A face's subfaces are the earlier positions holding no
+    column outside it, its covers those of the highest rank present, and its
+    rank one more (the face lattice is graded).  A facet keeps its inner
+    normal, the minimal face its canonical basis, and any other face G takes
+    F ∩ a_j^perp (cones._perp_step), F the first face it covers and a_j a
+    column of G outside F, off span F since C ∩ span F = F.
     """
-    closure = _face_closure(config)
-    masks = [mask for mask, _ in closure]
-    position = {mask: i for i, mask in enumerate(masks)}
-    facets = {position[mask]: (normal,) for normal, mask in _facets(config)}  # in _facets order
-    functionals = tuple(facets.get(i) or _perp_kernel(config, labels)
-                        for i, (_, labels) in enumerate(closure))
-    by_corank: dict[int, list[int]] = {}
-    for i, w in enumerate(functionals):
-        by_corank.setdefault(len(w), []).append(i)
-    below = tuple(
-        tuple(i for i in by_corank.get(len(w) + 1, ()) if masks[i] & mask == masks[i])
-        for w, mask in zip(functionals, masks)
-    )
-    cover_counts = [0] * len(closure)
-    for positions in below:
-        for i in positions:
-            cover_counts[i] += 1
-    return _ResonanceTable(closure, {}, functionals, below, tuple(cover_counts), tuple(facets))
+    closure, d = _face_closure(config), config.d
+    facet_of = {mask: (k, (normal,)) for k, (normal, mask) in enumerate(_facets(config))}
+    facets, holds, at_rank = [0] * len(facet_of), [0] * config.n, [0] * (d + 1)
+    functionals, below, cover_counts = [], [], [0] * len(closure)
+    for i, (mask, labels) in enumerate(closure):
+        outside = reduce(or_, (h for j, h in enumerate(holds) if not mask >> j & 1), 0)
+        subfaces = (1 << i) - 1 & ~outside
+        rank = max((r for r, faces in enumerate(at_rank) if faces & subfaces), default=-1)
+        covered, bits = [], at_rank[rank] & subfaces
+        while bits:  # the positions of the covers, ascending
+            covered.append((bits & -bits).bit_length() - 1)
+            cover_counts[covered[-1]] += 1
+            bits &= bits - 1
+        if mask in facet_of:
+            k, entry = facet_of[mask]
+            facets[k] = i
+        elif i:
+            basis, beyond = functionals[covered[0]], mask & ~closure[covered[0]][0]
+            entry = _perp_step(basis, config._columns[(beyond & -beyond).bit_length() - 1])
+            if len(entry) == len(basis):
+                raise InternalInconsistency("a face's column lies in the span of a face it covers")
+        else:
+            entry = _perp_lattice_basis(config, labels)
+        functionals.append(entry)
+        below.append(tuple(covered))
+        at_rank[rank + 1 if i else d - len(entry)] |= 1 << i
+        for j in labels:
+            holds[j - 1] |= 1 << i
+    return _ResonanceTable(closure, {}, tuple(functionals), tuple(below), tuple(cover_counts),
+                           tuple(facets))
 
 
 def _reported_face(config: Configuration, i: int, entry: tuple[int, tuple[int, ...]]) -> Face:
@@ -168,11 +181,8 @@ class ResonanceReport:
         )
 
     def to_json(self) -> dict:
-        members = []
-        for face, congruences in zip(self.member_faces, self.member_congruences):
-            entry = face.to_json()
-            entry["congruences"] = list(congruences)
-            members.append(entry)
+        members = [{**face.to_json(), "congruences": list(congruences)}
+                   for face, congruences in zip(self.member_faces, self.member_congruences)]
         return {
             "beta": [b.to_json() for b in self.beta],
             "member_faces": members,
@@ -196,7 +206,7 @@ def _minimal_face(config: Configuration) -> tuple[Face, ...]:
 
 def resonance_centers(config: Configuration, beta) -> ResonanceReport:
     """All member faces and the inclusion-minimal ones (never empty)."""
-    return _walk(config, as_parameter(beta, config.d))
+    return _walk(config, as_parameter(beta, config.d))[0]
 
 
 def _member_facets(facets, scale: int, re: IntVec, im: IntVec) -> list[int]:
@@ -205,17 +215,16 @@ def _member_facets(facets, scale: int, re: IntVec, im: IntVec) -> list[int]:
             if not (im and sum(map(mul, v, im))) and not sum(map(mul, v, re)) % scale]
 
 
-def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
-    """resonance_centers on a coerced parameter."""
-    scaled = _scaled(beta)
+def _walk(config: Configuration, beta: Parameter) -> tuple[ResonanceReport, Sequence[int]]:
+    """(resonance_centers on a coerced parameter, the indices of its member facets in _facets)."""
+    scaled, facets = _scaled(beta), _facets(config)  # a lone facet is the minimal face
     if _passes(_perp_lattice_basis(config, config.lineality_columns), *scaled):
-        return ResonanceReport(config, beta, None, _minimal_face(config))  # all faces are members
-    facets = _facets(config)  # a lone facet is the minimal face, which has failed
+        return ResonanceReport(config, beta, None, _minimal_face(config)), range(len(facets))
     member_facets = _member_facets(facets, *scaled) if len(facets) > 1 else ()
     if not member_facets:
         # The full face is always a member: the columns span Q^d.
         full = _full_face(config)
-        return ResonanceReport(config, beta, full, full)
+        return ResonanceReport(config, beta, full, full), ()
     table = _resonance_table(config)
     below = table.below
     pending = list(table.cover_counts)
@@ -232,8 +241,8 @@ def _walk(config: Configuration, beta: Parameter) -> ResonanceReport:
     for i in members:
         if i not in faces:
             faces[i] = _reported_face(config, i, table.closure[i])
-    return ResonanceReport(config, beta, tuple(faces[i] for i in members),
-                           tuple(faces[i] for i in members if found.isdisjoint(below[i])))
+    return ResonanceReport(config, beta, tuple(faces[i] for i in members), tuple(
+        faces[i] for i in members if found.isdisjoint(below[i]))), member_facets
 
 
 def _congruence_text(w: IntVec) -> str:

@@ -59,12 +59,20 @@ volume.face_volume reads off a face's rank (intlinalg.rank_int).
 
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through the IntMatrix Hermite form of the face matrix, the reference for
-the reduction of the face's own rows in cones._perp_lattice_basis and, up
-to a Hermite form, for the kernel rows that the resonance table keeps
-(cones._perp_kernel).  kernel_by_hermite_transform reads the kernel of A
-the same way, off the transform of the IntMatrix Hermite form of A^T: the
-reference for intlinalg.kernel_lattice_basis, which carries the transform
-on plain rows.
+the unimodular steps of cones._perp_lattice_basis and cones._perp_step and,
+up to a Hermite form, for every entry of the resonance table.
+kernel_by_hermite_transform reads the kernel of A the same way, off the
+transform of the IntMatrix Hermite form of A^T: the reference for
+intlinalg.kernel_lattice_basis, which carries the transform on plain rows.
+
+resonance_table_by_hermite_kernels builds the resonance table the way the
+runtime once did: one Hermite kernel pass per face that is not a facet
+(intlinalg._kernel_rows on the face's rows cut from A), and the covers by a
+scan of every face whose number of functionals is one more.  It is the
+reference for the upward pass of resonance._resonance_table, which reads
+covers off bitsets and each lattice off a face it covers by one step.
+resonance_table_mismatches names the fields in which the two tables differ,
+comparing entries by their row Hermite forms (hermite_rows).
 
 triangulation_failures checks a triangulation certificate against the
 axioms of a triangulation of conv(points) (De Loera, Rambau & Santos,
@@ -108,8 +116,8 @@ from gkzmono import (
     reduce_configuration,
     smith_normal_form,
 )
-from gkzmono.cones import per_configuration
-from gkzmono.intlinalg import _hermite_rows, _hermite_solutions, primitive_vector
+from gkzmono.cones import _face_closure, _facets, per_configuration
+from gkzmono.intlinalg import _hermite_rows, _hermite_solutions, _kernel_rows, primitive_vector
 from gkzmono.resonance import _resonance_table
 from gkzmono.volume import _volume_of_matrix
 
@@ -602,6 +610,60 @@ def perp_lattice_by_hermite_forms(config, labels):
     """
     face = IntMatrix.from_columns([config.column(j) for j in labels], config.d)
     return hermite_kernel_basis(*hermite_normal_form(face))
+
+
+def hermite_rows(rows, d):
+    """The row Hermite form of integer rows of width d: the canonical basis of their lattice."""
+    rows = [list(w) for w in rows]
+    _hermite_rows(rows, d)
+    return tuple(map(tuple, rows))
+
+
+def resonance_table_by_hermite_kernels(config):
+    """(closure, functionals, below, cover_counts, facets) as resonance._resonance_table's fields.
+
+    A facet's entry is its hull normal; every other face takes the kernel
+    rows of one Hermite pass on its rows cut from A.  G covers F iff G
+    contains F and has one functional fewer: the face lattice is graded.
+    """
+    closure = _face_closure(config)
+    masks = [mask for mask, _ in closure]
+    position = {mask: i for i, mask in enumerate(masks)}
+    facets = {position[mask]: (normal,) for normal, mask in _facets(config)}
+    functionals = tuple(
+        facets.get(i) or tuple(map(tuple, _kernel_rows(
+            [[row[j - 1] for j in labels] for row in config.A.data], len(labels))))
+        for i, (_, labels) in enumerate(closure)
+    )
+    by_corank = {}
+    for i, w in enumerate(functionals):
+        by_corank.setdefault(len(w), []).append(i)
+    below = tuple(
+        tuple(i for i in by_corank.get(len(w) + 1, ()) if masks[i] & mask == masks[i])
+        for w, mask in zip(functionals, masks)
+    )
+    cover_counts = [0] * len(closure)
+    for positions in below:
+        for i in positions:
+            cover_counts[i] += 1
+    return closure, functionals, below, tuple(cover_counts), tuple(facets)
+
+
+def resonance_table_mismatches(config):
+    """The fields of resonance._resonance_table that differ from the Hermite kernel table.
+
+    Entries are compared by their Hermite forms (any basis of the lattice
+    serves the walk); [] when the tables agree.
+    """
+    table = _resonance_table(config)
+    closure, functionals, below, cover_counts, facets = resonance_table_by_hermite_kernels(config)
+    fields = {"closure": closure, "below": below, "cover_counts": cover_counts, "facets": facets}
+    mismatches = [name for name, value in fields.items() if getattr(table, name) != value]
+    hermite = [[hermite_rows(w, config.d) for w in entries]
+               for entries in (table.functionals, functionals)]
+    if hermite[0] != hermite[1]:
+        mismatches.append("functionals")
+    return mismatches
 
 
 def triangulated_face_volume(config, face):

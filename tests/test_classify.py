@@ -17,6 +17,7 @@ from gkzmono import (
     GaussRat,
     InputError,
     IntMatrix,
+    InternalInconsistency,
     classify,
     cones,
     hypergeometric_system,
@@ -208,6 +209,29 @@ class TestTheoremConsistency:
             expected = tuple(j for j, c in enumerate(coords, start=1) if not c.is_integer)
             assert result.verdict == IRREDUCIBLE
             assert [f.indices for f in result.centers] == [expected]
+
+    # The facet theorem: Irreducible iff every member facet contains the
+    # related columns.  classify reads it off the facets its walk swept: all
+    # of them when the minimal face is a member, none when no facet passes.
+    # A wrong related set makes the reading disagree with the verdict,
+    # except on a nonresonant beta, whose walk swept no member facet.
+    @pytest.mark.parametrize(
+        "matrix, beta, related, raises",
+        [
+            (QUADRIC, [0, 0], frozenset(), True),  # all facets, Reducible
+            (IntMatrix([[1, 0], [0, 1]]), ["1/2", 0], frozenset({1, 2}), True),  # {1}, Irreducible
+            (IntMatrix([[1, 0], [0, 1]]), ["1/2", "1/3"], frozenset({1, 2}), False),  # none
+        ],
+        ids=["minimal_face_member", "one_member_facet", "nonresonant"],
+    )
+    def test_facet_theorem_disagreement_raises(self, monkeypatch, matrix, beta, related, raises):
+        module = sys.modules["gkzmono.classify"]
+        monkeypatch.setattr(module, "_related_columns", lambda config: related)
+        if not raises:
+            assert classify(matrix, beta).verdict == IRREDUCIBLE
+            return
+        with pytest.raises(InternalInconsistency, match="disagrees with the facet theorem"):
+            classify(matrix, beta)
 
     def test_integral_beta_with_more_distinct_columns_than_d(self):
         rng = random.Random(83)
@@ -627,10 +651,10 @@ class TestCacheStructure:
         self, monkeypatch, matrix, beta
     ):
         # The related columns come off the hull's facets.  Validation
-        # carries exactly one column (all ones, for the grading); the only
-        # other pass that carries a block is a face's perp lattice
-        # (cones._perp_kernel, through intlinalg._kernel_rows), whose block
-        # is the d x d identity, never the n x n transform.
+        # carries exactly one column (all ones, for the grading), and no
+        # other pass carries a block: a face's perp lattice comes from
+        # unimodular steps (cones._perp_step) and a transform-free pass,
+        # never from a kernel pass (intlinalg._kernel_rows).
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
         kernels = spy_on(monkeypatch, "kernel_lattice_basis", "hermite_normal_form")
@@ -638,7 +662,7 @@ class TestCacheStructure:
         assert kernels == []
         carried = [(caller, len(rows[0]) - width) for caller, width, rows in passes
                    if rows and len(rows[0]) > width]
-        assert set(carried) <= {("_kernel_rows", config.d), ("__init__", 1)}
+        assert set(carried) <= {("__init__", 1)}
         assert all(len(rows[0]) == width + 1 for caller, width, rows in passes
                    if caller == "__init__")
 

@@ -196,7 +196,7 @@ KERNEL_ROWS_CASES = kernel_rows_cases()
 
 
 class TestKernelRows:
-    """The one Hermite kernel pass behind kernel_lattice_basis and cones._perp_kernel."""
+    """The one Hermite kernel pass behind kernel_lattice_basis (and the table oracle)."""
 
     @pytest.mark.parametrize("index", range(len(KERNEL_ROWS_CASES)))
     def test_spans_the_saturated_kernel(self, index):

@@ -30,7 +30,9 @@ from gkzmono.cones import per_configuration
 from oracles import (
     face_by_fourier_motzkin,
     fraction_in_resonant_span,
+    hermite_rows,
     perp_lattice_by_hermite_forms,
+    resonance_table_mismatches,
     solve_rational,
 )
 from sweeps import (
@@ -354,10 +356,11 @@ class TestFacetFunctionals:
     face_functionals reads the canonical basis of every face, a facet's
     included: its inner normal with the first nonzero entry positive.  The table
     keeps a facet's inner normal as the hull gives it (positive inside) and,
-    for every other face, the kernel rows of one Hermite pass as they come: any
-    Z-basis of the perp lattice, so its rows are checked by their count and
-    Hermite form.  The reference is the IntMatrix Hermite path of the oracles,
-    not cones._perp_lattice_basis, which face_functionals reads.
+    for every other face, the rows of one unimodular step from a face it
+    covers as they come: any Z-basis of the perp lattice, so its rows are
+    checked by their count and Hermite form.  The reference is the IntMatrix
+    Hermite path of the oracles, not cones._perp_lattice_basis, which
+    face_functionals reads.
     """
 
     @staticmethod
@@ -413,6 +416,115 @@ class TestFacetFunctionals:
         full = Configuration(IntMatrix(DENSE_FIVE_BY_EIGHT))
         assert cones._facets(full) == ()
         self.assert_match_the_hermite_form(full)
+
+
+class TestUpwardPass:
+    """The resonance table against the table it replaced.
+
+    oracles.resonance_table_by_hermite_kernels takes one Hermite kernel pass
+    per face and scans every face for covers.  The upward pass must give
+    equal closure, below, cover_counts and facets tuples, and entries with
+    equal Hermite forms (any basis of the lattice serves the walk).
+    """
+
+    def test_random_configurations(self):
+        rng = random.Random(137)
+        configs = [random_configuration(rng, dmax=5, nmax=8, lo=-3 * (k % 2))
+                   for k in range(200)]
+        pointed = [c.lineality_columns == () for c in configs]
+        assert any(pointed) and not all(pointed)
+        for config in configs:
+            assert resonance_table_mismatches(config) == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [BETA_SWEEP_MATRIX, random_homogeneous_configuration(random.Random(5), 6, 16).A,
+         HALF_SPACE, IntMatrix(DENSE_FIVE_BY_EIGHT)],
+        ids=["beta_sweep", "cone_6_16", "half_space", "full_space"],
+    )
+    def test_wide_and_degenerate_configurations(self, matrix):
+        assert resonance_table_mismatches(Configuration(matrix)) == []
+
+    def test_cold_facet_resonant_classify_takes_one_step_per_face(self, monkeypatch):
+        # Every face that is neither a facet nor the minimal face takes one
+        # step from a face it covers; no face takes a Hermite kernel pass.
+        cones._normalize_matrix.cache_clear()
+        kernels, steps = [], []
+        kernel_rows, step = intlinalg._kernel_rows, cones._perp_step
+
+        def kernel_spy(*args):
+            kernels.append(sys._getframe(1).f_code.co_name)
+            return kernel_rows(*args)
+
+        def step_spy(*args):
+            steps.append(sys._getframe(1).f_code.co_name)
+            return step(*args)
+
+        monkeypatch.setattr(intlinalg, "_kernel_rows", kernel_spy)
+        for module in (cones, resonance):
+            monkeypatch.setattr(module, "_perp_step", step_spy)
+        matrix = random_homogeneous_configuration(random.Random(5), 6, 16).A
+        config = classify(matrix, ["1/3", 0, 0, 0, 0, 0]).configuration
+        assert memo_entries(config, resonance._resonance_table) == 1
+        assert config.lineality_columns == ()  # the minimal face is no facet
+        faces, facets = len(cones._face_closure(config)), len(cones._facets(config))
+        assert kernels == []
+        assert steps.count("_resonance_table") == faces - facets - 1 == 570
+
+
+class TestPerpStep:
+    """cones._perp_step: L ∩ a^perp in one unimodular step, against the Hermite-form oracle."""
+
+    @pytest.mark.parametrize(
+        "column", [(2, 3), (-2, 3), (4, 6, 9), (-4, 6, -9), (0, -6, 4), (6, 10, 15), (3, 0, -2, 5)]
+    )
+    def test_non_unit_gcd_paths_from_the_unit_basis(self, column):
+        # The unit basis gives x = column, so the pivot entry runs through
+        # gcd steps before its row is dropped.
+        d = len(column)
+        units = [tuple(int(i == k) for k in range(d)) for i in range(d)]
+        config = Configuration(IntMatrix.from_columns([column, *units], d))
+        rows = cones._perp_step(units, column)
+        assert len(rows) == d - 1
+        assert hermite_rows(rows, d) == perp_lattice_by_hermite_forms(config, (1,))
+
+    def test_steps_from_every_subset_lattice(self):
+        # From a signed, reordered basis of the lattice of a label set S, one
+        # step by column j gives the lattice of S + {j}: it drops a row iff
+        # column j is off span S, and otherwise returns the rows unchanged.
+        rng = random.Random(151)
+        dropped = kept = 0
+        for _ in range(40):
+            config = random_configuration(rng, dmax=4, nmax=6, lo=-4, hi=4)
+            for k in range(config.n):
+                for labels in itertools.combinations(range(1, config.n + 1), k):
+                    signs = rng.choices((1, -1), k=config.d)
+                    basis = [tuple(sign * x for x in w) for sign, w in
+                             zip(signs, perp_lattice_by_hermite_forms(config, labels))]
+                    rng.shuffle(basis)
+                    j = rng.choice([j for j in range(1, config.n + 1) if j not in labels])
+                    rows = cones._perp_step(basis, config.column(j))
+                    expected = perp_lattice_by_hermite_forms(config, tuple(sorted((*labels, j))))
+                    assert hermite_rows(rows, config.d) == expected
+                    if len(rows) == len(basis):
+                        assert rows == tuple(basis)
+                        kept += 1
+                    else:
+                        assert len(rows) == len(basis) - 1
+                        dropped += 1
+        assert dropped > 400 and kept > 100
+
+    def test_a_column_in_the_span_of_a_covered_face_is_an_inconsistency(self, monkeypatch):
+        # C ∩ span F = F: a column of G outside F is off span F.  A step that
+        # finds it orthogonal to F's lattice (here, through a zeroed column)
+        # keeps every row, and the table raises instead of storing them.
+        step = cones._perp_step
+        monkeypatch.setattr(
+            resonance, "_perp_step", lambda basis, column: step(basis, (0,) * len(column))
+        )
+        with pytest.raises(InternalInconsistency,
+                           match="a face's column lies in the span of a face it covers"):
+            resonance._resonance_table(Configuration(IntMatrix([[1, 1, 1], [0, 1, 2]])))
 
 
 def golden_stdout(name, argv):
@@ -540,11 +652,11 @@ class TestColdClassify:
         config = classify(BETA_SWEEP_MATRIX, planted_beta(rng, SWEEP, facet)).configuration
         assert memo_entries(config, resonance._resonance_table) == 1
         computed = []
-        kernel, basis = cones._perp_kernel, cones._perp_lattice_basis
+        step, basis = cones._perp_step, cones._perp_lattice_basis
 
-        def kernel_spy(c, labels):
-            computed.append(("kernel", labels))
-            return kernel(c, labels)
+        def step_spy(rows, column):
+            computed.append(("step", column))
+            return step(rows, column)
 
         def basis_spy(c, labels):
             if (basis.__wrapped__, labels) not in c._memo:
@@ -552,7 +664,7 @@ class TestColdClassify:
             return basis(c, labels)
 
         for module in (cones, resonance):
-            monkeypatch.setattr(module, "_perp_kernel", kernel_spy)
+            monkeypatch.setattr(module, "_perp_step", step_spy)
             monkeypatch.setattr(module, "_perp_lattice_basis", basis_spy)
         lattice = config.face_lattice()
         below_facets = 0
