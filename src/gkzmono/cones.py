@@ -48,7 +48,6 @@ from .intlinalg import (
     integer_entries,
     kernel_lattice_basis,
     primitive_vector,
-    xgcd,
 )
 
 Parameter = tuple[GaussRat, ...]
@@ -372,22 +371,14 @@ def _hull(config: Configuration) -> tuple[tuple, tuple]:
 
 
 def _perp_step(basis: Sequence[IntVec], column: IntVec) -> tuple[IntVec, ...]:
-    """A basis of L ∩ column^perp, L spanned by the basis rows: one unimodular step.
+    """A basis of L ∩ column^perp, L spanned by the basis rows: one width-1 Hermite pass.
 
-    Integer row operations bring x = (w . column for w in basis) to one
-    nonzero entry, whose row is dropped; x = 0 returns the rows as they are.
+    The pass (intlinalg._hermite_rows) runs on the rows [w . column | w] and
+    the rows past its rank (0 or 1) are the kernel: their tails are returned.
+    Every w . column = 0 leaves the rows as they are.
     """
-    rows, x, pivot = list(basis), [sum(map(mul, w, column)) for w in basis], None
-    for k, b in enumerate(x):
-        if b and pivot is None:
-            pivot = k
-        elif b:  # rows (pivot, k) <- (s p + t r, (a r - b p) / g): x_k becomes 0
-            a, p, r = x[pivot], rows[pivot], rows[k]
-            g, s, t = xgcd(a, b) if b % a else (a, 1, 0)
-            rows[pivot], x[pivot] = (tuple(s * u + t * v for u, v in zip(p, r)) if t else p), g
-            a, b = a // g, b // g
-            rows[k] = tuple(a * v - b * u for u, v in zip(p, r))
-    return tuple(row for k, row in enumerate(rows) if k != pivot)
+    rows = [[sum(map(mul, w, column)), *w] for w in basis]
+    return tuple(tuple(row[1:]) for row in rows[_hermite_rows(rows, 1):])
 
 
 @per_configuration

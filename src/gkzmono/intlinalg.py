@@ -196,11 +196,6 @@ class IntMatrix:
     def columns(self) -> tuple[IntVec, ...]:
         return tuple(self.column(j) for j in range(self.cols))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            tuple(self.column(j) for j in range(self.cols)), cols=self.rows
-        )
-
     def mat_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")

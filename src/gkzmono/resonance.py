@@ -18,10 +18,11 @@ hull (cones._facets), and its canonical basis is v signed to start positive.
 The walk reads the functionals of every face from a table in lattice order,
 (size, indices), built once per configuration with the cover relation, and
 only below a member facet.  One pass up the closure of the facet bitmasks
-(cones._face_closure) reads each face's covers off bitsets and cuts its
-lattice from a face it covers by one unimodular step (cones._perp_step); a
-facet keeps its inner normal.  The table holds no Face until the walk
-reports one: a reported face is built once (cones._face), kept by position.
+(cones._face_closure) cuts each face's lattice from its largest subface by
+one width-1 Hermite pass (cones._perp_step), reads the face's rank off that
+lattice and its covers off bitsets; a facet keeps its inner normal.  The
+table holds no Face until the walk reports one: a reported face is built
+once (cones._face), kept by position.
 
 The member faces are up-closed (span G in span F when G is a face of F),
 and the face lattice is graded by rank, so the walk prunes from both ends.
@@ -86,11 +87,13 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
 
     Bitsets over positions grow with the pass, per column (the faces holding
     it) and per rank.  A face's subfaces are the earlier positions holding no
-    column outside it, its covers those of the highest rank present, and its
-    rank one more (the face lattice is graded).  A facet keeps its inner
-    normal, the minimal face its canonical basis, and any other face G takes
-    F ∩ a_j^perp (cones._perp_step), F the first face it covers and a_j a
-    column of G outside F, off span F since C ∩ span F = F.
+    column outside it.  A facet keeps its inner normal, the minimal face its
+    canonical basis, and any other face G takes F ∩ a_j^perp
+    (cones._perp_step), F its last subface and a_j a column of G outside F.
+    F has the most columns of G's subfaces, so G covers it, and a_j is off
+    span F since C ∩ span F = F.  Each entry fixes its face's rank, d less
+    its length, and a face's covers are its subfaces one rank down (the
+    face lattice is graded).
     """
     closure, d = _face_closure(config), config.d
     facet_of = {mask: (k, (normal,)) for k, (normal, mask) in enumerate(_facets(config))}
@@ -99,25 +102,26 @@ def _resonance_table(config: Configuration) -> _ResonanceTable:
     for i, (mask, labels) in enumerate(closure):
         outside = reduce(or_, (h for j, h in enumerate(holds) if not mask >> j & 1), 0)
         subfaces = (1 << i) - 1 & ~outside
-        rank = max((r for r, faces in enumerate(at_rank) if faces & subfaces), default=-1)
-        covered, bits = [], at_rank[rank] & subfaces
-        while bits:  # the positions of the covers, ascending
-            covered.append((bits & -bits).bit_length() - 1)
-            cover_counts[covered[-1]] += 1
-            bits &= bits - 1
         if mask in facet_of:
             k, entry = facet_of[mask]
             facets[k] = i
         elif i:
-            basis, beyond = functionals[covered[0]], mask & ~closure[covered[0]][0]
+            last = subfaces.bit_length() - 1
+            basis, beyond = functionals[last], mask & ~closure[last][0]
             entry = _perp_step(basis, config._columns[(beyond & -beyond).bit_length() - 1])
             if len(entry) == len(basis):
                 raise InternalInconsistency("a face's column lies in the span of a face it covers")
         else:
             entry = _perp_lattice_basis(config, labels)
+        rank = d - len(entry)
+        covered, bits = [], at_rank[rank - 1] & subfaces
+        while bits:  # the positions of the covers, ascending
+            covered.append((bits & -bits).bit_length() - 1)
+            cover_counts[covered[-1]] += 1
+            bits &= bits - 1
         functionals.append(entry)
         below.append(tuple(covered))
-        at_rank[rank + 1 if i else d - len(entry)] |= 1 << i
+        at_rank[rank] |= 1 << i
         for j in labels:
             holds[j - 1] |= 1 << i
     return _ResonanceTable(closure, {}, tuple(functionals), tuple(below), tuple(cover_counts),
@@ -193,8 +197,8 @@ class ResonanceReport:
 
 @per_configuration
 def _full_face(config: Configuration) -> tuple[Face, ...]:
-    """The members and centers of a nonresonant report: the full face, witness 0."""
-    return (Face(range(1, config.n + 1), (0,) * config.d),)
+    """The members and centers of a nonresonant report: the full face, witness 0 (_face)."""
+    return (_face(config, (1 << config.n) - 1, tuple(range(1, config.n + 1))),)
 
 
 @per_configuration

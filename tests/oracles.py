@@ -32,7 +32,7 @@ reference for the Bareiss rank (intlinalg.rank_int) and for every rank and
 determinant a test needs, and cofactor_adjugate the adjugate from signed
 minors, the reference for the seed simplex's inner facet forms, which the
 placing keeps as its first boundary (cones._seed_simplex).  matmul is the
-plain matrix product.
+plain matrix product, transpose the plain transpose.
 
 facets_by_subset_normals lists the facets from the hyperplanes through d - 1
 independent columns, and facets_by_double_description finds them as the
@@ -59,7 +59,8 @@ volume.face_volume reads off a face's rank (intlinalg.rank_int).
 
 perp_lattice_by_hermite_forms is the saturated perp lattice of a face read
 through the IntMatrix Hermite form of the face matrix, the reference for
-the unimodular steps of cones._perp_lattice_basis and cones._perp_step and,
+cones._perp_step (a width-1 Hermite pass on the rows [w . a_j | w]), for
+cones._perp_lattice_basis, which folds that step over a face's columns, and,
 up to a Hermite form, for every entry of the resonance table.
 kernel_by_hermite_transform reads the kernel of A the same way, off the
 transform of the IntMatrix Hermite form of A^T: the reference for
@@ -333,6 +334,11 @@ def matmul(*matrices):
     return product
 
 
+def transpose(M):
+    """The transpose of an IntMatrix."""
+    return IntMatrix(M.columns(), cols=M.rows)
+
+
 def cofactor_adjugate(rows):
     """adj(M) oracle: entry (i, j) is the signed minor of M without row j and column i."""
     n = len(rows)
@@ -599,7 +605,7 @@ def hermite_kernel_basis(H, U):
 
 def kernel_by_hermite_transform(A):
     """The saturated kernel lattice {u : A*u = 0} off the Hermite form U*A^T = H."""
-    return hermite_kernel_basis(*hermite_normal_form(A.transpose())) if A.cols else ()
+    return hermite_kernel_basis(*hermite_normal_form(transpose(A))) if A.cols else ()
 
 
 def perp_lattice_by_hermite_forms(config, labels):

@@ -651,10 +651,10 @@ class TestCacheStructure:
         self, monkeypatch, matrix, beta
     ):
         # The related columns come off the hull's facets.  Validation
-        # carries exactly one column (all ones, for the grading), and no
-        # other pass carries a block: a face's perp lattice comes from
-        # unimodular steps (cones._perp_step) and a transform-free pass,
-        # never from a kernel pass (intlinalg._kernel_rows).
+        # carries exactly one column (all ones, for the grading).  The only
+        # other pass that carries a block is the width-1 step of a face's
+        # perp lattice (cones._perp_step): its rows [w . a_j | w] carry the
+        # basis w being cut.  No kernel pass (intlinalg._kernel_rows) runs.
         cones._normalize_matrix.cache_clear()
         passes = hermite_passes(monkeypatch)
         kernels = spy_on(monkeypatch, "kernel_lattice_basis", "hermite_normal_form")
@@ -662,9 +662,10 @@ class TestCacheStructure:
         assert kernels == []
         carried = [(caller, len(rows[0]) - width) for caller, width, rows in passes
                    if rows and len(rows[0]) > width]
-        assert set(carried) <= {("__init__", 1)}
+        assert set(carried) <= {("__init__", 1), ("_perp_step", config.d)}
         assert all(len(rows[0]) == width + 1 for caller, width, rows in passes
                    if caller == "__init__")
+        assert all(width == 1 for caller, width, _ in passes if caller == "_perp_step")
 
 
 class TestCenterVolumes:

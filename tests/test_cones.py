@@ -44,6 +44,7 @@ from oracles import (
     matmul,
     perp_lattice_by_hermite_forms,
     solve_rational,
+    transpose,
     triangulated_face_volume,
     triangulation_failures,
 )
@@ -242,7 +243,7 @@ class TestReduce:
 
 def hermite_reduce_by_solving(A_raw):
     """(reduced A, B) by solving B x = a_j over Q: the reference for _hermite_reduce."""
-    H, _ = hermite_normal_form(A_raw.transpose())
+    H, _ = hermite_normal_form(transpose(A_raw))
     basis_rows = [row for row in H.data if any(row)]
     B = IntMatrix.from_columns(basis_rows, A_raw.rows)
     columns = []

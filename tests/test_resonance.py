@@ -356,7 +356,7 @@ class TestFacetFunctionals:
     face_functionals reads the canonical basis of every face, a facet's
     included: its inner normal with the first nonzero entry positive.  The table
     keeps a facet's inner normal as the hull gives it (positive inside) and,
-    for every other face, the rows of one unimodular step from a face it
+    for every other face, the rows of one width-1 Hermite step from a face it
     covers as they come: any Z-basis of the perp lattice, so its rows are
     checked by their count and Hermite form.  The reference is the IntMatrix
     Hermite path of the oracles, not cones._perp_lattice_basis, which
@@ -473,14 +473,14 @@ class TestUpwardPass:
 
 
 class TestPerpStep:
-    """cones._perp_step: L ∩ a^perp in one unimodular step, against the Hermite-form oracle."""
+    """cones._perp_step: L ∩ a^perp by a width-1 Hermite pass, against the Hermite-form oracle."""
 
     @pytest.mark.parametrize(
         "column", [(2, 3), (-2, 3), (4, 6, 9), (-4, 6, -9), (0, -6, 4), (6, 10, 15), (3, 0, -2, 5)]
     )
     def test_non_unit_gcd_paths_from_the_unit_basis(self, column):
-        # The unit basis gives x = column, so the pivot entry runs through
-        # gcd steps before its row is dropped.
+        # The unit basis gives the products w . a = the column's entries, so
+        # the pass runs through gcd steps before the pivot row is dropped.
         d = len(column)
         units = [tuple(int(i == k) for k in range(d)) for i in range(d)]
         config = Configuration(IntMatrix.from_columns([column, *units], d))

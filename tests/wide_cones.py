@@ -7,11 +7,13 @@ Usage (from the repository root; no options):
 For random_homogeneous_configuration(Random(5), d, n) with (d, n) in
 (6, 16), (7, 18), (8, 20) and (9, 22), it prints the seconds of a cold
 face closure (cones._face_closure, the hull included), of the resonance
-table built on it (resonance._resonance_table), and of a cold classify for
-a generic, a facet-resonant (e1/3) and an integer parameter, each on a
-fresh configuration.  Up to d = 7 it checks the table against the Hermite
-kernel oracle (oracles.resonance_table_mismatches) and exits 1 on a
-mismatch.  pytest does not collect this file.
+table built on it (resonance._resonance_table), the bit length of the
+table's largest entry (|x| over every functional of every face), and the
+seconds of a cold classify for a generic, a facet-resonant (e1/3) and an
+integer parameter, each on a fresh configuration.  Up to d = 7 it checks
+the table against the Hermite kernel oracle
+(oracles.resonance_table_mismatches) and exits 1 on a mismatch.  pytest
+does not collect this file.
 """
 
 import random
@@ -48,13 +50,14 @@ def seconds(fn, *args):
 
 def main() -> int:
     failed = False
-    print(f"{'d':>2} {'n':>3} {'faces':>6} {'closure':>8} {'table':>7}"
+    print(f"{'d':>2} {'n':>3} {'faces':>6} {'closure':>8} {'table':>7} {'bits':>4}"
           + "".join(f" {name:>8}" for name, _ in betas(1)) + "  oracle")
     for d, n in CONES:
         matrix = random_homogeneous_configuration(random.Random(5), d, n).A
         config = cones.Configuration(matrix)
         closure_s, closure = seconds(cones._face_closure, config)
-        table_s, _ = seconds(resonance._resonance_table, config)
+        table_s, table = seconds(resonance._resonance_table, config)
+        bits = max(abs(x) for entry in table.functionals for w in entry for x in w).bit_length()
         classify_s = []
         for _, beta in betas(d):
             cones._normalize_matrix.cache_clear()
@@ -64,7 +67,7 @@ def main() -> int:
             mismatches = resonance_table_mismatches(config)
             oracle = "ok" if not mismatches else "MISMATCH: " + ", ".join(mismatches)
             failed |= oracle != "ok"
-        print(f"{d:>2} {n:>3} {len(closure):>6} {closure_s:>8.3f} {table_s:>7.3f}"
+        print(f"{d:>2} {n:>3} {len(closure):>6} {closure_s:>8.3f} {table_s:>7.3f} {bits:>4}"
               + "".join(f" {s:>8.3f}" for s in classify_s) + f"  {oracle}")
     return 1 if failed else 0
 
